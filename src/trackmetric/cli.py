@@ -18,7 +18,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import MetricParams, TrackSet
@@ -90,7 +89,7 @@ def _eval_ospat(truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode
     scan_rows, assignment = ospat_per_scan(truth, est, params)
     rows = [(r.t, r.total, r.loc, r.card, r.n_t) for r in scan_rows]
     total, loc, card = _aggregate(rows, params.p)
-    glob = ospat_global(truth, est, params)
+    glob = ospat_global(truth, est, params, assignment)
     text = "pairing " + _pairs_text(assignment.pairs, truth, est)
     return MetricRows(
         "ospat", total, loc, card, rows, text, {"global_distance": glob.total}
@@ -195,9 +194,9 @@ def _emit_table(
             print(f"{res.name} assignment: {res.assignment_text}", file=out)
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
-    mode = _mode_from_args(args)
+def _load_pair(args: argparse.Namespace, params: MetricParams) -> tuple[TrackSet, TrackSet]:
+    """Load the truth and estimate files and check them against each other
+    and against ``--scale``."""
     truth = load_track_set(args.truth)
     est = load_track_set(args.est)
     if truth.scans != est.scans:
@@ -205,20 +204,23 @@ def cmd_compute(args: argparse.Namespace) -> int:
             f"scan counts differ: {args.truth} has {truth.scans}, "
             f"{args.est} has {est.scans}"
         )
-    names = ["ospa", "ospat", "ospamt"] if args.metric == "all" else [args.metric]
-    if args.jobs > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(_EVALUATORS[name], truth, est, params, mode)
-                for name in names
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [_EVALUATORS[name](truth, est, params, mode) for name in names]
+    if params.scale is not None and len(params.scale) != truth.state_dim:
+        raise BadParametersError(
+            f"--scale has {len(params.scale)} factors for state dimension {truth.state_dim}"
+        )
+    return truth, est
+
+
+def cmd_compute(args: argparse.Namespace) -> int:
+    params = _params_from_args(args)
+    mode = _mode_from_args(args)
+    truth, est = _load_pair(args, params)
     if args.at_time is not None and not (1 <= args.at_time <= truth.scans):
         raise BadParametersError(
             f"--at-time {args.at_time} outside 1..{truth.scans}"
         )
+    names = ["ospa", "ospat", "ospamt"] if args.metric == "all" else [args.metric]
+    results = [_EVALUATORS[name](truth, est, params, mode) for name in names]
     if args.output == "json":
         doc = {
             "params": {
@@ -294,8 +296,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     mode = _mode_from_args(args)
-    truth = load_track_set(args.truth)
-    est = load_track_set(args.est)
+    truth, est = _load_pair(args, params)
     new_est, log = split_tracks(truth, est, params, mode=mode)
     save_track_set(new_est, args.out)
     for entry in log:
@@ -342,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--at-time", type=int, default=None, help="restrict per-scan output to one scan")
     comp.add_argument("--output", choices=["table", "csv", "json"], default="table")
     comp.add_argument("--report-assignment", action="store_true")
-    comp.add_argument("--jobs", type=int, default=1, help="evaluate metrics in parallel")
     comp.set_defaults(func=cmd_compute)
 
     scen = sub.add_parser("scenario", help="write a study scenario as track-set files")

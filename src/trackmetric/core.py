@@ -12,7 +12,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import (
     BadParametersError,
@@ -77,8 +81,24 @@ class TrackSet:
     def states_at(self, t: int) -> list[StateVector]:
         return [trk.points[t] for trk in self.tracks if t in trk.points]
 
-    def existing_count(self, t: int) -> int:
-        return sum(1 for trk in self.tracks if t in trk.points)
+    @cached_property
+    def states(self) -> np.ndarray:
+        """(N, T, D) states of a validated set; scan t is index t - 1 and
+        NaN marks the scans where a track does not exist."""
+        states = np.full((len(self.tracks), self.scans, self.state_dim), np.nan)
+        rows = [i for i, trk in enumerate(self.tracks) for _ in trk.points]
+        cols = [t - 1 for trk in self.tracks for t in trk.points]
+        values = [x for trk in self.tracks for x in trk.points.values()]
+        states[rows, cols] = np.array(values, dtype=float).reshape(-1, self.state_dim)
+        states.setflags(write=False)
+        return states
+
+    @cached_property
+    def exists(self) -> np.ndarray:
+        """(N, T) mask of the scans where each track exists."""
+        exists = ~np.isnan(self.states[:, :, 0])
+        exists.setflags(write=False)
+        return exists
 
     def track_label(self, index: int) -> str:
         """Label of 1-based track ``index``, falling back to T<index>."""
@@ -235,31 +255,43 @@ def validate(track_set: TrackSet) -> TrackSet:
     return track_set
 
 
-def base_distance(x: Sequence[float], y: Sequence[float], params: MetricParams) -> float:
-    """p'-norm of the coordinate difference after per-dimension scaling."""
+def base_distance(
+    x: ArrayLike, y: ArrayLike, params: MetricParams, order: float | None = None
+) -> np.ndarray:
+    """p'-norm of the coordinate difference after per-dimension scaling.
+
+    Broadcasts over leading axes; the last axis holds the coordinates.
+    ``order`` overrides ``params.base_order``.  Absent states given as NaN
+    give NaN distances.
+    """
+    diffs = np.subtract(x, y)
     if params.scale is not None:
-        if len(params.scale) != len(x):
+        if len(params.scale) != diffs.shape[-1]:
             raise DimensionMismatchError(
-                f"scale has {len(params.scale)} factors for dimension {len(x)}"
+                f"scale has {len(params.scale)} factors for dimension {diffs.shape[-1]}"
             )
-        diffs = [s * (a - b) for s, a, b in zip(params.scale, x, y)]
-    else:
-        diffs = [a - b for a, b in zip(x, y)]
-    q = params.base_order
+        diffs = diffs * params.scale
+    q = params.base_order if order is None else order
     if q == 2.0:
-        return math.hypot(*diffs)
+        return np.hypot.reduce(diffs, axis=-1)
     if q == 1.0:
-        return sum(abs(d) for d in diffs)
-    return sum(abs(d) ** q for d in diffs) ** (1.0 / q)
+        return np.abs(diffs).sum(axis=-1)
+    return (np.abs(diffs) ** q).sum(axis=-1) ** (1.0 / q)
 
 
-def cutoff_distance(
-    x: StateVector | None, y: StateVector | None, params: MetricParams
-) -> float:
-    """min{c, d(x, y)} for two existing states, else 0."""
-    if x is None or y is None:
-        return 0.0
-    return min(params.c, base_distance(x, y, params))
+def scan_distances(
+    a: TrackSet, b: TrackSet, params: MetricParams, order: float | None = None
+) -> np.ndarray:
+    """(N_a, N_b, T) base distances of every pair of tracks at every scan.
+
+    Entries are NaN wherever the two tracks do not coexist.  The tensor is
+    built one track of ``a`` at a time, so no per-coordinate intermediate of
+    all pairs is ever held.
+    """
+    out = np.empty((len(a.tracks), len(b.tracks), a.scans))
+    for i, x in enumerate(a.states):
+        out[i] = base_distance(x, b.states, params, order)
+    return out
 
 
 def count_distances(a: TrackSet, b: TrackSet) -> tuple[tuple[int, ...], int]:
@@ -270,9 +302,7 @@ def count_distances(a: TrackSet, b: TrackSet) -> tuple[tuple[int, ...], int]:
     """
     if a.scans != b.scans:
         raise ScanMismatchError(f"scan counts differ: {a.scans} vs {b.scans}")
-    n_t = tuple(
-        max(a.existing_count(t), b.existing_count(t)) for t in range(1, a.scans + 1)
-    )
+    n_t = tuple(np.maximum(a.exists.sum(axis=0), b.exists.sum(axis=0)).tolist())
     return n_t, sum(n_t)
 
 

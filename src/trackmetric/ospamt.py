@@ -26,9 +26,10 @@ from .core import (
     MetricReport,
     Track,
     TrackSet,
+    base_distance,
     check_comparable,
     count_distances,
-    cutoff_distance,
+    scan_distances,
 )
 from .errors import InfeasibleAssignmentError, NoConvergenceError, TooLargeError
 
@@ -65,42 +66,23 @@ def _common_scan(a: Track, b: Track) -> bool:
     return not a.points.keys().isdisjoint(b.points.keys())
 
 
-def pairwise_cost(src: Track, tgt: Track, params: MetricParams) -> float:
-    """Directional cost of one source/target pair, normalized per scan.
-
-    Over every scan where at least one of the two exists, a coexisting scan
-    contributes the capped base distance to the p-th power and a lone scan
-    contributes the cutoff to the p-th power; the mean keeps entries
-    comparable to ``c ** p`` whatever the lifetimes.
-    """
-    p = params.p
-    cp = params.c**p
-    total = 0.0
-    scans = 0
-    for t in sorted(src.points.keys() | tgt.points.keys()):
-        scans += 1
-        x = tgt.state_at(t)
-        y = src.state_at(t)
-        if x is not None and y is not None:
-            total += cutoff_distance(x, y, params) ** p
-        else:
-            total += cp
-    return total / scans if scans else cp
-
-
 def cost_matrix(src: TrackSet, tgt: TrackSet, params: MetricParams) -> np.ndarray:
     """Pairwise cost matrix with targets as rows and sources as columns.
 
-    Pairs that never coexist are marked INFEASIBLE so the assignment search
-    can never join them.
+    Over every scan where at least one of the two tracks exists, a
+    coexisting scan contributes the capped base distance to the p-th power
+    and a lone scan contributes the cutoff to the p-th power; each entry is
+    the mean over those scans, which keeps entries comparable to ``c ** p``
+    whatever the lifetimes.  Pairs that never coexist are marked INFEASIBLE
+    so the assignment search can never join them.
     """
-    m, n = len(tgt.tracks), len(src.tracks)
-    d = np.full((m, n), INFEASIBLE)
-    for i, tgt_trk in enumerate(tgt.tracks):
-        for j, src_trk in enumerate(src.tracks):
-            if _common_scan(src_trk, tgt_trk):
-                d[i, j] = pairwise_cost(src_trk, tgt_trk, params)
-    return d
+    cp = params.c**params.p
+    d = np.minimum(scan_distances(tgt, src, params), params.c) ** params.p
+    both = ~np.isnan(d)
+    either = (tgt.exists[:, None, :] | src.exists[None, :, :]).sum(axis=2)
+    shared = both.sum(axis=2)
+    mean = (np.where(both, d, 0.0).sum(axis=2) + cp * (either - shared)) / either
+    return np.where(shared > 0, mean, INFEASIBLE)
 
 
 def _check_feasible(src: TrackSet, tgt: TrackSet, lam: Sequence[int]) -> None:
@@ -155,6 +137,11 @@ def directional_terms(
     cp = params.c**p
     dp = params.delta**p
     n_t, _ = count_distances(src, tgt)
+    pairs = [(i, j) for i, order in enumerate(orders, start=1) for j in order]
+    ii = np.array([i - 1 for i, _ in pairs], dtype=int)
+    jj = np.array([j - 1 for _, j in pairs], dtype=int)
+    dist = base_distance(tgt.states[ii], src.states[jj], params)
+    capped = dict(zip(pairs, (np.minimum(dist, params.c) ** p).tolist()))
     total_t: list[float] = []
     loc_t: list[float] = []
     card_t: list[float] = []
@@ -172,12 +159,7 @@ def directional_terms(
                 continue
             if n_bar >= 1:
                 first = existing[0]
-                loc += (
-                    cutoff_distance(
-                        tgt_trk.points[t], src.tracks[first - 1].points[t], params
-                    )
-                    ** p
-                )
+                loc += capped[i, first][t - 1]
                 if first != order[0]:
                     loc += dp
                 card += (n_bar - 1) * (dp + cp)
@@ -214,7 +196,6 @@ class _DirectionalEngine:
     def __init__(self, src: TrackSet, tgt: TrackSet, params: MetricParams) -> None:
         self.src = src
         self.tgt = tgt
-        self.params = params
         self.n_t, self.n = count_distances(src, tgt)
         self.p = params.p
         self.cp = params.c**self.p
@@ -222,25 +203,13 @@ class _DirectionalEngine:
         self.base = self.cp * self.n
         self.src_scans = [set(trk.points) for trk in src.tracks]
         self.tgt_scans = [set(trk.points) for trk in tgt.tracks]
-        self._pair_cost: dict[tuple[int, int], dict[int, float]] = {}
+        # pair_cost[i-1][j-1][t-1]: capped distance ** p, NaN unless coexisting
+        capped = np.minimum(scan_distances(tgt, src, params), params.c)
+        self.pair_cost = (capped**self.p).tolist()
         self._h_memo: dict[tuple[int, tuple[int, ...]], tuple[float, tuple[int, ...]]] = {}
 
     def feasible(self, j: int, i: int) -> bool:
         return not self.src_scans[j - 1].isdisjoint(self.tgt_scans[i - 1])
-
-    def pair_cost(self, i: int, j: int) -> dict[int, float]:
-        key = (i, j)
-        got = self._pair_cost.get(key)
-        if got is None:
-            tgt_trk = self.tgt.tracks[i - 1]
-            src_trk = self.src.tracks[j - 1]
-            got = {
-                t: cutoff_distance(tgt_trk.points[t], src_trk.points[t], self.params)
-                ** self.p
-                for t in self.tgt_scans[i - 1] & self.src_scans[j - 1]
-            }
-            self._pair_cost[key] = got
-        return got
 
     def best_order(self, i: int, pre: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
         """Adjustment and optimal order for target i over preimage ``pre``.
@@ -253,12 +222,13 @@ class _DirectionalEngine:
         got = self._h_memo.get(key)
         if got is not None:
             return got
+        cost = self.pair_cost[i - 1]
         scans = []
         invariant = 0.0
         for t in sorted(self.tgt_scans[i - 1]):
             existing = [j for j in pre if t in self.src_scans[j - 1]]
             if existing:
-                scans.append((t, existing))
+                scans.append((t - 1, existing))
                 n_bar = len(existing)
                 invariant += (n_bar - 1) * (self.dp + self.cp) - n_bar * self.cp
         best_dep = math.inf
@@ -268,7 +238,7 @@ class _DirectionalEngine:
             dep = 0.0
             for t, existing in scans:
                 first = min(existing, key=rank.__getitem__)
-                dep += self.pair_cost(i, first)[t]
+                dep += cost[first - 1][t]
                 if first != pi[0]:
                     dep += self.dp
                 if dep >= best_dep:
@@ -302,23 +272,21 @@ class _DirectionalEngine:
         best_adj = math.inf
         best_lam: tuple[int, ...] = tuple(0 for _ in range(m))
         for lam in itertools.product(*choices):
-            pre: list[list[int]] = [[] for _ in range(k)]
-            for j, i in enumerate(lam, start=1):
-                if i != 0:
-                    pre[i - 1].append(j)
             adj = 0.0
-            for i in range(1, k + 1):
-                if pre[i - 1]:
-                    adj += self.best_order(i, tuple(pre[i - 1]))[0]
+            for i, pre in enumerate(_orders_from_lambda(lam, k), start=1):
+                if pre:
+                    adj += self.best_order(i, pre)[0]
             if adj < best_adj:
                 best_adj = adj
                 best_lam = lam
-        preimages = _orders_from_lambda(best_lam, k)
-        orders = tuple(
-            self.best_order(i, preimages[i - 1])[1] if preimages[i - 1] else ()
-            for i in range(1, k + 1)
+        return self.value_from_adjustment(best_adj), best_lam, self.best_orders(best_lam)
+
+    def best_orders(self, lam: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """Optimal track order of every target's preimage under ``lam``."""
+        return tuple(
+            self.best_order(i, pre)[1] if pre else ()
+            for i, pre in enumerate(_orders_from_lambda(lam, len(self.tgt.tracks)), start=1)
         )
-        return self.value_from_adjustment(best_adj), best_lam, orders
 
 
 def directional_distance(
@@ -336,15 +304,7 @@ def directional_distance(
     lam = tuple(lam)
     _check_feasible(src, tgt, lam)
     engine = _DirectionalEngine(src, tgt, params)
-    k = len(tgt.tracks)
-    pre: list[list[int]] = [[] for _ in range(k)]
-    for j, i in enumerate(lam, start=1):
-        if i != 0:
-            pre[i - 1].append(j)
-    orders = tuple(
-        engine.best_order(i, tuple(pre[i - 1]))[1] if pre[i - 1] else ()
-        for i in range(1, k + 1)
-    )
+    orders = engine.best_orders(lam)
     breakdown = directional_terms(src, tgt, lam, orders, params)
     value = (sum(breakdown.total_t) / engine.n) ** (1.0 / params.p)
     return value, breakdown, orders

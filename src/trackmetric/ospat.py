@@ -12,24 +12,13 @@ are always fully paired even across disjoint lifetimes.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+
 import numpy as np
 
 from .assign import solve_one_to_one
-from .core import (
-    MetricParams,
-    StateVector,
-    TrackSet,
-    base_distance,
-    check_comparable,
-)
-
-
-@dataclass(frozen=True)
-class LabeledState:
-    label: int
-    state: StateVector
+from .core import MetricParams, TrackSet, base_distance, check_comparable, scan_distances
+from .ospa import ScanOspa, ospa_at_scan
 
 
 @dataclass(frozen=True)
@@ -38,16 +27,6 @@ class LabeledTrackSet:
 
     tracks: TrackSet
     labels: tuple[int, ...]
-
-    def labeled_states_at(self, t: int) -> list[tuple[int, LabeledState]]:
-        """Existing labeled states at scan t, with 1-based track indices."""
-        out = []
-        for idx, (trk, label) in enumerate(
-            zip(self.tracks.tracks, self.labels), start=1
-        ):
-            if trk.exists_at(t):
-                out.append((idx, LabeledState(label, trk.points[t])))
-        return out
 
 
 @dataclass(frozen=True)
@@ -58,30 +37,13 @@ class OspatAssignment:
     smaller: str  # "a" or "b"
 
 
-def _pair_scan_cost(
-    x: StateVector | None, y: StateVector | None, params: MetricParams
-) -> float:
-    """Per-scan reordering cost: 0, the cutoff, or the capped 2-norm."""
-    if x is None and y is None:
-        return 0.0
-    if x is None or y is None:
-        return params.c
-    euclid = dataclasses.replace(params, p_prime=2.0)
-    return min(params.c, base_distance(x, y, euclid))
-
-
-def _reorder_cost_matrix(
-    small: TrackSet, large: TrackSet, params: MetricParams
+def _reorder_costs(
+    d: np.ndarray, exists_a: np.ndarray, exists_b: np.ndarray, c: float
 ) -> np.ndarray:
-    m, n = len(small.tracks), len(large.tracks)
-    d = np.zeros((m, n))
-    for i, s in enumerate(small.tracks):
-        for j, l in enumerate(large.tracks):
-            d[i, j] = sum(
-                _pair_scan_cost(s.state_at(t), l.state_at(t), params)
-                for t in range(1, small.scans + 1)
-            )
-    return d
+    """Per-scan reordering costs from Euclidean distances ``d`` (NaN where
+    the two tracks do not coexist): 0 where neither track exists, the
+    cutoff where only one does, else the capped distance."""
+    return np.where(np.isnan(d), np.where(exists_a ^ exists_b, c, 0.0), np.minimum(d, c))
 
 
 def ospat_reorder(a: TrackSet, b: TrackSet, params: MetricParams) -> OspatAssignment:
@@ -95,12 +57,16 @@ def ospat_reorder(a: TrackSet, b: TrackSet, params: MetricParams) -> OspatAssign
     check_comparable(a, b)
     if not a.tracks or not b.tracks:
         return OspatAssignment((), "b" if len(b.tracks) <= len(a.tracks) else "a")
+    d = _reorder_costs(
+        scan_distances(a, b, params, order=2.0),
+        a.exists[:, None, :],
+        b.exists[None, :, :],
+        params.c,
+    ).sum(axis=2)
     if len(b.tracks) <= len(a.tracks):
-        d = _reorder_cost_matrix(b, a, params)
-        pi, _ = solve_one_to_one(d)
+        pi, _ = solve_one_to_one(d.T)
         pairs = tuple((pi[j] + 1, j + 1) for j in range(len(b.tracks)))
         return OspatAssignment(pairs, "b")
-    d = _reorder_cost_matrix(a, b, params)
     pi, _ = solve_one_to_one(d)
     pairs = tuple((i + 1, pi[i] + 1) for i in range(len(a.tracks)))
     return OspatAssignment(pairs, "a")
@@ -137,27 +103,16 @@ def ospat_label(
     )
 
 
-def labeled_base_distance(
-    x: LabeledState, y: LabeledState, params: MetricParams
-) -> float:
-    """min{c, (d(x, y)^p' + (alpha when labels differ)^p')^(1/p')}."""
+def _labeled_distances(
+    labeled_a: LabeledTrackSet, labeled_b: LabeledTrackSet, params: MetricParams
+) -> np.ndarray:
+    """(N_a, N_b, T) labeled distances of every pair at every scan:
+    min{c, (d(x, y)^p' + (alpha when labels differ)^p')^(1/p')}."""
     q = params.base_order
-    d = base_distance(x.state, y.state, params)
-    if x.label != y.label:
-        d = (d**q + params.alpha**q) ** (1.0 / q)
-    return min(params.c, d)
-
-
-@dataclass(frozen=True)
-class OspatAtTime:
-    """OSPAT score at one scan with its OSPA-style loc/card split."""
-
-    t: int
-    total: float
-    loc: float
-    card: float
-    pairs: tuple[tuple[int, int], ...]
-    n_t: int
+    d = scan_distances(labeled_a.tracks, labeled_b.tracks, params)
+    differ = np.not_equal.outer(labeled_a.labels, labeled_b.labels)[:, :, None]
+    d = np.where(differ, (d**q + params.alpha**q) ** (1.0 / q), d)
+    return np.minimum(d, params.c)
 
 
 def ospat_at_time(
@@ -165,34 +120,10 @@ def ospat_at_time(
     labeled_b: LabeledTrackSet,
     t: int,
     params: MetricParams,
-) -> OspatAtTime:
+) -> ScanOspa:
     """OSPA minimization over the labeled states existing at scan t."""
-    sa = labeled_a.labeled_states_at(t)
-    sb = labeled_b.labeled_states_at(t)
-    m, n = len(sa), len(sb)
-    n_t = max(m, n)
-    if n_t == 0:
-        return OspatAtTime(t, 0.0, 0.0, 0.0, (), 0)
-    p, c = params.p, params.c
-    swap = m > n
-    small, big = (sb, sa) if swap else (sa, sb)
-    if not small:
-        return OspatAtTime(t, c, 0.0, c, (), n_t)
-    cost = np.array(
-        [
-            [labeled_base_distance(x, y, params) ** p for _, y in big]
-            for _, x in small
-        ]
-    )
-    pi, loc_sum = solve_one_to_one(cost)
-    k = len(big)
-    loc = (loc_sum / k) ** (1.0 / p)
-    card = (c**p * (k - len(small)) / k) ** (1.0 / p)
-    total = ((loc_sum + c**p * (k - len(small))) / k) ** (1.0 / p)
-    raw_pairs = [(small[i][0], big[j][0]) for i, j in enumerate(pi)]
-    if swap:
-        raw_pairs = [(aj, bi) for bi, aj in raw_pairs]
-    return OspatAtTime(t, total, loc, card, tuple(sorted(raw_pairs)), n_t)
+    capped = _labeled_distances(labeled_a, labeled_b, params)
+    return ospa_at_scan(capped, labeled_a.tracks.exists, labeled_b.tracks.exists, t, params)
 
 
 @dataclass(frozen=True)
@@ -204,42 +135,40 @@ class OspatGlobal:
     assignment: OspatAssignment
 
 
-def ospat_global(a: TrackSet, b: TrackSet, params: MetricParams) -> OspatGlobal:
+def ospat_global(
+    a: TrackSet,
+    b: TrackSet,
+    params: MetricParams,
+    assignment: OspatAssignment | None = None,
+) -> OspatGlobal:
     """Global OSPAT distance and its per-scan terms.
 
-    With one empty set there are no pairs to sum, so every existing state of
-    the other set is treated as a lone target and charged the cutoff at each
-    scan it exists.
+    ``assignment`` is the pairing from ``ospat_reorder`` (or
+    ``ospat_per_scan``) when the caller already has it; otherwise it is
+    computed here.  With one empty set there are no pairs to sum, so every
+    existing state of the other set is treated as a lone target and charged
+    the cutoff at each scan it exists.
     """
     check_comparable(a, b)
-    assignment = ospat_reorder(a, b, params)
-    per_time: list[float] = []
+    if assignment is None:
+        assignment = ospat_reorder(a, b, params)
     if not a.tracks or not b.tracks:
         other = b if not a.tracks else a
-        for t in range(1, a.scans + 1):
-            per_time.append(params.c * other.existing_count(t))
-        return OspatGlobal(sum(per_time), tuple(per_time), assignment)
-    for t in range(1, a.scans + 1):
-        per_time.append(
-            sum(
-                _pair_scan_cost(
-                    a.tracks[ai - 1].state_at(t),
-                    b.tracks[bi - 1].state_at(t),
-                    params,
-                )
-                for ai, bi in assignment.pairs
-            )
-        )
-    return OspatGlobal(sum(per_time), tuple(per_time), assignment)
+        per_time = tuple((params.c * other.exists.sum(axis=0)).tolist())
+        return OspatGlobal(sum(per_time), per_time, assignment)
+    ia, ib = np.array(assignment.pairs).T - 1
+    d = base_distance(a.states[ia], b.states[ib], params, order=2.0)
+    costs = _reorder_costs(d, a.exists[ia], b.exists[ib], params.c)
+    per_time = tuple(costs.sum(axis=0).tolist())
+    return OspatGlobal(sum(per_time), per_time, assignment)
 
 
 def ospat_per_scan(
     a: TrackSet, b: TrackSet, params: MetricParams
-) -> tuple[list[OspatAtTime], OspatAssignment]:
+) -> tuple[list[ScanOspa], OspatAssignment]:
     """Reorder, label, then score every scan; the usual evaluation pipeline."""
     assignment = ospat_reorder(a, b, params)
     labeled_a, labeled_b = ospat_label(a, b, assignment)
-    rows = [
-        ospat_at_time(labeled_a, labeled_b, t, params) for t in range(1, a.scans + 1)
-    ]
+    capped = _labeled_distances(labeled_a, labeled_b, params)
+    rows = [ospa_at_scan(capped, a.exists, b.exists, t, params) for t in range(1, a.scans + 1)]
     return rows, assignment

@@ -303,18 +303,6 @@ def test_env_mode_override(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-def test_jobs_output_is_deterministic(tmp_path, capsys):
-    truth, est = write_scenario(tmp_path, FigureId.FIG9A)
-    _, out1, _ = run(
-        capsys, "compute", str(truth), str(est), "--metric", "all", "--output", "json"
-    )
-    _, out3, _ = run(
-        capsys, "compute", str(truth), str(est), "--metric", "all", "--output", "json",
-        "--jobs", "3",
-    )
-    assert out1 == out3
-
-
 def test_scenario_random_round_trips(tmp_path, capsys):
     truth = tmp_path / "t.json"
     est = tmp_path / "e.json"
@@ -359,6 +347,60 @@ def test_at_time_flag(tmp_path, capsys):
         capsys, "compute", str(truth), str(est), "--at-time", "9"
     )
     assert code == 4
+
+
+def test_scale_length_mismatch_is_config_error(tmp_path, capsys):
+    # Two factors for 1-D states: a configuration error whether or not any
+    # pair of tracks coexists.
+    truth = tmp_path / "t.json"
+    save_track_set(validate(TrackSet(4, 1, (make_track({1: 0.0, 2: 0.0}, "t1"),))), truth)
+    for scans in ({3: 1.0, 4: 1.0}, {2: 1.0, 3: 1.0}):
+        est = tmp_path / "e.json"
+        save_track_set(validate(TrackSet(4, 1, (make_track(scans, "e1"),))), est)
+        code, out, err = run(
+            capsys, "compute", str(truth), str(est), "--metric", "all", "--scale", "1,1"
+        )
+        assert code == 4 and out == ""
+        assert "scale" in err
+
+
+def test_at_time_checked_before_any_metric(tmp_path, capsys, monkeypatch):
+    import trackmetric.cli as cli
+
+    called = []
+
+    def refuse(name):
+        def evaluate(*args):
+            called.append(name)
+            raise AssertionError(f"{name} ran before --at-time was checked")
+
+        return evaluate
+
+    for name in list(cli._EVALUATORS):
+        monkeypatch.setitem(cli._EVALUATORS, name, refuse(name))
+    truth, est = write_scenario(tmp_path, FigureId.FIG1A)
+    code, _, err = run(
+        capsys, "compute", str(truth), str(est), "--metric", "all", "--at-time", "9"
+    )
+    assert code == 4 and "at-time" in err
+    assert called == []
+
+
+def test_ospat_reorder_runs_once_per_compute(tmp_path, capsys, monkeypatch):
+    import trackmetric.ospat as ospat
+
+    calls = []
+    original = ospat.ospat_reorder
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ospat, "ospat_reorder", counting)
+    truth, est = write_scenario(tmp_path, FigureId.FIG12)
+    code, _, _ = run(capsys, "compute", str(truth), str(est), "--metric", "all")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_selftest_passes(capsys):

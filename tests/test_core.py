@@ -1,17 +1,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import oracle_norm
 from trackmetric.core import (
     MetricParams,
     Track,
     TrackSet,
+    base_distance,
     count_distances,
-    cutoff_distance,
     make_track,
     same_track_sets,
+    scan_distances,
     validate,
 )
 from trackmetric.errors import (
@@ -23,6 +26,11 @@ from trackmetric.errors import (
     ScanOutOfRangeError,
 )
 from trackmetric.scenarios import FigureId, ScenarioSpec, build
+
+
+def cutoff_distance(x, y, params):
+    """min{c, d(x, y)} for two existing states."""
+    return min(params.c, base_distance(x, y, params))
 
 
 def test_validate_minimal_track_accepted():
@@ -65,9 +73,36 @@ def test_cutoff_distance_examples():
     params = MetricParams(p_prime=2.0)
     assert cutoff_distance((0.0, 0.0), (3.0, 4.0), params) == 5.0
     assert cutoff_distance((0.0,), (200.0,), MetricParams()) == 80.0
-    assert cutoff_distance((0.0,), None, MetricParams()) == 0.0
-    assert cutoff_distance(None, (0.0,), MetricParams()) == 0.0
-    assert cutoff_distance(None, None, MetricParams()) == 0.0
+    # no distance where either track is absent: (x, None), (None, y), (None, None)
+    a = validate(TrackSet(3, 1, (make_track({1: 0.0}),)))
+    b = validate(TrackSet(3, 1, (make_track({2: 0.0}),)))
+    assert np.isnan(scan_distances(a, b, MetricParams())).all()
+
+
+def test_scan_distances_match_pairwise_reference():
+    rng = random.Random(3)
+
+    def random_2d_set():
+        tracks = []
+        for _ in range(rng.randint(0, 3)):
+            scans = rng.sample(range(1, 5), rng.randint(1, 4))
+            tracks.append(Track({t: (rng.uniform(-9, 9), rng.uniform(-9, 9)) for t in scans}))
+        return validate(TrackSet(4, 2, tuple(tracks)))
+
+    for params in (MetricParams(), MetricParams(p_prime=2.0),
+                   MetricParams(p_prime=3.0, scale=(0.5, 2.0))):
+        for _ in range(20):
+            a, b = random_2d_set(), random_2d_set()
+            d = scan_distances(a, b, params)
+            assert d.shape == (len(a), len(b), 4)
+            for i, x in enumerate(a.tracks):
+                for j, y in enumerate(b.tracks):
+                    for t in range(1, 5):
+                        if t in x.points and t in y.points:
+                            want = oracle_norm(x.points[t], y.points[t], params)
+                            assert d[i, j, t - 1] == pytest.approx(want, rel=1e-12)
+                        else:
+                            assert np.isnan(d[i, j, t - 1])
 
 
 def test_count_distances_fig1b():
@@ -168,7 +203,7 @@ def test_params_warns_at_delta_equal_c():
 def test_scale_length_checked_at_use():
     params = MetricParams(scale=(1.0, 1.0))
     with pytest.raises(DimensionMismatchError):
-        cutoff_distance((0.0,), (1.0,), params)
+        base_distance((0.0,), (1.0,), params)
 
 
 def test_same_track_sets_ignores_order_and_labels():

@@ -29,7 +29,6 @@ from trackmetric.ospamt import (
     directional_terms,
     order_at_time,
     ospamt_metric,
-    pairwise_cost,
     quasi_ospamt,
     split_tracks,
 )
@@ -44,16 +43,14 @@ def fig(fig_id, **kw):
 
 
 def test_pairwise_cost_identical_tracks():
-    t = make_track({1: 0.0, 2: 1.0, 3: 2.0})
-    assert pairwise_cost(t, t, MetricParams()) == 0.0
+    ts = validate(TrackSet(3, 1, (make_track({1: 0.0, 2: 1.0, 3: 2.0}),)))
+    assert cost_matrix(ts, ts, MetricParams())[0, 0] == 0.0
 
 
 def test_pairwise_cost_disjoint_lifetimes():
     params = MetricParams()
     a = make_track({1: 0.0, 2: 0.0})
     b = make_track({3: 0.0, 4: 0.0})
-    # every contributing scan pays the full cutoff
-    assert pairwise_cost(a, b, params) == params.c**params.p
     ts_a = validate(TrackSet(4, 1, (a,)))
     ts_b = validate(TrackSet(4, 1, (b,)))
     d = cost_matrix(ts_b, ts_a, params)
@@ -66,10 +63,10 @@ def test_pairwise_cost_merged_track_against_short_truth():
     for p in (1.0, 2.0):
         params = MetricParams(p=p)
         eps, c = 1.0, params.c
-        truth = make_track({1: 0.0, 2: 0.0, 3: 0.0})
-        est = make_track({t: eps for t in range(1, 6)})
+        truth = validate(TrackSet(5, 1, (make_track({1: 0.0, 2: 0.0, 3: 0.0}),)))
+        est = validate(TrackSet(5, 1, (make_track({t: eps for t in range(1, 6)}),)))
         want = (3 * eps**p + 2 * c**p) / 5
-        assert pairwise_cost(est, truth, params) == pytest.approx(want, rel=1e-9)
+        assert cost_matrix(est, truth, params)[0, 0] == pytest.approx(want, rel=1e-9)
 
 
 # ------------------------------------------------------- directional given λ

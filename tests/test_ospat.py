@@ -4,9 +4,7 @@ import pytest
 
 from trackmetric.core import MetricParams, TrackSet, make_track, validate
 from trackmetric.ospat import (
-    LabeledState,
     LabeledTrackSet,
-    labeled_base_distance,
     ospat_at_time,
     ospat_global,
     ospat_label,
@@ -136,12 +134,22 @@ def test_alpha_zero_identity_violation():
     assert la.labels != lb.labels
 
 
+def labeled_base_distance(x, y, params):
+    """Labeled distance of two (label, state) pairs: the one-scan OSPAT score
+    of two singleton sets carrying those labels."""
+    (label_x, state_x), (label_y, state_y) = x, y
+    ta = validate(TrackSet(1, 1, (make_track({1: state_x}),)))
+    tb = validate(TrackSet(1, 1, (make_track({1: state_y}),)))
+    la, lb = LabeledTrackSet(ta, (label_x,)), LabeledTrackSet(tb, (label_y,))
+    return ospat_at_time(la, lb, 1, params).total
+
+
 def test_labeled_base_distance_is_metric_with_fixed_labels():
     rng = random.Random(1)
     params = MetricParams(p=2.0)
     for _ in range(300):
         xs = [
-            LabeledState(rng.randint(1, 3), (float(rng.randint(0, 9)),))
+            (rng.randint(1, 3), (float(rng.randint(0, 9)),))
             for _ in range(3)
         ]
         a, b, c = xs
