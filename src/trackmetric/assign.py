@@ -1,28 +1,24 @@
 """Assignment-space search engines.
 
-Three ways of pairing tracks live here: exhaustive enumeration of every
-many-to-one assignment together with every ordering of each preimage (the
-exact oracle), the greedy matrix pipeline that scans a cost matrix through
-row minima, column minima, a merge and an ordering sweep, and a minimum-cost
-one-to-one solver used by the per-scan metrics.
+Two ways of pairing tracks live here: the greedy matrix pipeline that scans
+a cost matrix through row minima, column minima, a merge and an ordering
+sweep, and a minimum-cost one-to-one solver used by the per-scan metrics.
+The exact many-to-one search is a subset DP in ``ospamt``; this module holds
+its enumeration cap and the tie tolerance every search shares.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import TooLargeError
-
 #: Sentinel for forbidden pairs in cost matrices.
 INFEASIBLE = math.inf
 
-#: Default cap on total track count for exhaustive enumeration.
+#: Default cap on total track count for the exact search.
 ENUMERATION_CAP = 10
 
 _REL_TOL = 1e-9
@@ -31,56 +27,6 @@ _ABS_TOL = 1e-12
 
 def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
-
-
-def enumerate_assignments(
-    m_src: int,
-    n_tgt: int,
-    feasible: Callable[[int, int], bool],
-    cap: int = ENUMERATION_CAP,
-) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-    """Yield every (lambda, orders) pair over 1-based track indices.
-
-    ``lambda`` maps each source j in 1..m_src to 0 or to a target in
-    1..n_tgt with ``feasible(j, i)`` true; ``orders`` holds one ordered
-    tuple per target, covering every permutation of each nonempty preimage.
-    Pairs come out in lexicographic order of the lambda vector, then of the
-    order tuples, which callers rely on for deterministic tie-breaking.
-    """
-    if m_src + n_tgt > cap:
-        raise TooLargeError(
-            f"{m_src}+{n_tgt} tracks exceeds the enumeration cap of {cap}"
-        )
-    choices = [
-        [0] + [i for i in range(1, n_tgt + 1) if feasible(j, i)]
-        for j in range(1, m_src + 1)
-    ]
-    for lam in itertools.product(*choices):
-        preimages: list[list[int]] = [[] for _ in range(n_tgt)]
-        for j, i in enumerate(lam, start=1):
-            if i != 0:
-                preimages[i - 1].append(j)
-        per_target = [
-            list(itertools.permutations(pre)) if pre else [()] for pre in preimages
-        ]
-        for orders in itertools.product(*per_target):
-            yield lam, tuple(orders)
-
-
-def count_assignments(m_src: int, n_tgt: int) -> int:
-    """Closed-form count of (lambda, orders) pairs when all pairs are feasible.
-
-    Each source picks 0 or a target, and a preimage of size k contributes k!
-    orderings, so the total is the number of ways to hand each source either
-    nothing or a slot in one of n_tgt ordered lists.
-    """
-    total = 0
-    for lam in itertools.product(range(n_tgt + 1), repeat=m_src):
-        ways = 1
-        for i in range(1, n_tgt + 1):
-            ways *= math.factorial(sum(1 for v in lam if v == i))
-        total += ways
-    return total
 
 
 @dataclass(frozen=True)
@@ -214,21 +160,3 @@ def solve_one_to_one(d: np.ndarray) -> tuple[tuple[int, ...], float]:
         else:  # pragma: no cover - the optimum always admits a next column
             raise RuntimeError("failed to reconstruct an optimal matching")
     return tuple(assignment), best
-
-
-def brute_force_one_to_one(d: Sequence[Sequence[float]]) -> tuple[tuple[int, ...], float]:
-    """Factorial-time reference for solve_one_to_one (small matrices only)."""
-    d = np.asarray(d, dtype=float)
-    m, n = d.shape
-    if m == 0:
-        return (), 0.0
-    best_cost = math.inf
-    best_pi: tuple[int, ...] = ()
-    for pi in itertools.permutations(range(n), m):
-        cost = sum(d[i, pi[i]] for i in range(m))
-        if cost < best_cost - _ABS_TOL or (
-            _close(cost, best_cost) and pi < best_pi
-        ):
-            best_cost = float(cost)
-            best_pi = pi
-    return best_pi, best_cost

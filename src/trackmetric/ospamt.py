@@ -10,15 +10,21 @@ over assignments one way; the metric is the smaller of the two directions.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .assign import ENUMERATION_CAP, INFEASIBLE, greedy_many_to_one
+from .assign import (
+    _ABS_TOL,
+    _REL_TOL,
+    ENUMERATION_CAP,
+    INFEASIBLE,
+    _close,
+    greedy_many_to_one,
+)
 from .core import (
     Assignment,
     Direction,
@@ -185,12 +191,73 @@ def directional_cost(
     return (sum(breakdown.total_t) / n) ** (1.0 / params.p)
 
 
+@lru_cache(maxsize=16)
+def _subset_layers(s: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Index tables of a subset DP over s positions.
+
+    Returns an array that is infinite where position r is in bitmask P
+    (row P, column r) and zero elsewhere, and, for each set
+    size 0..s, the masks of that size with ``masks ^ bit`` for every bit:
+    the set without r where r is in it, the set with r where it is not.
+    """
+    masks = np.arange(1 << s)
+    bits = 1 << np.arange(s)
+    member = (masks[:, None] & bits) != 0
+    size = member.sum(axis=1)
+    layers = tuple(
+        (masks[size == r], masks[size == r][:, None] ^ bits) for r in range(s + 1)
+    )
+    return np.where(member, np.inf, 0.0), layers
+
+
+@lru_cache(maxsize=16)
+def _preimage_masks(m: int, k: int) -> np.ndarray:
+    """``masks[i, x]``: bitmask of the sources that the x-th lambda, in
+    lexicographic order over ``{0..k} ** m``, sends to target i + 1."""
+    sends = np.arange(k + 1) == np.arange(1, k + 1)[:, None]
+    dtype = np.min_scalar_type((1 << m) - 1)  # kept small: the table is cached
+    masks = np.zeros((k, 1), dtype=dtype)
+    for j in range(m):
+        bit = np.where(sends, 1 << j, 0).astype(dtype)
+        masks = (masks[:, :, None] + bit[:, None, :]).reshape(k, -1)
+    masks.setflags(write=False)
+    return masks
+
+
+def _placement_costs(exists: np.ndarray, gain: np.ndarray, dp: float) -> np.ndarray:
+    """``w[x, P, r]``: adjustment of placing source r right after set P.
+
+    ``exists`` and ``gain`` are ``(K, s, T)`` rows of
+    ``_DirectionalEngine.coexist`` and ``.gain`` for K targets and s sources;
+    P is a bitmask over the s sources.  Entries with r already in P are
+    infinite.
+    """
+    k, s, scans = exists.shape
+    covered = np.zeros((k, 1 << s, scans))
+    for r in range(s):
+        covered[:, 1 << r : 2 << r] = np.maximum(covered[:, : 1 << r], exists[:, r, None])
+    first = gain.sum(axis=2)
+    w = (first + dp * exists.sum(axis=2))[:, None, :] - covered @ gain.transpose(0, 2, 1)
+    w[:, 0] = first
+    return w + _subset_layers(s)[0]
+
+
 class _DirectionalEngine:
     """Shared machinery for searching orders and assignments in one direction.
 
     Costs are expressed as adjustments against the all-unassigned baseline of
     ``c**p`` per distance slot, which makes the objective additive across
     target preimages and lets the order minimization run per target.
+
+    Orders come from a subset DP (Held-Karp style).  Placing source j right
+    after an already placed set P charges j at the target scans where j
+    exists and no member of P does: the capped distance there, plus
+    ``delta**p`` unless P is empty.  The per-scan cardinality term
+    ``(n_bar - 1) * (delta**p + c**p) - n_bar * c**p`` splits the same way,
+    into ``delta**p`` per coexisting scan of every source and
+    ``-(delta**p + c**p)`` per newly covered scan, so the cost of a placement
+    depends only on P and j.  Ties are decided on ``base + adjustment`` with
+    the tolerances of ``assign._close``.
     """
 
     def __init__(self, src: TrackSet, tgt: TrackSet, params: MetricParams) -> None:
@@ -201,63 +268,49 @@ class _DirectionalEngine:
         self.cp = params.c**self.p
         self.dp = params.delta**self.p
         self.base = self.cp * self.n
-        self.src_scans = [set(trk.points) for trk in src.tracks]
-        self.tgt_scans = [set(trk.points) for trk in tgt.tracks]
-        # pair_cost[i-1][j-1][t-1]: capped distance ** p, NaN unless coexisting
+        # coexist[i-1, j-1, t-1]: target i and source j both exist at scan t
+        self.coexist = tgt.exists[:, None, :] & src.exists[None, :, :]
+        # gain[i-1, j-1, t-1]: capped distance ** p minus c ** p where coexisting
         capped = np.minimum(scan_distances(tgt, src, params), params.c)
-        self.pair_cost = (capped**self.p).tolist()
-        self._h_memo: dict[tuple[int, tuple[int, ...]], tuple[float, tuple[int, ...]]] = {}
+        self.gain = np.where(self.coexist, capped**self.p - self.cp, 0.0)
 
-    def feasible(self, j: int, i: int) -> bool:
-        return not self.src_scans[j - 1].isdisjoint(self.tgt_scans[i - 1])
+    def best_order(self, i: int, pre: tuple[int, ...]) -> tuple[int, ...]:
+        """Lexicographically smallest optimal order of target i's preimage.
 
-    def best_order(self, i: int, pre: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
-        """Adjustment and optimal order for target i over preimage ``pre``.
-
-        The adjustment is the preimage's total contribution minus the
-        baseline slots it consumes; the optimal order is the
-        lexicographically smallest minimizer.
+        A backward DP over the subsets of ``pre`` prices the cheapest
+        completion of every placed set; the order then takes, step by step,
+        the smallest source that keeps the total optimal.
         """
-        key = (i, pre)
-        got = self._h_memo.get(key)
-        if got is not None:
-            return got
-        cost = self.pair_cost[i - 1]
-        scans = []
-        invariant = 0.0
-        for t in sorted(self.tgt_scans[i - 1]):
-            existing = [j for j in pre if t in self.src_scans[j - 1]]
-            if existing:
-                scans.append((t - 1, existing))
-                n_bar = len(existing)
-                invariant += (n_bar - 1) * (self.dp + self.cp) - n_bar * self.cp
-        best_dep = math.inf
-        best_pi: tuple[int, ...] = pre
-        for pi in itertools.permutations(pre):
-            rank = {j: k for k, j in enumerate(pi)}
-            dep = 0.0
-            for t, existing in scans:
-                first = min(existing, key=rank.__getitem__)
-                dep += cost[first - 1][t]
-                if first != pi[0]:
-                    dep += self.dp
-                if dep >= best_dep:
-                    break
-            if dep < best_dep:
-                best_dep = dep
-                best_pi = pi
-        result = (invariant + best_dep, best_pi)
-        self._h_memo[key] = result
-        return result
-
-    def value_from_adjustment(self, adjustment: float) -> float:
-        return ((self.base + adjustment) / self.n) ** (1.0 / self.p)
+        s = len(pre)
+        if s == 1:
+            return pre
+        idx = [j - 1 for j in pre]
+        exists, gain = self.coexist[i - 1, idx], self.gain[i - 1, idx]
+        w = _placement_costs(exists[None], gain[None], self.dp)[0]
+        rest = np.zeros(1 << s)
+        for masks, flip in reversed(_subset_layers(s)[1][:-1]):
+            rest[masks] = (w[masks] + rest[flip]).min(axis=1)
+        w, rest = w.tolist(), rest.tolist()
+        best = self.base + rest[0]
+        order: list[int] = []
+        placed = 0
+        spent = 0.0
+        for _ in range(s):
+            cands = [spent + w[placed][r] + rest[placed | 1 << r] for r in range(s)]
+            lo = min(cands)  # the step minimum qualifies even if rounding fools _close
+            r = next(r for r, v in enumerate(cands) if _close(self.base + v, best) or v <= lo)
+            order.append(pre[r])
+            spent += w[placed][r]
+            placed |= 1 << r
+        return tuple(order)
 
     def search_exact(self, cap: int) -> tuple[float, tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """Minimize over every assignment, orders optimized per preimage.
 
-        Assignments are scanned in lexicographic order of the lambda vector
-        and the first minimum is kept, so ties resolve deterministically.
+        A forward DP per target prices every subset of the sources as a
+        preimage.  Every lambda in lexicographic order then costs one sum of
+        table lookups, all of them in one vectorized pass, and the first
+        lambda whose objective is close to the minimum wins.
         """
         m = len(self.src.tracks)
         k = len(self.tgt.tracks)
@@ -265,26 +318,28 @@ class _DirectionalEngine:
             raise TooLargeError(
                 f"{m}+{k} tracks exceeds the enumeration cap of {cap}"
             )
-        choices = [
-            [0] + [i for i in range(1, k + 1) if self.feasible(j, i)]
-            for j in range(1, m + 1)
-        ]
-        best_adj = math.inf
-        best_lam: tuple[int, ...] = tuple(0 for _ in range(m))
-        for lam in itertools.product(*choices):
-            adj = 0.0
-            for i, pre in enumerate(_orders_from_lambda(lam, k), start=1):
-                if pre:
-                    adj += self.best_order(i, pre)[0]
-            if adj < best_adj:
-                best_adj = adj
-                best_lam = lam
-        return self.value_from_adjustment(best_adj), best_lam, self.best_orders(best_lam)
+        w = _placement_costs(self.coexist, self.gain, self.dp)
+        g = np.zeros(w.shape[:2])
+        cols = np.arange(m)
+        for masks, flip in _subset_layers(m)[1][1:]:
+            g[:, masks] = (g[:, flip] + w[:, flip, cols]).min(axis=2)
+        # a preimage holding a source that never meets its target is no assignment
+        apart = (~self.coexist.any(axis=2)).astype(int) @ (1 << cols)
+        g[(np.arange(1 << m) & apart[:, None]) != 0] = np.inf
+        adj = sum(g_i[masks_i] for g_i, masks_i in zip(g, _preimage_masks(m, k)))
+        total = self.base + adj
+        lo = float(total.min())
+        # the filter keeps a superset of the objectives within _close of lo
+        near = np.flatnonzero(total <= lo + 2 * (_REL_TOL * abs(lo) + _ABS_TOL))
+        idx = next(int(x) for x in near if _close(total[x], lo))
+        lam = tuple(int(i) for i in np.unravel_index(idx, (k + 1,) * m))
+        value = ((self.base + float(adj[idx])) / self.n) ** (1.0 / self.p)
+        return value, lam, self.best_orders(lam)
 
     def best_orders(self, lam: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Optimal track order of every target's preimage under ``lam``."""
         return tuple(
-            self.best_order(i, pre)[1] if pre else ()
+            self.best_order(i, pre) if pre else ()
             for i, pre in enumerate(_orders_from_lambda(lam, len(self.tgt.tracks)), start=1)
         )
 

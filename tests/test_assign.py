@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_matching
-from trackmetric.assign import (
-    INFEASIBLE,
+from oracles import (
     brute_force_one_to_one,
     count_assignments,
     enumerate_assignments,
-    greedy_many_to_one,
-    solve_one_to_one,
+    oracle_matching,
 )
+from trackmetric.assign import INFEASIBLE, greedy_many_to_one, solve_one_to_one
 from trackmetric.errors import TooLargeError
 
 

@@ -82,6 +82,60 @@ def test_points_sorted_on_load_and_duplicate_t_rejected(tmp_path):
         load_track_set(path)
 
 
+def _doc(**changes):
+    doc = {
+        "scans": 3,
+        "state_dim": 1,
+        "tracks": [
+            {"id": "a", "points": [{"t": 1, "x": [0.0]}]},
+            {"id": "b", "points": [{"t": 2, "x": [1.0]}]},
+        ],
+    }
+    for key, value in changes.items():
+        if key in ("scans", "state_dim"):
+            doc[key] = value
+        elif key == "t":
+            doc["tracks"][0]["points"][0]["t"] = value
+        elif key == "x":
+            doc["tracks"][0]["points"][0]["x"] = value
+        else:
+            doc["tracks"][1]["id"] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _doc(scans=2.9),
+        _doc(scans=True),
+        _doc(state_dim=1.5),
+        _doc(state_dim=True),
+        _doc(t=1.7),
+        _doc(t=True),
+        _doc(t=1.0),
+        _doc(state_dim=2, x="12"),
+        _doc(x=["0.5"]),
+        _doc(x=[True]),
+        _doc(id="a"),
+    ],
+    ids=[
+        "fractional-scans", "true-scans", "fractional-state-dim", "true-state-dim",
+        "fractional-t", "true-t", "float-t", "string-x", "string-coordinate",
+        "true-coordinate", "duplicate-id",
+    ],
+)
+def test_malformed_fields_are_parse_errors(tmp_path, capsys, doc):
+    from trackmetric.errors import ParseError
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load_track_set(bad)
+    code, _, err = run(capsys, "compute", str(bad), str(bad))
+    assert code == 2
+    assert err
+
+
 # ---------------------------------------------------------------- compute
 
 

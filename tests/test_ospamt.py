@@ -1,14 +1,24 @@
 import random
+import time
+import warnings
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_small_set, shuffled_copy
-from oracles import oracle_ospamt, oracle_quasi
+from oracles import (
+    oracle_counts,
+    oracle_exact_quasi,
+    oracle_ospamt,
+    oracle_quasi,
+    oracle_tilde_d_t,
+)
 from trackmetric.assign import INFEASIBLE
 from trackmetric.core import (
     Direction,
     MetricParams,
+    Track,
     TrackSet,
     count_distances,
     make_track,
@@ -321,6 +331,111 @@ def test_exact_search_is_deterministic():
         r2 = ospamt_metric(a, b, params, Mode.EXACT)
         assert r1.assignment == r2.assignment
         assert r1.total == r2.total
+
+
+def test_order_tie_goes_to_the_lexicographically_smaller_order():
+    # Two fragments of one truth cover scans 10-11 and 12-13.  Either order
+    # pays delta**p at the second fragment's two scans, so the orders tie
+    # exactly, though float sums of the two can differ in the last bit.
+    truth = validate(TrackSet(20, 2, (Track({
+        9: (82.98322873253227, -24.46726344763404),
+        10: (81.23398953996663, -23.790431193891084),
+        11: (79.48475034740098, -23.11359894014813),
+        12: (77.73551115483534, -22.43676668640518),
+        13: (75.98627196226968, -21.759934432662224),
+    }, "t1"),)))
+    est = validate(TrackSet(20, 2, (
+        Track({10: (82.13656230124894, -22.800925021604666),
+               11: (79.5411224470346, -23.182582858676618)}, "e1.1"),
+        Track({12: (77.02338794344341, -21.82047372968982),
+               13: (76.06177878484519, -21.888387544463107)}, "e1.2"),
+    )))
+    params = MetricParams(p=2.0)
+    n_t, _ = oracle_counts(est, truth)
+
+    def exact(orders):
+        return sum(
+            oracle_tilde_d_t(est, truth, orders, params, t, n_t[t - 1], num=Fraction)
+            for t in range(1, 21)
+        )
+
+    assert exact(((1, 2),)) == exact(((2, 1),))
+    _, asg = quasi_ospamt(est, truth, params, Mode.EXACT)
+    assert asg.source_to_target == (1, 1)
+    assert asg.orders == ((1, 2),)
+    assert directional_distance(est, truth, (1, 1), params)[2] == ((1, 2),)
+    assert ospamt_metric(truth, est, params, Mode.EXACT).assignment.orders == ((1, 2),)
+
+
+def _line_set(scans, windows):
+    """1-D set of tracks ``(start, values)`` on consecutive scans."""
+    return validate(TrackSet(scans, 1, tuple(
+        Track({start + k: (float(x),) for k, x in enumerate(xs)}) for start, xs in windows
+    )))
+
+
+@st.composite
+def _small_pairs(draw):
+    """Two nonempty 1-D sets, at most 6 tracks in all, over at most 5 scans.
+
+    Tracks are windows of integer states, so equal-length fragments and equal
+    distances come up often; with p' = 1 every float term of the objective
+    is exact and a tie in exact arithmetic is a tie in floats too.
+    """
+    scans = draw(st.integers(1, 5))
+    n_src = draw(st.integers(1, 5))
+    n_tgt = draw(st.integers(1, 6 - n_src))
+
+    def windows(n):
+        out = []
+        for _ in range(n):
+            start = draw(st.integers(1, scans))
+            length = draw(st.integers(1, scans - start + 1))
+            states = st.lists(st.integers(0, 12), min_size=length, max_size=length)
+            out.append((start, draw(states)))
+        return out
+
+    return _line_set(scans, windows(n_src)), _line_set(scans, windows(n_tgt))
+
+
+# equal-length fragments of one truth, which tie in either order
+_FRAGMENTS = (_line_set(4, [(1, [1, 1]), (3, [1, 1])]), _line_set(4, [(1, [0, 0, 0, 0])]))
+# tracks 12 apart, beyond either cutoff
+_FAR = (_line_set(3, [(1, [0, 0, 0]), (2, [12, 12])]), _line_set(3, [(1, [12, 12]), (1, [0])]))
+
+
+@given(
+    pair=_small_pairs(),
+    p=st.sampled_from([1.0, 2.0, 3.0]),
+    c=st.sampled_from([3.0, 6.0]),
+    delta_share=st.sampled_from([0.25, 0.5, 1.0]),
+)
+@example(pair=_FRAGMENTS, p=1.0, c=6.0, delta_share=0.5)
+@example(pair=_FRAGMENTS, p=2.0, c=3.0, delta_share=1.0)
+@example(pair=_FAR, p=3.0, c=6.0, delta_share=1.0)
+@settings(max_examples=150, deadline=None)
+def test_exact_search_matches_tie_aware_oracle(pair, p, c, delta_share):
+    src, tgt = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # delta == c warns
+        params = MetricParams(p=p, c=c, delta=c * delta_share, alpha=0.0, p_prime=1.0)
+    want_value, want_lam, want_orders = oracle_exact_quasi(src, tgt, params)
+    value, asg = quasi_ospamt(src, tgt, params, Mode.EXACT)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12)
+    assert asg.source_to_target == want_lam
+    assert asg.orders == want_orders
+
+
+def test_directional_distance_orders_only_the_preimage():
+    # one target coexists with 32 sources but only two are assigned to it;
+    # the order search must not price every subset of the 32
+    truth = _line_set(4, [(1, [0, 0, 0, 0])])
+    est = _line_set(4, [(1 + j % 4, [j % 5]) for j in range(32)])
+    lam = (1, 1) + (0,) * 30
+    t0 = time.perf_counter()
+    _, _, orders = directional_distance(est, truth, lam, MetricParams())
+    assert time.perf_counter() - t0 < 1.0
+    assert orders == ((1, 2),)
 
 
 def test_quasi_is_a_quasimetric_not_a_metric():
