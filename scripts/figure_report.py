@@ -15,18 +15,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from trackmetric.cli import _EVALUATORS
 from trackmetric.core import MetricParams
-from trackmetric.ospa import ospa_per_scan
 from trackmetric.ospamt import Mode, ospamt_metric
-from trackmetric.ospat import ospat_per_scan
 from trackmetric.scenarios import FigureId, ScenarioSpec, build
-
-
-def aggregate(rows, p):
-    n = sum(r.n_t for r in rows)
-    if n == 0:
-        return 0.0
-    return (sum(r.total**p * r.n_t for r in rows) / n) ** (1 / p)
 
 
 def main() -> int:
@@ -41,9 +33,8 @@ def main() -> int:
     print(f"{'figure':8} {'ospa':>10} {'ospat':>10} {'ospamt':>10}  assignment")
     for fig in FigureId:
         sc = build(ScenarioSpec(fig, cutoff=args.c))
-        ospa_val = aggregate(ospa_per_scan(sc.truth, sc.est, params), params.p)
-        ospat_rows, _ = ospat_per_scan(sc.truth, sc.est, params)
-        ospat_val = aggregate(ospat_rows, params.p)
+        ospa_val = _EVALUATORS["ospa"](sc.truth, sc.est, params, Mode.EXACT).total
+        ospat_val = _EVALUATORS["ospat"](sc.truth, sc.est, params, Mode.EXACT).total
         report = ospamt_metric(sc.truth, sc.est, params, Mode.EXACT)
         asg = report.assignment
         pairs = [

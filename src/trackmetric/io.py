@@ -6,11 +6,12 @@ A track-set file is a JSON document::
      "tracks": [{"id": "t1", "points": [{"t": 1, "x": [0.0]}, ...]}, ...]}
 
 Points may arrive unsorted and are sorted on load.  ``scans``,
-``state_dim`` and every ``t`` must be JSON integers and every ``x`` a list
-of numbers; anything else, a duplicate scan index within one track or a
-duplicate track id is a parse error, never coerced.  Coordinates are
-serialized with repr precision (up to 17 significant digits), so a
-write/read round trip is bit-exact.
+``state_dim`` and every ``t`` must be JSON integers, every ``points`` a list,
+every ``x`` a list of numbers and every ``id`` a string (a track without
+one is labelled ``T<position>``); anything else, a duplicate scan index
+within one track or a duplicate track id is a parse error, never coerced.
+Coordinates are serialized with repr precision (up to 17 significant
+digits), so a write/read round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -45,12 +46,17 @@ def track_set_from_obj(obj: Any) -> TrackSet:
     for pos, raw in enumerate(raw_tracks, start=1):
         if not isinstance(raw, dict):
             raise ParseError(f"track #{pos} must be an object")
-        label = str(raw.get("id", f"T{pos}"))
+        label = raw.get("id", f"T{pos}")
+        if type(label) is not str:
+            raise ParseError(f"track #{pos}: id must be a string, got {label!r}")
         if label in labels:
             raise ParseError(f"duplicate track id {label}")
         labels.add(label)
+        raw_points = raw.get("points", [])
+        if type(raw_points) is not list:
+            raise ParseError(f"track {label}: points must be a list, got {raw_points!r}")
         points: dict[int, list[float]] = {}
-        for entry in raw.get("points", []):
+        for entry in raw_points:
             try:
                 t, x = entry["t"], entry["x"]
             except (KeyError, TypeError) as exc:

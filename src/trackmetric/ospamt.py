@@ -68,10 +68,6 @@ class DirectionalBreakdown:
     card_t: tuple[float, ...]
 
 
-def _common_scan(a: Track, b: Track) -> bool:
-    return not a.points.keys().isdisjoint(b.points.keys())
-
-
 def cost_matrix(src: TrackSet, tgt: TrackSet, params: MetricParams) -> np.ndarray:
     """Pairwise cost matrix with targets as rows and sources as columns.
 
@@ -101,7 +97,7 @@ def _check_feasible(src: TrackSet, tgt: TrackSet, lam: Sequence[int]) -> None:
             continue
         if not (1 <= i <= len(tgt.tracks)):
             raise InfeasibleAssignmentError(f"source {j} maps to unknown target {i}")
-        if not _common_scan(src.tracks[j - 1], tgt.tracks[i - 1]):
+        if not (src.exists[j - 1] & tgt.exists[i - 1]).any():
             raise InfeasibleAssignmentError(
                 f"source {j} and target {i} share no existing scan"
             )
@@ -118,19 +114,6 @@ def _orders_from_lambda(
     return tuple(tuple(x) for x in pre)
 
 
-def order_at_time(
-    src: TrackSet, orders: Sequence[Sequence[int]], target: int, t: int
-) -> tuple[int, ...]:
-    """The target's track order at scan t: its order minus absent sources.
-
-    Relative order is preserved; the first element is the assignee whose
-    distance is charged at that scan.
-    """
-    return tuple(
-        j for j in orders[target - 1] if src.tracks[j - 1].exists_at(t)
-    )
-
-
 def directional_terms(
     src: TrackSet,
     tgt: TrackSet,
@@ -138,43 +121,48 @@ def directional_terms(
     orders: Sequence[Sequence[int]],
     params: MetricParams,
 ) -> DirectionalBreakdown:
-    """Raw per-scan sums for a fixed assignment and fixed track orders."""
+    """Raw per-scan sums for a fixed assignment and fixed track orders.
+
+    At every scan a target's order, minus its absent sources, keeps its
+    relative order; the first source left is charged the capped distance,
+    plus ``delta**p`` when it is not the first of the full order.
+    """
     p = params.p
     cp = params.c**p
     dp = params.delta**p
     n_t, _ = count_distances(src, tgt)
-    pairs = [(i, j) for i, order in enumerate(orders, start=1) for j in order]
-    ii = np.array([i - 1 for i, _ in pairs], dtype=int)
-    jj = np.array([j - 1 for _, j in pairs], dtype=int)
+    # one row per assigned pair, target by target in order
+    ii = np.array([i for i, order in enumerate(orders) for _ in order], dtype=int)
+    jj = np.array([j - 1 for order in orders for j in order], dtype=int)
+    live = src.exists[jj] & tgt.exists[ii]
     dist = base_distance(tgt.states[ii], src.states[jj], params)
-    capped = dict(zip(pairs, (np.minimum(dist, params.c) ** p).tolist()))
-    total_t: list[float] = []
-    loc_t: list[float] = []
-    card_t: list[float] = []
-    for t in range(1, tgt.scans + 1):
-        loc = 0.0
-        card = 0.0
-        used = 0
-        for i, order in enumerate(orders, start=1):
-            if not order:
-                continue
-            tgt_trk = tgt.tracks[i - 1]
-            existing = [j for j in order if src.tracks[j - 1].exists_at(t)]
-            n_bar = len(existing)
-            if not tgt_trk.exists_at(t):
-                continue
-            if n_bar >= 1:
-                first = existing[0]
-                loc += capped[i, first][t - 1]
-                if first != order[0]:
-                    loc += dp
-                card += (n_bar - 1) * (dp + cp)
-                used += n_bar
-        card += cp * (n_t[t - 1] - used)
-        total_t.append(loc + card)
-        loc_t.append(loc)
-        card_t.append(card)
-    return DirectionalBreakdown(tuple(total_t), tuple(loc_t), tuple(card_t))
+    capped = np.where(live, np.minimum(dist, params.c) ** p, 0.0)
+    scans = np.arange(tgt.scans)
+    loc = np.zeros(tgt.scans)
+    card = np.zeros(tgt.scans)
+    start = 0
+    # one target at a time, in index order: every scan adds its terms in the
+    # order of the defining sum, so the floats match a scan-by-scan loop;
+    # a scan where a target charges nothing adds zeros
+    for order in orders:
+        stop = start + len(order)
+        if order:
+            first = live[start:stop].argmax(axis=0)
+            loc += capped[start:stop][first, scans]
+            loc += dp * (first > 0)
+            card += np.maximum(live[start:stop].sum(axis=0) - 1, 0) * (dp + cp)
+        start = stop
+    card += cp * (np.array(n_t) - live.sum(axis=0))
+    return DirectionalBreakdown(
+        tuple((loc + card).tolist()), tuple(loc.tolist()), tuple(card.tolist())
+    )
+
+
+def _root_mean(raw: float, count: int, p: float) -> float:
+    """A raw sum over ``count`` distance slots as a distance: the p-th root
+    of its mean, zero where there are no slots.  Every OSPAMT value of two
+    nonempty sets, overall or per scan, comes from here."""
+    return (raw / count) ** (1.0 / p) if count > 0 else 0.0
 
 
 def directional_cost(
@@ -188,7 +176,7 @@ def directional_cost(
     _check_feasible(src, tgt, lam)
     _, n = count_distances(src, tgt)
     breakdown = directional_terms(src, tgt, lam, orders, params)
-    return (sum(breakdown.total_t) / n) ** (1.0 / params.p)
+    return _root_mean(sum(breakdown.total_t), n, params.p)
 
 
 @lru_cache(maxsize=16)
@@ -263,16 +251,16 @@ class _DirectionalEngine:
     def __init__(self, src: TrackSet, tgt: TrackSet, params: MetricParams) -> None:
         self.src = src
         self.tgt = tgt
-        self.n_t, self.n = count_distances(src, tgt)
-        self.p = params.p
-        self.cp = params.c**self.p
-        self.dp = params.delta**self.p
-        self.base = self.cp * self.n
+        _, self.n = count_distances(src, tgt)
+        p = params.p
+        cp = params.c**p
+        self.dp = params.delta**p
+        self.base = cp * self.n
         # coexist[i-1, j-1, t-1]: target i and source j both exist at scan t
         self.coexist = tgt.exists[:, None, :] & src.exists[None, :, :]
         # gain[i-1, j-1, t-1]: capped distance ** p minus c ** p where coexisting
         capped = np.minimum(scan_distances(tgt, src, params), params.c)
-        self.gain = np.where(self.coexist, capped**self.p - self.cp, 0.0)
+        self.gain = np.where(self.coexist, capped**p - cp, 0.0)
 
     def best_order(self, i: int, pre: tuple[int, ...]) -> tuple[int, ...]:
         """Lexicographically smallest optimal order of target i's preimage.
@@ -304,7 +292,7 @@ class _DirectionalEngine:
             placed |= 1 << r
         return tuple(order)
 
-    def search_exact(self, cap: int) -> tuple[float, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    def search_exact(self, cap: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """Minimize over every assignment, orders optimized per preimage.
 
         A forward DP per target prices every subset of the sources as a
@@ -333,8 +321,7 @@ class _DirectionalEngine:
         near = np.flatnonzero(total <= lo + 2 * (_REL_TOL * abs(lo) + _ABS_TOL))
         idx = next(int(x) for x in near if _close(total[x], lo))
         lam = tuple(int(i) for i in np.unravel_index(idx, (k + 1,) * m))
-        value = ((self.base + float(adj[idx])) / self.n) ** (1.0 / self.p)
-        return value, lam, self.best_orders(lam)
+        return lam, self.best_orders(lam)
 
     def best_orders(self, lam: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Optimal track order of every target's preimage under ``lam``."""
@@ -361,13 +348,12 @@ def directional_distance(
     engine = _DirectionalEngine(src, tgt, params)
     orders = engine.best_orders(lam)
     breakdown = directional_terms(src, tgt, lam, orders, params)
-    value = (sum(breakdown.total_t) / engine.n) ** (1.0 / params.p)
-    return value, breakdown, orders
+    return _root_mean(sum(breakdown.total_t), engine.n, params.p), breakdown, orders
 
 
 def _quasi_greedy(
     src: TrackSet, tgt: TrackSet, params: MetricParams
-) -> tuple[float, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     d = cost_matrix(src, tgt, params)
     result = greedy_many_to_one(d, cutoff_row_col_value=params.c**params.p)
     m, n = d.shape
@@ -379,8 +365,8 @@ def _quasi_greedy(
         orders.append(tuple(j for _, j in assigned))
         for _, j in assigned:
             lam[j - 1] = i + 1
-    value = directional_cost(src, tgt, lam, orders, params)
-    return value, tuple(lam), tuple(orders)
+    _check_feasible(src, tgt, lam)
+    return tuple(lam), tuple(orders)
 
 
 def quasi_ospamt(
@@ -390,49 +376,37 @@ def quasi_ospamt(
     mode: Mode | str = Mode.AUTO,
     cap: int = ENUMERATION_CAP,
     direction: Direction = Direction.EST_TO_TRUTH,
-) -> tuple[float, Assignment]:
-    """Smallest directional distance from ``src`` onto ``tgt``.
+) -> MetricReport:
+    """Report of the smallest directional distance from ``src`` onto ``tgt``.
 
-    Zero when both sets are empty, the cutoff when exactly one is.  The
-    returned assignment maps source indices into {0} + target indices;
-    ``direction`` only records which roles the caller gave the two sets.
+    The report holds the quasi distance as ``total``, its per-scan values,
+    the localization/cardinality split and the assignment that attains it,
+    which maps source indices into {0} + target indices; ``direction`` only
+    records which roles the caller gave the two sets.  The distance is
+    exactly zero when both sets are empty and exactly the cutoff, all of it
+    cardinality, when only one is.
     """
     check_comparable(src, tgt)
-    if not src.tracks and not tgt.tracks:
-        return 0.0, Assignment(direction, (), ())
+    n_t, n = count_distances(src, tgt)
     if not src.tracks or not tgt.tracks:
-        return params.c, Assignment(
-            direction,
-            tuple(0 for _ in src.tracks),
-            tuple(() for _ in tgt.tracks),
-        )
+        c = params.c if src.tracks or tgt.tracks else 0.0
+        per_time = tuple(c if nt > 0 else 0.0 for nt in n_t)
+        zeros = (0.0,) * src.scans
+        assignment = Assignment(direction, (0,) * len(src.tracks), ((),) * len(tgt.tracks))
+        return MetricReport(c, per_time, 0.0, c, zeros, per_time, assignment, n_t, n)
     mode = resolve_mode(mode, len(src.tracks) + len(tgt.tracks), cap)
     if mode is Mode.EXACT:
-        engine = _DirectionalEngine(src, tgt, params)
-        value, lam, orders = engine.search_exact(cap)
+        lam, orders = _DirectionalEngine(src, tgt, params).search_exact(cap)
     else:
-        value, lam, orders = _quasi_greedy(src, tgt, params)
-    return value, Assignment(direction, lam, orders)
-
-
-def _empty_report(
-    a: TrackSet, b: TrackSet, params: MetricParams
-) -> MetricReport:
-    n_t, n = count_distances(a, b)
-    T = a.scans
-    if not a.tracks and not b.tracks:
-        zeros = tuple(0.0 for _ in range(T))
-        assignment = Assignment(Direction.EST_TO_TRUTH, (), ())
-        return MetricReport(0.0, zeros, 0.0, 0.0, zeros, zeros, assignment, n_t, n)
-    c = params.c
-    per_time = tuple(c if nt > 0 else 0.0 for nt in n_t)
-    zeros = tuple(0.0 for _ in range(T))
-    assignment = Assignment(
-        Direction.EST_TO_TRUTH,
-        tuple(0 for _ in b.tracks),
-        tuple(() for _ in a.tracks),
+        lam, orders = _quasi_greedy(src, tgt, params)
+    breakdown = directional_terms(src, tgt, lam, orders, params)
+    raws = (breakdown.total_t, breakdown.loc_t, breakdown.card_t)
+    total, loc, card = (_root_mean(sum(raw), n, params.p) for raw in raws)
+    per_time, loc_t, card_t = (
+        tuple(_root_mean(x, nt, params.p) for x, nt in zip(raw, n_t)) for raw in raws
     )
-    return MetricReport(c, per_time, 0.0, c, zeros, per_time, assignment, n_t, n)
+    assignment = Assignment(direction, lam, orders)
+    return MetricReport(total, per_time, loc, card, loc_t, card_t, assignment, n_t, n)
 
 
 def ospamt_metric(
@@ -444,50 +418,14 @@ def ospamt_metric(
 ) -> MetricReport:
     """OSPAMT distance between truth set ``a`` and estimate set ``b``.
 
-    The smaller of the two directional quasi distances wins; on an exact tie
-    the estimate-to-truth direction is reported.  The report carries the
-    winning assignment, per-scan distances and the localization/cardinality
-    split, all computed under the winning assignment and orders.
+    The smaller of the two directional reports of ``quasi_ospamt`` wins;
+    when their totals tie within the tolerances of ``assign._close`` the
+    estimate-to-truth direction is reported.
     """
     check_comparable(a, b)
-    if not a.tracks or not b.tracks:
-        return _empty_report(a, b, params)
-
-    est_value, est_assignment = quasi_ospamt(
-        b, a, params, mode, cap, direction=Direction.EST_TO_TRUTH
-    )
-    tru_value, tru_assignment = quasi_ospamt(
-        a, b, params, mode, cap, direction=Direction.TRUTH_TO_EST
-    )
-    if est_value <= tru_value:
-        direction = Direction.EST_TO_TRUTH
-        lam, orders = est_assignment.source_to_target, est_assignment.orders
-        src, tgt = b, a
-    else:
-        direction = Direction.TRUTH_TO_EST
-        lam, orders = tru_assignment.source_to_target, tru_assignment.orders
-        src, tgt = a, b
-
-    assignment = Assignment(direction, lam, orders)
-    breakdown = directional_terms(src, tgt, lam, orders, params)
-    n_t, n = count_distances(a, b)
-    p = params.p
-    per_time = tuple(
-        (tt / nt) ** (1.0 / p) if nt > 0 else 0.0
-        for tt, nt in zip(breakdown.total_t, n_t)
-    )
-    loc_t = tuple(
-        (lt / nt) ** (1.0 / p) if nt > 0 else 0.0
-        for lt, nt in zip(breakdown.loc_t, n_t)
-    )
-    card_t = tuple(
-        (ct / nt) ** (1.0 / p) if nt > 0 else 0.0
-        for ct, nt in zip(breakdown.card_t, n_t)
-    )
-    loc = (sum(breakdown.loc_t) / n) ** (1.0 / p)
-    card = (sum(breakdown.card_t) / n) ** (1.0 / p)
-    total = (sum(breakdown.total_t) / n) ** (1.0 / p)
-    return MetricReport(total, per_time, loc, card, loc_t, card_t, assignment, n_t, n)
+    est = quasi_ospamt(b, a, params, mode, cap, Direction.EST_TO_TRUTH)
+    tru = quasi_ospamt(a, b, params, mode, cap, Direction.TRUTH_TO_EST)
+    return est if est.total < tru.total or _close(est.total, tru.total) else tru
 
 
 @dataclass(frozen=True)
@@ -560,7 +498,7 @@ def split_tracks(
     for _ in range(max_iterations):
         if not truth.tracks or not current.tracks:
             return current, log
-        _, assignment = quasi_ospamt(truth, current, params, mode, cap)
+        assignment = quasi_ospamt(truth, current, params, mode, cap).assignment
         multi = [
             i
             for i, order in enumerate(assignment.orders, start=1)

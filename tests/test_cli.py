@@ -98,6 +98,8 @@ def _doc(**changes):
             doc["tracks"][0]["points"][0]["t"] = value
         elif key == "x":
             doc["tracks"][0]["points"][0]["x"] = value
+        elif key == "points":
+            doc["tracks"][0]["points"] = value
         else:
             doc["tracks"][1]["id"] = value
     return doc
@@ -117,11 +119,16 @@ def _doc(**changes):
         _doc(x=["0.5"]),
         _doc(x=[True]),
         _doc(id="a"),
+        _doc(points=5),
+        _doc(points=None),
+        _doc(id=None),
+        _doc(id=5),
     ],
     ids=[
         "fractional-scans", "true-scans", "fractional-state-dim", "true-state-dim",
         "fractional-t", "true-t", "float-t", "string-x", "string-coordinate",
-        "true-coordinate", "duplicate-id",
+        "true-coordinate", "duplicate-id", "points-int", "points-null", "id-null",
+        "id-int",
     ],
 )
 def test_malformed_fields_are_parse_errors(tmp_path, capsys, doc):

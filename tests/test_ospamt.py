@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_small_set, shuffled_copy
 from oracles import (
+    _feasible,
+    enumerate_assignments,
     oracle_counts,
     oracle_exact_quasi,
     oracle_ospamt,
@@ -37,7 +39,6 @@ from trackmetric.ospamt import (
     directional_cost,
     directional_distance,
     directional_terms,
-    order_at_time,
     ospamt_metric,
     quasi_ospamt,
     split_tracks,
@@ -123,17 +124,6 @@ def test_example2_order_choice():
     assert orders == ((1, 2),)
 
 
-def test_order_at_time_preserves_relative_order():
-    sc = fig(FigureId.FIG1A)
-    orders = ((1, 2),)
-    assert order_at_time(sc.est, orders, 1, 1) == (1,)
-    assert order_at_time(sc.est, orders, 1, 4) == (2,)
-    # with both sources alive the full order comes back unchanged
-    coexisting = fig(FigureId.FIG9A).est  # both tracks span scans 1..3
-    assert order_at_time(coexisting, ((2, 1),), 1, 2) == (2, 1)
-    assert order_at_time(coexisting, ((1, 2),), 1, 2) == (1, 2)
-
-
 def test_directional_infeasible_assignment_raises():
     sc = fig(FigureId.FIG10A)  # disjoint lifetimes
     with pytest.raises(InfeasibleAssignmentError):
@@ -148,7 +138,7 @@ def test_directional_breakdown_bound():
     for _ in range(50):
         src = random_small_set(rng, min_tracks=1)
         tgt = random_small_set(rng, min_tracks=1)
-        value, assignment = quasi_ospamt(src, tgt, params, Mode.EXACT)
+        assignment = quasi_ospamt(src, tgt, params, Mode.EXACT).assignment
         bd = directional_terms(
             src, tgt, assignment.source_to_target, assignment.orders, params
         )
@@ -158,23 +148,53 @@ def test_directional_breakdown_bound():
             assert raw >= -1e-12
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        MetricParams(p=1.0, c=5.0, delta=2.0, alpha=0.0),
+        MetricParams(p=2.0, c=6.0, delta=1.5, alpha=0.0, p_prime=1.0),
+    ],
+)
+def test_directional_terms_match_oracle_per_scan(params):
+    # every (lambda, orders) pair, also orders whose first assignee is absent
+    # at some scans, so a later assignee is charged there with the penalty
+    rng = random.Random(41)
+    first_absent = 0
+    for _ in range(12):
+        src = random_small_set(rng, max_tracks=3, min_tracks=1)
+        tgt = random_small_set(rng, max_tracks=3, min_tracks=1)
+        n_t, _ = oracle_counts(src, tgt)
+        pairs = enumerate_assignments(len(src.tracks), len(tgt.tracks), _feasible(src, tgt))
+        for lam, orders in pairs:
+            bd = directional_terms(src, tgt, lam, orders, params)
+            for t in range(1, src.scans + 1):
+                want = oracle_tilde_d_t(src, tgt, orders, params, t, n_t[t - 1])
+                assert bd.total_t[t - 1] == pytest.approx(want, rel=1e-12)
+                first_absent += sum(
+                    1
+                    for order in orders
+                    if len(order) > 1 and not src.tracks[order[0] - 1].exists_at(t)
+                )
+    assert first_absent > 0
+
+
 # ------------------------------------------------------------------- quasi
 
 
 def test_quasi_identity():
     sc = fig(FigureId.FIG8)
-    value, assignment = quasi_ospamt(sc.est, sc.est, MetricParams(), Mode.EXACT)
-    assert value == 0.0
-    assert assignment.source_to_target == (1, 2)
+    report = quasi_ospamt(sc.est, sc.est, MetricParams(), Mode.EXACT)
+    assert report.total == 0.0
+    assert report.assignment.source_to_target == (1, 2)
 
 
 def test_quasi_empty_cases():
     params = MetricParams()
     empty = TrackSet(5, 1, ())
     one = validate(TrackSet(5, 1, (make_track({1: 0.0}),)))
-    assert quasi_ospamt(empty, empty, params)[0] == 0.0
-    assert quasi_ospamt(one, empty, params)[0] == params.c
-    assert quasi_ospamt(empty, one, params)[0] == params.c
+    assert quasi_ospamt(empty, empty, params).total == 0.0
+    assert quasi_ospamt(one, empty, params).total == params.c
+    assert quasi_ospamt(empty, one, params).total == params.c
 
 
 def test_quasi_fig5_fig6_est_to_truth():
@@ -183,8 +203,38 @@ def test_quasi_fig5_fig6_est_to_truth():
     eps, c = 1.0, params.c
     for f in (FigureId.FIG5, FigureId.FIG6):
         sc = fig(f, epsilon=eps)
-        value, _ = quasi_ospamt(sc.est, sc.truth, params, Mode.EXACT)
+        value = quasi_ospamt(sc.est, sc.truth, params, Mode.EXACT).total
         assert value == pytest.approx((3 * eps + 2 * c) / 5, rel=1e-9)
+
+
+def test_quasi_total_is_the_directional_cost_of_its_assignment():
+    # random_scenario(seed=91, n_truth=1, scans=18, miss_rate=0.2,
+    # false_rate=0.3, break_rate=0.5, noise=0.5): one truth, one estimate.
+    # A value worked out as c**p * n plus an adjustment loses the low bits
+    # of the per-scan sums to cancellation.
+    truth = validate(TrackSet(18, 2, (Track({
+        3: (93.50152564616732, 35.705454887985695),
+        4: (93.11052629768213, 35.541379508743034),
+        5: (92.71952694919692, 35.37730412950038),
+        6: (92.32852760071172, 35.21322875025772),
+        7: (91.93752825222651, 35.049153371015066),
+        8: (91.54652890374132, 34.885077991772405),
+    }, "t1"),)))
+    est = validate(TrackSet(18, 2, (Track({
+        3: (92.98678504736795, 35.90881373544137),
+        4: (93.47484160327402, 36.42714686140324),
+        5: (92.89769491557566, 36.244579306877824),
+        6: (93.12033136633057, 35.72076524445144),
+        7: (91.61915951531363, 34.34371240456409),
+        8: (90.88551672711938, 35.459644982517155),
+    }, "e1.1"),)))
+    params = MetricParams(p=3.0, c=40.0, delta=5.0, p_prime=1.5)
+    for src, tgt in ((est, truth), (truth, est)):
+        report = quasi_ospamt(src, tgt, params, Mode.EXACT)
+        asg = report.assignment
+        assert asg.source_to_target == (1,)
+        cost = directional_cost(src, tgt, asg.source_to_target, asg.orders, params)
+        assert report.total == cost
 
 
 def test_quasi_too_large_in_exact_mode():
@@ -193,7 +243,7 @@ def test_quasi_too_large_in_exact_mode():
     with pytest.raises(TooLargeError):
         quasi_ospamt(big, big, MetricParams(), Mode.EXACT)
     # auto mode falls back to greedy instead
-    value, _ = quasi_ospamt(big, big, MetricParams(), Mode.AUTO)
+    value = quasi_ospamt(big, big, MetricParams(), Mode.AUTO).total
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -255,14 +305,19 @@ def test_metric_symmetry_swapped_arguments():
     assert r1.total == pytest.approx(r2.total, rel=1e-12)
 
 
-def test_report_consistency_identities():
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.GREEDY], ids=["exact", "greedy"])
+@pytest.mark.parametrize(
+    "params",
+    [MetricParams(), MetricParams(p=2.0, c=6.0, delta=2.0, alpha=0.0), MetricParams(p=3.0, p_prime=1.5)],
+    ids=["p1", "p2", "p3-pprime1.5"],
+)
+def test_report_consistency_identities(mode, params):
     rng = random.Random(11)
-    params = MetricParams()
     p = params.p
     for _ in range(40):
         a = random_small_set(rng)
         b = random_small_set(rng)
-        report = ospamt_metric(a, b, params, Mode.EXACT)
+        report = ospamt_metric(a, b, params, mode)
         assert report.total <= params.c + 1e-12
         lhs = report.total**p * report.n
         per_time = sum(
@@ -299,7 +354,7 @@ def test_quasi_exact_matches_oracle_spot():
     for _ in range(15):
         a = random_small_set(rng, max_tracks=3, scans=3, min_tracks=1)
         b = random_small_set(rng, max_tracks=3, scans=3, min_tracks=1)
-        got, _ = quasi_ospamt(b, a, params, Mode.EXACT)
+        got = quasi_ospamt(b, a, params, Mode.EXACT).total
         assert got == pytest.approx(oracle_quasi(b, a, params), rel=1e-9, abs=1e-12)
 
 
@@ -360,7 +415,7 @@ def test_order_tie_goes_to_the_lexicographically_smaller_order():
         )
 
     assert exact(((1, 2),)) == exact(((2, 1),))
-    _, asg = quasi_ospamt(est, truth, params, Mode.EXACT)
+    asg = quasi_ospamt(est, truth, params, Mode.EXACT).assignment
     assert asg.source_to_target == (1, 1)
     assert asg.orders == ((1, 2),)
     assert directional_distance(est, truth, (1, 1), params)[2] == ((1, 2),)
@@ -420,10 +475,10 @@ def test_exact_search_matches_tie_aware_oracle(pair, p, c, delta_share):
         warnings.simplefilter("ignore")  # delta == c warns
         params = MetricParams(p=p, c=c, delta=c * delta_share, alpha=0.0, p_prime=1.0)
     want_value, want_lam, want_orders = oracle_exact_quasi(src, tgt, params)
-    value, asg = quasi_ospamt(src, tgt, params, Mode.EXACT)
-    assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12)
-    assert asg.source_to_target == want_lam
-    assert asg.orders == want_orders
+    report = quasi_ospamt(src, tgt, params, Mode.EXACT)
+    assert report.total == pytest.approx(want_value, rel=1e-12, abs=1e-12)
+    assert report.assignment.source_to_target == want_lam
+    assert report.assignment.orders == want_orders
 
 
 def test_directional_distance_orders_only_the_preimage():
@@ -443,8 +498,8 @@ def test_quasi_is_a_quasimetric_not_a_metric():
     params = MetricParams()
     eps, d, c = 1.0, params.delta, params.c
     sc = fig(FigureId.FIG5, epsilon=eps)
-    from_est, _ = quasi_ospamt(sc.est, sc.truth, params, Mode.EXACT)
-    from_truth, _ = quasi_ospamt(sc.truth, sc.est, params, Mode.EXACT)
+    from_est = quasi_ospamt(sc.est, sc.truth, params, Mode.EXACT).total
+    from_truth = quasi_ospamt(sc.truth, sc.est, params, Mode.EXACT).total
     assert from_est == pytest.approx((3 * eps + 2 * c) / 5, rel=1e-9)
     assert from_truth == pytest.approx((5 * eps + 2 * d) / 5, rel=1e-9)
     assert from_est != from_truth
@@ -505,6 +560,78 @@ def test_direction_tie_reports_est_to_truth():
     # fig11a ties between the two directions; est-to-truth must be reported
     sc = fig(FigureId.FIG11A)
     report = ospamt_metric(sc.truth, sc.est, MetricParams(), Mode.EXACT)
+    assert report.assignment.direction is Direction.EST_TO_TRUTH
+
+
+# random_scenario(seed=N, n_truth=4, scans=3, miss_rate=0.2, false_rate=0.3,
+# break_rate=0.5, noise=0.5) for two seeds N: (truth, estimate, parameters)
+# where the two directions tie in exact arithmetic.  At seed 261 (p = 2,
+# c = delta = 20) the parent's rounding chose truth-to-estimate; at seed 173
+# (defaults) the estimate-to-truth total rounds one bit above the other.
+_DIRECTION_TIES = {
+    "seed261": (
+        TrackSet(3, 2, (
+            Track({2: (-64.90065164833024, -92.52002753901596)}, "t1"),
+            Track({1: (-47.484877113662584, -6.586805847119621),
+                   2: (-48.53006541397705, -7.8414742425487045),
+                   3: (-49.57525371429151, -9.096142637977788)}, "t2"),
+            Track({2: (-75.4447803192737, -84.34629994301291),
+                   3: (-76.53082031193141, -83.58740257809603)}, "t3"),
+            Track({2: (96.82377152360638, 41.53698458589781)}, "t4"),
+        )),
+        TrackSet(3, 2, (
+            Track({1: (-47.411653367968, -7.1305535493869),
+                   2: (-48.75649639851819, -9.201528126542868),
+                   3: (-50.58951022196514, -8.495931631582353)}, "e2.1"),
+            Track({2: (-75.89416076052487, -84.73781140908184)}, "e3.1"),
+            Track({3: (-76.06254046871516, -83.78065012485018)}, "e3.2"),
+            Track({2: (97.85061096218332, 41.5157921044344)}, "e4.1"),
+            Track({2: (-65.95277365095944, -91.55024796271928)}, "f1"),
+            Track({1: (46.550931465880694, -61.76241089951613),
+                   2: (46.550931465880694, -61.76241089951613)}, "f2"),
+        )),
+        dict(p=2.0, c=20.0, delta=20.0),
+    ),
+    "seed173": (
+        TrackSet(3, 2, (
+            Track({2: (33.71814462407835, 55.57137549696995),
+                   3: (34.59468095985453, 55.60517140788586)}, "t1"),
+            Track({2: (-18.713465746266706, 42.39746183162677)}, "t2"),
+            Track({2: (-9.201650570842816, 25.616554442847388)}, "t3"),
+            Track({1: (93.79822633494317, -37.13484497987882),
+                   2: (92.19107580340125, -37.58890615444277)}, "t4"),
+        )),
+        TrackSet(3, 2, (
+            Track({2: (33.6352061799366, 56.049981422235504)}, "e1.1"),
+            Track({2: (-18.909814451696707, 42.45244159399926)}, "e2.1"),
+            Track({1: (94.03802059864948, -36.15646335202707),
+                   2: (91.09422231944974, -37.76195843843049)}, "e4.1"),
+            Track({2: (-5.796956409931781, -79.55547783191392)}, "f1"),
+            Track({2: (27.075074351611633, -13.152641107859992)}, "f2"),
+        )),
+        dict(),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIRECTION_TIES))
+def test_exact_direction_tie_reports_est_to_truth(case):
+    truth, est, kwargs = _DIRECTION_TIES[case]
+    truth, est = validate(truth), validate(est)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # delta == c warns
+        params = MetricParams(**kwargs)
+    n_t, _ = oracle_counts(est, truth)
+
+    def exact(src, tgt):
+        orders = quasi_ospamt(src, tgt, params, Mode.EXACT).assignment.orders
+        return sum(
+            oracle_tilde_d_t(src, tgt, orders, params, t, n_t[t - 1], num=Fraction)
+            for t in range(1, 4)
+        )
+
+    assert exact(est, truth) == exact(truth, est)
+    report = ospamt_metric(truth, est, params, Mode.EXACT)
     assert report.assignment.direction is Direction.EST_TO_TRUTH
 
 
@@ -597,13 +724,13 @@ def test_split_interleaved_lifetimes():
         )
     )
     est = validate(TrackSet(3, 1, (make_track({1: 0.0, 2: 0.1, 3: 0.0}, "E"),)))
-    value, assignment = quasi_ospamt(truth, est, params, Mode.EXACT)
+    assignment = quasi_ospamt(truth, est, params, Mode.EXACT).assignment
     assert assignment.orders == ((1, 2),)  # both truths onto E: split needed
     new_est, log = split_tracks(truth, est, params, Mode.EXACT)
     assert len(new_est.tracks) == 2
     assert sorted(new_est.tracks[0].points) == [1, 3]
     assert sorted(new_est.tracks[1].points) == [2]
-    _, after = quasi_ospamt(truth, new_est, params, Mode.EXACT)
+    after = quasi_ospamt(truth, new_est, params, Mode.EXACT).assignment
     assert all(len(order) <= 1 for order in after.orders)
 
 
