@@ -68,27 +68,20 @@ def greedy_many_to_one(d: np.ndarray, cutoff_row_col_value: float) -> ManyToOneR
             order, tuple(range(m)), tuple(range(n)), d.copy(), d.copy(), d.copy()
         )
 
-    def useless(v: float) -> bool:
-        return v == INFEASIBLE or _close(v, cutoff_row_col_value)
-
-    dead_row = np.array([all(useless(v) for v in d[i, :]) for i in range(m)])
-    dead_col = np.array([all(useless(v) for v in d[:, j]) for j in range(n)])
+    # _close written out as math.isclose computes it: an infinite gap is
+    # never close, so INFEASIBLE entries are useless on their own test
+    cut = cutoff_row_col_value
+    gap = np.abs(d - cut)
+    close = gap <= np.maximum(_REL_TOL * np.maximum(np.abs(d), abs(cut)), _ABS_TOL)
+    useless = (d == INFEASIBLE) | (np.isfinite(gap) & close)
     live = d.copy()
-    live[dead_row, :] = INFEASIBLE
-    live[:, dead_col] = INFEASIBLE
+    live[useless.all(axis=1), :] = INFEASIBLE
+    live[:, useless.all(axis=0)] = INFEASIBLE
 
-    d1 = np.full_like(live, INFEASIBLE)
-    for i in range(m):
-        row = live[i, :]
-        lo = row.min()
-        if lo < INFEASIBLE:
-            d1[i, row == lo] = lo
-    d2 = np.full_like(live, INFEASIBLE)
-    for j in range(n):
-        col = live[:, j]
-        lo = col.min()
-        if lo < INFEASIBLE:
-            d2[col == lo, j] = lo
+    row_lo = live.min(axis=1, keepdims=True)
+    d1 = np.where((live == row_lo) & (row_lo < INFEASIBLE), live, INFEASIBLE)
+    col_lo = live.min(axis=0, keepdims=True)
+    d2 = np.where((live == col_lo) & (col_lo < INFEASIBLE), live, INFEASIBLE)
 
     d3 = d1.copy()
     fill = (d3 == INFEASIBLE) & (d2 < INFEASIBLE)
@@ -115,9 +108,54 @@ def greedy_many_to_one(d: np.ndarray, cutoff_row_col_value: float) -> ManyToOneR
     return ManyToOneResult(order, unassigned_rows, unassigned_cols, d1, d2, d3)
 
 
-def _matching_cost(d: np.ndarray) -> float:
-    rows, cols = linear_sum_assignment(d)
-    return float(d[rows, cols].sum())
+def _reduced_costs(dd: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Reduced costs ``r >= 0`` of ``dd`` under optimal duals of its optimal
+    matching ``cols``.
+
+    The column duals ``v <= 0`` come from Bellman-Ford over the exchange
+    graph: moving row i from its column onto column j changes the cost by
+    ``dd[i, j] - dd[i, cols[i]]``, and ``v[j]`` is the cheapest exchange
+    path into j from a zero start.  Then ``r[i, j]`` is that path cost
+    through row i minus ``v[j]``, exactly zero on the matching.  An optimal
+    matching has no negative exchange cycle, so at most m + 1 rounds run;
+    the cap only guards against rounding.
+    """
+    m = dd.shape[0]
+    step = dd - dd[np.arange(m), cols][:, None]
+    v = np.zeros(dd.shape[1])
+    for _ in range(m + 1):
+        paths = v[cols][:, None] + step
+        nxt = np.minimum(v, paths.min(axis=0))
+        if not (nxt < v).any():
+            break
+        v = nxt
+    else:  # price with the duals the cap stopped at, so r is 0 on the matching
+        paths = v[cols][:, None] + step
+    return paths - v
+
+
+def _exchange_closes(near: list[list[int]], owner: list[int], i: int, j: int) -> bool:
+    """Whether row i can take column j in a matching of near-tight edges
+    that keeps the witness's rows before i.
+
+    Column j's witness row moves to another of its near-tight columns, the
+    witness row of that column moves on, and so on; the exchange closes on
+    a column the witness leaves free or on row i's own column.  Every
+    matching within tolerance of the optimum uses near-tight edges only, so
+    one that holds (i, j) contains such a chain.
+    """
+    m = len(near)
+    seen = {j}
+    stack = [j]
+    while stack:
+        k = owner[stack.pop()]
+        if k == m or k == i:
+            return True
+        for c in near[k]:
+            if c not in seen and owner[c] >= i:
+                seen.add(c)
+                stack.append(c)
+    return False
 
 
 def solve_one_to_one(d: np.ndarray) -> tuple[tuple[int, ...], float]:
@@ -125,9 +163,21 @@ def solve_one_to_one(d: np.ndarray) -> tuple[tuple[int, ...], float]:
 
     Returns the 0-based column for each row and the total cost.  Among all
     optimal matchings the lexicographically smallest assignment vector is
-    returned, fixed row by row against the optimum of the remaining
-    subproblem.  INFEASIBLE entries are softened to a large finite penalty
-    so a full matching always exists.
+    returned: row i takes the smallest free column j such that the fixed
+    prefix, ``d[i, j]`` and an optimal completion of the remaining rows
+    total the optimum within tolerance.  INFEASIBLE entries are softened to
+    a large finite penalty so a full matching always exists.
+
+    One Hungarian solve gives the optimum and a witness matching, and
+    :func:`_reduced_costs` gives reduced costs ``r >= 0``.  A matching that
+    holds the fixed prefix and (i, j) costs at least the optimum plus the
+    reduced costs of those pairs, and one within tolerance uses only edges
+    whose ``r`` is within tolerance (:func:`_exchange_closes`).  Only a
+    column left of the witness's that neither test rules out gets the exact
+    check, one solve of the remaining rows; a column that passes makes that
+    solve's matching the new witness, and every other row keeps its witness
+    column.  So a unique optimum costs one solve, each real tie about one
+    more, and a single row none.
     """
     d = np.asarray(d, dtype=float)
     m, n = d.shape
@@ -138,25 +188,53 @@ def solve_one_to_one(d: np.ndarray) -> tuple[tuple[int, ...], float]:
     finite = d[d < INFEASIBLE]
     big = (float(finite.max()) if finite.size else 1.0) * (m + 1) + 1.0
     dd = np.where(d < INFEASIBLE, d, big)
+    if m == 1:
+        best = float(dd[0].min())
+        tol = _REL_TOL * max(1.0, abs(best))
+        return (int(np.argmax(dd[0] <= best + tol)),), best
 
-    best = _matching_cost(dd)
+    rows, cols = linear_sum_assignment(dd)
+    best = float(dd[rows, cols].sum())
     tol = _REL_TOL * max(1.0, abs(best))
-    assignment: list[int] = []
-    taken: set[int] = set()
-    prefix = 0.0
-    for i in range(m):
-        rest_rows = list(range(i + 1, m))
-        for j in range(n):
-            if j in taken:
-                continue
-            cols = [jj for jj in range(n) if jj not in taken and jj != j]
-            sub = dd[np.ix_(rest_rows, cols)] if rest_rows else np.zeros((0, 0))
-            rest = _matching_cost(sub) if rest_rows else 0.0
-            if prefix + dd[i, j] + rest <= best + tol:
-                assignment.append(j)
-                taken.add(j)
-                prefix += dd[i, j]
+    r = _reduced_costs(dd, cols)
+    # near[i]: row i's columns with r within twice the tolerance, ascending;
+    # it always holds the column of the first witness, where r is 0
+    near: list[list[int]] = [[] for _ in range(m)]
+    for i, j in zip(*(x.tolist() for x in np.nonzero(r <= 2.0 * tol))):
+        near[i].append(j)
+
+    def adopt(witness: list[int]) -> tuple[list[int], int]:
+        # the witness row of every column (m where free), and the last row
+        # with a near-tight column left of its witness column
+        owner = [m] * n
+        for k, c in enumerate(witness):
+            owner[c] = k
+        return owner, max((k for k in range(m) if near[k][0] < witness[k]), default=-1)
+
+    witness = cols.tolist()
+    owner, until = adopt(witness)
+    prefix = fixed = 0.0
+    i = 0
+    while i <= until:
+        for j in near[i]:
+            if j >= witness[i]:
                 break
-        else:  # pragma: no cover - the optimum always admits a next column
-            raise RuntimeError("failed to reconstruct an optimal matching")
-    return tuple(assignment), best
+            if owner[j] < i or fixed + r[i, j] > 2.0 * tol:
+                continue
+            if not _exchange_closes(near, owner, i, j):
+                continue
+            rest_cols = [c for c in range(n) if owner[c] >= i and c != j]
+            rest, tail = 0.0, []
+            if i + 1 < m:
+                sub = dd[i + 1 :, rest_cols]
+                sub_rows, sub_cols = linear_sum_assignment(sub)
+                rest = float(sub[sub_rows, sub_cols].sum())
+                tail = [rest_cols[c] for c in sub_cols]
+            if prefix + dd[i, j] + rest <= best + tol:
+                witness = witness[:i] + [j] + tail
+                owner, until = adopt(witness)
+                break
+        prefix += dd[i, witness[i]]
+        fixed += max(r[i, witness[i]], 0.0)
+        i += 1
+    return tuple(witness), best

@@ -117,7 +117,6 @@ def _orders_from_lambda(
 def directional_terms(
     src: TrackSet,
     tgt: TrackSet,
-    lam: Sequence[int],
     orders: Sequence[Sequence[int]],
     params: MetricParams,
 ) -> DirectionalBreakdown:
@@ -172,10 +171,20 @@ def directional_cost(
     orders: Sequence[Sequence[int]],
     params: MetricParams,
 ) -> float:
-    """Directional distance for a fixed assignment and fixed orders."""
+    """Directional distance for a fixed assignment and fixed orders.
+
+    Each target's order must be a permutation of its preimage under ``lam``.
+    """
     _check_feasible(src, tgt, lam)
+    preimages = _orders_from_lambda(lam, len(tgt.tracks))
+    if len(orders) != len(preimages) or any(
+        tuple(sorted(order)) != pre for order, pre in zip(orders, preimages)
+    ):
+        raise InfeasibleAssignmentError(
+            f"orders {tuple(orders)} do not order the preimages {preimages} of lambda"
+        )
     _, n = count_distances(src, tgt)
-    breakdown = directional_terms(src, tgt, lam, orders, params)
+    breakdown = directional_terms(src, tgt, orders, params)
     return _root_mean(sum(breakdown.total_t), n, params.p)
 
 
@@ -347,7 +356,7 @@ def directional_distance(
     _check_feasible(src, tgt, lam)
     engine = _DirectionalEngine(src, tgt, params)
     orders = engine.best_orders(lam)
-    breakdown = directional_terms(src, tgt, lam, orders, params)
+    breakdown = directional_terms(src, tgt, orders, params)
     return _root_mean(sum(breakdown.total_t), engine.n, params.p), breakdown, orders
 
 
@@ -399,7 +408,7 @@ def quasi_ospamt(
         lam, orders = _DirectionalEngine(src, tgt, params).search_exact(cap)
     else:
         lam, orders = _quasi_greedy(src, tgt, params)
-    breakdown = directional_terms(src, tgt, lam, orders, params)
+    breakdown = directional_terms(src, tgt, orders, params)
     raws = (breakdown.total_t, breakdown.loc_t, breakdown.card_t)
     total, loc, card = (_root_mean(sum(raw), n, params.p) for raw in raws)
     per_time, loc_t, card_t = (

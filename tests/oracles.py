@@ -12,8 +12,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from trackmetric.assign import _ABS_TOL, ENUMERATION_CAP, _close
+from trackmetric.assign import _ABS_TOL, _REL_TOL, ENUMERATION_CAP, INFEASIBLE, _close
 from trackmetric.core import MetricParams, TrackSet
 from trackmetric.errors import TooLargeError
 
@@ -236,3 +237,97 @@ def brute_force_one_to_one(d) -> tuple[tuple[int, ...], float]:
             best_cost = float(cost)
             best_pi = pi
     return best_pi, best_cost
+
+
+def oracle_lex_one_to_one(d) -> tuple[tuple[int, ...], float]:
+    """Lexicographically smallest optimal matching, rebuilt row by row.
+
+    The same contract as ``solve_one_to_one`` (INFEASIBLE softened to a large
+    finite penalty, ties within the shared tolerance) by the plain method:
+    row i takes the smallest free column j for which ``j`` plus an optimal
+    completion of the remaining rows still totals ``best`` within tolerance,
+    re-solving that completion for every column it tries.
+    """
+
+    def matching_cost(sub: np.ndarray) -> float:
+        rows, cols = linear_sum_assignment(sub)
+        return float(sub[rows, cols].sum())
+
+    d = np.asarray(d, dtype=float)
+    m, n = d.shape
+    if m == 0:
+        return (), 0.0
+    finite = d[d < INFEASIBLE]
+    big = (float(finite.max()) if finite.size else 1.0) * (m + 1) + 1.0
+    dd = np.where(d < INFEASIBLE, d, big)
+
+    best = matching_cost(dd)
+    tol = _REL_TOL * max(1.0, abs(best))
+    assignment: list[int] = []
+    taken: set[int] = set()
+    prefix = 0.0
+    for i in range(m):
+        rest_rows = list(range(i + 1, m))
+        for j in range(n):
+            if j in taken:
+                continue
+            cols = [jj for jj in range(n) if jj not in taken and jj != j]
+            rest = matching_cost(dd[np.ix_(rest_rows, cols)]) if rest_rows else 0.0
+            if prefix + dd[i, j] + rest <= best + tol:
+                assignment.append(j)
+                taken.add(j)
+                prefix += dd[i, j]
+                break
+    return tuple(assignment), best
+
+
+def oracle_greedy_many_to_one(d, cutoff: float) -> dict:
+    """Every stage of ``greedy_many_to_one``, computed entry by entry.
+
+    Dead rows and columns are found with ``_close`` on each entry, D1 and
+    D2 by a minimum per row and per column; the sweep is the same.
+    """
+    d = np.asarray(d, dtype=float)
+    m, n = d.shape
+
+    def useless(v: float) -> bool:
+        return v == INFEASIBLE or _close(v, cutoff)
+
+    live = d.copy()
+    for i in range(m):
+        if all(useless(v) for v in d[i, :]):
+            live[i, :] = INFEASIBLE
+    for j in range(n):
+        if all(useless(v) for v in d[:, j]):
+            live[:, j] = INFEASIBLE
+    d1 = np.full_like(live, INFEASIBLE)
+    for i in range(m):
+        lo = live[i, :].min()
+        for j in range(n):
+            if lo < INFEASIBLE and live[i, j] == lo:
+                d1[i, j] = lo
+    d2 = np.full_like(live, INFEASIBLE)
+    for j in range(n):
+        lo = live[:, j].min()
+        for i in range(m):
+            if lo < INFEASIBLE and live[i, j] == lo:
+                d2[i, j] = lo
+    d3 = np.where(d1 < INFEASIBLE, d1, d2)
+    work = d3.copy()
+    order = np.zeros((m, n), dtype=int)
+    while work.size and work.min() < INFEASIBLE:
+        i, j = divmod(int(np.argmin(work)), n)
+        for rank, (_, jj) in enumerate(
+            sorted((work[i, jj], jj) for jj in range(n) if work[i, jj] < INFEASIBLE),
+            start=order[i].max() + 1,
+        ):
+            order[i, jj] = rank
+            work[:, jj] = INFEASIBLE
+    return {
+        "order_matrix": order,
+        "unassigned_rows": tuple(i for i in range(m) if not order[i].any()),
+        "unassigned_cols": tuple(j for j in range(n) if not order[:, j].any()),
+        "d1": d1,
+        "d2": d2,
+        "d3": d3,
+    }

@@ -9,9 +9,14 @@ from oracles import (
     brute_force_one_to_one,
     count_assignments,
     enumerate_assignments,
+    oracle_greedy_many_to_one,
+    oracle_lex_one_to_one,
     oracle_matching,
 )
+import trackmetric.assign as assign
 from trackmetric.assign import INFEASIBLE, greedy_many_to_one, solve_one_to_one
+from trackmetric.core import MetricParams, scan_distances
+from trackmetric.scenarios import random_scenario
 from trackmetric.errors import TooLargeError
 
 
@@ -140,6 +145,23 @@ def test_greedy_invariants_random(seed):
         assert ranks == list(range(1, len(ranks) + 1))
 
 
+@given(seed=st.integers(0, 2_000))
+@settings(max_examples=150, deadline=None)
+def test_greedy_matches_entrywise_reference(seed):
+    # entries at, and within 1e-10 of, the cutoff decide dead rows/columns
+    rng = np.random.default_rng(seed)
+    c = float(rng.choice([1.0, 80.0, 6400.0]))
+    m, n = rng.integers(1, 7, size=2)
+    pool = [c, c * (1 + 1e-10), c * (1 - 1e-10), c + 1e-10, c - 1e-10, c * (1 - 1e-8), INFEASIBLE]
+    d = rng.uniform(0.0, c, size=(m, n)).round(1)
+    pick = rng.random((m, n)) < 0.6
+    d[pick] = rng.choice(pool, size=pick.sum())
+    res = greedy_many_to_one(d, cutoff_row_col_value=c)
+    want = oracle_greedy_many_to_one(d, c)
+    for name, value in want.items():
+        assert np.array_equal(getattr(res, name), value), name
+
+
 def test_solve_one_to_one_diagonal():
     pi, cost = solve_one_to_one(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert pi == (0, 1)
@@ -179,6 +201,7 @@ def test_solve_one_to_one_matches_brute_force(seed):
     assert cost == pytest.approx(oracle_matching(d), rel=1e-9)
     ref_pi, ref_cost = brute_force_one_to_one(d)
     assert cost == pytest.approx(ref_cost, rel=1e-9)
+    assert pi == ref_pi
 
 
 @given(seed=st.integers(0, 3_000))
@@ -197,3 +220,78 @@ def test_solve_one_to_one_permutation_invariant_cost(seed):
     # never better than any explicitly checked injective map
     explicit = rng.sample(range(n), m)
     assert cost <= sum(d[i, explicit[i]] for i in range(m)) + 1e-9
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(m, 6))
+    cell = st.sampled_from([0.0, 1.0, 2.0, 3.0, INFEASIBLE])
+    return np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m)))
+
+
+@given(d=tie_heavy_matrices())
+@settings(max_examples=300, deadline=None)
+def test_solve_one_to_one_ties_match_brute_force(d):
+    # The brute force does not soften INFEASIBLE entries, so it has no
+    # answer to compare with when every matching is infeasible.
+    ref = brute_force_one_to_one(d)
+    if ref[1] < INFEASIBLE:
+        assert solve_one_to_one(d) == ref
+
+
+def _capped_scan_matrices(seed, params):
+    truth, est = random_scenario(
+        seed, n_truth=8, scans=12, miss_rate=0.2, false_rate=0.4, break_rate=0.3, noise=2.0
+    )
+    capped = np.minimum(scan_distances(truth, est, params), params.c)
+    for t in range(truth.scans):
+        ia = np.flatnonzero(truth.exists[:, t])
+        ib = np.flatnonzero(est.exists[:, t])
+        if ia.size and ib.size:
+            cost = capped[:, :, t][np.ix_(ia, ib)] ** params.p
+            yield cost if ia.size <= ib.size else cost.T
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_one_to_one_matches_row_by_row_on_capped_scans(seed):
+    # a small cutoff caps many entries at c^p, so most scans hold ties
+    params = MetricParams(p=2.0, c=1.5, delta=1.0, alpha=0.0)
+    for cost in _capped_scan_matrices(seed, params):
+        assert solve_one_to_one(cost) == oracle_lex_one_to_one(cost)
+
+
+def test_solve_one_to_one_matches_row_by_row_on_10x14_integers():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        d = rng.integers(0, 3, size=(10, 14)).astype(float)
+        d[rng.random(d.shape) < 0.1] = INFEASIBLE
+        assert solve_one_to_one(d) == oracle_lex_one_to_one(d)
+
+
+def test_solve_one_to_one_matches_row_by_row_on_near_ties():
+    # costs 0.1 apart plus a 1e-12 jitter: ties hold only within tolerance
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        m = int(rng.integers(2, 7))
+        d = rng.integers(0, 4, size=(m, m + 2)) * 0.1 + rng.random((m, m + 2)) * 1e-12
+        assert solve_one_to_one(d) == oracle_lex_one_to_one(d)
+
+
+def test_solve_one_to_one_solve_count(monkeypatch):
+    calls = []
+    real = assign.linear_sum_assignment
+
+    def counted(d):
+        calls.append(d.shape)
+        return real(d)
+
+    monkeypatch.setattr(assign, "linear_sum_assignment", counted)
+    # distinct costs: a unique optimum takes the one solve that finds it
+    d = np.random.default_rng(3).random((30, 40))
+    assert solve_one_to_one(d) == oracle_lex_one_to_one(d)
+    assert len(calls) == 1
+    calls.clear()
+    assert solve_one_to_one(np.array([[4.0, 2.0, 3.0, 2.0]])) == ((1,), 2.0)
+    assert calls == []
+    assert solve_one_to_one(np.ones((4, 6))) == ((0, 1, 2, 3), 4.0)

@@ -88,7 +88,7 @@ def test_example1_fig1a_per_scan_terms():
     p, c, d = params.p, params.c, params.delta
     sc = fig(FigureId.FIG1A)
     eps = 1.0
-    bd = directional_terms(sc.est, sc.truth, (1, 1), ((1, 2),), params)
+    bd = directional_terms(sc.est, sc.truth, ((1, 2),), params)
     want = [eps**p] * 3 + [eps**p + d**p] * 2
     assert list(bd.total_t) == pytest.approx(want, rel=1e-9)
 
@@ -98,7 +98,7 @@ def test_example1_fig1b_per_scan_terms():
     p, c, d = params.p, params.c, params.delta
     sc = fig(FigureId.FIG1B)
     eps = 1.0
-    bd = directional_terms(sc.est, sc.truth, (1, 1), ((1, 2), ()), params)
+    bd = directional_terms(sc.est, sc.truth, ((1, 2), ()), params)
     want = [eps**p] * 3 + [eps**p + d**p + c**p] * 2
     assert list(bd.total_t) == pytest.approx(want, rel=1e-9)
 
@@ -106,7 +106,7 @@ def test_example1_fig1b_per_scan_terms():
 def test_example1_fig1c_false_track():
     params = MetricParams()
     sc = fig(FigureId.FIG1C)
-    bd = directional_terms(sc.est, sc.truth, (0,), ((),), params)
+    bd = directional_terms(sc.est, sc.truth, ((),), params)
     assert list(bd.total_t) == pytest.approx([params.c**params.p] * 5, rel=1e-9)
 
 
@@ -124,6 +124,17 @@ def test_example2_order_choice():
     assert orders == ((1, 2),)
 
 
+def test_directional_cost_rejects_orders_that_disagree_with_lambda():
+    # lambda leaves source 2 unassigned, so ((1, 2),) is not its ordering;
+    # scoring the orders alone would return 5.0, the value of lambda (1, 1)
+    sc = fig(FigureId.FIG1A)
+    params = MetricParams()
+    for lam, orders in [((1, 0), ((1, 2),)), ((1, 1), ((1,),)), ((1, 1), ((1, 1),)), ((1, 1), ())]:
+        with pytest.raises(InfeasibleAssignmentError):
+            directional_cost(sc.est, sc.truth, lam, orders, params)
+    assert directional_cost(sc.est, sc.truth, (1, 0), ((1,),), params) > 0.0
+
+
 def test_directional_infeasible_assignment_raises():
     sc = fig(FigureId.FIG10A)  # disjoint lifetimes
     with pytest.raises(InfeasibleAssignmentError):
@@ -139,9 +150,7 @@ def test_directional_breakdown_bound():
         src = random_small_set(rng, min_tracks=1)
         tgt = random_small_set(rng, min_tracks=1)
         assignment = quasi_ospamt(src, tgt, params, Mode.EXACT).assignment
-        bd = directional_terms(
-            src, tgt, assignment.source_to_target, assignment.orders, params
-        )
+        bd = directional_terms(src, tgt, assignment.orders, params)
         n_t, _ = count_distances(src, tgt)
         for raw, nt in zip(bd.total_t, n_t):
             assert raw <= nt * cap + 1e-9
@@ -165,8 +174,8 @@ def test_directional_terms_match_oracle_per_scan(params):
         tgt = random_small_set(rng, max_tracks=3, min_tracks=1)
         n_t, _ = oracle_counts(src, tgt)
         pairs = enumerate_assignments(len(src.tracks), len(tgt.tracks), _feasible(src, tgt))
-        for lam, orders in pairs:
-            bd = directional_terms(src, tgt, lam, orders, params)
+        for _, orders in pairs:
+            bd = directional_terms(src, tgt, orders, params)
             for t in range(1, src.scans + 1):
                 want = oracle_tilde_d_t(src, tgt, orders, params, t, n_t[t - 1])
                 assert bd.total_t[t - 1] == pytest.approx(want, rel=1e-12)
