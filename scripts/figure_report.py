@@ -16,7 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from trackmetric.cli import _EVALUATORS
-from trackmetric.core import MetricParams
+from trackmetric.core import MetricParams, scan_distances
 from trackmetric.ospamt import Mode, ospamt_metric
 from trackmetric.scenarios import FigureId, ScenarioSpec, build
 
@@ -33,9 +33,10 @@ def main() -> int:
     print(f"{'figure':8} {'ospa':>10} {'ospat':>10} {'ospamt':>10}  assignment")
     for fig in FigureId:
         sc = build(ScenarioSpec(fig, cutoff=args.c))
-        ospa_val = _EVALUATORS["ospa"](sc.truth, sc.est, params, Mode.EXACT).total
-        ospat_val = _EVALUATORS["ospat"](sc.truth, sc.est, params, Mode.EXACT).total
-        report = ospamt_metric(sc.truth, sc.est, params, Mode.EXACT)
+        dist = scan_distances(sc.truth, sc.est, params)
+        ospa_val = _EVALUATORS["ospa"](sc.truth, sc.est, params, Mode.EXACT, dist).total
+        ospat_val = _EVALUATORS["ospat"](sc.truth, sc.est, params, Mode.EXACT, dist).total
+        report = ospamt_metric(sc.truth, sc.est, params, Mode.EXACT, dist=dist)
         asg = report.assignment
         pairs = [
             f"{i}<-{list(order)}" for i, order in enumerate(asg.orders, 1) if order

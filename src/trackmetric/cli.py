@@ -20,7 +20,9 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .core import MetricParams, TrackSet
+import numpy as np
+
+from .core import MetricParams, TrackSet, scan_distances
 from .errors import (
     BadParametersError,
     NoConvergenceError,
@@ -75,8 +77,10 @@ def _pairs_text(pairs, left: TrackSet, right: TrackSet) -> str:
     ) or "(none)"
 
 
-def _eval_ospa(truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode) -> MetricRows:
-    scan_rows = ospa_per_scan(truth, est, params)
+def _eval_ospa(
+    truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: np.ndarray
+) -> MetricRows:
+    scan_rows = ospa_per_scan(truth, est, params, dist)
     rows = [(r.t, r.total, r.loc, r.card, r.n_t) for r in scan_rows]
     total, loc, card = _aggregate(rows, params.p)
     pair_lines = "; ".join(
@@ -85,8 +89,10 @@ def _eval_ospa(truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode)
     return MetricRows("ospa", total, loc, card, rows, pair_lines, {})
 
 
-def _eval_ospat(truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode) -> MetricRows:
-    scan_rows, assignment = ospat_per_scan(truth, est, params)
+def _eval_ospat(
+    truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: np.ndarray
+) -> MetricRows:
+    scan_rows, assignment = ospat_per_scan(truth, est, params, dist)
     rows = [(r.t, r.total, r.loc, r.card, r.n_t) for r in scan_rows]
     total, loc, card = _aggregate(rows, params.p)
     glob = ospat_global(truth, est, params, assignment)
@@ -96,8 +102,10 @@ def _eval_ospat(truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode
     )
 
 
-def _eval_ospamt(truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode) -> MetricRows:
-    report = ospamt_metric(truth, est, params, mode=mode)
+def _eval_ospamt(
+    truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: np.ndarray
+) -> MetricRows:
+    report = ospamt_metric(truth, est, params, mode=mode, dist=dist)
     rows = [
         (t + 1, report.per_time[t], report.loc_t[t], report.card_t[t], report.n_t[t])
         for t in range(truth.scans)
@@ -220,7 +228,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
             f"--at-time {args.at_time} outside 1..{truth.scans}"
         )
     names = ["ospa", "ospat", "ospamt"] if args.metric == "all" else [args.metric]
-    results = [_EVALUATORS[name](truth, est, params, mode) for name in names]
+    # one base-distance tensor per call, read by every metric; it dies with the call
+    dist = scan_distances(truth, est, params)
+    results = [_EVALUATORS[name](truth, est, params, mode, dist) for name in names]
     if args.output == "json":
         doc = {
             "params": {

@@ -263,20 +263,38 @@ def base_distance(
     Broadcasts over leading axes; the last axis holds the coordinates.
     ``order`` overrides ``params.base_order``.  Absent states given as NaN
     give NaN distances.
+
+    The norm is accumulated one coordinate at a time (``|d_k|`` summed,
+    ``hypot`` chained, or ``|d_k| ** q`` summed, then one root), so no
+    intermediate holds every coordinate of every pair.  Up to seven
+    coordinates this adds in the order of numpy's own reduction over the
+    last axis; from eight on numpy sums pairwise, and the two may differ in
+    the last bit.
     """
-    diffs = np.subtract(x, y)
-    if params.scale is not None:
-        if len(params.scale) != diffs.shape[-1]:
-            raise DimensionMismatchError(
-                f"scale has {len(params.scale)} factors for dimension {diffs.shape[-1]}"
-            )
-        diffs = diffs * params.scale
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    dim = x.shape[-1]
+    scale = params.scale
+    if scale is not None and len(scale) != dim:
+        raise DimensionMismatchError(f"scale has {len(scale)} factors for dimension {dim}")
     q = params.base_order if order is None else order
-    if q == 2.0:
-        return np.hypot.reduce(diffs, axis=-1)
-    if q == 1.0:
-        return np.abs(diffs).sum(axis=-1)
-    return (np.abs(diffs) ** q).sum(axis=-1) ** (1.0 / q)
+    out = None
+    for k in range(dim):
+        # k:k+1 keeps a unit axis, so a single pair also takes numpy's array
+        # loops and matches its own entry of a larger tensor to the last bit
+        diff = x[..., k : k + 1] - y[..., k : k + 1]
+        if scale is not None:
+            diff = diff * scale[k]
+        if out is None:
+            out = np.abs(diff) if q in (1.0, 2.0) else np.abs(diff) ** q
+        elif q == 2.0:
+            out = np.hypot(out, diff)
+        elif q == 1.0:
+            out += np.abs(diff)
+        else:
+            out += np.abs(diff) ** q
+    if q not in (1.0, 2.0):
+        out = out ** (1.0 / q)
+    return out[..., 0][()]  # [()] makes a single pair's distance a scalar
 
 
 def scan_distances(
@@ -284,14 +302,14 @@ def scan_distances(
 ) -> np.ndarray:
     """(N_a, N_b, T) base distances of every pair of tracks at every scan.
 
-    Entries are NaN wherever the two tracks do not coexist.  The tensor is
-    built one track of ``a`` at a time, so no per-coordinate intermediate of
-    all pairs is ever held.
+    Entries are NaN wherever the two tracks do not coexist.  The tensor of
+    ``b`` against ``a`` is exactly ``.transpose(1, 0, 2)`` of this one, so a
+    caller that needs both directions builds it once.  Raises
+    ScanMismatchError or DimensionMismatchError unless the sets are
+    comparable.
     """
-    out = np.empty((len(a.tracks), len(b.tracks), a.scans))
-    for i, x in enumerate(a.states):
-        out[i] = base_distance(x, b.states, params, order)
-    return out
+    check_comparable(a, b)
+    return base_distance(a.states[:, None], b.states[None], params, order)
 
 
 def count_distances(a: TrackSet, b: TrackSet) -> tuple[tuple[int, ...], int]:

@@ -19,7 +19,6 @@ from .core import (
     StateVector,
     TrackSet,
     base_distance,
-    check_comparable,
     scan_distances,
 )
 from .errors import DimensionMismatchError
@@ -59,15 +58,14 @@ def ospa_at_scan(
     t: int,
     params: MetricParams,
 ) -> ScanOspa:
-    """OSPA at scan ``t`` from the capped distances of every pair.
+    """OSPA at scan ``t`` from the capped distances of every pair there.
 
-    ``capped`` is (N_a, N_b, T) and is read at scan ``t`` only where both
-    tracks exist, as given by the (N_a, T) and (N_b, T) masks ``exists_a``
-    and ``exists_b``.  The smaller side (``a`` on equal sizes) is matched
-    into the larger.
+    ``capped`` is (N_a, N_b) and is read only where both tracks exist, as
+    given by the (N_a,) and (N_b,) masks ``exists_a`` and ``exists_b``.  The
+    smaller side (``a`` on equal sizes) is matched into the larger.
     """
-    ia = np.flatnonzero(exists_a[:, t - 1]).tolist()
-    ib = np.flatnonzero(exists_b[:, t - 1]).tolist()
+    ia = np.flatnonzero(exists_a).tolist()
+    ib = np.flatnonzero(exists_b).tolist()
     m, n = len(ia), len(ib)
     k = max(m, n)
     if k == 0:
@@ -75,7 +73,7 @@ def ospa_at_scan(
     p, c = params.p, params.c
     if m == 0 or n == 0:
         return ScanOspa(t, c, 0.0, c, (), k)
-    cost = capped[:, :, t - 1][np.ix_(ia, ib)] ** p
+    cost = capped[np.ix_(ia, ib)] ** p
     if m <= n:
         pi, loc_sum = solve_one_to_one(cost)
         pairs = [(ia[i], ib[j]) for i, j in enumerate(pi)]
@@ -102,14 +100,22 @@ def ospa(
     if m and n:
         d = base_distance(np.array(xs)[:, None, :], np.array(ys)[None, :, :], params)
         capped = np.minimum(d, params.c)
-    res = ospa_at_scan(
-        capped[:, :, None], np.ones((m, 1), bool), np.ones((n, 1), bool), 1, params
-    )
+    res = ospa_at_scan(capped, np.ones(m, bool), np.ones(n, bool), 1, params)
     return OspaResult(res.total, res.loc, res.card, res.pairs)
 
 
-def ospa_per_scan(a: TrackSet, b: TrackSet, params: MetricParams) -> list[ScanOspa]:
-    """OSPA of the existing states of ``a`` and ``b`` at every scan."""
-    check_comparable(a, b)
-    capped = np.minimum(scan_distances(a, b, params), params.c)
-    return [ospa_at_scan(capped, a.exists, b.exists, t, params) for t in range(1, a.scans + 1)]
+def ospa_per_scan(
+    a: TrackSet, b: TrackSet, params: MetricParams, dist: np.ndarray | None = None
+) -> list[ScanOspa]:
+    """OSPA of the existing states of ``a`` and ``b`` at every scan.
+
+    ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
+    it; otherwise it is built here.
+    """
+    if dist is None:
+        dist = scan_distances(a, b, params)
+    capped = np.minimum(dist, params.c)
+    return [
+        ospa_at_scan(capped[:, :, t], a.exists[:, t], b.exists[:, t], t + 1, params)
+        for t in range(a.scans)
+    ]

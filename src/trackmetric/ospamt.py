@@ -68,7 +68,9 @@ class DirectionalBreakdown:
     card_t: tuple[float, ...]
 
 
-def cost_matrix(src: TrackSet, tgt: TrackSet, params: MetricParams) -> np.ndarray:
+def cost_matrix(
+    src: TrackSet, tgt: TrackSet, params: MetricParams, dist: np.ndarray | None = None
+) -> np.ndarray:
     """Pairwise cost matrix with targets as rows and sources as columns.
 
     Over every scan where at least one of the two tracks exists, a
@@ -76,10 +78,14 @@ def cost_matrix(src: TrackSet, tgt: TrackSet, params: MetricParams) -> np.ndarra
     and a lone scan contributes the cutoff to the p-th power; each entry is
     the mean over those scans, which keeps entries comparable to ``c ** p``
     whatever the lifetimes.  Pairs that never coexist are marked INFEASIBLE
-    so the assignment search can never join them.
+    so the assignment search can never join them.  ``dist`` is
+    ``scan_distances(tgt, src, params)`` when the caller already has it;
+    otherwise it is built here.
     """
+    if dist is None:
+        dist = scan_distances(tgt, src, params)
     cp = params.c**params.p
-    d = np.minimum(scan_distances(tgt, src, params), params.c) ** params.p
+    d = np.minimum(dist, params.c) ** params.p
     both = ~np.isnan(d)
     either = (tgt.exists[:, None, :] | src.exists[None, :, :]).sum(axis=2)
     shared = both.sum(axis=2)
@@ -257,7 +263,9 @@ class _DirectionalEngine:
     the tolerances of ``assign._close``.
     """
 
-    def __init__(self, src: TrackSet, tgt: TrackSet, params: MetricParams) -> None:
+    def __init__(
+        self, src: TrackSet, tgt: TrackSet, params: MetricParams, dist: np.ndarray | None = None
+    ) -> None:
         self.src = src
         self.tgt = tgt
         _, self.n = count_distances(src, tgt)
@@ -268,7 +276,9 @@ class _DirectionalEngine:
         # coexist[i-1, j-1, t-1]: target i and source j both exist at scan t
         self.coexist = tgt.exists[:, None, :] & src.exists[None, :, :]
         # gain[i-1, j-1, t-1]: capped distance ** p minus c ** p where coexisting
-        capped = np.minimum(scan_distances(tgt, src, params), params.c)
+        if dist is None:
+            dist = scan_distances(tgt, src, params)
+        capped = np.minimum(dist, params.c)
         self.gain = np.where(self.coexist, capped**p - cp, 0.0)
 
     def best_order(self, i: int, pre: tuple[int, ...]) -> tuple[int, ...]:
@@ -361,9 +371,9 @@ def directional_distance(
 
 
 def _quasi_greedy(
-    src: TrackSet, tgt: TrackSet, params: MetricParams
+    src: TrackSet, tgt: TrackSet, params: MetricParams, dist: np.ndarray | None
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    d = cost_matrix(src, tgt, params)
+    d = cost_matrix(src, tgt, params, dist)
     result = greedy_many_to_one(d, cutoff_row_col_value=params.c**params.p)
     m, n = d.shape
     lam = [0] * n
@@ -385,6 +395,7 @@ def quasi_ospamt(
     mode: Mode | str = Mode.AUTO,
     cap: int = ENUMERATION_CAP,
     direction: Direction = Direction.EST_TO_TRUTH,
+    dist: np.ndarray | None = None,
 ) -> MetricReport:
     """Report of the smallest directional distance from ``src`` onto ``tgt``.
 
@@ -393,7 +404,9 @@ def quasi_ospamt(
     which maps source indices into {0} + target indices; ``direction`` only
     records which roles the caller gave the two sets.  The distance is
     exactly zero when both sets are empty and exactly the cutoff, all of it
-    cardinality, when only one is.
+    cardinality, when only one is.  ``dist`` is
+    ``scan_distances(tgt, src, params)`` when the caller already has it;
+    otherwise it is built here when the search needs it.
     """
     check_comparable(src, tgt)
     n_t, n = count_distances(src, tgt)
@@ -405,9 +418,9 @@ def quasi_ospamt(
         return MetricReport(c, per_time, 0.0, c, zeros, per_time, assignment, n_t, n)
     mode = resolve_mode(mode, len(src.tracks) + len(tgt.tracks), cap)
     if mode is Mode.EXACT:
-        lam, orders = _DirectionalEngine(src, tgt, params).search_exact(cap)
+        lam, orders = _DirectionalEngine(src, tgt, params, dist).search_exact(cap)
     else:
-        lam, orders = _quasi_greedy(src, tgt, params)
+        lam, orders = _quasi_greedy(src, tgt, params, dist)
     breakdown = directional_terms(src, tgt, orders, params)
     raws = (breakdown.total_t, breakdown.loc_t, breakdown.card_t)
     total, loc, card = (_root_mean(sum(raw), n, params.p) for raw in raws)
@@ -424,16 +437,23 @@ def ospamt_metric(
     params: MetricParams,
     mode: Mode | str = Mode.AUTO,
     cap: int = ENUMERATION_CAP,
+    dist: np.ndarray | None = None,
 ) -> MetricReport:
     """OSPAMT distance between truth set ``a`` and estimate set ``b``.
 
     The smaller of the two directional reports of ``quasi_ospamt`` wins;
     when their totals tie within the tolerances of ``assign._close`` the
-    estimate-to-truth direction is reported.
+    estimate-to-truth direction is reported.  ``dist`` is
+    ``scan_distances(a, b, params)`` when the caller already has it;
+    otherwise it is built here.  Either way both directions read it, the
+    truth-to-estimate one through its transpose.
     """
-    check_comparable(a, b)
-    est = quasi_ospamt(b, a, params, mode, cap, Direction.EST_TO_TRUTH)
-    tru = quasi_ospamt(a, b, params, mode, cap, Direction.TRUTH_TO_EST)
+    if dist is None:
+        dist = scan_distances(a, b, params)
+    est = quasi_ospamt(b, a, params, mode, cap, Direction.EST_TO_TRUTH, dist)
+    tru = quasi_ospamt(
+        a, b, params, mode, cap, Direction.TRUTH_TO_EST, dist.transpose(1, 0, 2)
+    )
     return est if est.total < tru.total or _close(est.total, tru.total) else tru
 
 

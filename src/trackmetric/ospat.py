@@ -46,19 +46,25 @@ def _reorder_costs(
     return np.where(np.isnan(d), np.where(exists_a ^ exists_b, c, 0.0), np.minimum(d, c))
 
 
-def ospat_reorder(a: TrackSet, b: TrackSet, params: MetricParams) -> OspatAssignment:
+def ospat_reorder(
+    a: TrackSet, b: TrackSet, params: MetricParams, dist: np.ndarray | None = None
+) -> OspatAssignment:
     """Global pairing minimizing the summed per-scan costs.
 
     The smaller set maps injectively into the larger, so every track of the
     smaller set is paired no matter how far apart the lifetimes are, and
     leftover tracks of the larger set contribute nothing to the choice.
     Ties resolve to the lexicographically smallest assignment vector.
+    ``dist`` is ``scan_distances(a, b, params, order=2.0)`` when the caller
+    already has it; otherwise it is built here.
     """
     check_comparable(a, b)
     if not a.tracks or not b.tracks:
         return OspatAssignment((), "b" if len(b.tracks) <= len(a.tracks) else "a")
+    if dist is None:
+        dist = scan_distances(a, b, params, order=2.0)
     d = _reorder_costs(
-        scan_distances(a, b, params, order=2.0),
+        dist,
         a.exists[:, None, :],
         b.exists[None, :, :],
         params.c,
@@ -104,12 +110,11 @@ def ospat_label(
 
 
 def _labeled_distances(
-    labeled_a: LabeledTrackSet, labeled_b: LabeledTrackSet, params: MetricParams
+    d: np.ndarray, labeled_a: LabeledTrackSet, labeled_b: LabeledTrackSet, params: MetricParams
 ) -> np.ndarray:
-    """(N_a, N_b, T) labeled distances of every pair at every scan:
-    min{c, (d(x, y)^p' + (alpha when labels differ)^p')^(1/p')}."""
+    """Capped labeled distances from base distances ``d`` of shape
+    (N_a, N_b, K): min{c, (d(x, y)^p' + (alpha when labels differ)^p')^(1/p')}."""
     q = params.base_order
-    d = scan_distances(labeled_a.tracks, labeled_b.tracks, params)
     differ = np.not_equal.outer(labeled_a.labels, labeled_b.labels)[:, :, None]
     d = np.where(differ, (d**q + params.alpha**q) ** (1.0 / q), d)
     return np.minimum(d, params.c)
@@ -121,9 +126,13 @@ def ospat_at_time(
     t: int,
     params: MetricParams,
 ) -> ScanOspa:
-    """OSPA minimization over the labeled states existing at scan t."""
-    capped = _labeled_distances(labeled_a, labeled_b, params)
-    return ospa_at_scan(capped, labeled_a.tracks.exists, labeled_b.tracks.exists, t, params)
+    """OSPA minimization over the labeled states existing at scan t; only
+    that scan's distances are computed."""
+    a, b = labeled_a.tracks, labeled_b.tracks
+    check_comparable(a, b)
+    d = base_distance(a.states[:, None, t - 1 : t], b.states[None, :, t - 1 : t], params)
+    capped = _labeled_distances(d, labeled_a, labeled_b, params)[:, :, 0]
+    return ospa_at_scan(capped, a.exists[:, t - 1], b.exists[:, t - 1], t, params)
 
 
 @dataclass(frozen=True)
@@ -164,11 +173,21 @@ def ospat_global(
 
 
 def ospat_per_scan(
-    a: TrackSet, b: TrackSet, params: MetricParams
+    a: TrackSet, b: TrackSet, params: MetricParams, dist: np.ndarray | None = None
 ) -> tuple[list[ScanOspa], OspatAssignment]:
-    """Reorder, label, then score every scan; the usual evaluation pipeline."""
-    assignment = ospat_reorder(a, b, params)
+    """Reorder, label, then score every scan; the usual evaluation pipeline.
+
+    ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
+    it; otherwise it is built here.  The reordering reuses it when the base
+    norm is Euclidean (p' = 2) and builds its own Euclidean tensor otherwise.
+    """
+    if dist is None:
+        dist = scan_distances(a, b, params)
+    assignment = ospat_reorder(a, b, params, dist if params.base_order == 2.0 else None)
     labeled_a, labeled_b = ospat_label(a, b, assignment)
-    capped = _labeled_distances(labeled_a, labeled_b, params)
-    rows = [ospa_at_scan(capped, a.exists, b.exists, t, params) for t in range(1, a.scans + 1)]
+    capped = _labeled_distances(dist, labeled_a, labeled_b, params)
+    rows = [
+        ospa_at_scan(capped[:, :, t], a.exists[:, t], b.exists[:, t], t + 1, params)
+        for t in range(a.scans)
+    ]
     return rows, assignment

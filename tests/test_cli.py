@@ -464,6 +464,31 @@ def test_ospat_reorder_runs_once_per_compute(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("extra, builds", [((), 2), (("--p-prime", "2"), 1)])
+def test_distance_tensor_built_once_per_norm_order(tmp_path, capsys, monkeypatch, extra, builds):
+    # one base-distance tensor feeds all three metrics; OSPAT's reordering
+    # needs a Euclidean one of its own unless p' = 2 already gives it
+    import importlib
+
+    import trackmetric.core as core
+
+    calls = []
+    original = core.scan_distances
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name in ("core", "cli", "ospa", "ospat", "ospamt"):
+        module = importlib.import_module(f"trackmetric.{name}")
+        if getattr(module, "scan_distances", None) is original:
+            monkeypatch.setattr(module, "scan_distances", counting)
+    truth, est = write_scenario(tmp_path, FigureId.FIG12)
+    code, _, _ = run(capsys, "compute", str(truth), str(est), "--metric", "all", *extra)
+    assert code == 0
+    assert len(calls) == builds
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

@@ -79,30 +79,63 @@ def test_cutoff_distance_examples():
     assert np.isnan(scan_distances(a, b, MetricParams())).all()
 
 
+def random_float_set(rng, dim, scans=4, max_tracks=3):
+    """Track set of real-valued states in ``dim`` dimensions."""
+    tracks = []
+    for _ in range(rng.randint(0, max_tracks)):
+        scan_ids = rng.sample(range(1, scans + 1), rng.randint(1, scans))
+        tracks.append(Track({t: tuple(rng.uniform(-9, 9) for _ in range(dim)) for t in scan_ids}))
+    return validate(TrackSet(scans, dim, tuple(tracks)))
+
+
+def distance_params(dim):
+    """p' in {1, 1.5, 2, 3}, each without and with a per-dimension scale."""
+    scale = tuple(0.5 + 0.75 * k for k in range(dim))
+    return [
+        MetricParams(p_prime=q, scale=s)
+        for q in (1.0, 1.5, 2.0, 3.0)
+        for s in (None, scale)
+    ]
+
+
 def test_scan_distances_match_pairwise_reference():
     rng = random.Random(3)
+    for dim in (1, 3, 8):
+        for params in distance_params(dim):
+            for _ in range(8):
+                a, b = random_float_set(rng, dim), random_float_set(rng, dim)
+                d = scan_distances(a, b, params)
+                assert d.shape == (len(a), len(b), 4)
+                for i, x in enumerate(a.tracks):
+                    for j, y in enumerate(b.tracks):
+                        for t in range(1, 5):
+                            if t in x.points and t in y.points:
+                                pair = base_distance(x.points[t], y.points[t], params)
+                                assert d[i, j, t - 1] == pair
+                                want = oracle_norm(x.points[t], y.points[t], params)
+                                assert d[i, j, t - 1] == pytest.approx(want, rel=1e-12)
+                            else:
+                                assert np.isnan(d[i, j, t - 1])
 
-    def random_2d_set():
-        tracks = []
-        for _ in range(rng.randint(0, 3)):
-            scans = rng.sample(range(1, 5), rng.randint(1, 4))
-            tracks.append(Track({t: (rng.uniform(-9, 9), rng.uniform(-9, 9)) for t in scans}))
-        return validate(TrackSet(4, 2, tuple(tracks)))
 
-    for params in (MetricParams(), MetricParams(p_prime=2.0),
-                   MetricParams(p_prime=3.0, scale=(0.5, 2.0))):
-        for _ in range(20):
-            a, b = random_2d_set(), random_2d_set()
-            d = scan_distances(a, b, params)
-            assert d.shape == (len(a), len(b), 4)
-            for i, x in enumerate(a.tracks):
-                for j, y in enumerate(b.tracks):
-                    for t in range(1, 5):
-                        if t in x.points and t in y.points:
-                            want = oracle_norm(x.points[t], y.points[t], params)
-                            assert d[i, j, t - 1] == pytest.approx(want, rel=1e-12)
-                        else:
-                            assert np.isnan(d[i, j, t - 1])
+def test_scan_distances_of_swapped_sets_are_the_transpose():
+    rng = random.Random(11)
+    for params in distance_params(3):
+        for _ in range(10):
+            a, b = random_float_set(rng, 3), random_float_set(rng, 3)
+            np.testing.assert_array_equal(
+                scan_distances(b, a, params), scan_distances(a, b, params).transpose(1, 0, 2)
+            )
+
+
+def test_scan_distances_reject_incomparable_sets():
+    three = validate(TrackSet(3, 1, (make_track({1: 0.0}),)))
+    four = validate(TrackSet(4, 1, (make_track({1: 0.0}),)))
+    flat = validate(TrackSet(3, 2, (make_track({1: (0.0, 0.0)}),)))
+    with pytest.raises(ScanMismatchError):
+        scan_distances(three, four, MetricParams())
+    with pytest.raises(DimensionMismatchError):
+        scan_distances(three, flat, MetricParams())
 
 
 def test_count_distances_fig1b():

@@ -3,6 +3,7 @@ import time
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -28,8 +29,10 @@ from trackmetric.core import (
     validate,
 )
 from trackmetric.errors import (
+    DimensionMismatchError,
     InfeasibleAssignmentError,
     NoConvergenceError,
+    ScanMismatchError,
     TooLargeError,
 )
 from trackmetric.ospa import ospa
@@ -78,6 +81,26 @@ def test_pairwise_cost_merged_track_against_short_truth():
         est = validate(TrackSet(5, 1, (make_track({t: eps for t in range(1, 6)}),)))
         want = (3 * eps**p + 2 * c**p) / 5
         assert cost_matrix(est, truth, params)[0, 0] == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("p_prime", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("scale", [None, (0.5, 2.0, 1.25)])
+def test_cost_matrix_of_swapped_roles_is_the_transpose(p_prime, scale):
+    params = MetricParams(p=2.0, c=40.0, p_prime=p_prime, scale=scale)
+    for seed in range(6):
+        a, b = random_scenario(seed, n_truth=5, scans=12, miss_rate=0.3, false_rate=0.4,
+                               break_rate=0.3, noise=8.0, state_dim=3)
+        np.testing.assert_array_equal(cost_matrix(a, b, params), cost_matrix(b, a, params).T)
+
+
+def test_cost_matrix_rejects_incomparable_sets():
+    three = validate(TrackSet(3, 1, (make_track({1: 0.0}),)))
+    four = validate(TrackSet(4, 1, (make_track({1: 0.0}),)))
+    flat = validate(TrackSet(3, 2, (make_track({1: (0.0, 0.0)}),)))
+    with pytest.raises(ScanMismatchError):
+        cost_matrix(three, four, MetricParams())
+    with pytest.raises(DimensionMismatchError):
+        cost_matrix(flat, three, MetricParams())
 
 
 # ------------------------------------------------------- directional given λ

@@ -11,7 +11,7 @@ from trackmetric.ospat import (
     ospat_per_scan,
     ospat_reorder,
 )
-from trackmetric.scenarios import FigureId, ScenarioSpec, build
+from trackmetric.scenarios import FigureId, ScenarioSpec, build, random_scenario
 
 
 def fig(fig_id, **kw):
@@ -170,6 +170,25 @@ def test_at_time_equals_ospa_when_no_mislabeling():
     ospa_rows = ospa_per_scan(sc.truth, sc.est, params)
     for got, want in zip(rows, ospa_rows):
         assert got.total == pytest.approx(want.total, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        MetricParams(),
+        MetricParams(p=2.0, c=30.0, alpha=5.0),
+        MetricParams(p=2.0, c=30.0, p_prime=1.0, scale=(0.5, 2.0)),
+        MetricParams(p=1.0, c=50.0, p_prime=1.5, alpha=0.0, scale=(3.0, 0.25)),
+    ],
+)
+def test_at_time_matches_per_scan_rows(params):
+    for seed in range(8):
+        a, b = random_scenario(seed, n_truth=4, scans=9, miss_rate=0.3, false_rate=0.5,
+                               break_rate=0.4, noise=6.0)
+        rows, assignment = ospat_per_scan(a, b, params)
+        la, lb = ospat_label(a, b, assignment)
+        for t in range(1, a.scans + 1):
+            assert ospat_at_time(la, lb, t, params) == rows[t - 1]
 
 
 def test_at_time_empty_scan():

@@ -4,6 +4,7 @@ Each script is run in-process as ``__main__`` with a small argument list;
 it must exit 0 and print its header line first.
 """
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -34,3 +35,71 @@ def test_script_runs(monkeypatch, capsys, script, args, header):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == header
     assert len(lines) > 1
+
+
+def canned_run(seed, p50, src_lines, layers=None):
+    """stdout of one perfbench/run.py run on large_all, as it prints it."""
+    lines = [
+        f"large_all call_s_p50 {p50} s",
+        f"large_all call_s_p90 {2 * p50} s",
+        f"large_all calls_per_s {1 / p50:.6g} 1/s",
+        "large_all setup_s 0.35 s",
+        "large_all peak_rss_mb 103.2 MB",
+        f"large_all wall call_s_p50 {3 * p50} s",
+        "large_all fail_frac 0 ratio (0/96)",
+        "large_all samples 48 (above p90: 5)",
+    ]
+    for name, value in (layers or {}).items():
+        lines.append(f"large_all {name} {value} count")
+    if layers:
+        lines.append("large_all trace: trackmetric.ospa.gone not found, its metrics read 0")
+    provenance = {"commit": None, "src_sha256": "0" * 16, "src_lines": src_lines,
+                  "seed": seed, "nproc": 2, "reference_checked": seed == 1, "instances": []}
+    lines.append("provenance " + json.dumps(provenance))
+    lines.append(json.dumps({"correct": True, "attempted": 96, "failed": 0, "metrics": {}}))
+    return "\n".join(lines) + "\n"
+
+
+def test_bench_record_folds_saved_runs(monkeypatch, capsys, tmp_path):
+    paths = {"parent": [], "change": []}
+    for seed, (p50_parent, p50_change) in enumerate([(0.06, 0.04), (0.05, 0.041), (0.04, 0.042)], 1):
+        for side, p50, lines in (("parent", p50_parent, 2506), ("change", p50_change, 2500)):
+            path = tmp_path / f"{side}.s{seed}.txt"
+            path.write_text(canned_run(seed, p50, lines), encoding="utf-8")
+            paths[side].append(str(path))
+    traces = []
+    for side, calls in (("parent", 322.5), ("change", 3)):
+        path = tmp_path / f"{side}.trace.txt"
+        path.write_text(canned_run(4, 0.05, 0, {"core.base_distance.calls": calls}), encoding="utf-8")
+        traces.append(str(path))
+    out = tmp_path / "BENCH_0.json"
+    path = SCRIPTS / "bench_record.py"
+    monkeypatch.setattr(sys, "argv", [str(path), "--out", str(out), "--parent", *paths["parent"],
+                                      "--change", *paths["change"], "--parent-trace", traces[0],
+                                      "--change-trace", traces[1]])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == [
+        "workload", "metric", "parent", "change", "change%", "wins"]
+
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["src_lines"] == {"parent": 2506, "change": 2500}
+    assert doc["provenance"]["change"]["seed"] == 1
+    rec = doc["workloads"]["large_all"]
+    assert rec["seeds"] == [1, 2, 3]
+    assert rec["reference_checked"] == ["parent", "change"]
+    assert rec["fail_frac"] == {"parent": [0.0] * 3, "change": [0.0] * 3}
+    p50 = rec["end_to_end"]["call_s_p50"]
+    assert p50["parent"] == {"median": 0.05, "q1": 0.045, "q3": 0.055, "runs": [0.06, 0.05, 0.04]}
+    assert p50["change"]["median"] == 0.041
+    assert (p50["change_wins"], p50["pairs"]) == (2, 3)
+    assert rec["end_to_end"]["calls_per_s"]["change_wins"] == 2  # higher is better there
+    assert set(rec["end_to_end"]) == {"call_s_p50", "call_s_p90", "calls_per_s", "setup_s",
+                                      "peak_rss_mb"}
+    layer = doc["per_layer"]["large_all"]
+    assert layer["metrics"]["core.base_distance.calls"]["parent"] == 322.5
+    assert layer["metrics"]["core.base_distance.calls"]["change"] == 3
+    assert layer["metrics"]["ospamt.cost_matrix.s"]["change"] is None
+    assert layer["change"] == {"seed": 4, "missing": ["trackmetric.ospa.gone"]}
