@@ -6,9 +6,9 @@ writes the study scenarios (or a seeded random one) as track-set files,
 replays the golden tables.  Exit codes: 0 ok, 2 parse error, 3 validation
 error, 4 configuration error, 5 split non-convergence.
 
-The OSPA and OSPAT summary rows aggregate per-scan values with the
-n_t-weighted p-power mean, the same normalization the track-level metric
-uses; their per-scan rows are the primary output.
+``compute`` prints each metric's library ``MetricReport``: every summary
+and per-scan value is ``core.root_mean`` of raw per-scan sums, and the OSPA
+and OSPAT reports come from ``ospa.report_over_time``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MetricParams, TrackSet, scan_distances
+from .core import MetricParams, MetricReport, TrackSet, scan_distances
 from .errors import (
     BadParametersError,
     NoConvergenceError,
@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .io import load_track_set, save_track_set
-from .ospa import ospa_per_scan
+from .ospa import ospa_per_scan, report_over_time
 from .ospamt import Mode, ospamt_metric, split_tracks
 from .ospat import ospat_global, ospat_per_scan
 from .scenarios import FigureId, Scenario, ScenarioSpec, build, random_scenario
@@ -50,25 +50,18 @@ CSV_HEADER = ["t", "metric", "total", "loc", "card", "n_t"]
 
 @dataclass
 class MetricRows:
-    """Uniform result shape for one metric: summary plus per-scan rows."""
+    """Uniform result shape for one metric: its report, assignment text and extras."""
 
     name: str
-    total: float
-    loc: float
-    card: float
-    rows: list[tuple[int, float, float, float, int]]
+    report: MetricReport
     assignment_text: str
     extra: dict
 
-
-def _aggregate(rows: list[tuple[int, float, float, float, int]], p: float) -> tuple[float, float, float]:
-    n = sum(r[4] for r in rows)
-    if n == 0:
-        return 0.0, 0.0, 0.0
-    tot = sum(r[1] ** p * r[4] for r in rows)
-    loc = sum(r[2] ** p * r[4] for r in rows)
-    card = sum(r[3] ** p * r[4] for r in rows)
-    return (tot / n) ** (1 / p), (loc / n) ** (1 / p), (card / n) ** (1 / p)
+    def rows(self, at_time: int | None = None):
+        """(t, total, loc, card, n_t) of every scan, or of scan ``at_time``."""
+        r = self.report
+        rows = zip(range(1, len(r.n_t) + 1), r.per_time, r.loc_t, r.card_t, r.n_t)
+        return [row for row in rows if at_time in (None, row[0])]
 
 
 def _pairs_text(pairs, left: TrackSet, right: TrackSet) -> str:
@@ -81,40 +74,29 @@ def _eval_ospa(
     truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: np.ndarray
 ) -> MetricRows:
     scan_rows = ospa_per_scan(truth, est, params, dist)
-    rows = [(r.t, r.total, r.loc, r.card, r.n_t) for r in scan_rows]
-    total, loc, card = _aggregate(rows, params.p)
+    report = report_over_time(scan_rows, params, tuple(r.pairs for r in scan_rows))
     pair_lines = "; ".join(
         f"t={r.t}: {_pairs_text(r.pairs, truth, est)}" for r in scan_rows
     )
-    return MetricRows("ospa", total, loc, card, rows, pair_lines, {})
+    return MetricRows("ospa", report, pair_lines, {})
 
 
 def _eval_ospat(
     truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: np.ndarray
 ) -> MetricRows:
     scan_rows, assignment = ospat_per_scan(truth, est, params, dist)
-    rows = [(r.t, r.total, r.loc, r.card, r.n_t) for r in scan_rows]
-    total, loc, card = _aggregate(rows, params.p)
+    report = report_over_time(scan_rows, params, assignment)
     glob = ospat_global(truth, est, params, assignment)
     text = "pairing " + _pairs_text(assignment.pairs, truth, est)
-    return MetricRows(
-        "ospat", total, loc, card, rows, text, {"global_distance": glob.total}
-    )
+    return MetricRows("ospat", report, text, {"global_distance": glob.total})
 
 
 def _eval_ospamt(
     truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: np.ndarray
 ) -> MetricRows:
     report = ospamt_metric(truth, est, params, mode=mode, dist=dist)
-    rows = [
-        (t + 1, report.per_time[t], report.loc_t[t], report.card_t[t], report.n_t[t])
-        for t in range(truth.scans)
-    ]
     asg = report.assignment
-    if asg.direction.value == "est_to_truth":
-        src, tgt = est, truth
-    else:
-        src, tgt = truth, est
+    src, tgt = (est, truth) if asg.direction.value == "est_to_truth" else (truth, est)
     mapping = ", ".join(
         f"{tgt.track_label(i)}<-({', '.join(src.track_label(j) for j in order)})"
         for i, order in enumerate(asg.orders, start=1)
@@ -125,13 +107,7 @@ def _eval_ospamt(
     if unassigned:
         text += f"; unassigned: {unassigned}"
     return MetricRows(
-        "ospamt",
-        report.total,
-        report.loc,
-        report.card,
-        rows,
-        text,
-        {"direction": asg.direction.value, "n": report.n},
+        "ospamt", report, text, {"direction": asg.direction.value, "n": report.n}
     )
 
 
@@ -164,9 +140,7 @@ def _emit_csv(results: list[MetricRows], at_time: int | None, out) -> None:
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER)
     for res in results:
-        for t, total, loc, card, n_t in res.rows:
-            if at_time is not None and t != at_time:
-                continue
+        for t, total, loc, card, n_t in res.rows(at_time):
             writer.writerow([t, res.name, f"{total!r}", f"{loc!r}", f"{card!r}", n_t])
 
 
@@ -180,7 +154,8 @@ def _emit_table(
     print(f"{'metric':8} {'total':>14} {'loc':>14} {'card':>14}", file=out)
     for res in results:
         print(
-            f"{res.name:8} {res.total:14.6f} {res.loc:14.6f} {res.card:14.6f}",
+            f"{res.name:8} {res.report.total:14.6f} {res.report.loc:14.6f} "
+            f"{res.report.card:14.6f}",
             file=out,
         )
         for key, value in res.extra.items():
@@ -189,9 +164,7 @@ def _emit_table(
         print(file=out)
         print(f"{'t':>4} {'metric':8} {'total':>14} {'loc':>14} {'card':>14} {'n_t':>4}", file=out)
         for res in results:
-            for t, total, loc, card, n_t in res.rows:
-                if at_time is not None and t != at_time:
-                    continue
+            for t, total, loc, card, n_t in res.rows(at_time):
                 print(
                     f"{t:4d} {res.name:8} {total:14.6f} {loc:14.6f} {card:14.6f} {n_t:4d}",
                     file=out,
@@ -244,12 +217,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
             },
             "metrics": {
                 res.name: {
-                    "total": res.total,
-                    "loc": res.loc,
-                    "card": res.card,
+                    "total": res.report.total,
+                    "loc": res.report.loc,
+                    "card": res.report.card,
                     "per_time": [
                         {"t": t, "total": tt, "loc": ll, "card": cc, "n_t": nn}
-                        for t, tt, ll, cc, nn in res.rows
+                        for t, tt, ll, cc, nn in res.rows()
                     ],
                     "assignment": res.assignment_text,
                     **res.extra,

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -204,12 +204,27 @@ class MetricParams:
         return self.p if self.p_prime is None else self.p_prime
 
 
+def root_mean(raw: float, count: int, params: MetricParams) -> float:
+    """A raw sum of p-th powers over ``count`` distance slots as a distance:
+    the p-th root of its mean, zero where there are no slots.  Every value of
+    every metric comes from here.  The form ``c * (raw / (count * c**p)) **
+    (1/p)`` gives exactly c when every slot is at the cutoff."""
+    c, p = params.c, params.p
+    return c * (raw / (count * c**p)) ** (1.0 / p) if count > 0 else 0.0
+
+
 @dataclass(frozen=True)
 class MetricReport:
-    """Full result of one OSPAMT evaluation.
+    """Full result of one OSPAMT, OSPA or OSPAT evaluation over time.
 
     ``total ** p * n`` equals both ``sum(per_time[t] ** p * n_t[t])`` and
-    ``(loc ** p + card ** p) * n``; ``total <= c`` always.
+    ``(loc ** p + card ** p) * n`` up to rounding.  ``total <= c`` for OSPA,
+    OSPAT and the exact OSPAMT search, up to the rounding of sums over scans
+    with different ``n_t``; the greedy OSPAMT search can exceed c.
+
+    ``assignment`` is an ``Assignment`` (direction, map and orders) for
+    OSPAMT, the global ``OspatAssignment`` pairing for OSPAT, and for OSPA
+    the tuple of per-scan matchings, each scan's ``ScanOspa.pairs``.
     """
 
     total: float
@@ -218,9 +233,22 @@ class MetricReport:
     card: float
     loc_t: tuple[float, ...]
     card_t: tuple[float, ...]
-    assignment: Assignment
+    assignment: object
     n_t: tuple[int, ...]
     n: int
+
+    @classmethod
+    def from_sums(cls, loc_sums: Sequence[float], card_sums: Sequence[float],
+                  n_t: Sequence[int], params: MetricParams, assignment: object) -> MetricReport:
+        """Report of raw per-scan loc and card sums of p-th powers over ``n_t``
+        slots each, all through ``root_mean``: how every metric reports."""
+        n = sum(n_t)
+        (total, per_time), (loc, loc_t), (card, card_t) = (
+            (root_mean(sum(sums), n, params),
+             tuple(root_mean(x, k, params) for x, k in zip(sums, n_t)))
+            for sums in ([x + y for x, y in zip(loc_sums, card_sums)], loc_sums, card_sums)
+        )
+        return cls(total, per_time, loc, card, loc_t, card_t, assignment, tuple(n_t), n)
 
 
 def validate(track_set: TrackSet) -> TrackSet:

@@ -3,7 +3,7 @@
 The distance between two state sets is the p-th order mean of the optimally
 matched, cutoff-capped base distances plus a cutoff penalty per unmatched
 state of the larger set.  Applied scan by scan to two track sets it gives the
-classic per-time evaluation curve.
+classic per-time evaluation curve, and ``report_over_time`` gives the total.
 """
 
 from __future__ import annotations
@@ -16,39 +16,44 @@ import numpy as np
 from .assign import solve_one_to_one
 from .core import (
     MetricParams,
+    MetricReport,
     StateVector,
     TrackSet,
     base_distance,
+    root_mean,
     scan_distances,
 )
 from .errors import DimensionMismatchError
 
 
 @dataclass(frozen=True)
-class OspaResult:
-    """Total distance with its localization/cardinality split.
-
-    ``total ** p == loc ** p + card ** p`` exactly.  ``pairs`` holds the
-    optimal matching as 1-based (x, y) element indices.
-    """
-
-    total: float
-    loc: float
-    card: float
-    pairs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class ScanOspa:
     """OSPA at one scan (OSPAT's labeled score uses it too), with pairs as
-    1-based *track* indices (a, b)."""
+    1-based *track* indices (a, b), or element indices from ``ospa``.
+
+    ``loc_sum`` sums the matched capped distances to the p-th power and
+    ``card_sum`` is ``c ** p`` per unmatched state of the larger side, of
+    size ``n_t``; ``total``, ``loc`` and ``card`` are their ``root_mean``.
+    """
 
     t: int
-    total: float
-    loc: float
-    card: float
+    loc_sum: float
+    card_sum: float
     pairs: tuple[tuple[int, int], ...]
     n_t: int
+    params: MetricParams
+
+    @property
+    def total(self) -> float:
+        return root_mean(self.loc_sum + self.card_sum, self.n_t, self.params)
+
+    @property
+    def loc(self) -> float:
+        return root_mean(self.loc_sum, self.n_t, self.params)
+
+    @property
+    def card(self) -> float:
+        return root_mean(self.card_sum, self.n_t, self.params)
 
 
 def ospa_at_scan(
@@ -68,30 +73,25 @@ def ospa_at_scan(
     ib = np.flatnonzero(exists_b).tolist()
     m, n = len(ia), len(ib)
     k = max(m, n)
-    if k == 0:
-        return ScanOspa(t, 0.0, 0.0, 0.0, (), 0)
-    p, c = params.p, params.c
+    cp = params.c**params.p
     if m == 0 or n == 0:
-        return ScanOspa(t, c, 0.0, c, (), k)
-    cost = capped[np.ix_(ia, ib)] ** p
+        return ScanOspa(t, 0.0, cp * k, (), k, params)
+    cost = capped[np.ix_(ia, ib)] ** params.p
     if m <= n:
         pi, loc_sum = solve_one_to_one(cost)
         pairs = [(ia[i], ib[j]) for i, j in enumerate(pi)]
     else:
         pi, loc_sum = solve_one_to_one(cost.T)
         pairs = [(ia[j], ib[i]) for i, j in enumerate(pi)]
-    unmatched = k - min(m, n)
-    loc = (loc_sum / k) ** (1.0 / p)
-    card = (c**p * unmatched / k) ** (1.0 / p)
-    total = ((loc_sum + c**p * unmatched) / k) ** (1.0 / p)
     pairs = tuple(sorted((i + 1, j + 1) for i, j in pairs))
-    return ScanOspa(t, total, loc, card, pairs, k)
+    return ScanOspa(t, loc_sum, cp * (k - min(m, n)), pairs, k, params)
 
 
 def ospa(
     xs: Sequence[StateVector], ys: Sequence[StateVector], params: MetricParams
-) -> OspaResult:
-    """OSPA distance between two finite sets of state vectors."""
+) -> ScanOspa:
+    """OSPA distance between two finite sets of state vectors, as the one
+    scan ``t = 1`` with ``pairs`` holding 1-based (x, y) element indices."""
     dims = {len(x) for x in xs} | {len(y) for y in ys}
     if len(dims) > 1:
         raise DimensionMismatchError(f"mixed state dimensions {sorted(dims)}")
@@ -100,8 +100,7 @@ def ospa(
     if m and n:
         d = base_distance(np.array(xs)[:, None, :], np.array(ys)[None, :, :], params)
         capped = np.minimum(d, params.c)
-    res = ospa_at_scan(capped, np.ones(m, bool), np.ones(n, bool), 1, params)
-    return OspaResult(res.total, res.loc, res.card, res.pairs)
+    return ospa_at_scan(capped, np.ones(m, bool), np.ones(n, bool), 1, params)
 
 
 def ospa_per_scan(
@@ -119,3 +118,15 @@ def ospa_per_scan(
         ospa_at_scan(capped[:, :, t], a.exists[:, t], b.exists[:, t], t + 1, params)
         for t in range(a.scans)
     ]
+
+
+def report_over_time(
+    rows: Sequence[ScanOspa], params: MetricParams, assignment: object
+) -> MetricReport:
+    """OSPA or OSPAT over time from the rows of ``ospa_per_scan`` or
+    ``ospat_per_scan``; ``assignment`` is what the report holds: the per-scan
+    ``pairs`` for OSPA, the global pairing for OSPAT."""
+    return MetricReport.from_sums(
+        [r.loc_sum for r in rows], [r.card_sum for r in rows], [r.n_t for r in rows],
+        params, assignment,
+    )

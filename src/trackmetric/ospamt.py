@@ -35,6 +35,7 @@ from .core import (
     base_distance,
     check_comparable,
     count_distances,
+    root_mean,
     scan_distances,
 )
 from .errors import InfeasibleAssignmentError, NoConvergenceError, TooLargeError
@@ -163,13 +164,6 @@ def directional_terms(
     )
 
 
-def _root_mean(raw: float, count: int, p: float) -> float:
-    """A raw sum over ``count`` distance slots as a distance: the p-th root
-    of its mean, zero where there are no slots.  Every OSPAMT value of two
-    nonempty sets, overall or per scan, comes from here."""
-    return (raw / count) ** (1.0 / p) if count > 0 else 0.0
-
-
 def directional_cost(
     src: TrackSet,
     tgt: TrackSet,
@@ -191,7 +185,7 @@ def directional_cost(
         )
     _, n = count_distances(src, tgt)
     breakdown = directional_terms(src, tgt, orders, params)
-    return _root_mean(sum(breakdown.total_t), n, params.p)
+    return root_mean(sum(breakdown.total_t), n, params)
 
 
 @lru_cache(maxsize=16)
@@ -367,7 +361,7 @@ def directional_distance(
     engine = _DirectionalEngine(src, tgt, params)
     orders = engine.best_orders(lam)
     breakdown = directional_terms(src, tgt, orders, params)
-    return _root_mean(sum(breakdown.total_t), engine.n, params.p), breakdown, orders
+    return root_mean(sum(breakdown.total_t), engine.n, params), breakdown, orders
 
 
 def _quasi_greedy(
@@ -403,32 +397,22 @@ def quasi_ospamt(
     the localization/cardinality split and the assignment that attains it,
     which maps source indices into {0} + target indices; ``direction`` only
     records which roles the caller gave the two sets.  The distance is
-    exactly zero when both sets are empty and exactly the cutoff, all of it
-    cardinality, when only one is.  ``dist`` is
+    zero when both sets are empty; when only one is, every distance slot
+    pays the cutoff, all of it cardinality.  ``dist`` is
     ``scan_distances(tgt, src, params)`` when the caller already has it;
     otherwise it is built here when the search needs it.
     """
     check_comparable(src, tgt)
-    n_t, n = count_distances(src, tgt)
     if not src.tracks or not tgt.tracks:
-        c = params.c if src.tracks or tgt.tracks else 0.0
-        per_time = tuple(c if nt > 0 else 0.0 for nt in n_t)
-        zeros = (0.0,) * src.scans
-        assignment = Assignment(direction, (0,) * len(src.tracks), ((),) * len(tgt.tracks))
-        return MetricReport(c, per_time, 0.0, c, zeros, per_time, assignment, n_t, n)
-    mode = resolve_mode(mode, len(src.tracks) + len(tgt.tracks), cap)
-    if mode is Mode.EXACT:
+        lam, orders = (0,) * len(src.tracks), ((),) * len(tgt.tracks)
+    elif resolve_mode(mode, len(src.tracks) + len(tgt.tracks), cap) is Mode.EXACT:
         lam, orders = _DirectionalEngine(src, tgt, params, dist).search_exact(cap)
     else:
         lam, orders = _quasi_greedy(src, tgt, params, dist)
-    breakdown = directional_terms(src, tgt, orders, params)
-    raws = (breakdown.total_t, breakdown.loc_t, breakdown.card_t)
-    total, loc, card = (_root_mean(sum(raw), n, params.p) for raw in raws)
-    per_time, loc_t, card_t = (
-        tuple(_root_mean(x, nt, params.p) for x, nt in zip(raw, n_t)) for raw in raws
-    )
+    terms = directional_terms(src, tgt, orders, params)
+    n_t, _ = count_distances(src, tgt)
     assignment = Assignment(direction, lam, orders)
-    return MetricReport(total, per_time, loc, card, loc_t, card_t, assignment, n_t, n)
+    return MetricReport.from_sums(terms.loc_t, terms.card_t, n_t, params, assignment)
 
 
 def ospamt_metric(

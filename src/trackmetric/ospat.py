@@ -18,6 +18,7 @@ import numpy as np
 
 from .assign import solve_one_to_one
 from .core import MetricParams, TrackSet, base_distance, check_comparable, scan_distances
+from .errors import BadParametersError
 from .ospa import ScanOspa, ospa_at_scan
 
 
@@ -126,10 +127,12 @@ def ospat_at_time(
     t: int,
     params: MetricParams,
 ) -> ScanOspa:
-    """OSPA minimization over the labeled states existing at scan t; only
-    that scan's distances are computed."""
+    """OSPA minimization over the labeled states existing at scan t, which
+    must lie in 1..T; only that scan's distances are computed."""
     a, b = labeled_a.tracks, labeled_b.tracks
     check_comparable(a, b)
+    if not 1 <= t <= a.scans:
+        raise BadParametersError(f"scan {t} outside 1..{a.scans}")
     d = base_distance(a.states[:, None, t - 1 : t], b.states[None, :, t - 1 : t], params)
     capped = _labeled_distances(d, labeled_a, labeled_b, params)[:, :, 0]
     return ospa_at_scan(capped, a.exists[:, t - 1], b.exists[:, t - 1], t, params)

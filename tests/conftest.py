@@ -3,6 +3,9 @@ import random
 import pytest
 
 from trackmetric.core import MetricParams, Track, TrackSet, validate
+from trackmetric.ospa import ospa_per_scan, report_over_time
+from trackmetric.ospamt import Mode, ospamt_metric
+from trackmetric.ospat import ospat_per_scan
 
 
 @pytest.fixture
@@ -32,6 +35,19 @@ def random_small_set(
         }
         tracks.append(Track(pts))
     return validate(TrackSet(scans, 1, tuple(tracks)))
+
+
+def library_reports(a, b, params, mode=Mode.AUTO):
+    """The OSPAMT, OSPA and OSPAT library reports of one pair, with the
+    per-scan rows behind the OSPA and OSPAT ones."""
+    ospa_rows = ospa_per_scan(a, b, params)
+    ospat_rows, pairing = ospat_per_scan(a, b, params)
+    reports = {
+        "ospamt": ospamt_metric(a, b, params, mode),
+        "ospa": report_over_time(ospa_rows, params, tuple(r.pairs for r in ospa_rows)),
+        "ospat": report_over_time(ospat_rows, params, pairing),
+    }
+    return reports, {"ospa": ospa_rows, "ospat": ospat_rows}
 
 
 def shuffled_copy(rng: random.Random, ts: TrackSet) -> TrackSet:

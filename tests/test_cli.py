@@ -5,10 +5,11 @@ import math
 
 import pytest
 
+from conftest import library_reports
 from trackmetric.cli import main
-from trackmetric.core import TrackSet, make_track, validate
+from trackmetric.core import MetricParams, TrackSet, make_track, validate
 from trackmetric.io import load_track_set, save_track_set
-from trackmetric.scenarios import FigureId, ScenarioSpec, build
+from trackmetric.scenarios import FigureId, ScenarioSpec, build, random_scenario
 
 
 def run(capsys, *argv):
@@ -250,6 +251,37 @@ def test_csv_structure_and_partition(tmp_path, capsys):
         for row in mrows:
             total, loc, card = (float(row[k]) for k in ("total", "loc", "card"))
             assert total**2 == pytest.approx(loc**2 + card**2, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        ((), MetricParams()),
+        (("--p", "2.5", "--c", "10", "--delta", "1", "--alpha", "1"),
+         MetricParams(p=2.5, c=10.0, delta=1.0, alpha=1.0)),
+        (("--p", "3", "--p-prime", "1.5", "--scale", "2,0.5"),
+         MetricParams(p=3.0, p_prime=1.5, scale=(2.0, 0.5))),
+    ],
+)
+def test_json_values_are_the_library_reports(tmp_path, capsys, argv, params):
+    for seed in range(6):
+        truth, est = tmp_path / "truth.json", tmp_path / "est.json"
+        for path, ts in zip((truth, est), random_scenario(
+            seed, n_truth=3, scans=8, miss_rate=0.2, false_rate=0.4, break_rate=0.4, noise=4.0
+        )):
+            save_track_set(ts, path)
+        code, out, _ = run(
+            capsys, "compute", str(truth), str(est), "--metric", "all", "--output", "json", *argv
+        )
+        assert code == 0
+        doc = json.loads(out)["metrics"]
+        reports, _ = library_reports(load_track_set(truth), load_track_set(est), params)
+        for name, report in reports.items():
+            got = doc[name]
+            assert (got["total"], got["loc"], got["card"]) == (report.total, report.loc, report.card)
+            assert [(r["total"], r["loc"], r["card"], r["n_t"]) for r in got["per_time"]] == list(
+                zip(report.per_time, report.loc_t, report.card_t, report.n_t)
+            )
 
 
 def test_unknown_figure_exit_4(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_small_set, shuffled_copy
+from conftest import library_reports, random_small_set, shuffled_copy
 from oracles import (
     _feasible,
     enumerate_assignments,
@@ -349,25 +349,51 @@ def test_report_consistency_identities(mode, params):
     for _ in range(40):
         a = random_small_set(rng)
         b = random_small_set(rng)
-        report = ospamt_metric(a, b, params, mode)
-        assert report.total <= params.c + 1e-12
-        lhs = report.total**p * report.n
-        per_time = sum(
-            v**p * nt for v, nt in zip(report.per_time, report.n_t)
-        )
-        assert lhs == pytest.approx(per_time, rel=1e-9, abs=1e-9)
-        split = (report.loc**p + report.card**p) * report.n
-        assert lhs == pytest.approx(split, rel=1e-9, abs=1e-9)
-        for tot, loc, card in zip(report.per_time, report.loc_t, report.card_t):
-            assert tot**p == pytest.approx(loc**p + card**p, rel=1e-9, abs=1e-9)
+        reports, scan_rows = library_reports(a, b, params, mode)
+        for report in reports.values():
+            assert report.total <= params.c + 1e-12
+            lhs = report.total**p * report.n
+            per_time = sum(
+                v**p * nt for v, nt in zip(report.per_time, report.n_t)
+            )
+            assert lhs == pytest.approx(per_time, rel=1e-9, abs=1e-9)
+            split = (report.loc**p + report.card**p) * report.n
+            assert lhs == pytest.approx(split, rel=1e-9, abs=1e-9)
+            for tot, loc, card in zip(report.per_time, report.loc_t, report.card_t):
+                assert tot**p == pytest.approx(loc**p + card**p, rel=1e-9, abs=1e-9)
+        # the OSPA and OSPAT reports hold their scans' rows exactly
+        for name, rows in scan_rows.items():
+            report = reports[name]
+            assert [(r.total, r.loc, r.card, r.n_t) for r in rows] == list(
+                zip(report.per_time, report.loc_t, report.card_t, report.n_t)
+            )
+        assert reports["ospa"].assignment == tuple(r.pairs for r in scan_rows["ospa"])
         # map and orders describe the same assignment
-        asg = report.assignment
+        asg = reports["ospamt"].assignment
         for j, i in enumerate(asg.source_to_target, start=1):
             if i != 0:
                 assert asg.orders[i - 1].count(j) == 1
         for i, order in enumerate(asg.orders, start=1):
             for j in order:
                 assert asg.source_to_target[j - 1] == i
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 7.0])
+@pytest.mark.parametrize("c", [0.3, 3.0, 6.0, 7.0, 10.0, 20.0, 80.0])
+def test_every_slot_at_the_cutoff_reads_exactly_the_cutoff(p, c):
+    # one truth at scan 1, one estimate at scan 2: every distance slot pays c,
+    # so every value is exactly c, though (c**p * k / k) ** (1/p) can round above it
+    penalty = min(1.0, c / 2)
+    params = MetricParams(p=p, c=c, delta=penalty, alpha=penalty)
+    truth = validate(TrackSet(2, 1, (make_track({1: 0.0}, "t1"),)))
+    est = validate(TrackSet(2, 1, (make_track({2: 0.0}, "e1"),)))
+    reports, scan_rows = library_reports(truth, est, params)
+    for name, report in reports.items():
+        assert (report.total, report.loc, report.card) == (c, 0.0, c), name
+        assert report.per_time == report.card_t == (c, c), name
+        assert report.loc_t == (0.0, 0.0), name
+    for rows in scan_rows.values():
+        assert [(r.total, r.loc, r.card) for r in rows] == [(c, 0.0, c)] * 2
 
 
 def test_exact_matches_oracle_spot():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from trackmetric.core import MetricParams, TrackSet, make_track, validate
+from trackmetric.errors import BadParametersError
 from trackmetric.ospat import (
     LabeledTrackSet,
     ospat_at_time,
@@ -197,6 +198,17 @@ def test_at_time_empty_scan():
     la, lb = ospat_label(ts, ts, ospat_reorder(ts, ts, params))
     row = ospat_at_time(la, lb, 2, params)
     assert row.total == 0.0 and row.n_t == 0
+
+
+@pytest.mark.parametrize("t", [0, 4, -1])
+def test_at_time_rejects_scans_outside_the_window(t):
+    # a 3-scan pair: 0 and 4 raised a bare IndexError, -1 scored scan 2
+    params = MetricParams()
+    a = validate(TrackSet(3, 1, (make_track({1: 0.0, 2: 1.0, 3: 2.0}),)))
+    b = validate(TrackSet(3, 1, (make_track({2: 1.5, 3: 2.5}),)))
+    la, lb = ospat_label(a, b, ospat_reorder(a, b, params))
+    with pytest.raises(BadParametersError, match="outside 1..3"):
+        ospat_at_time(la, lb, t, params)
 
 
 # ------------------------------------------------------------------ global

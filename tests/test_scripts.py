@@ -1,10 +1,12 @@
-"""The scripts under scripts/ run against the current API.
+"""The scripts under scripts/ and the README's examples run against the
+current API.
 
 Each script is run in-process as ``__main__`` with a small argument list;
 it must exit 0 and print its header line first.
 """
 
 import json
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -35,6 +37,14 @@ def test_script_runs(monkeypatch, capsys, script, args, header):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == header
     assert len(lines) > 1
+
+
+def test_readme_python_blocks_run():
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def canned_run(seed, p50, src_lines, layers=None):
