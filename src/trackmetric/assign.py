@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 #: Sentinel for forbidden pairs in cost matrices.
 INFEASIBLE = math.inf
 
-#: Default cap on total track count for the exact search.
+#: Cap on total track count for the exact search.
 ENUMERATION_CAP = 10
 
 _REL_TOL = 1e-9
@@ -39,8 +39,6 @@ class ManyToOneResult:
     """
 
     order_matrix: np.ndarray
-    unassigned_rows: tuple[int, ...]
-    unassigned_cols: tuple[int, ...]
     d1: np.ndarray
     d2: np.ndarray
     d3: np.ndarray
@@ -64,9 +62,7 @@ def greedy_many_to_one(d: np.ndarray, cutoff_row_col_value: float) -> ManyToOneR
     m, n = d.shape
     order = np.zeros((m, n), dtype=int)
     if m == 0 or n == 0:
-        return ManyToOneResult(
-            order, tuple(range(m)), tuple(range(n)), d.copy(), d.copy(), d.copy()
-        )
+        return ManyToOneResult(order, d.copy(), d.copy(), d.copy())
 
     # _close written out as math.isclose computes it: an infinite gap is
     # never close, so INFEASIBLE entries are useless on their own test
@@ -103,9 +99,7 @@ def greedy_many_to_one(d: np.ndarray, cutoff_row_col_value: float) -> ManyToOneR
             work[i, jj] = INFEASIBLE
             work[:, jj] = INFEASIBLE
 
-    unassigned_rows = tuple(i for i in range(m) if not order[i, :].any())
-    unassigned_cols = tuple(j for j in range(n) if not order[:, j].any())
-    return ManyToOneResult(order, unassigned_rows, unassigned_cols, d1, d2, d3)
+    return ManyToOneResult(order, d1, d2, d3)
 
 
 def _reduced_costs(dd: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 Subcommands: ``compute`` scores a truth/estimate file pair, ``scenario``
 writes the study scenarios (or a seeded random one) as track-set files,
 ``split`` breaks estimated tracks covering several truths, and ``selftest``
-replays the golden tables.  Exit codes: 0 ok, 2 parse error, 3 validation
+replays the golden table.  Exit codes: 0 ok, 2 parse error, 3 validation
 error, 4 configuration error, 5 split non-convergence.
 
 ``compute`` prints each metric's library ``MetricReport``: every summary
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ from .ospa import ospa_per_scan, report_over_time
 from .ospamt import Mode, ospamt_metric, split_tracks
 from .ospat import ospat_global, ospat_per_scan
 from .scenarios import FigureId, Scenario, ScenarioSpec, build, random_scenario
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -116,8 +114,13 @@ _EVALUATORS = {"ospa": _eval_ospa, "ospat": _eval_ospat, "ospamt": _eval_ospamt}
 
 def _params_from_args(args: argparse.Namespace) -> MetricParams:
     scale = None
-    if args.scale:
-        scale = tuple(float(v) for v in args.scale.split(","))
+    if args.scale is not None:
+        try:
+            scale = tuple(float(v) for v in args.scale.split(","))
+        except ValueError:
+            raise BadParametersError(
+                f"--scale takes comma-separated numbers, got {args.scale!r}"
+            ) from None
     return MetricParams(
         p=args.p,
         c=args.c,
@@ -126,14 +129,6 @@ def _params_from_args(args: argparse.Namespace) -> MetricParams:
         p_prime=args.p_prime,
         scale=scale,
     )
-
-
-def _mode_from_args(args: argparse.Namespace) -> Mode:
-    value = args.mode or os.environ.get("TRACKMETRIC_MODE") or "auto"
-    try:
-        return Mode(value)
-    except ValueError:
-        raise BadParametersError(f"unknown mode {value!r}") from None
 
 
 def _emit_csv(results: list[MetricRows], at_time: int | None, out) -> None:
@@ -194,7 +189,7 @@ def _load_pair(args: argparse.Namespace, params: MetricParams) -> tuple[TrackSet
 
 def cmd_compute(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    mode = _mode_from_args(args)
+    mode = Mode(args.mode)
     truth, est = _load_pair(args, params)
     if args.at_time is not None and not (1 <= args.at_time <= truth.scans):
         raise BadParametersError(
@@ -278,7 +273,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    mode = _mode_from_args(args)
+    mode = Mode(args.mode)
     truth, est = _load_pair(args, params)
     new_est, log = split_tracks(truth, est, params, mode=mode)
     save_track_set(new_est, args.out)
@@ -295,7 +290,9 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    return EXIT_OK if run_selftest(verbose=True) else 1
+    from .selftest import run_selftest  # imported here so other commands skip the table
+
+    return EXIT_OK if run_selftest() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="base norm order (defaults to p)")
         p.add_argument("--scale", type=str, default=None,
                        help="comma-separated per-dimension scale factors")
-        p.add_argument("--mode", choices=[m.value for m in Mode], default=None,
-                       help="assignment search mode (default auto; env TRACKMETRIC_MODE)")
+        p.add_argument("--mode", choices=[m.value for m in Mode], default="auto",
+                       help="assignment search mode (default auto)")
 
     comp = sub.add_parser("compute", help="score an estimate file against a truth file")
     comp.add_argument("truth")

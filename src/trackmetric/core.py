@@ -35,7 +35,7 @@ class Track:
     """One target trajectory: existing scans mapped to state vectors.
 
     ``label`` is carried for reporting only; it plays no role in any
-    distance or in equality of track sets.
+    distance.
     """
 
     points: Mapping[int, StateVector]
@@ -48,9 +48,6 @@ class Track:
     def exists_at(self, t: int) -> bool:
         return t in self.points
 
-    def state_at(self, t: int) -> StateVector | None:
-        return self.points.get(t)
-
     @property
     def first_scan(self) -> int:
         return min(self.points)
@@ -58,10 +55,6 @@ class Track:
     @property
     def last_scan(self) -> int:
         return max(self.points)
-
-    def key(self) -> tuple:
-        """Canonical value used to compare tracks as mathematical objects."""
-        return tuple(sorted(self.points.items()))
 
 
 @dataclass(frozen=True)
@@ -77,9 +70,6 @@ class TrackSet:
 
     def __len__(self) -> int:
         return len(self.tracks)
-
-    def states_at(self, t: int) -> list[StateVector]:
-        return [trk.points[t] for trk in self.tracks if t in trk.points]
 
     @cached_property
     def states(self) -> np.ndarray:
@@ -104,19 +94,6 @@ class TrackSet:
         """Label of 1-based track ``index``, falling back to T<index>."""
         trk = self.tracks[index - 1]
         return trk.label if trk.label is not None else f"T{index}"
-
-    def as_multiset(self) -> tuple:
-        """Order-free canonical form (labels ignored)."""
-        return tuple(sorted(trk.key() for trk in self.tracks))
-
-
-def same_track_sets(a: TrackSet, b: TrackSet) -> bool:
-    """Equality as multisets of tracks, ignoring order and labels."""
-    return (
-        a.scans == b.scans
-        and a.state_dim == b.state_dim
-        and a.as_multiset() == b.as_multiset()
-    )
 
 
 class Direction(Enum):
@@ -145,9 +122,6 @@ class Assignment:
 
     def unassigned_sources(self) -> tuple[int, ...]:
         return tuple(j + 1 for j, i in enumerate(self.source_to_target) if i == 0)
-
-    def unassigned_targets(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, order in enumerate(self.orders) if not order)
 
 
 @dataclass(frozen=True)

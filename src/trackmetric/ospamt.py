@@ -49,10 +49,10 @@ class Mode(Enum):
     AUTO = "auto"
 
 
-def resolve_mode(mode: Mode | str, total_tracks: int, cap: int = ENUMERATION_CAP) -> Mode:
+def resolve_mode(mode: Mode | str, total_tracks: int) -> Mode:
     mode = Mode(mode)
     if mode is Mode.AUTO:
-        return Mode.EXACT if total_tracks <= cap else Mode.GREEDY
+        return Mode.EXACT if total_tracks <= ENUMERATION_CAP else Mode.GREEDY
     return mode
 
 
@@ -305,7 +305,7 @@ class _DirectionalEngine:
             placed |= 1 << r
         return tuple(order)
 
-    def search_exact(self, cap: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    def search_exact(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """Minimize over every assignment, orders optimized per preimage.
 
         A forward DP per target prices every subset of the sources as a
@@ -315,9 +315,9 @@ class _DirectionalEngine:
         """
         m = len(self.src.tracks)
         k = len(self.tgt.tracks)
-        if m + k > cap:
+        if m + k > ENUMERATION_CAP:
             raise TooLargeError(
-                f"{m}+{k} tracks exceeds the enumeration cap of {cap}"
+                f"{m}+{k} tracks exceeds the enumeration cap of {ENUMERATION_CAP}"
             )
         w = _placement_costs(self.coexist, self.gain, self.dp)
         g = np.zeros(w.shape[:2])
@@ -387,7 +387,6 @@ def quasi_ospamt(
     tgt: TrackSet,
     params: MetricParams,
     mode: Mode | str = Mode.AUTO,
-    cap: int = ENUMERATION_CAP,
     direction: Direction = Direction.EST_TO_TRUTH,
     dist: np.ndarray | None = None,
 ) -> MetricReport:
@@ -405,8 +404,8 @@ def quasi_ospamt(
     check_comparable(src, tgt)
     if not src.tracks or not tgt.tracks:
         lam, orders = (0,) * len(src.tracks), ((),) * len(tgt.tracks)
-    elif resolve_mode(mode, len(src.tracks) + len(tgt.tracks), cap) is Mode.EXACT:
-        lam, orders = _DirectionalEngine(src, tgt, params, dist).search_exact(cap)
+    elif resolve_mode(mode, len(src.tracks) + len(tgt.tracks)) is Mode.EXACT:
+        lam, orders = _DirectionalEngine(src, tgt, params, dist).search_exact()
     else:
         lam, orders = _quasi_greedy(src, tgt, params, dist)
     terms = directional_terms(src, tgt, orders, params)
@@ -420,7 +419,6 @@ def ospamt_metric(
     b: TrackSet,
     params: MetricParams,
     mode: Mode | str = Mode.AUTO,
-    cap: int = ENUMERATION_CAP,
     dist: np.ndarray | None = None,
 ) -> MetricReport:
     """OSPAMT distance between truth set ``a`` and estimate set ``b``.
@@ -434,11 +432,13 @@ def ospamt_metric(
     """
     if dist is None:
         dist = scan_distances(a, b, params)
-    est = quasi_ospamt(b, a, params, mode, cap, Direction.EST_TO_TRUTH, dist)
-    tru = quasi_ospamt(
-        a, b, params, mode, cap, Direction.TRUTH_TO_EST, dist.transpose(1, 0, 2)
-    )
+    est = quasi_ospamt(b, a, params, mode, Direction.EST_TO_TRUTH, dist)
+    tru = quasi_ospamt(a, b, params, mode, Direction.TRUTH_TO_EST, dist.transpose(1, 0, 2))
     return est if est.total < tru.total or _close(est.total, tru.total) else tru
+
+
+#: Rounds of cutting after which ``split_tracks`` gives up.
+SPLIT_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -494,8 +494,6 @@ def split_tracks(
     est: TrackSet,
     params: MetricParams,
     mode: Mode | str = Mode.AUTO,
-    cap: int = ENUMERATION_CAP,
-    max_iterations: int = 100,
 ) -> tuple[TrackSet, list[SplitLogEntry]]:
     """Split estimated tracks that stand in for several truth tracks.
 
@@ -503,15 +501,15 @@ def split_tracks(
     tracks to one estimated track, that track is cut at the boundaries of
     the truth lifetimes and the assignment is recomputed.  The track count
     grows on every round, so this terminates unless the overlap pattern
-    never untangles, which raises NoConvergenceError at the iteration cap.
+    never untangles, which raises NoConvergenceError after ``SPLIT_ROUNDS``.
     """
     check_comparable(truth, est)
     log: list[SplitLogEntry] = []
     current = est
-    for _ in range(max_iterations):
+    for _ in range(SPLIT_ROUNDS):
         if not truth.tracks or not current.tracks:
             return current, log
-        assignment = quasi_ospamt(truth, current, params, mode, cap).assignment
+        assignment = quasi_ospamt(truth, current, params, mode).assignment
         multi = [
             i
             for i, order in enumerate(assignment.orders, start=1)
@@ -549,5 +547,5 @@ def split_tracks(
             )
         current = TrackSet(current.scans, current.state_dim, tuple(new_tracks))
     raise NoConvergenceError(
-        f"splitting did not reach a one-to-one assignment in {max_iterations} rounds"
+        f"splitting did not reach a one-to-one assignment in {SPLIT_ROUNDS} rounds"
     )

@@ -201,6 +201,10 @@ def random_scenario(
                        ("break_rate", break_rate)):
         if not (0.0 <= rate <= 1.0):
             raise BadParametersError(f"{name} must lie in [0, 1], got {rate}")
+    if scans < 1 or n_truth < 0 or not noise >= 0.0:
+        raise BadParametersError(
+            f"need scans >= 1, n_truth >= 0, noise >= 0; got {scans}, {n_truth}, {noise}"
+        )
     rng = random.Random(seed)
     truth_tracks: list[Track] = []
     for k in range(n_truth):

@@ -6,6 +6,7 @@ from trackmetric.core import MetricParams, Track, TrackSet, validate
 from trackmetric.ospa import ospa_per_scan, report_over_time
 from trackmetric.ospamt import Mode, ospamt_metric
 from trackmetric.ospat import ospat_per_scan
+from trackmetric.selftest import GOLDEN
 
 
 @pytest.fixture
@@ -48,6 +49,25 @@ def library_reports(a, b, params, mode=Mode.AUTO):
         "ospat": report_over_time(ospat_rows, params, pairing),
     }
     return reports, {"ospa": ospa_rows, "ospat": ospat_rows}
+
+
+def golden(criterion: str, key: str, p: float = 1.0):
+    """A worked value of the paper, read from the golden table."""
+    return GOLDEN[criterion].want(MetricParams(p=p))[key]
+
+
+def same_track_sets(a: TrackSet, b: TrackSet) -> bool:
+    """Equality as multisets of tracks, ignoring order and labels."""
+
+    def multiset(ts: TrackSet) -> list:
+        return sorted(sorted(trk.points.items()) for trk in ts.tracks)
+
+    return (a.scans, a.state_dim, multiset(a)) == (b.scans, b.state_dim, multiset(b))
+
+
+def states_at(ts: TrackSet, t: int) -> list:
+    """The states of every track of ``ts`` that exists at scan ``t``."""
+    return [trk.points[t] for trk in ts.tracks if t in trk.points]
 
 
 def shuffled_copy(rng: random.Random, ts: TrackSet) -> TrackSet:

@@ -325,8 +325,6 @@ def oracle_greedy_many_to_one(d, cutoff: float) -> dict:
             work[:, jj] = INFEASIBLE
     return {
         "order_matrix": order,
-        "unassigned_rows": tuple(i for i in range(m) if not order[i].any()),
-        "unassigned_cols": tuple(j for j in range(n) if not order[:, j].any()),
         "d1": d1,
         "d2": d2,
         "d3": d3,

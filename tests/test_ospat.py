@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import golden
 from trackmetric.core import MetricParams, TrackSet, make_track, validate
 from trackmetric.errors import BadParametersError
 from trackmetric.ospat import (
@@ -104,11 +105,9 @@ def test_label_fig13_depends_on_reference_set():
 
 def test_fig9a_t1_value_and_pairs():
     for p in (1.0, 2.0):
-        params = MetricParams(p=p)
-        e, alpha, c = 1.0, params.alpha, params.c
-        sc = fig(FigureId.FIG9A, epsilon=e)
-        rows, _ = ospat_per_scan(sc.truth, sc.est, params)
-        want = min((alpha**p + e**p) ** (1 / p), c)
+        sc = fig(FigureId.FIG9A)
+        rows, _ = ospat_per_scan(sc.truth, sc.est, MetricParams(p=p))
+        want = golden("03_table1_fig9", "fig9a ospat", p)
         assert rows[0].total == pytest.approx(want, rel=1e-9)
         assert rows[0].pairs == ((1, 2), (2, 1))
 

@@ -1,6 +1,7 @@
 import pytest
 
-from trackmetric.core import count_distances, same_track_sets, validate
+from conftest import same_track_sets
+from trackmetric.core import count_distances, validate
 from trackmetric.errors import BadParametersError
 from trackmetric.core import MetricParams
 from trackmetric.ospamt import Mode, ospamt_metric
