@@ -4,7 +4,7 @@ Two ways of pairing tracks live here: the greedy matrix pipeline that scans
 a cost matrix through row minima, column minima, a merge and an ordering
 sweep, and a minimum-cost one-to-one solver used by the per-scan metrics.
 The exact many-to-one search is a subset DP in ``ospamt``; this module holds
-its enumeration cap and the tie tolerance every search shares.
+its enumeration cap and the tie rule every search shares.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ INFEASIBLE = math.inf
 #: Cap on total track count for the exact search.
 ENUMERATION_CAP = 10
 
-_REL_TOL = 1e-9
-_ABS_TOL = 1e-12
-
-
-def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
+#: Tie rule of every search: a candidate ties with the best when it is at
+#: most ``TIE`` times the problem's own scale above it, so a tie never
+#: depends on the unit the states are written in.
+TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,11 +45,12 @@ class ManyToOneResult:
 def greedy_many_to_one(d: np.ndarray, cutoff_row_col_value: float) -> ManyToOneResult:
     """Greedy many-to-one assignment via the D -> D1 -> D2 -> D3 -> D4 sweep.
 
-    Rows or columns whose entries all sit at the cutoff (or are INFEASIBLE)
-    belong to missed or false tracks and are dropped first.  D1 keeps only
-    each row's minima, D2 each column's minima, D3 merges the two, and the
-    final sweep repeatedly pops the global minimum of D3, numbers it, then
-    numbers the remaining finite entries of its row by increasing value.
+    Rows or columns whose entries all sit within ``TIE`` times the cutoff
+    of it (or are INFEASIBLE) belong to missed or false tracks and are
+    dropped first.  D1 keeps only each row's minima, D2 each column's
+    minima, D3 merges the two, and the final sweep repeatedly pops the
+    global minimum of D3, numbers it, then numbers the remaining finite
+    entries of its row by increasing value.
     Every assigned column is closed so no source is ever used twice.  The
     sweep expands along rows only; expanding along columns instead would
     build the opposite many-to-one direction and is not done here.
@@ -64,12 +63,8 @@ def greedy_many_to_one(d: np.ndarray, cutoff_row_col_value: float) -> ManyToOneR
     if m == 0 or n == 0:
         return ManyToOneResult(order, d.copy(), d.copy(), d.copy())
 
-    # _close written out as math.isclose computes it: an infinite gap is
-    # never close, so INFEASIBLE entries are useless on their own test
     cut = cutoff_row_col_value
-    gap = np.abs(d - cut)
-    close = gap <= np.maximum(_REL_TOL * np.maximum(np.abs(d), abs(cut)), _ABS_TOL)
-    useless = (d == INFEASIBLE) | (np.isfinite(gap) & close)
+    useless = (d == INFEASIBLE) | (np.abs(d - cut) <= TIE * cut)
     live = d.copy()
     live[useless.all(axis=1), :] = INFEASIBLE
     live[:, useless.all(axis=0)] = INFEASIBLE
@@ -159,8 +154,9 @@ def solve_one_to_one(d: np.ndarray) -> tuple[tuple[int, ...], float]:
     optimal matchings the lexicographically smallest assignment vector is
     returned: row i takes the smallest free column j such that the fixed
     prefix, ``d[i, j]`` and an optimal completion of the remaining rows
-    total the optimum within tolerance.  INFEASIBLE entries are softened to
-    a large finite penalty so a full matching always exists.
+    total at most the optimum plus ``TIE`` times m times the largest finite
+    entry.  INFEASIBLE entries are softened to a penalty above any finite
+    matching so a full matching always exists.
 
     One Hungarian solve gives the optimum and a witness matching, and
     :func:`_reduced_costs` gives reduced costs ``r >= 0``.  A matching that
@@ -179,17 +175,15 @@ def solve_one_to_one(d: np.ndarray) -> tuple[tuple[int, ...], float]:
         return (), 0.0
     if m > n:
         raise ValueError(f"solve_one_to_one needs m <= n, got {m}x{n}")
-    finite = d[d < INFEASIBLE]
-    big = (float(finite.max()) if finite.size else 1.0) * (m + 1) + 1.0
-    dd = np.where(d < INFEASIBLE, d, big)
+    top = float(d[d < INFEASIBLE].max(initial=0.0)) or 1.0
+    dd = np.where(d < INFEASIBLE, d, top * (m + 1))
+    tol = TIE * top * m
     if m == 1:
         best = float(dd[0].min())
-        tol = _REL_TOL * max(1.0, abs(best))
         return (int(np.argmax(dd[0] <= best + tol)),), best
 
     rows, cols = linear_sum_assignment(dd)
     best = float(dd[rows, cols].sum())
-    tol = _REL_TOL * max(1.0, abs(best))
     r = _reduced_costs(dd, cols)
     # near[i]: row i's columns with r within twice the tolerance, ascending;
     # it always holds the column of the first witness, where r is 0

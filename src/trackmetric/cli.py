@@ -257,16 +257,15 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             figure, epsilon=args.epsilon, eta=args.eta, beta=args.beta, cutoff=args.c
         )
         scenario = build(spec)
-    save_track_set(scenario.truth, args.truth)
-    save_track_set(scenario.est, args.est)
     written = [args.truth, args.est]
     if scenario.alt is not None:
         if not args.alt:
             raise BadParametersError(
                 f"figure {args.figure} defines a third set; pass --alt PATH"
             )
-        save_track_set(scenario.alt, args.alt)
         written.append(args.alt)
+    for track_set, path in zip((scenario.truth, scenario.est, scenario.alt), written):
+        save_track_set(track_set, path)
     print("wrote " + ", ".join(str(w) for w in written))
     return EXIT_OK
 

@@ -17,14 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assign import (
-    _ABS_TOL,
-    _REL_TOL,
-    ENUMERATION_CAP,
-    INFEASIBLE,
-    _close,
-    greedy_many_to_one,
-)
+from .assign import ENUMERATION_CAP, INFEASIBLE, TIE, greedy_many_to_one
 from .core import (
     Assignment,
     Direction,
@@ -253,8 +246,8 @@ class _DirectionalEngine:
     ``(n_bar - 1) * (delta**p + c**p) - n_bar * c**p`` splits the same way,
     into ``delta**p`` per coexisting scan of every source and
     ``-(delta**p + c**p)`` per newly covered scan, so the cost of a placement
-    depends only on P and j.  Ties are decided on ``base + adjustment`` with
-    the tolerances of ``assign._close``.
+    depends only on P and j.  An adjustment ties with the best when it is
+    at most ``TIE * base`` above it.
     """
 
     def __init__(
@@ -280,7 +273,10 @@ class _DirectionalEngine:
 
         A backward DP over the subsets of ``pre`` prices the cheapest
         completion of every placed set; the order then takes, step by step,
-        the smallest source that keeps the total optimal.
+        the smallest source that keeps the total within ``TIE * base`` of the
+        optimum.  What each step spends over the best completion comes out
+        of that slack, and the step's cheapest source spends exactly 0, so
+        some source always fits.
         """
         s = len(pre)
         if s == 1:
@@ -292,16 +288,14 @@ class _DirectionalEngine:
         for masks, flip in reversed(_subset_layers(s)[1][:-1]):
             rest[masks] = (w[masks] + rest[flip]).min(axis=1)
         w, rest = w.tolist(), rest.tolist()
-        best = self.base + rest[0]
         order: list[int] = []
         placed = 0
-        spent = 0.0
+        slack = TIE * self.base
         for _ in range(s):
-            cands = [spent + w[placed][r] + rest[placed | 1 << r] for r in range(s)]
-            lo = min(cands)  # the step minimum qualifies even if rounding fools _close
-            r = next(r for r, v in enumerate(cands) if _close(self.base + v, best) or v <= lo)
+            over = [w[placed][r] + rest[placed | 1 << r] - rest[placed] for r in range(s)]
+            r = next(r for r, v in enumerate(over) if v <= slack)
             order.append(pre[r])
-            spent += w[placed][r]
+            slack -= over[r]
             placed |= 1 << r
         return tuple(order)
 
@@ -311,7 +305,7 @@ class _DirectionalEngine:
         A forward DP per target prices every subset of the sources as a
         preimage.  Every lambda in lexicographic order then costs one sum of
         table lookups, all of them in one vectorized pass, and the first
-        lambda whose objective is close to the minimum wins.
+        lambda within ``TIE * base`` of the minimum wins.
         """
         m = len(self.src.tracks)
         k = len(self.tgt.tracks)
@@ -328,11 +322,7 @@ class _DirectionalEngine:
         apart = (~self.coexist.any(axis=2)).astype(int) @ (1 << cols)
         g[(np.arange(1 << m) & apart[:, None]) != 0] = np.inf
         adj = sum(g_i[masks_i] for g_i, masks_i in zip(g, _preimage_masks(m, k)))
-        total = self.base + adj
-        lo = float(total.min())
-        # the filter keeps a superset of the objectives within _close of lo
-        near = np.flatnonzero(total <= lo + 2 * (_REL_TOL * abs(lo) + _ABS_TOL))
-        idx = next(int(x) for x in near if _close(total[x], lo))
+        idx = int(np.argmax(adj <= adj.min() + TIE * self.base))
         lam = tuple(int(i) for i in np.unravel_index(idx, (k + 1,) * m))
         return lam, self.best_orders(lam)
 
@@ -424,8 +414,8 @@ def ospamt_metric(
     """OSPAMT distance between truth set ``a`` and estimate set ``b``.
 
     The smaller of the two directional reports of ``quasi_ospamt`` wins;
-    when their totals tie within the tolerances of ``assign._close`` the
-    estimate-to-truth direction is reported.  ``dist`` is
+    when the estimate-to-truth total is at most ``TIE * c`` above the other,
+    that direction is reported.  ``dist`` is
     ``scan_distances(a, b, params)`` when the caller already has it;
     otherwise it is built here.  Either way both directions read it, the
     truth-to-estimate one through its transpose.
@@ -434,7 +424,7 @@ def ospamt_metric(
         dist = scan_distances(a, b, params)
     est = quasi_ospamt(b, a, params, mode, Direction.EST_TO_TRUTH, dist)
     tru = quasi_ospamt(a, b, params, mode, Direction.TRUTH_TO_EST, dist.transpose(1, 0, 2))
-    return est if est.total < tru.total or _close(est.total, tru.total) else tru
+    return est if est.total <= tru.total + TIE * params.c else tru
 
 
 #: Rounds of cutting after which ``split_tracks`` gives up.

@@ -8,6 +8,7 @@ middling eta, and a far beta that exceeds any sensible cutoff.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -246,5 +247,7 @@ def random_scenario(
         est_tracks.append(
             Track({t: tuple(pos) for t in range(start, end + 1)}, label=f"f{f + 1}")
         )
+    if not all(math.isfinite(v) for trk in est_tracks for x in trk.points.values() for v in x):
+        raise BadParametersError(f"noise {noise} makes an estimated coordinate non-finite")
     est = validate(TrackSet(scans, state_dim, tuple(est_tracks)))
     return truth, est

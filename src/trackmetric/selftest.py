@@ -3,21 +3,22 @@
 Each row names its check and the acceptance criterion it backs, makes its
 library calls and gives, in closed form, the values they must return with
 the default parameters on the default scenarios (epsilon=1, eta=5), at each
-order p it lists.  Floats compare under ``assign._close`` (tuples entry by
-entry); everything else, such as pairings, orders, counts and the Remark 4
-matrices, whose entries the greedy sweep copies rather than computes,
-compares exactly.  ``trackmetric selftest`` and ``tests/test_acceptance.py``
-both check these rows.
+order p it lists.  Floats compare within 1e-9 relative or 1e-12 absolute
+(tuples entry by entry); everything else, such as pairings, orders, counts
+and the Remark 4 matrices, whose entries the greedy sweep copies rather
+than computes, compares exactly.  ``trackmetric selftest`` and
+``tests/test_acceptance.py`` both check these rows.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assign import INFEASIBLE, _close, greedy_many_to_one
+from .assign import INFEASIBLE, greedy_many_to_one
 from .core import Direction, MetricParams
 from .ospa import ospa_per_scan
 from .ospamt import Mode, directional_cost, directional_distance, ospamt_metric
@@ -38,7 +39,7 @@ def scenario(fig: FigureId) -> Scenario:
 
 def _agree(got: object, want: object) -> bool:
     if isinstance(want, float):
-        return _close(got, want)
+        return math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
     if isinstance(want, tuple):
         return len(got) == len(want) and all(map(_agree, got, want))
     return got == want

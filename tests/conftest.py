@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -12,6 +13,19 @@ from trackmetric.selftest import GOLDEN
 @pytest.fixture
 def params():
     return MetricParams()
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # delta == c warns
+    #: Parameter sets beyond the defaults: p up to 3, p' != p, delta == c.
+    PARAM_SETS = (
+        MetricParams(p=1.0, c=3.0, delta=1.0, alpha=1.0),
+        MetricParams(p=2.0, c=3.0, delta=1.0, alpha=1.0),
+        MetricParams(p=2.0, c=3.0, delta=3.0, alpha=1.0, p_prime=1.0),
+        MetricParams(p=3.0, c=4.0, delta=2.0, alpha=2.0),
+        MetricParams(p=1.0, c=5.0, delta=5.0, alpha=2.0, p_prime=3.0),
+        MetricParams(p=3.0, c=3.0, delta=1.5, alpha=0.5, p_prime=1.5),
+    )
 
 
 def random_small_set(

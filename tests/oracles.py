@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from trackmetric.assign import _ABS_TOL, _REL_TOL, ENUMERATION_CAP, INFEASIBLE, _close
+from trackmetric.assign import ENUMERATION_CAP, INFEASIBLE, TIE
 from trackmetric.core import MetricParams, TrackSet
 from trackmetric.errors import TooLargeError
 
@@ -221,31 +221,38 @@ def oracle_matching(matrix) -> float:
     )
 
 
+def _top(d: np.ndarray) -> float:
+    """The largest finite entry of ``d``, or 1 when none is positive; ties
+    in a matching are decided within ``TIE`` times m times this."""
+    return float(max((v for v in d.flat if 0 < v < INFEASIBLE), default=1.0))
+
+
 def brute_force_one_to_one(d) -> tuple[tuple[int, ...], float]:
-    """Factorial-time reference for solve_one_to_one (small matrices only)."""
+    """Factorial-time reference for solve_one_to_one (small matrices only).
+
+    The first injective map in lexicographic order whose cost is at most
+    ``TIE * top * m`` above the optimum, with the optimum.
+    """
     d = np.asarray(d, dtype=float)
     m, n = d.shape
     if m == 0:
         return (), 0.0
-    best_cost = math.inf
-    best_pi: tuple[int, ...] = ()
-    for pi in itertools.permutations(range(n), m):
-        cost = sum(d[i, pi[i]] for i in range(m))
-        if cost < best_cost - _ABS_TOL or (
-            _close(cost, best_cost) and pi < best_pi
-        ):
-            best_cost = float(cost)
-            best_pi = pi
-    return best_pi, best_cost
+    costs = {
+        pi: sum(d[i, pi[i]] for i in range(m))
+        for pi in itertools.permutations(range(n), m)
+    }
+    best = float(min(costs.values()))
+    tol = TIE * _top(d) * m
+    return next(pi for pi, cost in costs.items() if cost <= best + tol), best
 
 
 def oracle_lex_one_to_one(d) -> tuple[tuple[int, ...], float]:
     """Lexicographically smallest optimal matching, rebuilt row by row.
 
-    The same contract as ``solve_one_to_one`` (INFEASIBLE softened to a large
-    finite penalty, ties within the shared tolerance) by the plain method:
+    The same contract as ``solve_one_to_one`` (INFEASIBLE softened to
+    ``top * (m + 1)``, ties within ``TIE * top * m``) by the plain method:
     row i takes the smallest free column j for which ``j`` plus an optimal
-    completion of the remaining rows still totals ``best`` within tolerance,
+    completion of the remaining rows still totals ``best`` within that,
     re-solving that completion for every column it tries.
     """
 
@@ -257,12 +264,11 @@ def oracle_lex_one_to_one(d) -> tuple[tuple[int, ...], float]:
     m, n = d.shape
     if m == 0:
         return (), 0.0
-    finite = d[d < INFEASIBLE]
-    big = (float(finite.max()) if finite.size else 1.0) * (m + 1) + 1.0
-    dd = np.where(d < INFEASIBLE, d, big)
+    top = _top(d)
+    dd = np.where(d < INFEASIBLE, d, top * (m + 1))
 
     best = matching_cost(dd)
-    tol = _REL_TOL * max(1.0, abs(best))
+    tol = TIE * top * m
     assignment: list[int] = []
     taken: set[int] = set()
     prefix = 0.0
@@ -284,14 +290,15 @@ def oracle_lex_one_to_one(d) -> tuple[tuple[int, ...], float]:
 def oracle_greedy_many_to_one(d, cutoff: float) -> dict:
     """Every stage of ``greedy_many_to_one``, computed entry by entry.
 
-    Dead rows and columns are found with ``_close`` on each entry, D1 and
-    D2 by a minimum per row and per column; the sweep is the same.
+    An entry is dead when it is INFEASIBLE or within ``TIE`` times the
+    cutoff of it.  Dead rows and columns are found entry by entry, D1 and D2
+    by a minimum per row and per column; the sweep is the same.
     """
     d = np.asarray(d, dtype=float)
     m, n = d.shape
 
     def useless(v: float) -> bool:
-        return v == INFEASIBLE or _close(v, cutoff)
+        return v == INFEASIBLE or abs(v - cutoff) <= TIE * cutoff
 
     live = d.copy()
     for i in range(m):

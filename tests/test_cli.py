@@ -328,6 +328,7 @@ def test_fig13_requires_alt_path(tmp_path, capsys):
     )
     assert code == 4
     assert "--alt" in err
+    assert not (tmp_path / "t.json").exists() and not (tmp_path / "e.json").exists()
 
 
 def test_split_fig5(tmp_path, capsys):
@@ -406,13 +407,17 @@ def test_env_mode_override(tmp_path, capsys):
         ["scenario", "random", "--seed", "1", "--scans", "0"],
         ["scenario", "random", "--seed", "1", "--n-truth", "-1"],
         ["scenario", "random", "--seed", "1", "--noise", "-1"],
+        ["scenario", "random", "--seed", "1", "--noise", "inf"],
+        ["scenario", "random", "--seed", "1", "--noise", "1e308"],
     ],
     ids=["scale-empty-field", "scale-word", "scale-empty", "split-scale-word",
-         "scans-zero", "n-truth-negative", "noise-negative"],
+         "scans-zero", "n-truth-negative", "noise-negative", "noise-inf",
+         "noise-overflow"],
 )
 def test_bad_cli_values_are_config_errors(tmp_path, capsys, argv):
     # a malformed --scale raised a bare ValueError, --scans 0 crashed inside
-    # the generator, and negative truth counts or noise were read as zero
+    # the generator, negative truth counts or noise were read as zero, and an
+    # infinite or overflowing noise was blamed on a generated track
     truth, est = write_scenario(tmp_path, FigureId.FIG1A)
     paths = {"truth": truth, "est": est, "out": tmp_path / "out.json"}
     if argv[0] == "scenario":
@@ -420,6 +425,8 @@ def test_bad_cli_values_are_config_errors(tmp_path, capsys, argv):
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 4 and out == ""
     assert err.startswith("configuration error")
+    if "--noise" in argv:
+        assert "noise" in err
     assert not paths["out"].exists()
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    PARAM_SETS,
     golden,
     library_reports,
     random_small_set,
@@ -694,11 +695,16 @@ def test_fig12a_fig12b_optimal_assignments():
     assert ra.total < rb.total
 
 
-@given(seed=st.integers(0, 4_000))
-@settings(max_examples=60, deadline=None)
-def test_axioms_random(seed):
+@given(
+    seed=st.integers(0, 4_000),
+    params=st.sampled_from(
+        (MetricParams(), MetricParams(p=2.0, c=3.0, delta=1.0, alpha=1.0, scale=(0.5,)))
+        + PARAM_SETS
+    ),
+)
+@settings(max_examples=120, deadline=None)
+def test_axioms_random(seed, params):
     rng = random.Random(seed)
-    params = MetricParams()
     a = random_small_set(rng, max_tracks=3, scans=3)
     b = random_small_set(rng, max_tracks=3, scans=3)
     d_ab = ospamt_metric(a, b, params, Mode.EXACT).total
