@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Check that two source trees give byte-identical ``compute`` outputs.
+
+Every instance of the benchmark workloads (built by perfbench/workloads.py,
+which this script only imports) is scored by ``trackmetric compute TRUTH EST
+--metric all --per-time --report-assignment`` in json, csv and table, under
+each parameter set of ``PARAM_SETS``, once against each ``src/`` tree.  A
+run's stdout, stderr and exit code must be the same from both trees.  Each
+tree runs in its own interpreter, which makes every call in-process with
+stdout and stderr captured, as a fresh ``trackmetric`` process would print
+them.  One line is printed per run that differs, then a summary; the exit
+code is 1 when any run differs.
+
+Usage:
+    python scripts/same_outputs.py OLD/src src [--seeds 1 2 3] \\
+        [--workloads small_batch large_all] [--limit N]
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/, put on the path above)
+
+#: Parameter sets every instance is scored under: the CLI defaults, p = 2,
+#: and two with p' not in {1, 2}, the second with a per-dimension scale.
+PARAM_SETS = {
+    "defaults": [],
+    "p2": ["--p", "2", "--c", "30", "--delta", "5", "--alpha", "5"],
+    "p3_q1.5": ["--p", "3", "--p-prime", "1.5", "--c", "20", "--delta", "4", "--alpha", "2"],
+    "p1.5_q3_scale": ["--p", "1.5", "--p-prime", "3", "--c", "40", "--scale", "{scale}"],
+}
+#: Scale factors of the first state dimensions, for ``{scale}`` above.
+SCALE = ("0.5", "2.0", "1.5")
+FORMATS = ("json", "csv", "table")
+
+
+def build_runs(names: list[str], seeds: list[int], limit: int | None,
+               workdir: Path) -> list[dict]:
+    """Write every instance's files and list the runs made on them."""
+    runs = []
+    for workload in names:
+        for seed in seeds:
+            for inst in workloads.build_instances(workload, seed)[:limit]:
+                truth, est, _, _ = inst.write(workdir / f"{workload}.s{seed}")
+                scale = ",".join(SCALE[: inst.truth["state_dim"]])
+                for label, extra in PARAM_SETS.items():
+                    for fmt in FORMATS:
+                        argv = ["compute", truth, est, "--metric", "all", "--mode", inst.mode,
+                                "--output", fmt, "--per-time", "--report-assignment"]
+                        argv += [arg.format(scale=scale) for arg in extra]
+                        runs.append({"id": f"{workload} seed {seed} {inst.name} {label} {fmt}",
+                                     "argv": argv})
+    return runs
+
+
+def worker(manifest: Path) -> int:
+    """Make every run of the manifest against the ``trackmetric`` on the
+    path; print one JSON list of [exit code, stdout digest, stderr digest]."""
+    from trackmetric.cli import main
+
+    results = []
+    for run in json.loads(manifest.read_text(encoding="utf-8")):
+        out, err = io.StringIO(), io.StringIO()
+        # catch_warnings forgets the warnings already shown, so each prints
+        # once per run, as it would once per process
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(run["argv"])
+            except SystemExit as exc:
+                code = exc.code
+        results.append([code, *(hashlib.sha256(s.getvalue().encode()).hexdigest()
+                                for s in (out, err))])
+    print(json.dumps(results))
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("old", type=Path, help="the src/ tree to compare against")
+    ap.add_argument("new", type=Path, help="the src/ tree under test")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1])
+    ap.add_argument("--workloads", nargs="+", default=list(workloads.WORKLOADS),
+                    choices=workloads.WORKLOADS)
+    ap.add_argument("--limit", type=int, default=None, help="instances per workload and seed")
+    ap.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        return worker(args.worker)
+
+    sys.path.insert(0, str(args.new.resolve()))  # the figure instances come from the library
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for workload in args.workloads:
+            for seed in args.seeds:
+                (workdir / f"{workload}.s{seed}").mkdir()
+        runs = build_runs(args.workloads, args.seeds, args.limit, workdir)
+        manifest = workdir / "manifest.json"
+        manifest.write_text(json.dumps(runs), encoding="utf-8")
+        procs = [
+            subprocess.Popen([sys.executable, __file__, args.old, args.new, "--worker", manifest],
+                             env={**env, "PYTHONPATH": str(tree.resolve())},
+                             stdout=subprocess.PIPE, text=True)
+            for tree in (args.old, args.new)
+        ]
+        outputs = [proc.communicate()[0] for proc in procs]
+    if any(proc.returncode for proc in procs):
+        print("a worker failed", file=sys.stderr)
+        return 2
+    old, new = (json.loads(out) for out in outputs)
+    print(f"{'run':60} differs in")
+    differ = 0
+    for run, a, b in zip(runs, old, new):
+        parts = [name for name, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+        if parts:
+            differ += 1
+            print(f"{run['id']:60} {', '.join(parts)}")
+    print(f"{differ} of {len(runs)} runs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -172,6 +172,10 @@ class MetricParams:
             if any(not (s > 0.0 and math.isfinite(s)) for s in scale):
                 raise BadParametersError("scale factors must be positive reals")
             object.__setattr__(self, "scale", scale)
+        # held as floats, so no array built from a parameter is an integer one
+        for name in ("p", "c", "delta", "alpha", "p_prime"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def base_order(self) -> float:
@@ -273,7 +277,9 @@ def base_distance(
     last axis; from eight on numpy sums pairwise, and the two may differ in
     the last bit.
     """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:  # broadcast_arrays costs more than a tiny tensor
+        x, y = np.broadcast_arrays(x, y)
     dim = x.shape[-1]
     scale = params.scale
     if scale is not None and len(scale) != dim:
@@ -299,19 +305,46 @@ def base_distance(
     return out[..., 0][()]  # [()] makes a single pair's distance a scalar
 
 
+def at_coexisting(
+    coexist: np.ndarray, values: Callable[[np.ndarray], np.ndarray], fill: float = np.nan
+) -> np.ndarray:
+    """Float array of ``coexist``'s shape holding ``values(flat)`` at its
+    true entries and ``fill`` elsewhere, where ``flat`` are the flat indices
+    of those entries in scan order.  ``scan_distances`` and every reader of
+    its tensor work through here, so none of them touches an entry where
+    two tracks do not coexist."""
+    flat = np.flatnonzero(coexist)
+    out = np.full(coexist.shape, fill)
+    np.put(out, flat, values(flat))
+    return out
+
+
 def scan_distances(
     a: TrackSet, b: TrackSet, params: MetricParams, order: float | None = None
 ) -> np.ndarray:
     """(N_a, N_b, T) base distances of every pair of tracks at every scan.
 
-    Entries are NaN wherever the two tracks do not coexist.  The tensor of
-    ``b`` against ``a`` is exactly ``.transpose(1, 0, 2)`` of this one, so a
-    caller that needs both directions builds it once.  Raises
-    ScanMismatchError or DimensionMismatchError unless the sets are
-    comparable.
+    Entries are NaN wherever the two tracks do not coexist, and only the
+    coexisting entries, where ``a.exists[:, None] & b.exists[None]`` holds,
+    are computed.  Each equals ``base_distance`` of its own pair of states
+    to the last bit.  The tensor of ``b`` against ``a`` is exactly
+    ``.transpose(1, 0, 2)`` of this one, so a caller that needs both
+    directions builds it once.  Raises ScanMismatchError or
+    DimensionMismatchError unless the sets are comparable.
     """
     check_comparable(a, b)
-    return base_distance(a.states[:, None], b.states[None], params, order)
+    nb, scans = len(b.tracks), a.scans
+
+    def distances(flat: np.ndarray) -> np.ndarray:
+        # flat = i * nb * scans + jt, where jt = j * scans + t is b's row in
+        # its (nb * scans, D) view and i * scans + t is a's row in its own
+        jt = flat % (nb * scans)
+        it = flat // (nb * scans) * scans + jt % scans
+        x = np.take(a.states.reshape(-1, a.state_dim), it, axis=0)
+        y = np.take(b.states.reshape(-1, b.state_dim), jt, axis=0)
+        return base_distance(x, y, params, order)
+
+    return at_coexisting(a.exists[:, None] & b.exists[None], distances)
 
 
 def count_distances(a: TrackSet, b: TrackSet) -> tuple[tuple[int, ...], int]:

@@ -25,6 +25,7 @@ from .core import (
     MetricReport,
     Track,
     TrackSet,
+    at_coexisting,
     base_distance,
     check_comparable,
     count_distances,
@@ -74,16 +75,22 @@ def cost_matrix(
     whatever the lifetimes.  Pairs that never coexist are marked INFEASIBLE
     so the assignment search can never join them.  ``dist`` is
     ``scan_distances(tgt, src, params)`` when the caller already has it;
-    otherwise it is built here.
+    otherwise it is built here.  Only its coexisting entries are read, and
+    the scan counts come from products of the ``exists`` masks.  The matrix
+    of the swapped roles is exactly the transpose of this one.
     """
     if dist is None:
         dist = scan_distances(tgt, src, params)
     cp = params.c**params.p
-    d = np.minimum(dist, params.c) ** params.p
-    both = ~np.isnan(d)
-    either = (tgt.exists[:, None, :] | src.exists[None, :, :]).sum(axis=2)
-    shared = both.sum(axis=2)
-    mean = (np.where(both, d, 0.0).sum(axis=2) + cp * (either - shared)) / either
+    d = at_coexisting(
+        tgt.exists[:, None] & src.exists[None],
+        lambda flat: np.minimum(np.take(dist, flat), params.c) ** params.p,
+        0.0,
+    )
+    # 0/1 products counted in floats: exact, and a BLAS call
+    shared = tgt.exists.astype(float) @ src.exists.T.astype(float)
+    either = tgt.exists.sum(axis=1)[:, None] + src.exists.sum(axis=1) - shared
+    mean = (d.sum(axis=2) + cp * (either - shared)) / either
     return np.where(shared > 0, mean, INFEASIBLE)
 
 
@@ -355,9 +362,8 @@ def directional_distance(
 
 
 def _quasi_greedy(
-    src: TrackSet, tgt: TrackSet, params: MetricParams, dist: np.ndarray | None
+    src: TrackSet, tgt: TrackSet, params: MetricParams, d: np.ndarray
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    d = cost_matrix(src, tgt, params, dist)
     result = greedy_many_to_one(d, cutoff_row_col_value=params.c**params.p)
     m, n = d.shape
     lam = [0] * n
@@ -392,12 +398,28 @@ def quasi_ospamt(
     otherwise it is built here when the search needs it.
     """
     check_comparable(src, tgt)
+    return _quasi(src, tgt, params, mode, direction, dist, None)
+
+
+def _quasi(
+    src: TrackSet,
+    tgt: TrackSet,
+    params: MetricParams,
+    mode: Mode | str,
+    direction: Direction,
+    dist: np.ndarray | None,
+    costs: np.ndarray | None,
+) -> MetricReport:
+    """``quasi_ospamt`` of comparable sets; ``costs`` is the greedy
+    ``cost_matrix(src, tgt, params)`` when the caller has priced it."""
     if not src.tracks or not tgt.tracks:
         lam, orders = (0,) * len(src.tracks), ((),) * len(tgt.tracks)
     elif resolve_mode(mode, len(src.tracks) + len(tgt.tracks)) is Mode.EXACT:
         lam, orders = _DirectionalEngine(src, tgt, params, dist).search_exact()
     else:
-        lam, orders = _quasi_greedy(src, tgt, params, dist)
+        if costs is None:
+            costs = cost_matrix(src, tgt, params, dist)
+        lam, orders = _quasi_greedy(src, tgt, params, costs)
     terms = directional_terms(src, tgt, orders, params)
     n_t, _ = count_distances(src, tgt)
     assignment = Assignment(direction, lam, orders)
@@ -418,12 +440,19 @@ def ospamt_metric(
     that direction is reported.  ``dist`` is
     ``scan_distances(a, b, params)`` when the caller already has it;
     otherwise it is built here.  Either way both directions read it, the
-    truth-to-estimate one through its transpose.
+    truth-to-estimate one through its transpose.  So does the greedy search:
+    it prices the estimate-to-truth ``cost_matrix`` once and reads the other
+    direction's matrix as its transpose.
     """
     if dist is None:
         dist = scan_distances(a, b, params)
-    est = quasi_ospamt(b, a, params, mode, Direction.EST_TO_TRUTH, dist)
-    tru = quasi_ospamt(a, b, params, mode, Direction.TRUTH_TO_EST, dist.transpose(1, 0, 2))
+    check_comparable(b, a)
+    costs = None
+    if a.tracks and b.tracks and resolve_mode(mode, len(a.tracks) + len(b.tracks)) is Mode.GREEDY:
+        costs = cost_matrix(b, a, params, dist)
+    est = _quasi(b, a, params, mode, Direction.EST_TO_TRUTH, dist, costs)
+    tru = _quasi(a, b, params, mode, Direction.TRUTH_TO_EST, dist.transpose(1, 0, 2),
+                 None if costs is None else costs.T)
     return est if est.total <= tru.total + TIE * params.c else tru
 
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assign import solve_one_to_one
-from .core import MetricParams, TrackSet, base_distance, check_comparable, scan_distances
+from .core import (
+    MetricParams,
+    TrackSet,
+    at_coexisting,
+    base_distance,
+    check_comparable,
+    scan_distances,
+)
 from .errors import BadParametersError
 from .ospa import ScanOspa, ospa_at_scan
 
@@ -41,10 +48,13 @@ class OspatAssignment:
 def _reorder_costs(
     d: np.ndarray, exists_a: np.ndarray, exists_b: np.ndarray, c: float
 ) -> np.ndarray:
-    """Per-scan reordering costs from Euclidean distances ``d`` (NaN where
-    the two tracks do not coexist): 0 where neither track exists, the
-    cutoff where only one does, else the capped distance."""
-    return np.where(np.isnan(d), np.where(exists_a ^ exists_b, c, 0.0), np.minimum(d, c))
+    """Per-scan reordering costs from Euclidean distances ``d``, read only
+    where the masks ``exists_a`` and ``exists_b`` (broadcast to its shape)
+    both hold: 0 where neither track exists, the cutoff where only one
+    does, else the capped distance."""
+    costs = at_coexisting(exists_a & exists_b, lambda flat: np.minimum(np.take(d, flat), c), 0.0)
+    costs[exists_a ^ exists_b] = c
+    return costs
 
 
 def ospat_reorder(
@@ -57,7 +67,9 @@ def ospat_reorder(
     leftover tracks of the larger set contribute nothing to the choice.
     Ties resolve to the lexicographically smallest assignment vector.
     ``dist`` is ``scan_distances(a, b, params, order=2.0)`` when the caller
-    already has it; otherwise it is built here.
+    already has it; otherwise it is built here.  Only its coexisting entries
+    are read: a scan where one track of a pair exists costs the cutoff
+    without a distance.
     """
     check_comparable(a, b)
     if not a.tracks or not b.tracks:
@@ -111,14 +123,21 @@ def ospat_label(
 
 
 def _labeled_distances(
-    d: np.ndarray, labeled_a: LabeledTrackSet, labeled_b: LabeledTrackSet, params: MetricParams
+    d: np.ndarray, both: np.ndarray, labeled_a: LabeledTrackSet, labeled_b: LabeledTrackSet,
+    params: MetricParams,
 ) -> np.ndarray:
     """Capped labeled distances from base distances ``d`` of shape
-    (N_a, N_b, K): min{c, (d(x, y)^p' + (alpha when labels differ)^p')^(1/p')}."""
+    (N_a, N_b, K): min{c, (d(x, y)^p' + (alpha when labels differ)^p')^(1/p')}
+    where the mask ``both`` holds, NaN elsewhere."""
     q = params.base_order
-    differ = np.not_equal.outer(labeled_a.labels, labeled_b.labels)[:, :, None]
-    d = np.where(differ, (d**q + params.alpha**q) ** (1.0 / q), d)
-    return np.minimum(d, params.c)
+    differ = np.not_equal.outer(labeled_a.labels, labeled_b.labels).reshape(-1)
+
+    def capped(flat: np.ndarray) -> np.ndarray:
+        x = np.take(d, flat)
+        x = np.where(differ[flat // d.shape[2]], (x**q + params.alpha**q) ** (1.0 / q), x)
+        return np.minimum(x, params.c)
+
+    return at_coexisting(both, capped)
 
 
 def ospat_at_time(
@@ -134,7 +153,8 @@ def ospat_at_time(
     if not 1 <= t <= a.scans:
         raise BadParametersError(f"scan {t} outside 1..{a.scans}")
     d = base_distance(a.states[:, None, t - 1 : t], b.states[None, :, t - 1 : t], params)
-    capped = _labeled_distances(d, labeled_a, labeled_b, params)[:, :, 0]
+    both = a.exists[:, None, t - 1 : t] & b.exists[None, :, t - 1 : t]
+    capped = _labeled_distances(d, both, labeled_a, labeled_b, params)[:, :, 0]
     return ospa_at_scan(capped, a.exists[:, t - 1], b.exists[:, t - 1], t, params)
 
 
@@ -188,7 +208,8 @@ def ospat_per_scan(
         dist = scan_distances(a, b, params)
     assignment = ospat_reorder(a, b, params, dist if params.base_order == 2.0 else None)
     labeled_a, labeled_b = ospat_label(a, b, assignment)
-    capped = _labeled_distances(dist, labeled_a, labeled_b, params)
+    both = a.exists[:, None] & b.exists[None]
+    capped = _labeled_distances(dist, both, labeled_a, labeled_b, params)
     rows = [
         ospa_at_scan(capped[:, :, t], a.exists[:, t], b.exists[:, t], t + 1, params)
         for t in range(a.scans)

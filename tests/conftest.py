@@ -52,6 +52,26 @@ def random_small_set(
     return validate(TrackSet(scans, 1, tuple(tracks)))
 
 
+def random_float_set(rng, dim, scans=4, max_tracks=3):
+    """Track set of real-valued states in ``dim`` dimensions."""
+    tracks = []
+    for _ in range(rng.randint(0, max_tracks)):
+        scan_ids = rng.sample(range(1, scans + 1), rng.randint(1, scans))
+        tracks.append(Track({t: tuple(rng.uniform(-9, 9) for _ in range(dim)) for t in scan_ids}))
+    return validate(TrackSet(scans, dim, tuple(tracks)))
+
+
+def distance_params(dim, **fixed):
+    """p' in {1, 1.5, 2, 3}, each without and with a per-dimension scale;
+    ``fixed`` sets the other parameters."""
+    scale = tuple(0.5 + 0.75 * k for k in range(dim))
+    return [
+        MetricParams(p_prime=q, scale=s, **fixed)
+        for q in (1.0, 1.5, 2.0, 3.0)
+        for s in (None, scale)
+    ]
+
+
 def library_reports(a, b, params, mode=Mode.AUTO):
     """The OSPAMT, OSPA and OSPAT library reports of one pair, with the
     per-scan rows behind the OSPA and OSPAT ones."""

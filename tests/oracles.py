@@ -3,6 +3,11 @@
 Everything here is written straight from the defining sums with plain loops
 and no reuse of the library's evaluation path, so a bug in the production
 code cannot hide in its own oracle.  Sizes are expected to be tiny.
+
+The exception is the ``dense_*`` formulas at the end: the library's earlier
+whole-tensor arithmetic, which computed every (N_a, N_b, T) entry, NaN
+included.  The library now computes coexisting entries only, and must match
+these to the last bit.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from trackmetric.assign import ENUMERATION_CAP, INFEASIBLE, TIE
-from trackmetric.core import MetricParams, TrackSet
+from trackmetric.core import MetricParams, TrackSet, base_distance
 from trackmetric.errors import TooLargeError
 
 
@@ -336,3 +341,34 @@ def oracle_greedy_many_to_one(d, cutoff: float) -> dict:
         "d2": d2,
         "d3": d3,
     }
+
+
+def dense_scan_distances(a: TrackSet, b: TrackSet, params: MetricParams, order=None):
+    """Every entry of the (N_a, N_b, T) tensor, in one broadcast call."""
+    return base_distance(a.states[:, None], b.states[None], params, order)
+
+
+def dense_cost_matrix(src: TrackSet, tgt: TrackSet, params: MetricParams, dist):
+    """``cost_matrix`` from ``dist = scan_distances(tgt, src, params)``,
+    capped and powered everywhere and counted from NaN masks."""
+    cp = params.c**params.p
+    d = np.minimum(dist, params.c) ** params.p
+    both = ~np.isnan(d)
+    either = (tgt.exists[:, None, :] | src.exists[None, :, :]).sum(axis=2)
+    shared = both.sum(axis=2)
+    mean = (np.where(both, d, 0.0).sum(axis=2) + cp * (either - shared)) / either
+    return np.where(shared > 0, mean, INFEASIBLE)
+
+
+def dense_reorder_costs(d, exists_a, exists_b, c: float):
+    """OSPAT reordering costs: 0 where neither track exists, c where one
+    does, else the capped distance, chosen by NaN masks."""
+    return np.where(np.isnan(d), np.where(exists_a ^ exists_b, c, 0.0), np.minimum(d, c))
+
+
+def dense_labeled_distances(d, labels_a, labels_b, params: MetricParams):
+    """OSPAT labeled distances, penalized and capped at every entry."""
+    q = params.base_order
+    differ = np.not_equal.outer(labels_a, labels_b)[:, :, None]
+    d = np.where(differ, (d**q + params.alpha**q) ** (1.0 / q), d)
+    return np.minimum(d, params.c)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import same_track_sets
+from conftest import distance_params, random_float_set, same_track_sets
 from oracles import oracle_norm
 from trackmetric.core import (
     MetricParams,
@@ -77,25 +77,6 @@ def test_cutoff_distance_examples():
     a = validate(TrackSet(3, 1, (make_track({1: 0.0}),)))
     b = validate(TrackSet(3, 1, (make_track({2: 0.0}),)))
     assert np.isnan(scan_distances(a, b, MetricParams())).all()
-
-
-def random_float_set(rng, dim, scans=4, max_tracks=3):
-    """Track set of real-valued states in ``dim`` dimensions."""
-    tracks = []
-    for _ in range(rng.randint(0, max_tracks)):
-        scan_ids = rng.sample(range(1, scans + 1), rng.randint(1, scans))
-        tracks.append(Track({t: tuple(rng.uniform(-9, 9) for _ in range(dim)) for t in scan_ids}))
-    return validate(TrackSet(scans, dim, tuple(tracks)))
-
-
-def distance_params(dim):
-    """p' in {1, 1.5, 2, 3}, each without and with a per-dimension scale."""
-    scale = tuple(0.5 + 0.75 * k for k in range(dim))
-    return [
-        MetricParams(p_prime=q, scale=s)
-        for q in (1.0, 1.5, 2.0, 3.0)
-        for s in (None, scale)
-    ]
 
 
 def test_scan_distances_match_pairwise_reference():

@@ -572,6 +572,38 @@ def test_greedy_never_beats_exact():
         assert greedy >= exact - 1e-9
 
 
+def test_greedy_metric_prices_one_cost_matrix(monkeypatch):
+    # the truth-to-estimate direction reads the transpose of the one matrix,
+    # and reports exactly what a direct call reports
+    from trackmetric import ospamt
+
+    priced, reports = [], []
+    cost_matrix_of, quasi_of = ospamt.cost_matrix, ospamt._quasi
+
+    def counting(*args, **kwargs):
+        priced.append(args)
+        return cost_matrix_of(*args, **kwargs)
+
+    def recording(*args, **kwargs):
+        reports.append(quasi_of(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(ospamt, "cost_matrix", counting)
+    monkeypatch.setattr(ospamt, "_quasi", recording)
+    rng = random.Random(29)
+    for params in PARAM_SETS:
+        for _ in range(25):
+            a = random_small_set(rng, max_tracks=6, min_tracks=1)
+            b = random_small_set(rng, max_tracks=6, min_tracks=1)
+            priced.clear()
+            reports.clear()
+            ospamt_metric(a, b, params, Mode.GREEDY)
+            assert len(priced) == 1
+            est, tru = reports
+            assert est == quasi_ospamt(b, a, params, Mode.GREEDY, Direction.EST_TO_TRUTH)
+            assert tru == quasi_ospamt(a, b, params, Mode.GREEDY, Direction.TRUTH_TO_EST)
+
+
 def test_t1_reduction_to_ospa_spot():
     rng = random.Random(23)
     params = MetricParams()

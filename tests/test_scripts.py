@@ -8,6 +8,7 @@ it must exit 0 and print its header line first.
 import json
 import re
 import runpy
+import shutil
 import sys
 from pathlib import Path
 
@@ -113,3 +114,26 @@ def test_bench_record_folds_saved_runs(monkeypatch, capsys, tmp_path):
     assert layer["metrics"]["core.base_distance.calls"]["change"] == 3
     assert layer["metrics"]["ospamt.cost_matrix.s"]["change"] is None
     assert layer["change"] == {"seed": 4, "missing": ["trackmetric.ospa.gone"]}
+
+
+def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
+    src = SCRIPTS.parent / "src"
+    changed = tmp_path / "src"  # a copy whose json output is indented differently
+    shutil.copytree(src / "trackmetric", changed / "trackmetric",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "trackmetric" / "cli.py"
+    cli.write_text(cli.read_text(encoding="utf-8").replace("indent=2", "indent=1"),
+                   encoding="utf-8")
+    path = SCRIPTS / "same_outputs.py"
+    for new, code, differ in ((src, 0, 0), (changed, 1, 8)):
+        monkeypatch.setattr(sys, "argv", [str(path), str(src), str(new), "--workloads",
+                                          "small_batch", "exact_dense", "--limit", "1"])
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(path), run_name="__main__")
+        assert exc.value.code == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["run", "differs", "in"]
+        # 2 instances, each under 4 parameter sets in 3 formats; json differs
+        assert lines[-1] == f"{differ} of 24 runs differ"
+        assert all(" json " in line and line.endswith(" stdout") for line in lines[1:-1])
