@@ -18,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from trackmetric.assign import TIE
-from trackmetric.core import MetricParams, Track, TrackSet, validate
+from trackmetric.core import MetricParams, Track, TrackSet
 from trackmetric.ospamt import Mode, ospamt_metric
 
 
@@ -31,7 +31,7 @@ def random_set(rng: random.Random, max_tracks: int, scans: int) -> TrackSet:
             for t in rng.sample(range(1, scans + 1), n)
         }
         tracks.append(Track(pts))
-    return validate(TrackSet(scans, 1, tuple(tracks)))
+    return TrackSet(scans, 1, tuple(tracks))
 
 
 def main() -> int:

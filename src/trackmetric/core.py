@@ -1,8 +1,10 @@
-"""Domain types, validation and shared arithmetic.
+"""Domain types and shared arithmetic.
 
 A track is a sparse map from 1-based scan indices to state vectors; a scan
 with no entry means the target does not exist then.  A track set fixes the
-number of scans T and the state dimension for all of its tracks.  Everything
+number of scans T and the state dimension for all of its tracks, and is
+valid once built: its constructor rejects every set that breaks one of
+these rules, so the metrics trust every set they are given.  Everything
 here is immutable after construction and all functions are pure.
 """
 
@@ -12,8 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -25,6 +26,7 @@ from .errors import (
     NonFiniteCoordinateError,
     ScanMismatchError,
     ScanOutOfRangeError,
+    ValidationError,
 )
 
 StateVector = tuple[float, ...]
@@ -34,15 +36,16 @@ StateVector = tuple[float, ...]
 class Track:
     """One target trajectory: existing scans mapped to state vectors.
 
-    ``label`` is carried for reporting only; it plays no role in any
-    distance.
+    A bare number is a 1-D state.  ``label`` is carried for reporting only;
+    it plays no role in any distance.
     """
 
-    points: Mapping[int, StateVector]
+    points: Mapping[int, StateVector | float]
     label: str | None = None
 
     def __post_init__(self) -> None:
-        pts = {int(t): tuple(float(v) for v in x) for t, x in self.points.items()}
+        pts = {int(t): (float(x),) if isinstance(x, (int, float)) else tuple(map(float, x))
+               for t, x in self.points.items()}
         object.__setattr__(self, "points", pts)
 
     def exists_at(self, t: int) -> bool:
@@ -59,36 +62,71 @@ class Track:
 
 @dataclass(frozen=True)
 class TrackSet:
-    """A finite (possibly empty) collection of tracks over scans 1..T."""
+    """A finite (possibly empty) collection of tracks over scans 1..T, valid
+    once built: the constructor raises for ``scans`` or ``state_dim`` below 1,
+    then for the first empty track or bad point, in track and point order.
+    ``states`` (N, T, D), NaN where a track does not exist, and the ``exists``
+    (N, T) mask are read-only and play no role in ``==``."""
 
     scans: int
     state_dim: int
     tracks: tuple[Track, ...] = ()
+    states: np.ndarray = field(init=False, repr=False, compare=False)
+    exists: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tracks", tuple(self.tracks))
+        tracks = tuple(self.tracks)
+        object.__setattr__(self, "tracks", tracks)
+        scans, dim = self.scans, self.state_dim
+        if scans < 1:
+            raise BadParametersError(f"scans must be >= 1, got {scans}")
+        if dim < 1:
+            raise BadParametersError(f"state_dim must be >= 1, got {dim}")
+        # every point before the first of wrong scan or size: its flat
+        # (track, scan) index, and its coordinates one after another
+        cells: list[int] = []
+        values: list[float] = []
+
+        def first_error() -> ValidationError | None:
+            for i, trk in enumerate(tracks):
+                name = self.track_label(i + 1)
+                if not trk.points:
+                    return EmptyTrackError(f"track {name} has no existing state at any scan")
+                for t, x in trk.points.items():
+                    if not 1 <= t <= scans:
+                        return ScanOutOfRangeError(
+                            f"track {name} has a point at scan {t}, outside 1..{scans}"
+                        )
+                    if len(x) != dim:
+                        return DimensionMismatchError(
+                            f"track {name} at scan {t} has dimension {len(x)}, expected {dim}"
+                        )
+                    cells.append(i * scans + t - 1)
+                    values.extend(x)
+            return None
+
+        error = first_error()
+        coords = np.array(values, dtype=float).reshape(-1, dim)
+        # a non-finite point gathered before the first other error comes first
+        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+        if bad.size:
+            i, t = divmod(cells[bad[0]], scans)
+            raise NonFiniteCoordinateError(
+                f"track {self.track_label(i + 1)} at scan {t + 1} has a non-finite coordinate"
+            )
+        if error is not None:
+            raise error
+        flat = np.array(cells, dtype=np.intp)
+        states = np.full((len(tracks), scans, dim), np.nan)
+        states.reshape(-1, dim)[flat] = coords
+        exists = np.zeros((len(tracks), scans), dtype=bool)
+        exists.reshape(-1)[flat] = True
+        for name, array in (("states", states), ("exists", exists)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.tracks)
-
-    @cached_property
-    def states(self) -> np.ndarray:
-        """(N, T, D) states of a validated set; scan t is index t - 1 and
-        NaN marks the scans where a track does not exist."""
-        states = np.full((len(self.tracks), self.scans, self.state_dim), np.nan)
-        rows = [i for i, trk in enumerate(self.tracks) for _ in trk.points]
-        cols = [t - 1 for trk in self.tracks for t in trk.points]
-        values = [x for trk in self.tracks for x in trk.points.values()]
-        states[rows, cols] = np.array(values, dtype=float).reshape(-1, self.state_dim)
-        states.setflags(write=False)
-        return states
-
-    @cached_property
-    def exists(self) -> np.ndarray:
-        """(N, T) mask of the scans where each track exists."""
-        exists = ~np.isnan(self.states[:, :, 0])
-        exists.setflags(write=False)
-        return exists
 
     def track_label(self, index: int) -> str:
         """Label of 1-based track ``index``, falling back to T<index>."""
@@ -229,38 +267,6 @@ class MetricReport:
         return cls(total, per_time, loc, card, loc_t, card_t, assignment, tuple(n_t), n)
 
 
-def validate(track_set: TrackSet) -> TrackSet:
-    """Check every track-set invariant and return the set unchanged.
-
-    Raises EmptyTrackError, DimensionMismatchError, ScanOutOfRangeError or
-    NonFiniteCoordinateError naming the offending track and scan.  An empty
-    set is legal.
-    """
-    if track_set.scans < 1:
-        raise BadParametersError(f"scans must be >= 1, got {track_set.scans}")
-    if track_set.state_dim < 1:
-        raise BadParametersError(f"state_dim must be >= 1, got {track_set.state_dim}")
-    for idx, trk in enumerate(track_set.tracks, start=1):
-        name = track_set.track_label(idx)
-        if not trk.points:
-            raise EmptyTrackError(f"track {name} has no existing state at any scan")
-        for t, x in trk.points.items():
-            if not (1 <= t <= track_set.scans):
-                raise ScanOutOfRangeError(
-                    f"track {name} has a point at scan {t}, outside 1..{track_set.scans}"
-                )
-            if len(x) != track_set.state_dim:
-                raise DimensionMismatchError(
-                    f"track {name} at scan {t} has dimension {len(x)}, "
-                    f"expected {track_set.state_dim}"
-                )
-            if any(not math.isfinite(v) for v in x):
-                raise NonFiniteCoordinateError(
-                    f"track {name} at scan {t} has a non-finite coordinate"
-                )
-    return track_set
-
-
 def base_distance(
     x: ArrayLike, y: ArrayLike, params: MetricParams, order: float | None = None
 ) -> np.ndarray:
@@ -360,22 +366,10 @@ def count_distances(a: TrackSet, b: TrackSet) -> tuple[tuple[int, ...], int]:
 
 
 def check_comparable(a: TrackSet, b: TrackSet) -> None:
-    """Raise unless two validated sets share scans and state dimension."""
+    """Raise unless two sets share scans and state dimension."""
     if a.scans != b.scans:
         raise ScanMismatchError(f"scan counts differ: {a.scans} vs {b.scans}")
     if a.state_dim != b.state_dim:
         raise DimensionMismatchError(
             f"state dimensions differ: {a.state_dim} vs {b.state_dim}"
         )
-
-
-def make_track(points: Mapping[int, Iterable[float]] | Mapping[int, float],
-               label: str | None = None) -> Track:
-    """Build a track, promoting bare numbers to 1-D state vectors."""
-    fixed: dict[int, StateVector] = {}
-    for t, x in points.items():
-        if isinstance(x, (int, float)):
-            fixed[int(t)] = (float(x),)
-        else:
-            fixed[int(t)] = tuple(float(v) for v in x)
-    return Track(points=fixed, label=label)

@@ -5,11 +5,12 @@ A track-set file is a JSON document::
     {"scans": 5, "state_dim": 1,
      "tracks": [{"id": "t1", "points": [{"t": 1, "x": [0.0]}, ...]}, ...]}
 
-Points may arrive unsorted and are sorted on load.  ``scans``,
-``state_dim`` and every ``t`` must be JSON integers, every ``points`` a list,
-every ``x`` a list of numbers and every ``id`` a string (a track without
-one is labelled ``T<position>``); anything else, a duplicate scan index
-within one track or a duplicate track id is a parse error, never coerced.
+Points keep their file order, which decides the invalid point ``TrackSet``
+reports; ``save_track_set`` writes them sorted.  ``scans``, ``state_dim``
+and every ``t`` must be JSON integers, every ``points`` a list, every ``x``
+a list of numbers and every ``id`` a string (a track without one is
+labelled ``T<position>``); anything else, a duplicate scan index within one
+track or a duplicate track id is a parse error, never coerced.
 Coordinates are serialized with repr precision (up to 17 significant
 digits), so a write/read round trip is bit-exact.
 """
@@ -20,7 +21,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .core import Track, TrackSet, validate
+from .core import Track, TrackSet
 from .errors import ParseError
 
 
@@ -29,7 +30,7 @@ def _is_number(value: Any) -> bool:
 
 
 def track_set_from_obj(obj: Any) -> TrackSet:
-    """Decode and validate a track set from parsed JSON."""
+    """Decode a track set from parsed JSON; ``TrackSet`` validates it."""
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
     try:
@@ -69,7 +70,7 @@ def track_set_from_obj(obj: Any) -> TrackSet:
                 raise ParseError(f"track {label}: duplicate scan index {t}")
             points[t] = x  # Track makes it a tuple of floats
         tracks.append(Track(points, label=label))
-    return validate(TrackSet(scans, state_dim, tuple(tracks)))
+    return TrackSet(scans, state_dim, tuple(tracks))
 
 
 def track_set_to_obj(track_set: TrackSet) -> dict[str, Any]:

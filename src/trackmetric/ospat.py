@@ -36,6 +36,10 @@ class LabeledTrackSet:
     tracks: TrackSet
     labels: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if len(self.labels) != len(self.tracks):
+            raise BadParametersError(f"{len(self.labels)} labels for {len(self.tracks)} tracks")
+
 
 @dataclass(frozen=True)
 class OspatAssignment:

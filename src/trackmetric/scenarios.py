@@ -8,13 +8,12 @@ middling eta, and a far beta that exceeds any sensible cutoff.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Track, TrackSet, make_track, validate
-from .errors import BadParametersError
+from .core import Track, TrackSet
+from .errors import BadParametersError, NonFiniteCoordinateError
 
 
 class FigureId(str, Enum):
@@ -69,7 +68,7 @@ class Scenario:
 
 
 def _ts(scans: int, *tracks: Track) -> TrackSet:
-    return validate(TrackSet(scans, 1, tuple(tracks)))
+    return TrackSet(scans, 1, tuple(tracks))
 
 
 def _span(lo: int, hi: int, value: float) -> dict[int, float]:
@@ -81,100 +80,100 @@ def build(spec: ScenarioSpec) -> Scenario:
     e, h, b = spec.epsilon, spec.eta, spec.beta
     fig = FigureId(spec.figure)
     if fig is FigureId.FIG1A:
-        truth = _ts(5, make_track(_span(1, 5, 0.0), "t1"))
-        est = _ts(5, make_track(_span(1, 3, e), "e1"), make_track(_span(4, 5, e), "e2"))
+        truth = _ts(5, Track(_span(1, 5, 0.0), "t1"))
+        est = _ts(5, Track(_span(1, 3, e), "e1"), Track(_span(4, 5, e), "e2"))
         return Scenario(truth, est)
     if fig is FigureId.FIG1B:
         truth = _ts(
             5,
-            make_track(_span(1, 5, 0.0), "t1"),
-            make_track(_span(4, 5, e + b), "t3"),
+            Track(_span(1, 5, 0.0), "t1"),
+            Track(_span(4, 5, e + b), "t3"),
         )
-        est = _ts(5, make_track(_span(1, 3, e), "e1"), make_track(_span(4, 5, e), "e2"))
+        est = _ts(5, Track(_span(1, 3, e), "e1"), Track(_span(4, 5, e), "e2"))
         return Scenario(truth, est)
     if fig is FigureId.FIG1C:
-        truth = _ts(5, make_track(_span(1, 5, 0.0), "t1"))
-        est = _ts(5, make_track(_span(1, 5, b), "e1"))
+        truth = _ts(5, Track(_span(1, 5, 0.0), "t1"))
+        est = _ts(5, Track(_span(1, 5, b), "e1"))
         return Scenario(truth, est)
     if fig is FigureId.FIG1D:
-        truth = _ts(5, make_track(_span(1, 5, 0.0), "t1"))
-        est = _ts(5, make_track(_span(1, 3, e), "e1"), make_track(_span(4, 5, b), "e2"))
+        truth = _ts(5, Track(_span(1, 5, 0.0), "t1"))
+        est = _ts(5, Track(_span(1, 3, e), "e1"), Track(_span(4, 5, b), "e2"))
         return Scenario(truth, est)
     if fig is FigureId.FIG5:
-        truth = _ts(5, make_track(_span(1, 3, 0.0), "t1"), make_track(_span(4, 5, 0.0), "t2"))
-        est = _ts(5, make_track(_span(1, 5, e), "e1"))
+        truth = _ts(5, Track(_span(1, 3, 0.0), "t1"), Track(_span(4, 5, 0.0), "t2"))
+        est = _ts(5, Track(_span(1, 5, e), "e1"))
         return Scenario(truth, est)
     if fig is FigureId.FIG6:
-        truth = _ts(5, make_track(_span(1, 3, 0.0), "t1"), make_track(_span(4, 5, 0.0), "t2"))
-        est = _ts(5, make_track({**_span(1, 3, e), **_span(4, 5, b)}, "e1"))
+        truth = _ts(5, Track(_span(1, 3, 0.0), "t1"), Track(_span(4, 5, 0.0), "t2"))
+        est = _ts(5, Track({**_span(1, 3, e), **_span(4, 5, b)}, "e1"))
         return Scenario(truth, est)
     if fig is FigureId.FIG8:
-        truth = _ts(5, make_track(_span(1, 3, 0.0), "t1"), make_track(_span(4, 5, 0.0), "t2"))
-        est = _ts(5, make_track(_span(1, 3, e), "e1"), make_track(_span(4, 5, e), "e2"))
+        truth = _ts(5, Track(_span(1, 3, 0.0), "t1"), Track(_span(4, 5, 0.0), "t2"))
+        est = _ts(5, Track(_span(1, 3, e), "e1"), Track(_span(4, 5, e), "e2"))
         return Scenario(truth, est)
     if fig in (FigureId.FIG9A, FigureId.FIG9B):
         sep = b + e  # the two truth lines; cross distances stay above beta-ish
-        truth = _ts(3, make_track(_span(1, 3, 0.0), "t1"), make_track(_span(1, 3, sep), "t2"))
+        truth = _ts(3, Track(_span(1, 3, 0.0), "t1"), Track(_span(1, 3, sep), "t2"))
         if fig is FigureId.FIG9A:
             # The estimates start on the wrong lines and cross after scan 1.
             est = _ts(
                 3,
-                make_track({1: b, 2: e, 3: e}, "e1"),
-                make_track({1: e, 2: b, 3: b}, "e2"),
+                Track({1: b, 2: e, 3: e}, "e1"),
+                Track({1: e, 2: b, 3: b}, "e2"),
             )
         else:
             est = _ts(
                 3,
-                make_track({1: h, 2: e, 3: e}, "e1"),
-                make_track({1: sep - h, 2: b, 3: b}, "e2"),
+                Track({1: h, 2: e, 3: e}, "e1"),
+                Track({1: sep - h, 2: b, 3: b}, "e2"),
             )
         return Scenario(truth, est)
     if fig is FigureId.FIG10A:
-        truth = _ts(4, make_track(_span(1, 2, 0.0), "t1"))
-        est = _ts(4, make_track(_span(3, 4, 0.0), "e1"))
+        truth = _ts(4, Track(_span(1, 2, 0.0), "t1"))
+        est = _ts(4, Track(_span(3, 4, 0.0), "e1"))
         return Scenario(truth, est)
     if fig is FigureId.FIG11A:
-        truth = _ts(4, make_track(_span(1, 2, 0.0), "t1"))
-        est = _ts(4, make_track(_span(1, 2, e), "e1"), make_track(_span(3, 4, 0.0), "e2"))
+        truth = _ts(4, Track(_span(1, 2, 0.0), "t1"))
+        est = _ts(4, Track(_span(1, 2, e), "e1"), Track(_span(3, 4, 0.0), "e2"))
         return Scenario(truth, est)
     if fig is FigureId.FIG11B:
-        truth = _ts(4, make_track(_span(1, 2, 0.0), "t1"))
+        truth = _ts(4, Track(_span(1, 2, 0.0), "t1"))
         est = _ts(
             4,
-            make_track(_span(1, 2, e), "e1"),
-            make_track(_span(3, 4, 0.0), "e2"),
-            make_track(_span(3, 4, e), "e3"),
+            Track(_span(1, 2, e), "e1"),
+            Track(_span(3, 4, 0.0), "e2"),
+            Track(_span(3, 4, e), "e3"),
         )
         return Scenario(truth, est)
     if fig is FigureId.FIG12:
         truth = _ts(
             6,
-            make_track(_span(1, 6, 0.0), "t1"),
-            make_track({1: b + e, 2: 2 * e}, "t2"),
-            make_track(_span(3, 5, b + e), "t3"),
+            Track(_span(1, 6, 0.0), "t1"),
+            Track({1: b + e, 2: 2 * e}, "t2"),
+            Track(_span(3, 5, b + e), "t3"),
         )
-        est = _ts(6, make_track(_span(1, 3, e), "e1"), make_track(_span(5, 6, e), "e2"))
+        est = _ts(6, Track(_span(1, 3, e), "e1"), Track(_span(5, 6, e), "e2"))
         return Scenario(truth, est)
     if fig is FigureId.FIG12A:
-        truth = _ts(6, make_track(_span(1, 2, 0.0), "t1"), make_track(_span(3, 4, 0.0), "t2"))
+        truth = _ts(6, Track(_span(1, 2, 0.0), "t1"), Track(_span(3, 4, 0.0), "t2"))
         est = _ts(
             6,
-            make_track(_span(1, 2, e), "e1"),
-            make_track(_span(3, 4, b), "e2"),
-            make_track(_span(3, 6, e), "e3"),
+            Track(_span(1, 2, e), "e1"),
+            Track(_span(3, 4, b), "e2"),
+            Track(_span(3, 6, e), "e3"),
         )
         return Scenario(truth, est)
     if fig is FigureId.FIG12B:
-        truth = _ts(6, make_track(_span(1, 2, 0.0), "t1"), make_track(_span(3, 4, 0.0), "t2"))
-        est = _ts(6, make_track(_span(1, 6, e), "e1"), make_track(_span(3, 4, b), "e2"))
+        truth = _ts(6, Track(_span(1, 2, 0.0), "t1"), Track(_span(3, 4, 0.0), "t2"))
+        est = _ts(6, Track(_span(1, 6, e), "e1"), Track(_span(3, 4, b), "e2"))
         return Scenario(truth, est)
     if fig is FigureId.FIG13:
-        truth = _ts(5, make_track(_span(1, 5, 0.0), "t1"))
-        est = _ts(5, make_track(_span(3, 5, e), "e1"))
+        truth = _ts(5, Track(_span(1, 5, 0.0), "t1"))
+        est = _ts(5, Track(_span(3, 5, e), "e1"))
         alt = _ts(
             5,
-            make_track(_span(1, 3, 2 * e), "a1"),
-            make_track(_span(4, 5, 2 * e), "a2"),
+            Track(_span(1, 3, 2 * e), "a1"),
+            Track(_span(4, 5, 2 * e), "a2"),
         )
         return Scenario(truth, est, alt)
     raise BadParametersError(f"unknown figure id {spec.figure!r}")
@@ -218,7 +217,7 @@ def random_scenario(
             for t in range(start, end + 1)
         }
         truth_tracks.append(Track(points, label=f"t{k + 1}"))
-    truth = validate(TrackSet(scans, state_dim, tuple(truth_tracks)))
+    truth = TrackSet(scans, state_dim, tuple(truth_tracks))
 
     est_tracks: list[Track] = []
     for k, trk in enumerate(truth_tracks):
@@ -247,7 +246,8 @@ def random_scenario(
         est_tracks.append(
             Track({t: tuple(pos) for t in range(start, end + 1)}, label=f"f{f + 1}")
         )
-    if not all(math.isfinite(v) for trk in est_tracks for x in trk.points.values() for v in x):
-        raise BadParametersError(f"noise {noise} makes an estimated coordinate non-finite")
-    est = validate(TrackSet(scans, state_dim, tuple(est_tracks)))
+    try:
+        est = TrackSet(scans, state_dim, tuple(est_tracks))
+    except NonFiniteCoordinateError as exc:
+        raise BadParametersError(f"noise {noise} makes an estimated coordinate non-finite") from exc
     return truth, est

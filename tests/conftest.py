@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from trackmetric.core import MetricParams, Track, TrackSet, validate
+from trackmetric.core import MetricParams, Track, TrackSet
 from trackmetric.ospa import ospa_per_scan, report_over_time
 from trackmetric.ospamt import Mode, ospamt_metric
 from trackmetric.ospat import ospat_per_scan
@@ -49,7 +49,7 @@ def random_small_set(
             for t in rng.sample(range(1, scans + 1), n_scans)
         }
         tracks.append(Track(pts))
-    return validate(TrackSet(scans, 1, tuple(tracks)))
+    return TrackSet(scans, 1, tuple(tracks))
 
 
 def random_float_set(rng, dim, scans=4, max_tracks=3):
@@ -58,7 +58,7 @@ def random_float_set(rng, dim, scans=4, max_tracks=3):
     for _ in range(rng.randint(0, max_tracks)):
         scan_ids = rng.sample(range(1, scans + 1), rng.randint(1, scans))
         tracks.append(Track({t: tuple(rng.uniform(-9, 9) for _ in range(dim)) for t in scan_ids}))
-    return validate(TrackSet(scans, dim, tuple(tracks)))
+    return TrackSet(scans, dim, tuple(tracks))
 
 
 def distance_params(dim, **fixed):

@@ -20,8 +20,43 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from trackmetric.assign import ENUMERATION_CAP, INFEASIBLE, TIE
-from trackmetric.core import MetricParams, TrackSet, base_distance
-from trackmetric.errors import TooLargeError
+from trackmetric.core import MetricParams, Track, TrackSet, base_distance
+from trackmetric.errors import (
+    BadParametersError,
+    DimensionMismatchError,
+    EmptyTrackError,
+    NonFiniteCoordinateError,
+    ScanOutOfRangeError,
+    TooLargeError,
+)
+
+
+def oracle_check(scans: int, state_dim: int, tracks: tuple[Track, ...]) -> None:
+    """The track-set checks as one plain loop: the library's earlier
+    ``validate``, which ran only when a caller remembered to call it.
+    ``TrackSet(scans, state_dim, tracks)`` must raise what this raises."""
+    if scans < 1:
+        raise BadParametersError(f"scans must be >= 1, got {scans}")
+    if state_dim < 1:
+        raise BadParametersError(f"state_dim must be >= 1, got {state_dim}")
+    for idx, trk in enumerate(tracks, start=1):
+        name = trk.label if trk.label is not None else f"T{idx}"
+        if not trk.points:
+            raise EmptyTrackError(f"track {name} has no existing state at any scan")
+        for t, x in trk.points.items():
+            if not (1 <= t <= scans):
+                raise ScanOutOfRangeError(
+                    f"track {name} has a point at scan {t}, outside 1..{scans}"
+                )
+            if len(x) != state_dim:
+                raise DimensionMismatchError(
+                    f"track {name} at scan {t} has dimension {len(x)}, "
+                    f"expected {state_dim}"
+                )
+            if any(not math.isfinite(v) for v in x):
+                raise NonFiniteCoordinateError(
+                    f"track {name} at scan {t} has a non-finite coordinate"
+                )
 
 
 def oracle_norm(x, y, params: MetricParams) -> float:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import golden, library_reports, same_track_sets
 from trackmetric.cli import main
-from trackmetric.core import MetricParams, TrackSet, make_track, validate
+from trackmetric.core import MetricParams, Track, TrackSet
 from trackmetric.io import load_track_set, save_track_set
 from trackmetric.scenarios import FigureId, ScenarioSpec, build, random_scenario
 
@@ -32,15 +32,13 @@ def write_scenario(tmp_path, fig, **kw):
 
 def test_round_trip_bit_exact(tmp_path):
     awkward = [0.1, 1.0 / 3.0, math.pi, -2.5e-17, 1e300, 123456789.123456789]
-    ts = validate(
-        TrackSet(
-            3,
-            2,
-            (
-                make_track({1: (awkward[0], awkward[1]), 3: (awkward[2], awkward[3])}, "a"),
-                make_track({2: (awkward[4], awkward[5])}, "b"),
-            ),
-        )
+    ts = TrackSet(
+        3,
+        2,
+        (
+            Track({1: (awkward[0], awkward[1]), 3: (awkward[2], awkward[3])}, "a"),
+            Track({2: (awkward[4], awkward[5])}, "b"),
+        ),
     )
     path = tmp_path / "set.json"
     save_track_set(ts, path)
@@ -202,7 +200,7 @@ def test_compute_dimension_mismatch_exit_3(tmp_path, capsys):
     truth, _ = write_scenario(tmp_path, FigureId.FIG1A)
     other = tmp_path / "dim2.json"
     save_track_set(
-        validate(TrackSet(5, 2, (make_track({1: (0.0, 0.0)}),))), other
+        TrackSet(5, 2, (Track({1: (0.0, 0.0)}),)), other
     )
     code, _, err = run(capsys, "compute", str(truth), str(other))
     assert code == 3
@@ -359,20 +357,16 @@ def test_split_no_convergence_exit_5(tmp_path, capsys):
     truth = tmp_path / "t.json"
     est = tmp_path / "e.json"
     save_track_set(
-        validate(
-            TrackSet(
-                2, 1,
-                (make_track({1: 1.0, 2: 1.0}, "A"), make_track({1: 2.0, 2: 2.0}, "B")),
-            )
+        TrackSet(
+            2, 1,
+            (Track({1: 1.0, 2: 1.0}, "A"), Track({1: 2.0, 2: 2.0}, "B")),
         ),
         truth,
     )
     save_track_set(
-        validate(
-            TrackSet(
-                2, 1,
-                (make_track({1: 0.0, 2: 0.0}, "E1"), make_track({1: 50.0, 2: 50.0}, "E2")),
-            )
+        TrackSet(
+            2, 1,
+            (Track({1: 0.0, 2: 0.0}, "E1"), Track({1: 50.0, 2: 50.0}, "E2")),
         ),
         est,
     )
@@ -386,8 +380,8 @@ def test_split_no_convergence_exit_5(tmp_path, capsys):
 def test_env_mode_override(tmp_path, capsys):
     # --mode is the only way to choose the search; twelve tracks exceed the
     # exact search's cap, and auto falls back to greedy
-    tracks = tuple(make_track({1: float(i)}, f"t{i}") for i in range(6))
-    big = validate(TrackSet(1, 1, tracks))
+    tracks = tuple(Track({1: float(i)}, f"t{i}") for i in range(6))
+    big = TrackSet(1, 1, tracks)
     truth = tmp_path / "t.json"
     save_track_set(big, truth)
     code, _, err = run(capsys, "compute", str(truth), str(truth), "--mode", "exact")
@@ -480,10 +474,10 @@ def test_scale_length_mismatch_is_config_error(tmp_path, capsys):
     # Two factors for 1-D states: a configuration error whether or not any
     # pair of tracks coexists.
     truth = tmp_path / "t.json"
-    save_track_set(validate(TrackSet(4, 1, (make_track({1: 0.0, 2: 0.0}, "t1"),))), truth)
+    save_track_set(TrackSet(4, 1, (Track({1: 0.0, 2: 0.0}, "t1"),)), truth)
     for scans in ({3: 1.0, 4: 1.0}, {2: 1.0, 3: 1.0}):
         est = tmp_path / "e.json"
-        save_track_set(validate(TrackSet(4, 1, (make_track(scans, "e1"),))), est)
+        save_track_set(TrackSet(4, 1, (Track(scans, "e1"),)), est)
         code, out, err = run(
             capsys, "compute", str(truth), str(est), "--metric", "all", "--scale", "1,1"
         )

@@ -16,7 +16,7 @@ from oracles import (
     dense_scan_distances,
 )
 from trackmetric.assign import INFEASIBLE
-from trackmetric.core import MetricParams, TrackSet, base_distance, make_track, scan_distances, validate
+from trackmetric.core import MetricParams, Track, TrackSet, base_distance, scan_distances
 from trackmetric.errors import DimensionMismatchError
 from trackmetric.ospamt import Mode, cost_matrix
 from trackmetric.ospat import (
@@ -31,9 +31,9 @@ from trackmetric.ospat import (
 def apart_pair(dim):
     """Two sets that share no scan: ``a`` lives at scans 1-2, ``b`` at 3-4."""
     x = (1.0,) * dim
-    a = TrackSet(4, dim, (make_track({1: x, 2: x}), make_track({2: (5.0,) * dim})))
-    b = TrackSet(4, dim, (make_track({3: x, 4: (2.0,) * dim}),))
-    return validate(a), validate(b)
+    a = TrackSet(4, dim, (Track({1: x, 2: x}), Track({2: (5.0,) * dim})))
+    b = TrackSet(4, dim, (Track({3: x, 4: (2.0,) * dim}),))
+    return a, b
 
 
 def pairs(rng, dim):

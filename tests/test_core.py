@@ -1,21 +1,20 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import distance_params, random_float_set, same_track_sets
-from oracles import oracle_norm
+from oracles import oracle_check, oracle_norm
 from trackmetric.core import (
     MetricParams,
     Track,
     TrackSet,
     base_distance,
     count_distances,
-    make_track,
     scan_distances,
-    validate,
 )
 from trackmetric.errors import (
     BadParametersError,
@@ -24,6 +23,7 @@ from trackmetric.errors import (
     NonFiniteCoordinateError,
     ScanMismatchError,
     ScanOutOfRangeError,
+    ValidationError,
 )
 from trackmetric.scenarios import FigureId, ScenarioSpec, build
 
@@ -34,39 +34,128 @@ def cutoff_distance(x, y, params):
 
 
 def test_validate_minimal_track_accepted():
-    ts = TrackSet(5, 1, (make_track({1: 0.0}),))
-    assert validate(ts) is ts
+    ts = TrackSet(5, 1, (Track({1: 0.0}),))
+    assert ts.states[0, 0, 0] == 0.0 and np.isnan(ts.states[0, 1:]).all()
+    assert ts.exists.tolist() == [[True, False, False, False, False]]
 
 
 def test_validate_empty_track_rejected():
-    ts = TrackSet(5, 1, (Track({}),))
     with pytest.raises(EmptyTrackError):
-        validate(ts)
+        TrackSet(5, 1, (Track({}),))
 
 
 def test_validate_empty_set_accepted():
     ts = TrackSet(5, 1, ())
-    assert validate(ts) is ts
+    assert ts.states.shape == (0, 5, 1) and ts.exists.shape == (0, 5)
 
 
 def test_validate_scan_out_of_range():
     with pytest.raises(ScanOutOfRangeError, match="scan 6"):
-        validate(TrackSet(5, 1, (make_track({6: 0.0}),)))
+        TrackSet(5, 1, (Track({6: 0.0}),))
     with pytest.raises(ScanOutOfRangeError):
-        validate(TrackSet(5, 1, (make_track({0: 0.0}),)))
+        TrackSet(5, 1, (Track({0: 0.0}),))
 
 
 def test_validate_dimension_mismatch_names_track_and_scan():
     trk = Track({2: (1.0, 2.0)}, label="bad")
     with pytest.raises(DimensionMismatchError, match="bad.*scan 2"):
-        validate(TrackSet(5, 1, (trk,)))
+        TrackSet(5, 1, (trk,))
 
 
 def test_validate_non_finite():
     with pytest.raises(NonFiniteCoordinateError):
-        validate(TrackSet(5, 1, (make_track({1: math.nan}),)))
+        TrackSet(5, 1, (Track({1: math.nan}),))
     with pytest.raises(NonFiniteCoordinateError):
-        validate(TrackSet(5, 1, (make_track({1: math.inf}),)))
+        TrackSet(5, 1, (Track({1: math.inf}),))
+
+
+def test_invalid_sets_cannot_be_built():
+    # Before sets checked themselves, a point at scan 0 was stored at scan T
+    # and a NaN coordinate read as a missing point, and both were scored.
+    with pytest.raises(ScanOutOfRangeError, match="scan 0, outside 1..3"):
+        TrackSet(3, 1, (Track({0: 5.0}),))
+    with pytest.raises(NonFiniteCoordinateError, match="T1 at scan 2"):
+        TrackSet(3, 2, (Track({1: (0.0, 1.0), 2: (math.nan, 1.0)}),))
+    with pytest.raises(BadParametersError):
+        TrackSet(0, 1, ())
+    with pytest.raises(BadParametersError):
+        TrackSet(3, 0, ())
+
+
+def test_states_and_exists_are_read_only_and_outside_equality():
+    a = TrackSet(2, 1, (Track({1: 1.0}, "a"),))
+    with pytest.raises(ValueError):
+        a.states[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        a.exists[0, 1] = True
+    assert a == TrackSet(2, 1, (Track({1: (1.0,)}, "a"),))
+    assert "states" not in repr(a) and "exists" not in repr(a)
+
+
+def test_non_finite_point_earlier_in_file_order_is_reported_first():
+    # NaN at scan 2 of track t1 comes before t1's out-of-range scan 9 and
+    # t2's wrong dimension, so the NaN is the error reported
+    tracks = (
+        Track({3: 0.0, 2: math.nan, 9: 1.0}, "t1"),
+        Track({1: (1.0, 2.0)}, "t2"),
+    )
+    with pytest.raises(NonFiniteCoordinateError, match="t1 at scan 2"):
+        TrackSet(5, 1, tracks)
+    # the same points with the NaN after the bad scan report the scan
+    with pytest.raises(ScanOutOfRangeError, match="t1 has a point at scan 9"):
+        TrackSet(5, 1, (Track({3: 0.0, 9: 1.0, 2: math.nan}, "t1"),))
+
+
+def random_raw_set(rng: random.Random):
+    """Arguments of a small track set that breaks each rule now and then:
+    scan 0 or T + 1, a wrong dimension, NaN or inf, an empty track, and
+    rarely a zero scan count or dimension."""
+    scans = 0 if rng.random() < 0.03 else rng.randint(1, 4)
+    dim = 0 if rng.random() < 0.03 else rng.randint(1, 3)
+    bad_value = (math.nan, math.inf, -math.inf)
+    tracks = []
+    for k in range(rng.randint(0, 4)):
+        n_points = 0 if rng.random() < 0.03 else rng.randint(1, max(1, scans))
+        points = {}
+        for t in rng.sample(range(1, scans + 1), min(n_points, scans)):
+            if rng.random() < 0.04:
+                t = rng.choice((0, scans + 1))
+            size = max(0, dim + rng.choice((-1, 1))) if rng.random() < 0.04 else dim
+            x = [rng.choice(bad_value) if rng.random() < 0.03 else rng.uniform(-9, 9)
+                 for _ in range(size)]
+            points[t] = tuple(x)
+        tracks.append(Track(points, None if rng.random() < 0.5 else f"k{k}"))
+    return scans, dim, tuple(tracks)
+
+
+def test_constructor_raises_what_the_reference_check_raises():
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(2400):
+        scans, dim, tracks = random_raw_set(rng)
+        try:
+            oracle_check(scans, dim, tracks)
+            want = None
+        except (ValidationError, BadParametersError) as exc:
+            want = (type(exc), str(exc))
+        try:
+            ts = TrackSet(scans, dim, tracks)
+            got = None
+        except (ValidationError, BadParametersError) as exc:
+            got = (type(exc), str(exc))
+        assert got == want, (scans, dim, tracks)
+        seen[want and want[0]] += 1
+        if got is None:
+            expect = np.full((len(tracks), scans, dim), np.nan)
+            for i, trk in enumerate(tracks):
+                for t, x in trk.points.items():
+                    expect[i, t - 1] = x
+            np.testing.assert_array_equal(ts.states, expect)
+            np.testing.assert_array_equal(ts.exists, ~np.isnan(expect[:, :, 0]))
+    # every kind of error, and valid sets, occur many times over
+    assert set(seen) == {None, BadParametersError, EmptyTrackError, ScanOutOfRangeError,
+                         DimensionMismatchError, NonFiniteCoordinateError}
+    assert min(seen.values()) >= 40, seen
 
 
 def test_cutoff_distance_examples():
@@ -74,8 +163,8 @@ def test_cutoff_distance_examples():
     assert cutoff_distance((0.0, 0.0), (3.0, 4.0), params) == 5.0
     assert cutoff_distance((0.0,), (200.0,), MetricParams()) == 80.0
     # no distance where either track is absent: (x, None), (None, y), (None, None)
-    a = validate(TrackSet(3, 1, (make_track({1: 0.0}),)))
-    b = validate(TrackSet(3, 1, (make_track({2: 0.0}),)))
+    a = TrackSet(3, 1, (Track({1: 0.0}),))
+    b = TrackSet(3, 1, (Track({2: 0.0}),))
     assert np.isnan(scan_distances(a, b, MetricParams())).all()
 
 
@@ -110,9 +199,9 @@ def test_scan_distances_of_swapped_sets_are_the_transpose():
 
 
 def test_scan_distances_reject_incomparable_sets():
-    three = validate(TrackSet(3, 1, (make_track({1: 0.0}),)))
-    four = validate(TrackSet(4, 1, (make_track({1: 0.0}),)))
-    flat = validate(TrackSet(3, 2, (make_track({1: (0.0, 0.0)}),)))
+    three = TrackSet(3, 1, (Track({1: 0.0}),))
+    four = TrackSet(4, 1, (Track({1: 0.0}),))
+    flat = TrackSet(3, 2, (Track({1: (0.0, 0.0)}),))
     with pytest.raises(ScanMismatchError):
         scan_distances(three, four, MetricParams())
     with pytest.raises(DimensionMismatchError):
@@ -221,10 +310,10 @@ def test_scale_length_checked_at_use():
 
 
 def test_same_track_sets_ignores_order_and_labels():
-    t1 = make_track({1: 0.0, 2: 1.0}, label="a")
-    t2 = make_track({3: 5.0}, label="b")
+    t1 = Track({1: 0.0, 2: 1.0}, label="a")
+    t2 = Track({3: 5.0}, label="b")
     s1 = TrackSet(3, 1, (t1, t2))
-    s2 = TrackSet(3, 1, (make_track({3: 5.0}, "x"), make_track({1: 0.0, 2: 1.0}, "y")))
+    s2 = TrackSet(3, 1, (Track({3: 5.0}, "x"), Track({1: 0.0, 2: 1.0}, "y")))
     assert same_track_sets(s1, s2)
     s3 = TrackSet(3, 1, (t1,))
     assert not same_track_sets(s1, s3)

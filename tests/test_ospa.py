@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import golden
 from oracles import oracle_ospa
-from trackmetric.core import MetricParams, TrackSet, make_track
+from trackmetric.core import MetricParams, Track, TrackSet
 from trackmetric.errors import DimensionMismatchError
 from trackmetric.ospa import ospa, ospa_per_scan
 from trackmetric.scenarios import FigureId, ScenarioSpec, build
@@ -101,8 +101,8 @@ def test_per_scan_fig1a_t4_pairs_tau1_with_tau2prime():
 
 
 def test_per_scan_empty_scans_are_zero():
-    a = TrackSet(3, 1, (make_track({1: 0.0}),))
-    b = TrackSet(3, 1, (make_track({1: 0.5}),))
+    a = TrackSet(3, 1, (Track({1: 0.0}),))
+    b = TrackSet(3, 1, (Track({1: 0.5}),))
     rows = ospa_per_scan(a, b, MetricParams())
     assert rows[1].total == 0.0 and rows[2].total == 0.0
     assert rows[1].n_t == 0

@@ -32,8 +32,6 @@ from trackmetric.core import (
     Track,
     TrackSet,
     count_distances,
-    make_track,
-    validate,
 )
 from trackmetric.errors import (
     DimensionMismatchError,
@@ -64,16 +62,16 @@ def fig(fig_id, **kw):
 
 
 def test_pairwise_cost_identical_tracks():
-    ts = validate(TrackSet(3, 1, (make_track({1: 0.0, 2: 1.0, 3: 2.0}),)))
+    ts = TrackSet(3, 1, (Track({1: 0.0, 2: 1.0, 3: 2.0}),))
     assert cost_matrix(ts, ts, MetricParams())[0, 0] == 0.0
 
 
 def test_pairwise_cost_disjoint_lifetimes():
     params = MetricParams()
-    a = make_track({1: 0.0, 2: 0.0})
-    b = make_track({3: 0.0, 4: 0.0})
-    ts_a = validate(TrackSet(4, 1, (a,)))
-    ts_b = validate(TrackSet(4, 1, (b,)))
+    a = Track({1: 0.0, 2: 0.0})
+    b = Track({3: 0.0, 4: 0.0})
+    ts_a = TrackSet(4, 1, (a,))
+    ts_b = TrackSet(4, 1, (b,))
     d = cost_matrix(ts_b, ts_a, params)
     assert d[0, 0] == INFEASIBLE
 
@@ -84,8 +82,8 @@ def test_pairwise_cost_merged_track_against_short_truth():
     for p in (1.0, 2.0):
         params = MetricParams(p=p)
         eps, c = 1.0, params.c
-        truth = validate(TrackSet(5, 1, (make_track({1: 0.0, 2: 0.0, 3: 0.0}),)))
-        est = validate(TrackSet(5, 1, (make_track({t: eps for t in range(1, 6)}),)))
+        truth = TrackSet(5, 1, (Track({1: 0.0, 2: 0.0, 3: 0.0}),))
+        est = TrackSet(5, 1, (Track({t: eps for t in range(1, 6)}),))
         want = (3 * eps**p + 2 * c**p) / 5
         assert cost_matrix(est, truth, params)[0, 0] == pytest.approx(want, rel=1e-9)
 
@@ -101,9 +99,9 @@ def test_cost_matrix_of_swapped_roles_is_the_transpose(p_prime, scale):
 
 
 def test_cost_matrix_rejects_incomparable_sets():
-    three = validate(TrackSet(3, 1, (make_track({1: 0.0}),)))
-    four = validate(TrackSet(4, 1, (make_track({1: 0.0}),)))
-    flat = validate(TrackSet(3, 2, (make_track({1: (0.0, 0.0)}),)))
+    three = TrackSet(3, 1, (Track({1: 0.0}),))
+    four = TrackSet(4, 1, (Track({1: 0.0}),))
+    flat = TrackSet(3, 2, (Track({1: (0.0, 0.0)}),))
     with pytest.raises(ScanMismatchError):
         cost_matrix(three, four, MetricParams())
     with pytest.raises(DimensionMismatchError):
@@ -224,7 +222,7 @@ def test_quasi_identity():
 def test_quasi_empty_cases():
     params = MetricParams()
     empty = TrackSet(5, 1, ())
-    one = validate(TrackSet(5, 1, (make_track({1: 0.0}),)))
+    one = TrackSet(5, 1, (Track({1: 0.0}),))
     assert quasi_ospamt(empty, empty, params).total == 0.0
     assert quasi_ospamt(one, empty, params).total == params.c
     assert quasi_ospamt(empty, one, params).total == params.c
@@ -235,22 +233,22 @@ def test_quasi_total_is_the_directional_cost_of_its_assignment():
     # false_rate=0.3, break_rate=0.5, noise=0.5): one truth, one estimate.
     # A value worked out as c**p * n plus an adjustment loses the low bits
     # of the per-scan sums to cancellation.
-    truth = validate(TrackSet(18, 2, (Track({
+    truth = TrackSet(18, 2, (Track({
         3: (93.50152564616732, 35.705454887985695),
         4: (93.11052629768213, 35.541379508743034),
         5: (92.71952694919692, 35.37730412950038),
         6: (92.32852760071172, 35.21322875025772),
         7: (91.93752825222651, 35.049153371015066),
         8: (91.54652890374132, 34.885077991772405),
-    }, "t1"),)))
-    est = validate(TrackSet(18, 2, (Track({
+    }, "t1"),))
+    est = TrackSet(18, 2, (Track({
         3: (92.98678504736795, 35.90881373544137),
         4: (93.47484160327402, 36.42714686140324),
         5: (92.89769491557566, 36.244579306877824),
         6: (93.12033136633057, 35.72076524445144),
         7: (91.61915951531363, 34.34371240456409),
         8: (90.88551672711938, 35.459644982517155),
-    }, "e1.1"),)))
+    }, "e1.1"),))
     params = MetricParams(p=3.0, c=40.0, delta=5.0, p_prime=1.5)
     for src, tgt in ((est, truth), (truth, est)):
         report = quasi_ospamt(src, tgt, params, Mode.EXACT)
@@ -261,8 +259,8 @@ def test_quasi_total_is_the_directional_cost_of_its_assignment():
 
 
 def test_quasi_too_large_in_exact_mode():
-    tracks = tuple(make_track({1: float(i)}) for i in range(6))
-    big = validate(TrackSet(1, 1, tracks))
+    tracks = tuple(Track({1: float(i)}) for i in range(6))
+    big = TrackSet(1, 1, tracks)
     with pytest.raises(TooLargeError):
         quasi_ospamt(big, big, MetricParams(), Mode.EXACT)
     # auto mode falls back to greedy instead
@@ -319,6 +317,25 @@ def test_metric_symmetry_swapped_arguments():
     assert r1.total == pytest.approx(r2.total, rel=1e-12)
 
 
+def test_triangle_inequality_can_fail_when_normalisers_differ():
+    # Documents a property of the metric as defined, not a search bug: the
+    # brute-force oracle gives the same three values.  d(a, b) and d(a, c)
+    # average over n = 4 slots, d(c, b) over n = 3.
+    a = TrackSet(3, 1, (Track({2: 6.0, 3: 6.0}), Track({1: 3.0, 2: 9.0})))
+    b = TrackSet(3, 1, (Track({1: 5.0, 3: 3.0}), Track({2: 6.0})))
+    c = TrackSet(3, 1, (Track({1: 4.0, 2: 2.0, 3: 2.0}),))
+    params = MetricParams()
+    got = {}
+    for name, x, y in (("ab", a, b), ("ac", a, c), ("cb", c, b)):
+        report = ospamt_metric(x, y, params, Mode.EXACT)
+        got[name] = report.total
+        assert (report.total, report.n) == (oracle_ospamt(x, y, params), 3 if name == "cb" else 4)
+        assert ospamt_metric(y, x, params, Mode.EXACT).total == report.total
+    assert got["ab"] == 40.5 and got["ac"] == 27.25
+    assert got["cb"] == pytest.approx(16 / 3, rel=1e-15)
+    assert got["ab"] > got["ac"] + got["cb"]
+
+
 @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.GREEDY], ids=["exact", "greedy"])
 @pytest.mark.parametrize(
     "params",
@@ -367,8 +384,8 @@ def test_every_slot_at_the_cutoff_reads_exactly_the_cutoff(p, c):
     # so every value is exactly c, though (c**p * k / k) ** (1/p) can round above it
     penalty = min(1.0, c / 2)
     params = MetricParams(p=p, c=c, delta=penalty, alpha=penalty)
-    truth = validate(TrackSet(2, 1, (make_track({1: 0.0}, "t1"),)))
-    est = validate(TrackSet(2, 1, (make_track({2: 0.0}, "e1"),)))
+    truth = TrackSet(2, 1, (Track({1: 0.0}, "t1"),))
+    est = TrackSet(2, 1, (Track({2: 0.0}, "e1"),))
     reports, scan_rows = library_reports(truth, est, params)
     for name, report in reports.items():
         assert (report.total, report.loc, report.card) == (c, 0.0, c), name
@@ -432,19 +449,19 @@ def test_order_tie_goes_to_the_lexicographically_smaller_order():
     # Two fragments of one truth cover scans 10-11 and 12-13.  Either order
     # pays delta**p at the second fragment's two scans, so the orders tie
     # exactly, though float sums of the two can differ in the last bit.
-    truth = validate(TrackSet(20, 2, (Track({
+    truth = TrackSet(20, 2, (Track({
         9: (82.98322873253227, -24.46726344763404),
         10: (81.23398953996663, -23.790431193891084),
         11: (79.48475034740098, -23.11359894014813),
         12: (77.73551115483534, -22.43676668640518),
         13: (75.98627196226968, -21.759934432662224),
-    }, "t1"),)))
-    est = validate(TrackSet(20, 2, (
+    }, "t1"),))
+    est = TrackSet(20, 2, (
         Track({10: (82.13656230124894, -22.800925021604666),
                11: (79.5411224470346, -23.182582858676618)}, "e1.1"),
         Track({12: (77.02338794344341, -21.82047372968982),
                13: (76.06177878484519, -21.888387544463107)}, "e1.2"),
-    )))
+    ))
     params = MetricParams(p=2.0)
     n_t, _ = oracle_counts(est, truth)
 
@@ -464,9 +481,9 @@ def test_order_tie_goes_to_the_lexicographically_smaller_order():
 
 def _line_set(scans, windows):
     """1-D set of tracks ``(start, values)`` on consecutive scans."""
-    return validate(TrackSet(scans, 1, tuple(
+    return TrackSet(scans, 1, tuple(
         Track({start + k: (float(x),) for k, x in enumerate(xs)}) for start, xs in windows
-    )))
+    ))
 
 
 @st.composite
@@ -676,7 +693,6 @@ _DIRECTION_TIES = {
 @pytest.mark.parametrize("case", sorted(_DIRECTION_TIES))
 def test_exact_direction_tie_reports_est_to_truth(case):
     truth, est, kwargs = _DIRECTION_TIES[case]
-    truth, est = validate(truth), validate(est)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # delta == c warns
         params = MetricParams(**kwargs)
@@ -778,17 +794,15 @@ def test_split_interleaved_lifetimes():
     # truth A exists at scans 1 and 3, truth B at scan 2; one estimate covers
     # all three scans and must fragment into {1,3} and {2}.
     params = MetricParams(delta=1.0)
-    truth = validate(
-        TrackSet(
-            3,
-            1,
-            (
-                make_track({1: 0.0, 3: 0.0}, "A"),
-                make_track({2: 0.1}, "B"),
-            ),
-        )
+    truth = TrackSet(
+        3,
+        1,
+        (
+            Track({1: 0.0, 3: 0.0}, "A"),
+            Track({2: 0.1}, "B"),
+        ),
     )
-    est = validate(TrackSet(3, 1, (make_track({1: 0.0, 2: 0.1, 3: 0.0}, "E"),)))
+    est = TrackSet(3, 1, (Track({1: 0.0, 2: 0.1, 3: 0.0}, "E"),))
     assignment = quasi_ospamt(truth, est, params, Mode.EXACT).assignment
     assert assignment.orders == ((1, 2),)  # both truths onto E: split needed
     new_est, log = split_tracks(truth, est, params, Mode.EXACT)
@@ -803,19 +817,15 @@ def test_split_no_convergence_on_identical_lifetimes():
     # Greedy mode can pile two same-lifetime truths onto one estimate; the
     # fragmenting rule then cannot separate them.
     params = MetricParams()
-    truth = validate(
-        TrackSet(
-            2,
-            1,
-            (make_track({1: 1.0, 2: 1.0}, "A"), make_track({1: 2.0, 2: 2.0}, "B")),
-        )
+    truth = TrackSet(
+        2,
+        1,
+        (Track({1: 1.0, 2: 1.0}, "A"), Track({1: 2.0, 2: 2.0}, "B")),
     )
-    est = validate(
-        TrackSet(
-            2,
-            1,
-            (make_track({1: 0.0, 2: 0.0}, "E1"), make_track({1: 50.0, 2: 50.0}, "E2")),
-        )
+    est = TrackSet(
+        2,
+        1,
+        (Track({1: 0.0, 2: 0.0}, "E1"), Track({1: 50.0, 2: 50.0}, "E2")),
     )
     with pytest.raises(NoConvergenceError):
         split_tracks(truth, est, params, Mode.GREEDY)

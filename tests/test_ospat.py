@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import golden
-from trackmetric.core import MetricParams, TrackSet, make_track, validate
+from trackmetric.core import MetricParams, Track, TrackSet
 from trackmetric.errors import BadParametersError
 from trackmetric.ospat import (
     LabeledTrackSet,
@@ -49,7 +49,7 @@ def test_reorder_fig10a_pairs_despite_disjoint_lifetimes():
 
 def test_reorder_empty():
     empty = TrackSet(3, 1, ())
-    one = validate(TrackSet(3, 1, (make_track({1: 0.0}),)))
+    one = TrackSet(3, 1, (Track({1: 0.0}),))
     assert pairs_of(empty, one) == ()
     assert pairs_of(one, empty) == ()
 
@@ -58,27 +58,23 @@ def test_reorder_empty():
 
 
 def test_label_identical_singletons():
-    one = validate(TrackSet(3, 1, (make_track({1: 0.0}),)))
+    one = TrackSet(3, 1, (Track({1: 0.0}),))
     asg = ospat_reorder(one, one, MetricParams())
     la, lb = ospat_label(one, one, asg)
     assert la.labels == (1,) and lb.labels == (1,)
 
 
 def test_label_leftover_numbering():
-    truth = validate(
-        TrackSet(
-            2,
-            1,
-            (
-                make_track({1: 0.0, 2: 0.0}),
-                make_track({1: 10.0, 2: 10.0}),
-                make_track({1: 20.0, 2: 20.0}),
-            ),
-        )
+    truth = TrackSet(
+        2,
+        1,
+        (
+            Track({1: 0.0, 2: 0.0}),
+            Track({1: 10.0, 2: 10.0}),
+            Track({1: 20.0, 2: 20.0}),
+        ),
     )
-    est = validate(
-        TrackSet(2, 1, (make_track({1: 0.1, 2: 0.1}), make_track({1: 10.1, 2: 10.1})))
-    )
+    est = TrackSet(2, 1, (Track({1: 0.1, 2: 0.1}), Track({1: 10.1, 2: 10.1})))
     asg = ospat_reorder(truth, est, MetricParams())
     la, lb = ospat_label(truth, est, asg)
     assert lb.labels == (1, 2)
@@ -126,7 +122,7 @@ def test_fig12a_fig12b_t4_value():
 def test_alpha_zero_identity_violation():
     # same position, different labels, alpha = 0: distance collapses to zero
     params = MetricParams(alpha=0.0)
-    ts = validate(TrackSet(1, 1, (make_track({1: 3.0}),)))
+    ts = TrackSet(1, 1, (Track({1: 3.0}),))
     la = LabeledTrackSet(ts, (1,))
     lb = LabeledTrackSet(ts, (2,))
     row = ospat_at_time(la, lb, 1, params)
@@ -134,12 +130,22 @@ def test_alpha_zero_identity_violation():
     assert la.labels != lb.labels
 
 
+def test_labeled_set_needs_one_label_per_track():
+    # three labels for two tracks used to pass unnoticed, and one label for
+    # two failed only when scored, with a bare IndexError
+    two = TrackSet(2, 1, (Track({1: 0.0}), Track({2: 1.0})))
+    for labels in ((1, 2, 3), (1,), ()):
+        with pytest.raises(BadParametersError, match="labels for 2 tracks"):
+            LabeledTrackSet(two, labels)
+    assert LabeledTrackSet(two, (2, 1)).labels == (2, 1)
+
+
 def labeled_base_distance(x, y, params):
     """Labeled distance of two (label, state) pairs: the one-scan OSPAT score
     of two singleton sets carrying those labels."""
     (label_x, state_x), (label_y, state_y) = x, y
-    ta = validate(TrackSet(1, 1, (make_track({1: state_x}),)))
-    tb = validate(TrackSet(1, 1, (make_track({1: state_y}),)))
+    ta = TrackSet(1, 1, (Track({1: state_x}),))
+    tb = TrackSet(1, 1, (Track({1: state_y}),))
     la, lb = LabeledTrackSet(ta, (label_x,)), LabeledTrackSet(tb, (label_y,))
     return ospat_at_time(la, lb, 1, params).total
 
@@ -193,7 +199,7 @@ def test_at_time_matches_per_scan_rows(params):
 
 def test_at_time_empty_scan():
     params = MetricParams()
-    ts = validate(TrackSet(2, 1, (make_track({1: 0.0}),)))
+    ts = TrackSet(2, 1, (Track({1: 0.0}),))
     la, lb = ospat_label(ts, ts, ospat_reorder(ts, ts, params))
     row = ospat_at_time(la, lb, 2, params)
     assert row.total == 0.0 and row.n_t == 0
@@ -203,8 +209,8 @@ def test_at_time_empty_scan():
 def test_at_time_rejects_scans_outside_the_window(t):
     # a 3-scan pair: 0 and 4 raised a bare IndexError, -1 scored scan 2
     params = MetricParams()
-    a = validate(TrackSet(3, 1, (make_track({1: 0.0, 2: 1.0, 3: 2.0}),)))
-    b = validate(TrackSet(3, 1, (make_track({2: 1.5, 3: 2.5}),)))
+    a = TrackSet(3, 1, (Track({1: 0.0, 2: 1.0, 3: 2.0}),))
+    b = TrackSet(3, 1, (Track({2: 1.5, 3: 2.5}),))
     la, lb = ospat_label(a, b, ospat_reorder(a, b, params))
     with pytest.raises(BadParametersError, match="outside 1..3"):
         ospat_at_time(la, lb, t, params)
@@ -230,9 +236,7 @@ def test_global_fig10a_all_scans_mismatch():
 def test_global_one_empty_set_charges_existing_scans():
     params = MetricParams()
     empty = TrackSet(4, 1, ())
-    two = validate(
-        TrackSet(4, 1, (make_track({1: 0.0, 2: 0.0}), make_track({2: 5.0}),))
-    )
+    two = TrackSet(4, 1, (Track({1: 0.0, 2: 0.0}), Track({2: 5.0}),))
     res = ospat_global(empty, two, params)
     assert res.per_time == (params.c, 2 * params.c, 0.0, 0.0)
     assert res.total == pytest.approx(3 * params.c, rel=1e-9)
