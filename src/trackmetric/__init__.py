@@ -33,11 +33,9 @@ from .errors import (
 from .io import load_track_set, save_track_set
 from .ospa import ospa, ospa_per_scan, report_over_time
 from .ospamt import (
-    DirectionalBreakdown,
     Mode,
     directional_cost,
     directional_distance,
-    directional_terms,
     ospamt_metric,
     quasi_ospamt,
     split_tracks,
@@ -45,7 +43,6 @@ from .ospamt import (
 from .ospat import (
     LabeledTrackSet,
     ospat_at_time,
-    ospat_global,
     ospat_label,
     ospat_per_scan,
     ospat_reorder,
@@ -59,7 +56,6 @@ __all__ = [
     "BadParametersError",
     "DimensionMismatchError",
     "Direction",
-    "DirectionalBreakdown",
     "EmptyTrackError",
     "FigureId",
     "INFEASIBLE",
@@ -85,14 +81,12 @@ __all__ = [
     "count_distances",
     "directional_cost",
     "directional_distance",
-    "directional_terms",
     "greedy_many_to_one",
     "load_track_set",
     "ospa",
     "ospa_per_scan",
     "ospamt_metric",
     "ospat_at_time",
-    "ospat_global",
     "ospat_label",
     "ospat_per_scan",
     "ospat_reorder",

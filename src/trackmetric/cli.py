@@ -34,7 +34,7 @@ from .errors import (
 from .io import load_track_set, save_track_set
 from .ospa import ospa_per_scan, report_over_time
 from .ospamt import Mode, ospamt_metric, split_tracks
-from .ospat import ospat_global, ospat_per_scan
+from .ospat import ospat_per_scan
 from .scenarios import FigureId, Scenario, ScenarioSpec, build, random_scenario
 
 EXIT_OK = 0
@@ -84,9 +84,8 @@ def _eval_ospat(
 ) -> MetricRows:
     scan_rows, assignment = ospat_per_scan(truth, est, params, dist)
     report = report_over_time(scan_rows, params, assignment)
-    glob = ospat_global(truth, est, params, assignment)
     text = "pairing " + _pairs_text(assignment.pairs, truth, est)
-    return MetricRows("ospat", report, text, {"global_distance": glob.total})
+    return MetricRows("ospat", report, text, {"global_distance": sum(assignment.costs_t)})
 
 
 def _eval_ospamt(
@@ -217,7 +216,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
                     "card": res.report.card,
                     "per_time": [
                         {"t": t, "total": tt, "loc": ll, "card": cc, "n_t": nn}
-                        for t, tt, ll, cc, nn in res.rows()
+                        for t, tt, ll, cc, nn in res.rows(args.at_time)
                     ],
                     "assignment": res.assignment_text,
                     **res.extra,

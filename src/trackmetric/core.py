@@ -36,16 +36,18 @@ StateVector = tuple[float, ...]
 class Track:
     """One target trajectory: existing scans mapped to state vectors.
 
-    A bare number is a 1-D state.  ``label`` is carried for reporting only;
-    it plays no role in any distance.
+    A bare number, Python or numpy, or any other value with no axes, is a
+    1-D state.  ``label`` is carried for reporting only; it plays no role in
+    any distance.
     """
 
     points: Mapping[int, StateVector | float]
     label: str | None = None
 
     def __post_init__(self) -> None:
-        pts = {int(t): (float(x),) if isinstance(x, (int, float)) else tuple(map(float, x))
-               for t, x in self.points.items()}
+        # lists and tuples, the common states, skip the cost of np.ndim
+        pts = {int(t): tuple(map(float, x)) if isinstance(x, (list, tuple)) or np.ndim(x)
+               else (float(x),) for t, x in self.points.items()}
         object.__setattr__(self, "points", pts)
 
     def exists_at(self, t: int) -> bool:

@@ -26,7 +26,6 @@ from .core import (
     Track,
     TrackSet,
     at_coexisting,
-    base_distance,
     check_comparable,
     count_distances,
     root_mean,
@@ -126,12 +125,15 @@ def directional_terms(
     tgt: TrackSet,
     orders: Sequence[Sequence[int]],
     params: MetricParams,
+    dist: np.ndarray,
 ) -> DirectionalBreakdown:
     """Raw per-scan sums for a fixed assignment and fixed track orders.
 
     At every scan a target's order, minus its absent sources, keeps its
     relative order; the first source left is charged the capped distance,
-    plus ``delta**p`` when it is not the first of the full order.
+    plus ``delta**p`` when it is not the first of the full order.  ``dist``
+    is ``scan_distances(tgt, src, params)``; only its coexisting entries
+    are read.
     """
     p = params.p
     cp = params.c**p
@@ -141,8 +143,10 @@ def directional_terms(
     ii = np.array([i for i, order in enumerate(orders) for _ in order], dtype=int)
     jj = np.array([j - 1 for order in orders for j in order], dtype=int)
     live = src.exists[jj] & tgt.exists[ii]
-    dist = base_distance(tgt.states[ii], src.states[jj], params)
-    capped = np.where(live, np.minimum(dist, params.c) ** p, 0.0)
+    pair_dist = dist[ii, jj]
+    capped = at_coexisting(
+        live, lambda flat: np.minimum(np.take(pair_dist, flat), params.c) ** p, 0.0
+    )
     scans = np.arange(tgt.scans)
     loc = np.zeros(tgt.scans)
     card = np.zeros(tgt.scans)
@@ -184,7 +188,8 @@ def directional_cost(
             f"orders {tuple(orders)} do not order the preimages {preimages} of lambda"
         )
     _, n = count_distances(src, tgt)
-    breakdown = directional_terms(src, tgt, orders, params)
+    dist = scan_distances(tgt, src, params)
+    breakdown = directional_terms(src, tgt, orders, params, dist)
     return root_mean(sum(breakdown.total_t), n, params)
 
 
@@ -258,7 +263,7 @@ class _DirectionalEngine:
     """
 
     def __init__(
-        self, src: TrackSet, tgt: TrackSet, params: MetricParams, dist: np.ndarray | None = None
+        self, src: TrackSet, tgt: TrackSet, params: MetricParams, dist: np.ndarray
     ) -> None:
         self.src = src
         self.tgt = tgt
@@ -269,9 +274,8 @@ class _DirectionalEngine:
         self.base = cp * self.n
         # coexist[i-1, j-1, t-1]: target i and source j both exist at scan t
         self.coexist = tgt.exists[:, None, :] & src.exists[None, :, :]
-        # gain[i-1, j-1, t-1]: capped distance ** p minus c ** p where coexisting
-        if dist is None:
-            dist = scan_distances(tgt, src, params)
+        # gain[i-1, j-1, t-1]: capped distance ** p minus c ** p where coexisting,
+        # read from dist = scan_distances(tgt, src, params)
         capped = np.minimum(dist, params.c)
         self.gain = np.where(self.coexist, capped**p - cp, 0.0)
 
@@ -355,9 +359,10 @@ def directional_distance(
     """
     lam = tuple(lam)
     _check_feasible(src, tgt, lam)
-    engine = _DirectionalEngine(src, tgt, params)
+    dist = scan_distances(tgt, src, params)
+    engine = _DirectionalEngine(src, tgt, params, dist)
     orders = engine.best_orders(lam)
-    breakdown = directional_terms(src, tgt, orders, params)
+    breakdown = directional_terms(src, tgt, orders, params, dist)
     return root_mean(sum(breakdown.total_t), engine.n, params), breakdown, orders
 
 
@@ -395,9 +400,11 @@ def quasi_ospamt(
     zero when both sets are empty; when only one is, every distance slot
     pays the cutoff, all of it cardinality.  ``dist`` is
     ``scan_distances(tgt, src, params)`` when the caller already has it;
-    otherwise it is built here when the search needs it.
+    otherwise it is built here.
     """
     check_comparable(src, tgt)
+    if dist is None:
+        dist = scan_distances(tgt, src, params)
     return _quasi(src, tgt, params, mode, direction, dist, None)
 
 
@@ -407,11 +414,12 @@ def _quasi(
     params: MetricParams,
     mode: Mode | str,
     direction: Direction,
-    dist: np.ndarray | None,
+    dist: np.ndarray,
     costs: np.ndarray | None,
 ) -> MetricReport:
-    """``quasi_ospamt`` of comparable sets; ``costs`` is the greedy
-    ``cost_matrix(src, tgt, params)`` when the caller has priced it."""
+    """``quasi_ospamt`` of comparable sets; the search and the scoring both
+    read ``dist``, and ``costs`` is the greedy ``cost_matrix(src, tgt,
+    params)`` when the caller has priced it."""
     if not src.tracks or not tgt.tracks:
         lam, orders = (0,) * len(src.tracks), ((),) * len(tgt.tracks)
     elif resolve_mode(mode, len(src.tracks) + len(tgt.tracks)) is Mode.EXACT:
@@ -420,7 +428,7 @@ def _quasi(
         if costs is None:
             costs = cost_matrix(src, tgt, params, dist)
         lam, orders = _quasi_greedy(src, tgt, params, costs)
-    terms = directional_terms(src, tgt, orders, params)
+    terms = directional_terms(src, tgt, orders, params, dist)
     n_t, _ = count_distances(src, tgt)
     assignment = Assignment(direction, lam, orders)
     return MetricReport.from_sums(terms.loc_t, terms.card_t, n_t, params, assignment)

@@ -12,7 +12,7 @@ are always fully paired even across disjoint lifetimes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,10 +43,17 @@ class LabeledTrackSet:
 
 @dataclass(frozen=True)
 class OspatAssignment:
-    """Global one-to-one pairing: 1-based (index in a, index in b) pairs."""
+    """Global one-to-one pairing: 1-based (index in a, index in b) pairs.
+
+    ``costs_t`` holds the reordering costs of the chosen pairs summed at
+    each scan, not normalized; their sum is the global OSPAT distance.  With
+    one empty set there are no pairs, and every existing state of the other
+    set is charged the cutoff instead.  The costs play no role in ``==``.
+    """
 
     pairs: tuple[tuple[int, int], ...]
     smaller: str  # "a" or "b"
+    costs_t: tuple[float, ...] = field(compare=False)
 
 
 def _reorder_costs(
@@ -69,30 +76,30 @@ def ospat_reorder(
     The smaller set maps injectively into the larger, so every track of the
     smaller set is paired no matter how far apart the lifetimes are, and
     leftover tracks of the larger set contribute nothing to the choice.
-    Ties resolve to the lexicographically smallest assignment vector.
+    Ties resolve to the lexicographically smallest assignment vector.  The
+    pairing keeps the per-scan costs of its pairs as ``costs_t``.
     ``dist`` is ``scan_distances(a, b, params, order=2.0)`` when the caller
     already has it; otherwise it is built here.  Only its coexisting entries
     are read: a scan where one track of a pair exists costs the cutoff
     without a distance.
     """
     check_comparable(a, b)
+    smaller = "b" if len(b.tracks) <= len(a.tracks) else "a"
     if not a.tracks or not b.tracks:
-        return OspatAssignment((), "b" if len(b.tracks) <= len(a.tracks) else "a")
+        other = b if not a.tracks else a
+        return OspatAssignment((), smaller, tuple((params.c * other.exists.sum(axis=0)).tolist()))
     if dist is None:
         dist = scan_distances(a, b, params, order=2.0)
-    d = _reorder_costs(
-        dist,
-        a.exists[:, None, :],
-        b.exists[None, :, :],
-        params.c,
-    ).sum(axis=2)
-    if len(b.tracks) <= len(a.tracks):
+    costs = _reorder_costs(dist, a.exists[:, None, :], b.exists[None, :, :], params.c)
+    d = costs.sum(axis=2)
+    if smaller == "b":
         pi, _ = solve_one_to_one(d.T)
         pairs = tuple((pi[j] + 1, j + 1) for j in range(len(b.tracks)))
-        return OspatAssignment(pairs, "b")
-    pi, _ = solve_one_to_one(d)
-    pairs = tuple((i + 1, pi[i] + 1) for i in range(len(a.tracks)))
-    return OspatAssignment(pairs, "a")
+    else:
+        pi, _ = solve_one_to_one(d)
+        pairs = tuple((i + 1, pi[i] + 1) for i in range(len(a.tracks)))
+    ia, ib = np.array(pairs).T - 1
+    return OspatAssignment(pairs, smaller, tuple(costs[ia, ib].sum(axis=0).tolist()))
 
 
 def ospat_label(
@@ -160,43 +167,6 @@ def ospat_at_time(
     both = a.exists[:, None, t - 1 : t] & b.exists[None, :, t - 1 : t]
     capped = _labeled_distances(d, both, labeled_a, labeled_b, params)[:, :, 0]
     return ospa_at_scan(capped, a.exists[:, t - 1], b.exists[:, t - 1], t, params)
-
-
-@dataclass(frozen=True)
-class OspatGlobal:
-    """Summed reordering costs of the winning pairing (not normalized)."""
-
-    total: float
-    per_time: tuple[float, ...]
-    assignment: OspatAssignment
-
-
-def ospat_global(
-    a: TrackSet,
-    b: TrackSet,
-    params: MetricParams,
-    assignment: OspatAssignment | None = None,
-) -> OspatGlobal:
-    """Global OSPAT distance and its per-scan terms.
-
-    ``assignment`` is the pairing from ``ospat_reorder`` (or
-    ``ospat_per_scan``) when the caller already has it; otherwise it is
-    computed here.  With one empty set there are no pairs to sum, so every
-    existing state of the other set is treated as a lone target and charged
-    the cutoff at each scan it exists.
-    """
-    check_comparable(a, b)
-    if assignment is None:
-        assignment = ospat_reorder(a, b, params)
-    if not a.tracks or not b.tracks:
-        other = b if not a.tracks else a
-        per_time = tuple((params.c * other.exists.sum(axis=0)).tolist())
-        return OspatGlobal(sum(per_time), per_time, assignment)
-    ia, ib = np.array(assignment.pairs).T - 1
-    d = base_distance(a.states[ia], b.states[ib], params, order=2.0)
-    costs = _reorder_costs(d, a.exists[ia], b.exists[ib], params.c)
-    per_time = tuple(costs.sum(axis=0).tolist())
-    return OspatGlobal(sum(per_time), per_time, assignment)
 
 
 def ospat_per_scan(

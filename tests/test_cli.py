@@ -470,6 +470,30 @@ def test_at_time_flag(tmp_path, capsys):
     assert code == 4
 
 
+def test_at_time_restricts_json_per_time(tmp_path, capsys):
+    # --at-time keeps one per-scan row in JSON, as it does in CSV and table
+    truth, est = write_scenario(tmp_path, FigureId.FIG1A)
+    argv = ("compute", str(truth), str(est), "--metric", "all", "--output", "json")
+    _, whole, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--at-time", "2")
+    assert code == 0
+    whole, doc = json.loads(whole)["metrics"], json.loads(out)["metrics"]
+    for name, metric in doc.items():
+        assert metric["per_time"] == [whole[name]["per_time"][1]]
+        assert {k: v for k, v in metric.items() if k != "per_time"} == {
+            k: v for k, v in whole[name].items() if k != "per_time"
+        }
+
+
+def test_global_distance_is_the_pairing_cost(tmp_path, capsys):
+    # fig10a: the one pairing mismatches at each of the 4 scans
+    truth, est = write_scenario(tmp_path, FigureId.FIG10A)
+    code, out, _ = run(capsys, "compute", str(truth), str(est), "--metric", "ospat",
+                       "--output", "json")
+    assert code == 0
+    assert json.loads(out)["metrics"]["ospat"]["global_distance"] == 4 * MetricParams().c
+
+
 def test_scale_length_mismatch_is_config_error(tmp_path, capsys):
     # Two factors for 1-D states: a configuration error whether or not any
     # pair of tracks coexists.
@@ -524,29 +548,57 @@ def test_ospat_reorder_runs_once_per_compute(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("extra, builds", [((), 2), (("--p-prime", "2"), 1)])
-def test_distance_tensor_built_once_per_norm_order(tmp_path, capsys, monkeypatch, extra, builds):
-    # one base-distance tensor feeds all three metrics; OSPAT's reordering
-    # needs a Euclidean one of its own unless p' = 2 already gives it
+def count_calls(monkeypatch, name):
+    """List that grows by one on every call of ``core.<name>``, through
+    every module binding of it."""
     import importlib
 
     import trackmetric.core as core
 
     calls = []
-    original = core.scan_distances
+    original = getattr(core, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for name in ("core", "cli", "ospa", "ospat", "ospamt"):
-        module = importlib.import_module(f"trackmetric.{name}")
-        if getattr(module, "scan_distances", None) is original:
-            monkeypatch.setattr(module, "scan_distances", counting)
+    for module_name in ("core", "cli", "ospa", "ospat", "ospamt"):
+        module = importlib.import_module(f"trackmetric.{module_name}")
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("extra, builds", [((), 2), (("--p-prime", "2"), 1)])
+def test_distance_tensor_built_once_per_norm_order(tmp_path, capsys, monkeypatch, extra, builds):
+    # one base-distance tensor feeds all three metrics; OSPAT's reordering
+    # needs a Euclidean one of its own unless p' = 2 already gives it
+    calls = count_calls(monkeypatch, "scan_distances")
     truth, est = write_scenario(tmp_path, FigureId.FIG12)
     code, _, _ = run(capsys, "compute", str(truth), str(est), "--metric", "all", *extra)
     assert code == 0
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+@pytest.mark.parametrize("extra, calls_wanted", [((), 2), (("--p", "2"), 1)])
+def test_pair_distances_come_from_the_call_tensors_only(
+    tmp_path, capsys, monkeypatch, mode, extra, calls_wanted
+):
+    # every track-pair distance of a compute call is read from its p' tensor
+    # and, unless p' = 2, OSPAT's Euclidean one: OSPAMT's scoring and OSPAT's
+    # global cost compute none of their own
+    calls = count_calls(monkeypatch, "base_distance")
+    truth, est = tmp_path / "truth.json", tmp_path / "est.json"
+    sets = random_scenario(2, n_truth=4, scans=8, miss_rate=0.2, false_rate=0.3,
+                           break_rate=0.3, noise=3.0)
+    assert min(map(len, sets)) >= 3 and sum(map(len, sets)) <= 10  # exact runs
+    for path, ts in zip((truth, est), sets):
+        save_track_set(ts, path)
+    code, out, _ = run(capsys, "compute", str(truth), str(est), "--metric", "all",
+                       "--mode", mode, "--report-assignment", *extra)
+    assert code == 0 and "<-(" in out  # OSPAMT scored an assignment
+    assert len(calls) == calls_wanted
 
 
 def test_selftest_passes(capsys):

@@ -16,14 +16,13 @@ from oracles import (
     dense_scan_distances,
 )
 from trackmetric.assign import INFEASIBLE
-from trackmetric.core import MetricParams, Track, TrackSet, base_distance, scan_distances
+from trackmetric.core import MetricParams, Track, TrackSet, scan_distances
 from trackmetric.errors import DimensionMismatchError
 from trackmetric.ospamt import Mode, cost_matrix
 from trackmetric.ospat import (
     LabeledTrackSet,
     _labeled_distances,
     _reorder_costs,
-    ospat_global,
     ospat_reorder,
 )
 
@@ -65,12 +64,11 @@ def test_coexisting_entries_match_the_dense_formulas(dim):
                 ea, eb = a.exists[:, None], b.exists[None]
                 np.testing.assert_array_equal(_reorder_costs(euclid, ea, eb, params.c),
                                               dense_reorder_costs(euclid, ea, eb, params.c))
-                k = min(len(a), len(b))  # the (pairs, T) form of ospat_global
-                ia, ib = rng.sample(range(len(a)), k), rng.sample(range(len(b)), k)
-                d = base_distance(a.states[ia], b.states[ib], params, order=2.0)
-                np.testing.assert_array_equal(
-                    _reorder_costs(d, a.exists[ia], b.exists[ib], params.c),
-                    dense_reorder_costs(d, a.exists[ia], b.exists[ib], params.c))
+                pairing = ospat_reorder(a, b, params, euclid)
+                if pairing.pairs:  # the pairing's per-scan costs: its pairs' dense costs
+                    ia, ib = np.array(pairing.pairs).T - 1
+                    dense = dense_reorder_costs(euclid, ea, eb, params.c)[ia, ib]
+                    assert pairing.costs_t == tuple(dense.sum(axis=0).tolist())
 
                 la = tuple(rng.randint(1, 3) for _ in a.tracks)
                 lb = tuple(rng.randint(1, 3) for _ in b.tracks)
@@ -113,7 +111,9 @@ def test_integer_parameters_score_as_floats():
     for _ in range(20):
         a = random_float_set(rng, 2, max_tracks=4)
         b = random_float_set(rng, 2, max_tracks=4)
-        assert ospat_reorder(a, b, as_int) == ospat_reorder(a, b, as_float)
-        assert ospat_global(a, b, as_int) == ospat_global(a, b, as_float)
+        pairing = ospat_reorder(a, b, as_int)
+        assert pairing == ospat_reorder(a, b, as_float)
+        # the per-scan costs play no role in ==, so they are compared here
+        assert pairing.costs_t == ospat_reorder(a, b, as_float).costs_t
         for mode in (Mode.EXACT, Mode.GREEDY):
             assert library_reports(a, b, as_int, mode) == library_reports(a, b, as_float, mode)

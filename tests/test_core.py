@@ -92,6 +92,18 @@ def test_states_and_exists_are_read_only_and_outside_equality():
     assert "states" not in repr(a) and "exists" not in repr(a)
 
 
+def test_numpy_scalars_are_one_dimensional_states():
+    # any value with no axes is a 1-D state, not only Python numbers and
+    # np.float64 (a float subclass); other numpy scalars are not iterable
+    for x in (np.int64(2), np.float32(2), np.float64(2), np.array(2.0), 2, 2.0):
+        assert Track({1: x}).points == {1: (2.0,)}
+    for x in ([2, 3], (2.0, 3.0), np.array([2.0, 3.0])):
+        assert Track({1: x}).points == {1: (2.0, 3.0)}
+    assert type(Track({1: np.float32(0.1)}).points[1][0]) is float
+    ts = TrackSet(2, 1, (Track({1: np.int64(4), 2: np.float32(0.5)}),))
+    assert ts.states[0, :, 0].tolist() == [4.0, 0.5]
+
+
 def test_non_finite_point_earlier_in_file_order_is_reported_first():
     # NaN at scan 2 of track t1 comes before t1's out-of-range scan 9 and
     # t2's wrong dimension, so the NaN is the error reported

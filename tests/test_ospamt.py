@@ -32,6 +32,7 @@ from trackmetric.core import (
     Track,
     TrackSet,
     count_distances,
+    scan_distances,
 )
 from trackmetric.errors import (
     DimensionMismatchError,
@@ -116,7 +117,8 @@ def test_example1_fig1a_per_scan_terms():
     p, c, d = params.p, params.c, params.delta
     sc = fig(FigureId.FIG1A)
     eps = 1.0
-    bd = directional_terms(sc.est, sc.truth, ((1, 2),), params)
+    bd = directional_terms(sc.est, sc.truth, ((1, 2),), params,
+                           scan_distances(sc.truth, sc.est, params))
     want = [eps**p] * 3 + [eps**p + d**p] * 2
     assert list(bd.total_t) == pytest.approx(want, rel=1e-9)
 
@@ -126,7 +128,8 @@ def test_example1_fig1b_per_scan_terms():
     p, c, d = params.p, params.c, params.delta
     sc = fig(FigureId.FIG1B)
     eps = 1.0
-    bd = directional_terms(sc.est, sc.truth, ((1, 2), ()), params)
+    bd = directional_terms(sc.est, sc.truth, ((1, 2), ()), params,
+                           scan_distances(sc.truth, sc.est, params))
     want = [eps**p] * 3 + [eps**p + d**p + c**p] * 2
     assert list(bd.total_t) == pytest.approx(want, rel=1e-9)
 
@@ -134,7 +137,8 @@ def test_example1_fig1b_per_scan_terms():
 def test_example1_fig1c_false_track():
     params = MetricParams()
     sc = fig(FigureId.FIG1C)
-    bd = directional_terms(sc.est, sc.truth, ((),), params)
+    bd = directional_terms(sc.est, sc.truth, ((),), params,
+                           scan_distances(sc.truth, sc.est, params))
     assert list(bd.total_t) == pytest.approx([params.c**params.p] * 5, rel=1e-9)
 
 
@@ -172,7 +176,8 @@ def test_directional_breakdown_bound():
         src = random_small_set(rng, min_tracks=1)
         tgt = random_small_set(rng, min_tracks=1)
         assignment = quasi_ospamt(src, tgt, params, Mode.EXACT).assignment
-        bd = directional_terms(src, tgt, assignment.orders, params)
+        bd = directional_terms(src, tgt, assignment.orders, params,
+                               scan_distances(tgt, src, params))
         n_t, _ = count_distances(src, tgt)
         for raw, nt in zip(bd.total_t, n_t):
             assert raw <= nt * cap + 1e-9
@@ -196,8 +201,9 @@ def test_directional_terms_match_oracle_per_scan(params):
         tgt = random_small_set(rng, max_tracks=3, min_tracks=1)
         n_t, _ = oracle_counts(src, tgt)
         pairs = enumerate_assignments(len(src.tracks), len(tgt.tracks), _feasible(src, tgt))
+        dist = scan_distances(tgt, src, params)
         for _, orders in pairs:
-            bd = directional_terms(src, tgt, orders, params)
+            bd = directional_terms(src, tgt, orders, params, dist)
             for t in range(1, src.scans + 1):
                 want = oracle_tilde_d_t(src, tgt, orders, params, t, n_t[t - 1])
                 assert bd.total_t[t - 1] == pytest.approx(want, rel=1e-12)

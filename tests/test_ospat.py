@@ -7,8 +7,8 @@ from trackmetric.core import MetricParams, Track, TrackSet
 from trackmetric.errors import BadParametersError
 from trackmetric.ospat import (
     LabeledTrackSet,
+    OspatAssignment,
     ospat_at_time,
-    ospat_global,
     ospat_label,
     ospat_per_scan,
     ospat_reorder,
@@ -221,25 +221,36 @@ def test_at_time_rejects_scans_outside_the_window(t):
 
 def test_global_identical_sets_zero():
     sc = fig(FigureId.FIG9B)
-    res = ospat_global(sc.truth, sc.truth, MetricParams())
-    assert res.total == 0.0
+    res = ospat_reorder(sc.truth, sc.truth, MetricParams())
+    assert res.costs_t == (0.0,) * sc.truth.scans
+    assert sum(res.costs_t) == 0.0
 
 
 def test_global_fig10a_all_scans_mismatch():
     params = MetricParams()
     sc = fig(FigureId.FIG10A)
-    res = ospat_global(sc.truth, sc.est, params)
-    assert res.total == pytest.approx(4 * params.c, rel=1e-9)
-    assert res.per_time == (params.c,) * 4
+    res = ospat_reorder(sc.truth, sc.est, params)
+    assert sum(res.costs_t) == pytest.approx(4 * params.c, rel=1e-9)
+    assert res.costs_t == (params.c,) * 4
 
 
 def test_global_one_empty_set_charges_existing_scans():
     params = MetricParams()
     empty = TrackSet(4, 1, ())
     two = TrackSet(4, 1, (Track({1: 0.0, 2: 0.0}), Track({2: 5.0}),))
-    res = ospat_global(empty, two, params)
-    assert res.per_time == (params.c, 2 * params.c, 0.0, 0.0)
-    assert res.total == pytest.approx(3 * params.c, rel=1e-9)
+    for a, b in ((empty, two), (two, empty)):
+        res = ospat_reorder(a, b, params)
+        assert res.pairs == ()
+        assert res.costs_t == (params.c, 2 * params.c, 0.0, 0.0)
+        assert sum(res.costs_t) == pytest.approx(3 * params.c, rel=1e-9)
+    assert ospat_reorder(empty, empty, params).costs_t == (0.0,) * 4
+
+
+def test_pairing_costs_play_no_role_in_equality():
+    sc = fig(FigureId.FIG10A)
+    res = ospat_reorder(sc.truth, sc.est, MetricParams())
+    assert res == OspatAssignment(res.pairs, res.smaller, ())
+    assert res != OspatAssignment(res.pairs, "a" if res.smaller == "b" else "b", res.costs_t)
 
 
 # -------------------------------------------------------------- pathology
