@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Check that two source trees give byte-identical ``compute`` outputs.
+"""Check that two source trees give byte-identical ``compute`` and ``split``
+outputs.
 
 Every instance of the benchmark workloads (built by perfbench/workloads.py,
 which this script only imports) is scored by ``trackmetric compute TRUTH EST
 --metric all --per-time --report-assignment`` in json, csv and table, under
-each parameter set of ``PARAM_SETS``, once against each ``src/`` tree.  A
-run's stdout, stderr and exit code must be the same from both trees.  Each
-tree runs in its own interpreter, which makes every call in-process with
-stdout and stderr captured, as a fresh ``trackmetric`` process would print
-them.  One line is printed per run that differs, then a summary; the exit
-code is 1 when any run differs.
+each parameter set of ``PARAM_SETS``, and split by ``trackmetric split TRUTH
+EST --out FILE`` under each set of ``SPLIT_SETS``, once against each
+``src/`` tree.  A run's stdout, stderr and exit code, and the bytes of the
+file a split writes, must be the same from both trees.  Each tree runs in
+its own interpreter, which makes every call in-process with stdout and
+stderr captured, as a fresh ``trackmetric`` process would print them.  One
+line is printed per run that differs, then per workload how the new tree's
+split runs ended (cut a track, changed nothing, or the exit code), then a
+summary; the exit code is 1 when any run differs.
 
 Usage:
     python scripts/same_outputs.py OLD/src src [--seeds 1 2 3] \\
@@ -26,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +46,8 @@ PARAM_SETS = {
     "p3_q1.5": ["--p", "3", "--p-prime", "1.5", "--c", "20", "--delta", "4", "--alpha", "2"],
     "p1.5_q3_scale": ["--p", "1.5", "--p-prime", "3", "--c", "40", "--scale", "{scale}"],
 }
+#: The parameter sets every instance is split under.
+SPLIT_SETS = ("defaults", "p2")
 #: Scale factors of the first state dimensions, for ``{scale}`` above.
 SCALE = ("0.5", "2.0", "1.5")
 FORMATS = ("json", "csv", "table")
@@ -62,27 +69,44 @@ def build_runs(names: list[str], seeds: list[int], limit: int | None,
                         argv += [arg.format(scale=scale) for arg in extra]
                         runs.append({"id": f"{workload} seed {seed} {inst.name} {label} {fmt}",
                                      "argv": argv})
+                    if label in SPLIT_SETS:
+                        argv = ["split", truth, est, "--out", "{out}", "--mode", inst.mode]
+                        runs.append({"id": f"{workload} seed {seed} {inst.name} {label} split",
+                                     "argv": argv + [arg.format(scale=scale) for arg in extra],
+                                     "workload": workload})
     return runs
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def worker(manifest: Path) -> int:
     """Make every run of the manifest against the ``trackmetric`` on the
-    path; print one JSON list of [exit code, stdout digest, stderr digest]."""
+    path; print one JSON list of [exit code, stdout digest, stderr digest,
+    written file's digest or null, outcome], where the outcome of a split
+    is "cut", "no cut" or "exit <code>"."""
     from trackmetric.cli import main
 
     results = []
-    for run in json.loads(manifest.read_text(encoding="utf-8")):
-        out, err = io.StringIO(), io.StringIO()
-        # catch_warnings forgets the warnings already shown, so each prints
-        # once per run, as it would once per process
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            try:
-                code = main(run["argv"])
-            except SystemExit as exc:
-                code = exc.code
-        results.append([code, *(hashlib.sha256(s.getvalue().encode()).hexdigest()
-                                for s in (out, err))])
+    with tempfile.TemporaryDirectory() as tmp:
+        written = Path(tmp) / "out.json"
+        for run in json.loads(manifest.read_text(encoding="utf-8")):
+            out, err = io.StringIO(), io.StringIO()
+            # catch_warnings forgets the warnings already shown, so each
+            # prints once per run, as it would once per process
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main([str(written) if arg == "{out}" else arg for arg in run["argv"]])
+                except SystemExit as exc:
+                    code = exc.code
+            file_digest = digest(written.read_bytes()) if written.exists() else None
+            written.unlink(missing_ok=True)
+            outcome = (f"exit {code}" if code else
+                       "cut" if out.getvalue().startswith("split ") else "no cut")
+            results.append([code, *(digest(s.getvalue().encode()) for s in (out, err)),
+                            file_digest, outcome])
     print(json.dumps(results))
     return 0
 
@@ -123,11 +147,17 @@ def main(argv: list[str] | None = None) -> int:
     old, new = (json.loads(out) for out in outputs)
     print(f"{'run':60} differs in")
     differ = 0
+    splits: dict[str, Counter] = {}
     for run, a, b in zip(runs, old, new):
-        parts = [name for name, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+        parts = [name for name, x, y in zip(("exit code", "stdout", "stderr", "file"), a, b)
+                 if x != y]
         if parts:
             differ += 1
             print(f"{run['id']:60} {', '.join(parts)}")
+        if "workload" in run:
+            splits.setdefault(run["workload"], Counter())[b[-1]] += 1
+    for workload, outcomes in splits.items():
+        print(f"split {workload}: " + ", ".join(f"{n} {o}" for o, n in sorted(outcomes.items())))
     print(f"{differ} of {len(runs)} runs differ")
     return 1 if differ else 0
 

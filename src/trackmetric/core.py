@@ -36,9 +36,10 @@ StateVector = tuple[float, ...]
 class Track:
     """One target trajectory: existing scans mapped to state vectors.
 
-    A bare number, Python or numpy, or any other value with no axes, is a
-    1-D state.  ``label`` is carried for reporting only; it plays no role in
-    any distance.
+    A record only: a ``TrackSet`` reads it once, when built, and the metrics
+    read the set's arrays.  A bare number, Python or numpy, or any other
+    value with no axes, is a 1-D state.  ``label`` is carried for reporting
+    only; it plays no role in any distance.
     """
 
     points: Mapping[int, StateVector | float]
@@ -50,23 +51,14 @@ class Track:
                else (float(x),) for t, x in self.points.items()}
         object.__setattr__(self, "points", pts)
 
-    def exists_at(self, t: int) -> bool:
-        return t in self.points
-
-    @property
-    def first_scan(self) -> int:
-        return min(self.points)
-
-    @property
-    def last_scan(self) -> int:
-        return max(self.points)
-
 
 @dataclass(frozen=True)
 class TrackSet:
     """A finite (possibly empty) collection of tracks over scans 1..T, valid
     once built: the constructor raises for ``scans`` or ``state_dim`` below 1,
-    then for the first empty track or bad point, in track and point order.
+    then for the first bad label, empty track or bad point, in track and
+    point order.  A label is a string, and no two tracks share a
+    ``track_label``, so every set can be saved and loaded again.
     ``states`` (N, T, D), NaN where a track does not exist, and the ``exists``
     (N, T) mask are read-only and play no role in ``==``."""
 
@@ -90,8 +82,14 @@ class TrackSet:
         values: list[float] = []
 
         def first_error() -> ValidationError | None:
+            labels: set[str] = set()
             for i, trk in enumerate(tracks):
                 name = self.track_label(i + 1)
+                if not isinstance(name, str):
+                    return ValidationError(f"track #{i + 1} has label {name!r}, not a string")
+                if name in labels:
+                    return ValidationError(f"track #{i + 1} repeats the label {name}")
+                labels.add(name)
                 if not trk.points:
                     return EmptyTrackError(f"track {name} has no existing state at any scan")
                 for t, x in trk.points.items():
@@ -156,9 +154,6 @@ class Assignment:
     direction: Direction
     source_to_target: tuple[int, ...]
     orders: tuple[tuple[int, ...], ...]
-
-    def preimage(self, target: int) -> tuple[int, ...]:
-        return self.orders[target - 1]
 
     def unassigned_sources(self) -> tuple[int, ...]:
         return tuple(j + 1 for j, i in enumerate(self.source_to_target) if i == 0)
@@ -318,9 +313,12 @@ def at_coexisting(
 ) -> np.ndarray:
     """Float array of ``coexist``'s shape holding ``values(flat)`` at its
     true entries and ``fill`` elsewhere, where ``flat`` are the flat indices
-    of those entries in scan order.  ``scan_distances`` and every reader of
-    its tensor work through here, so none of them touches an entry where
-    two tracks do not coexist."""
+    of those entries in scan order.  ``scan_distances`` builds its tensor
+    through here, and the greedy cost matrix, ``directional_terms`` and
+    OSPAT's reordering costs and labeled distances read it through here, so
+    none of them touches an entry where two tracks do not coexist.
+    ``ospa_per_scan`` and ``_DirectionalEngine`` cap the whole tensor, NaN
+    entries included."""
     flat = np.flatnonzero(coexist)
     out = np.full(coexist.shape, fill)
     np.put(out, flat, values(flat))

@@ -10,6 +10,7 @@ over assignments one way; the metric is the smaller of the two directions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -478,42 +479,24 @@ class SplitLogEntry:
     fragment_count: int
 
 
-def _split_track(
-    est_trk: Track, truths: list[Track], label: str
-) -> list[Track]:
-    """Fragment a track along the lifetimes of its assigned truth tracks.
+def _split_track(exists: np.ndarray, truths: np.ndarray) -> list[np.ndarray]:
+    """Scan masks of the fragments of an estimated track that exists at the
+    ``(T,)`` mask ``exists``, cut along the ``(s, T)`` lifetimes ``truths``
+    of its assigned truth tracks, in order of truth start scan.
 
-    One candidate fragment per truth track, in order of truth start scan.
-    Each scan of the estimated track goes to the first truth existing there,
-    falling back to the first truth whose lifetime window spans it; scans
-    overlapping neither stay with the earliest fragment.  Fragments that end
-    up claiming no scans are dropped.
+    Each scan goes to the first truth existing there, else to the first
+    truth whose lifetime window spans it; a scan in no window is stray and
+    joins the first truth's fragment, which is never empty: an assignment
+    joins only tracks that coexist, so that truth wins a scan where it
+    exists.  Empty fragments are dropped.
     """
-    frag_scans: list[list[int]] = [[] for _ in truths]
-    stray: list[int] = []
-    for t in sorted(est_trk.points):
-        owner = next((w for w, trk in enumerate(truths) if trk.exists_at(t)), None)
-        if owner is None:
-            owner = next(
-                (
-                    w
-                    for w, trk in enumerate(truths)
-                    if trk.first_scan <= t <= trk.last_scan
-                ),
-                None,
-            )
-        if owner is None:
-            stray.append(t)
-        else:
-            frag_scans[owner].append(t)
-    nonempty = [scans for scans in frag_scans if scans]
-    if not nonempty:
-        return [est_trk]
-    nonempty[0] = sorted(nonempty[0] + stray)
-    return [
-        Track({t: est_trk.points[t] for t in scans}, label=f"{label}/{k}")
-        for k, scans in enumerate(nonempty, start=1)
-    ]
+    # window[w, t]: truth w has existed by scan t and still exists at t or later
+    window = np.logical_or.accumulate(truths, axis=1)
+    window &= np.logical_or.accumulate(truths[:, ::-1], axis=1)[:, ::-1]
+    # argmax takes the first true row, and row 0 when there is none
+    owner = np.where(truths.any(axis=0), truths.argmax(axis=0), window.argmax(axis=0))
+    masks = (exists & (owner == w) for w in range(len(truths)))
+    return [mask for mask in masks if mask.any()]
 
 
 def split_tracks(
@@ -526,9 +509,11 @@ def split_tracks(
 
     While the truth-to-estimate quasi assignment sends two or more truth
     tracks to one estimated track, that track is cut at the boundaries of
-    the truth lifetimes and the assignment is recomputed.  The track count
-    grows on every round, so this terminates unless the overlap pattern
-    never untangles, which raises NoConvergenceError after ``SPLIT_ROUNDS``.
+    the truth lifetimes (``_split_track``) and the assignment is recomputed.
+    Fragment k of track ``e1`` is named ``e1/k``, the next k whose name no
+    track of the set holds.  The track count grows on every round, so this
+    terminates unless the overlap pattern never untangles, which raises
+    NoConvergenceError after ``SPLIT_ROUNDS``.
     """
     check_comparable(truth, est)
     log: list[SplitLogEntry] = []
@@ -536,38 +521,25 @@ def split_tracks(
     for _ in range(SPLIT_ROUNDS):
         if not truth.tracks or not current.tracks:
             return current, log
-        assignment = quasi_ospamt(truth, current, params, mode).assignment
-        multi = [
-            i
-            for i, order in enumerate(assignment.orders, start=1)
-            if len(order) >= 2
-        ]
-        if not multi:
+        orders = quasi_ospamt(truth, current, params, mode).assignment.orders
+        if all(len(order) < 2 for order in orders):
             return current, log
         progressed = False
         new_tracks: list[Track] = []
-        for i, trk in enumerate(current.tracks, start=1):
-            if i not in multi:
+        taken = {current.track_label(i) for i in range(1, len(current) + 1)}
+        for i, (trk, order) in enumerate(zip(current.tracks, orders), start=1):
+            if len(order) < 2:
                 new_tracks.append(trk)
                 continue
-            sources = assignment.preimage(i)
-            truths = [
-                truth.tracks[j - 1]
-                for j in sorted(sources, key=lambda j: (truth.tracks[j - 1].first_scan, j))
-            ]
+            rows = sorted((j - 1 for j in order), key=lambda j: (truth.exists[j].argmax(), j))
+            masks = _split_track(current.exists[i - 1], truth.exists[rows])
+            frags = [(np.flatnonzero(mask) + 1).tolist() for mask in masks]
             label = current.track_label(i)
-            frags = _split_track(trk, truths, label)
+            names = (f"{label}/{k}" for k in itertools.count(1) if f"{label}/{k}" not in taken)
+            new_tracks.extend(Track({t: trk.points[t] for t in ts}, next(names)) for ts in frags)
             if len(frags) > 1:
                 progressed = True
-                log.append(
-                    SplitLogEntry(
-                        track_index=i,
-                        track_label=label,
-                        cut_scans=tuple(f.first_scan for f in frags[1:]),
-                        fragment_count=len(frags),
-                    )
-                )
-            new_tracks.extend(frags)
+                log.append(SplitLogEntry(i, label, tuple(ts[0] for ts in frags[1:]), len(frags)))
         if not progressed:
             raise NoConvergenceError(
                 "many-to-one overlap cannot be split along truth lifetimes"

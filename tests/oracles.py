@@ -107,8 +107,8 @@ def oracle_tilde_d_t(
     for i in range(1, len(tgt.tracks) + 1):
         pi_i = orders[i - 1]
         tgt_trk = tgt.tracks[i - 1]
-        exists_i = 1 if tgt_trk.exists_at(t) else 0
-        pi_it = tuple(j for j in pi_i if src.tracks[j - 1].exists_at(t))
+        exists_i = 1 if t in tgt_trk.points else 0
+        pi_it = tuple(j for j in pi_i if t in src.tracks[j - 1].points)
         n_bar = len(pi_it)
         # spatial part: first ordered existing assignee, penalty if not first overall
         if pi_it and exists_i:

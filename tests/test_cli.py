@@ -353,6 +353,25 @@ def test_split_noop(tmp_path, capsys):
     assert same_track_sets(load_track_set(out_path), load_track_set(est))
 
 
+def test_split_fragment_labels_skip_taken_ones(tmp_path, capsys):
+    # e1's second fragment would be e1/2, which another estimate holds: the
+    # file written used to hold two tracks e1/2, and compute rejected it
+    truth, est, out_path = (tmp_path / name for name in ("t.json", "e.json", "o.json"))
+    save_track_set(TrackSet(5, 1, (
+        Track(dict.fromkeys((1, 2, 3), 0.0), "t1"), Track(dict.fromkeys((4, 5), 0.0), "t2"),
+    )), truth)
+    save_track_set(TrackSet(5, 1, (
+        Track(dict.fromkeys(range(1, 6), 0.0), "e1"), Track({1: 0.0}, "e1/2"),
+    )), est)
+    code, out, _ = run(capsys, "split", str(truth), str(est), "--out", str(out_path))
+    assert code == 0
+    assert out.startswith("split e1 into 2 fragments (cut at scans 4)\n")
+    assert [(trk.label, list(trk.points)) for trk in load_track_set(out_path).tracks] == [
+        ("e1/1", [1, 2, 3]), ("e1/3", [4, 5]), ("e1/2", [1]),
+    ]
+    assert run(capsys, "compute", str(truth), str(out_path))[0] == 0
+
+
 def test_split_no_convergence_exit_5(tmp_path, capsys):
     truth = tmp_path / "t.json"
     est = tmp_path / "e.json"

@@ -69,6 +69,21 @@ def test_validate_non_finite():
         TrackSet(5, 1, (Track({1: math.inf}),))
 
 
+@pytest.mark.parametrize(
+    "labels, match",
+    [
+        (["a", "a"], "track #2 repeats the label a"),
+        (["T2", None], "track #2 repeats the label T2"),  # None reads T2
+        ([5], "track #1 has label 5, not a string"),
+    ],
+    ids=["repeated", "repeats-fallback", "not-a-string"],
+)
+def test_validate_labels(labels, match):
+    # save_track_set used to write these sets, and load_track_set rejected the file
+    with pytest.raises(ValidationError, match=match):
+        TrackSet(2, 1, tuple(Track({1: 0.0}, label) for label in labels))
+
+
 def test_invalid_sets_cannot_be_built():
     # Before sets checked themselves, a point at scan 0 was stored at scan T
     # and a NaN coordinate read as a missing point, and both were scored.

@@ -44,6 +44,7 @@ from trackmetric.errors import (
 from trackmetric.ospa import ospa
 from trackmetric.ospamt import (
     Mode,
+    SplitLogEntry,
     cost_matrix,
     directional_cost,
     directional_distance,
@@ -210,7 +211,7 @@ def test_directional_terms_match_oracle_per_scan(params):
                 first_absent += sum(
                     1
                     for order in orders
-                    if len(order) > 1 and not src.tracks[order[0] - 1].exists_at(t)
+                    if len(order) > 1 and t not in src.tracks[order[0] - 1].points
                 )
     assert first_absent > 0
 
@@ -817,6 +818,38 @@ def test_split_interleaved_lifetimes():
     assert sorted(new_est.tracks[1].points) == [2]
     after = quasi_ospamt(truth, new_est, params, Mode.EXACT).assignment
     assert all(len(order) <= 1 for order in after.orders)
+
+
+@pytest.mark.parametrize(
+    "scans, truth_points, fragments, cut_scans",
+    [
+        # scans 2 and 3 fall in t1's gap: its lifetime window owns them
+        (6, [[1, 4], [5, 6]], [[1, 2, 3, 4], [5, 6]], (5,)),
+        # scans 3 and 4 lie in both windows: the earlier-starting truth wins
+        (6, [[1, 6], [2, 5]], [[1, 3, 4, 6], [2, 5]], (2,)),
+        # scans 1 and 6 lie outside every window: stray, they join fragment 1
+        (6, [[2, 3], [4, 5]], [[1, 2, 3, 6], [4, 5]], (4,)),
+        # the truths are not in start-scan order in the set or the preimage
+        (6, [[4, 5], [2, 3]], [[1, 2, 3, 6], [4, 5]], (4,)),
+        # all three rules at once: scan 3 by window, scans 4 and 7 stray
+        (7, [[5, 6], [1, 4], [2]], [[1, 3, 4, 7], [2], [5, 6]], (2, 5)),
+    ],
+    ids=["window", "overlapping-windows", "stray", "unordered", "all-rules"],
+)
+def test_split_owner_rules(scans, truth_points, fragments, cut_scans):
+    params = MetricParams(delta=1.0)
+    truth = TrackSet(scans, 1, tuple(
+        Track(dict.fromkeys(pts, 0.0), f"t{k}") for k, pts in enumerate(truth_points, 1)
+    ))
+    est = TrackSet(scans, 1, (Track(dict.fromkeys(range(1, scans + 1), 0.5), "E"),))
+    order = quasi_ospamt(truth, est, params, Mode.EXACT).assignment.orders[0]
+    assert len(order) == len(truth_points)  # every truth onto E
+    new_est, log = split_tracks(truth, est, params, Mode.EXACT)
+    assert [(trk.label, list(trk.points)) for trk in new_est.tracks] == [
+        (f"E/{k}", scans_k) for k, scans_k in enumerate(fragments, 1)
+    ]
+    assert all(x == (0.5,) for trk in new_est.tracks for x in trk.points.values())
+    assert log == [SplitLogEntry(1, "E", cut_scans, len(fragments))]
 
 
 def test_split_no_convergence_on_identical_lifetimes():

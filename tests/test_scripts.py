@@ -118,14 +118,16 @@ def test_bench_record_folds_saved_runs(monkeypatch, capsys, tmp_path):
 
 def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
     src = SCRIPTS.parent / "src"
-    changed = tmp_path / "src"  # a copy whose json output is indented differently
+    # a copy whose json output and written track-set files are indented differently
+    changed = tmp_path / "src"
     shutil.copytree(src / "trackmetric", changed / "trackmetric",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    cli = changed / "trackmetric" / "cli.py"
-    cli.write_text(cli.read_text(encoding="utf-8").replace("indent=2", "indent=1"),
-                   encoding="utf-8")
+    for name in ("cli.py", "io.py"):
+        module = changed / "trackmetric" / name
+        module.write_text(module.read_text(encoding="utf-8").replace("indent=2", "indent=1"),
+                          encoding="utf-8")
     path = SCRIPTS / "same_outputs.py"
-    for new, code, differ in ((src, 0, 0), (changed, 1, 8)):
+    for new, code, differ in ((src, 0, 0), (changed, 1, 12)):
         monkeypatch.setattr(sys, "argv", [str(path), str(src), str(new), "--workloads",
                                           "small_batch", "exact_dense", "--limit", "1"])
         monkeypatch.setattr(sys, "path", list(sys.path))
@@ -134,6 +136,10 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
         assert exc.value.code == code
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["run", "differs", "in"]
-        # 2 instances, each under 4 parameter sets in 3 formats; json differs
-        assert lines[-1] == f"{differ} of 24 runs differ"
-        assert all(" json " in line and line.endswith(" stdout") for line in lines[1:-1])
+        # 2 instances, each scored under 4 parameter sets in 3 formats and
+        # split under 2; json and the split files differ
+        assert lines[-1] == f"{differ} of 28 runs differ"
+        assert lines[-3:-1] == ["split small_batch: 2 no cut", "split exact_dense: 2 no cut"]
+        assert all(" json " in line and line.endswith(" stdout")
+                   or " split " in line and line.endswith(" file") for line in lines[1:-3])
+        assert sum(" split " in line for line in lines[1:-3]) == differ // 3
