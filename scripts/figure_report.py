@@ -16,7 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from trackmetric.core import MetricParams, scan_distances
-from trackmetric.ospa import ospa_per_scan, report_over_time
+from trackmetric.ospa import ospa_per_scan
 from trackmetric.ospamt import Mode, ospamt_metric
 from trackmetric.ospat import ospat_per_scan
 from trackmetric.scenarios import FigureId, ScenarioSpec, build
@@ -35,10 +35,8 @@ def main() -> int:
     for fig in FigureId:
         sc = build(ScenarioSpec(fig, cutoff=args.c))
         dist = scan_distances(sc.truth, sc.est, params)
-        rows = ospa_per_scan(sc.truth, sc.est, params, dist)
-        ospa_val = report_over_time(rows, params, tuple(r.pairs for r in rows)).total
-        rows, pairing = ospat_per_scan(sc.truth, sc.est, params, dist)
-        ospat_val = report_over_time(rows, params, pairing).total
+        ospa_val = ospa_per_scan(sc.truth, sc.est, params, dist).total
+        ospat_val = ospat_per_scan(sc.truth, sc.est, params, dist)[0].total
         report = ospamt_metric(sc.truth, sc.est, params, Mode.EXACT, dist=dist)
         asg = report.assignment
         pairs = [

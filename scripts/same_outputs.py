@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Check that two source trees give byte-identical ``compute`` and ``split``
-outputs.
+"""Check that two source trees give byte-identical ``compute``, ``split``
+and ``selftest`` outputs.
 
 Every instance of the benchmark workloads (built by perfbench/workloads.py,
 which this script only imports) is scored by ``trackmetric compute TRUTH EST
 --metric all --per-time --report-assignment`` in json, csv and table, under
 each parameter set of ``PARAM_SETS``, and split by ``trackmetric split TRUTH
 EST --out FILE`` under each set of ``SPLIT_SETS``, once against each
-``src/`` tree.  A run's stdout, stderr and exit code, and the bytes of the
-file a split writes, must be the same from both trees.  Each tree runs in
-its own interpreter, which makes every call in-process with stdout and
-stderr captured, as a fresh ``trackmetric`` process would print them.  One
-line is printed per run that differs, then per workload how the new tree's
-split runs ended (cut a track, changed nothing, or the exit code), then a
-summary; the exit code is 1 when any run differs.
+``src/`` tree; ``trackmetric selftest``, which replays the golden table
+through the library calls, runs once per tree.  A run's stdout, stderr and
+exit code, and the bytes of the file a split writes, must be the same from
+both trees.  Each tree runs in its own interpreter, which makes every call
+in-process with stdout and stderr captured, as a fresh ``trackmetric``
+process would print them.  One line is printed per run that differs, then
+per workload how the new tree's split runs ended (cut a track, changed
+nothing, or the exit code), then a summary; the exit code is 1 when any run
+differs.
 
 Usage:
     python scripts/same_outputs.py OLD/src src [--seeds 1 2 3] \\
@@ -55,8 +57,9 @@ FORMATS = ("json", "csv", "table")
 
 def build_runs(names: list[str], seeds: list[int], limit: int | None,
                workdir: Path) -> list[dict]:
-    """Write every instance's files and list the runs made on them."""
-    runs = []
+    """Write every instance's files and list the runs made on them, after
+    the one selftest run."""
+    runs = [{"id": "selftest", "argv": ["selftest"]}]
     for workload in names:
         for seed in seeds:
             for inst in workloads.build_instances(workload, seed)[:limit]:

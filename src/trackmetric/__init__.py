@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .io import load_track_set, save_track_set
-from .ospa import ospa, ospa_per_scan, report_over_time
+from .ospa import ospa, ospa_per_scan
 from .ospamt import (
     Mode,
     directional_cost,
@@ -92,7 +92,6 @@ __all__ = [
     "ospat_reorder",
     "quasi_ospamt",
     "random_scenario",
-    "report_over_time",
     "save_track_set",
     "scan_distances",
     "solve_one_to_one",

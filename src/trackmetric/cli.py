@@ -7,8 +7,7 @@ replays the golden table.  Exit codes: 0 ok, 2 parse error, 3 validation
 error, 4 configuration error, 5 split non-convergence.
 
 ``compute`` prints each metric's library ``MetricReport``: every summary
-and per-scan value is ``core.root_mean`` of raw per-scan sums, and the OSPA
-and OSPAT reports come from ``ospa.report_over_time``.
+and per-scan value is ``core.root_mean`` of raw per-scan sums.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .io import load_track_set, save_track_set
-from .ospa import ospa_per_scan, report_over_time
+from .ospa import ospa_per_scan
 from .ospamt import Mode, ospamt_metric, split_tracks
 from .ospat import ospat_per_scan
 from .scenarios import FigureId, Scenario, ScenarioSpec, build, random_scenario
@@ -71,10 +70,10 @@ def _pairs_text(pairs, left: TrackSet, right: TrackSet) -> str:
 def _eval_ospa(
     truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: np.ndarray
 ) -> MetricRows:
-    scan_rows = ospa_per_scan(truth, est, params, dist)
-    report = report_over_time(scan_rows, params, tuple(r.pairs for r in scan_rows))
+    report = ospa_per_scan(truth, est, params, dist)
     pair_lines = "; ".join(
-        f"t={r.t}: {_pairs_text(r.pairs, truth, est)}" for r in scan_rows
+        f"t={t}: {_pairs_text(pairs, truth, est)}"
+        for t, pairs in enumerate(report.assignment, start=1)
     )
     return MetricRows("ospa", report, pair_lines, {})
 
@@ -82,10 +81,9 @@ def _eval_ospa(
 def _eval_ospat(
     truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: np.ndarray
 ) -> MetricRows:
-    scan_rows, assignment = ospat_per_scan(truth, est, params, dist)
-    report = report_over_time(scan_rows, params, assignment)
-    text = "pairing " + _pairs_text(assignment.pairs, truth, est)
-    return MetricRows("ospat", report, text, {"global_distance": sum(assignment.costs_t)})
+    report, pairing = ospat_per_scan(truth, est, params, dist)
+    text = "pairing " + _pairs_text(pairing.pairs, truth, est)
+    return MetricRows("ospat", report, text, {"global_distance": sum(pairing.costs_t)})
 
 
 def _eval_ospamt(

@@ -228,7 +228,8 @@ def root_mean(raw: float, count: int, params: MetricParams) -> float:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Full result of one OSPAMT, OSPA or OSPAT evaluation over time.
+    """Full result of one OSPAMT, OSPA or OSPAT evaluation, per scan and
+    over time, built by ``from_sums``.
 
     ``total ** p * n`` equals both ``sum(per_time[t] ** p * n_t[t])`` and
     ``(loc ** p + card ** p) * n`` up to rounding.  ``total <= c`` for OSPA,
@@ -236,8 +237,9 @@ class MetricReport:
     with different ``n_t``; the greedy OSPAMT search can exceed c.
 
     ``assignment`` is an ``Assignment`` (direction, map and orders) for
-    OSPAMT, the global ``OspatAssignment`` pairing for OSPAT, and for OSPA
-    the tuple of per-scan matchings, each scan's ``ScanOspa.pairs``.
+    OSPAMT.  For OSPA and OSPAT it is the tuple of per-scan matchings, each
+    a tuple of 1-based (index in a, index in b) pairs; OSPAT's match labeled
+    states, and its global pairing comes beside the report.
     """
 
     total: float

@@ -3,12 +3,11 @@
 The distance between two state sets is the p-th order mean of the optimally
 matched, cutoff-capped base distances plus a cutoff penalty per unmatched
 state of the larger set.  Applied scan by scan to two track sets it gives the
-classic per-time evaluation curve, and ``report_over_time`` gives the total.
+classic per-time evaluation curve and, through the same report, the total.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,64 +17,35 @@ from .core import (
     MetricParams,
     MetricReport,
     StateVector,
+    Track,
     TrackSet,
-    base_distance,
-    root_mean,
+    count_distances,
     scan_distances,
 )
 from .errors import DimensionMismatchError
-
-
-@dataclass(frozen=True)
-class ScanOspa:
-    """OSPA at one scan (OSPAT's labeled score uses it too), with pairs as
-    1-based *track* indices (a, b), or element indices from ``ospa``.
-
-    ``loc_sum`` sums the matched capped distances to the p-th power and
-    ``card_sum`` is ``c ** p`` per unmatched state of the larger side, of
-    size ``n_t``; ``total``, ``loc`` and ``card`` are their ``root_mean``.
-    """
-
-    t: int
-    loc_sum: float
-    card_sum: float
-    pairs: tuple[tuple[int, int], ...]
-    n_t: int
-    params: MetricParams
-
-    @property
-    def total(self) -> float:
-        return root_mean(self.loc_sum + self.card_sum, self.n_t, self.params)
-
-    @property
-    def loc(self) -> float:
-        return root_mean(self.loc_sum, self.n_t, self.params)
-
-    @property
-    def card(self) -> float:
-        return root_mean(self.card_sum, self.n_t, self.params)
 
 
 def ospa_at_scan(
     capped: np.ndarray,
     exists_a: np.ndarray,
     exists_b: np.ndarray,
-    t: int,
     params: MetricParams,
-) -> ScanOspa:
-    """OSPA at scan ``t`` from the capped distances of every pair there.
+) -> tuple[float, float, tuple[tuple[int, int], ...]]:
+    """Raw OSPA sums of one scan from the capped distances of every pair there.
 
     ``capped`` is (N_a, N_b) and is read only where both tracks exist, as
     given by the (N_a,) and (N_b,) masks ``exists_a`` and ``exists_b``.  The
-    smaller side (``a`` on equal sizes) is matched into the larger.
+    smaller side (``a`` on equal sizes) is matched into the larger.  Returns
+    the matched capped distances to the p-th power summed, ``c ** p`` per
+    unmatched state of the larger side, and the matching as 1-based
+    (index in a, index in b) pairs.
     """
     ia = np.flatnonzero(exists_a).tolist()
     ib = np.flatnonzero(exists_b).tolist()
     m, n = len(ia), len(ib)
-    k = max(m, n)
     cp = params.c**params.p
     if m == 0 or n == 0:
-        return ScanOspa(t, 0.0, cp * k, (), k, params)
+        return 0.0, cp * max(m, n), ()
     cost = capped[np.ix_(ia, ib)] ** params.p
     if m <= n:
         pi, loc_sum = solve_one_to_one(cost)
@@ -83,50 +53,48 @@ def ospa_at_scan(
     else:
         pi, loc_sum = solve_one_to_one(cost.T)
         pairs = [(ia[j], ib[i]) for i, j in enumerate(pi)]
-    pairs = tuple(sorted((i + 1, j + 1) for i, j in pairs))
-    return ScanOspa(t, loc_sum, cp * (k - min(m, n)), pairs, k, params)
+    return loc_sum, cp * abs(m - n), tuple(sorted((i + 1, j + 1) for i, j in pairs))
+
+
+def per_scan_report(
+    a: TrackSet, b: TrackSet, capped: np.ndarray, params: MetricParams
+) -> MetricReport:
+    """Report of ``ospa_at_scan`` at every scan of ``a`` and ``b``, from the
+    (N_a, N_b, T) capped distances ``capped``; its ``assignment`` is the
+    tuple of per-scan matchings.  OSPA and OSPAT both score through here."""
+    n_t, _ = count_distances(a, b)
+    loc_sums, card_sums, pairs = zip(*(
+        ospa_at_scan(capped[:, :, t], a.exists[:, t], b.exists[:, t], params)
+        for t in range(a.scans)
+    ))
+    return MetricReport.from_sums(loc_sums, card_sums, n_t, params, pairs)
 
 
 def ospa(
     xs: Sequence[StateVector], ys: Sequence[StateVector], params: MetricParams
-) -> ScanOspa:
-    """OSPA distance between two finite sets of state vectors, as the one
-    scan ``t = 1`` with ``pairs`` holding 1-based (x, y) element indices."""
+) -> MetricReport:
+    """OSPA distance between two finite sets of state vectors, as the report
+    of the one scan ``t = 1``; its matching ``assignment[0]`` holds 1-based
+    (x, y) element indices.  Each state is checked as a ``TrackSet`` point."""
     dims = {len(x) for x in xs} | {len(y) for y in ys}
     if len(dims) > 1:
         raise DimensionMismatchError(f"mixed state dimensions {sorted(dims)}")
-    m, n = len(xs), len(ys)
-    capped = np.empty((m, n))
-    if m and n:
-        d = base_distance(np.array(xs)[:, None, :], np.array(ys)[None, :, :], params)
-        capped = np.minimum(d, params.c)
-    return ospa_at_scan(capped, np.ones(m, bool), np.ones(n, bool), 1, params)
+    dim = dims.pop() if dims else 1
+    if dim == 0:
+        raise DimensionMismatchError("states have no coordinates")
+    a, b = (TrackSet(1, dim, tuple(Track({1: x}) for x in states)) for states in (xs, ys))
+    return ospa_per_scan(a, b, params)
 
 
 def ospa_per_scan(
     a: TrackSet, b: TrackSet, params: MetricParams, dist: np.ndarray | None = None
-) -> list[ScanOspa]:
-    """OSPA of the existing states of ``a`` and ``b`` at every scan.
+) -> MetricReport:
+    """OSPA of the existing states of ``a`` and ``b`` at every scan, and over
+    time, as one report.
 
     ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
     it; otherwise it is built here.
     """
     if dist is None:
         dist = scan_distances(a, b, params)
-    capped = np.minimum(dist, params.c)
-    return [
-        ospa_at_scan(capped[:, :, t], a.exists[:, t], b.exists[:, t], t + 1, params)
-        for t in range(a.scans)
-    ]
-
-
-def report_over_time(
-    rows: Sequence[ScanOspa], params: MetricParams, assignment: object
-) -> MetricReport:
-    """OSPA or OSPAT over time from the rows of ``ospa_per_scan`` or
-    ``ospat_per_scan``; ``assignment`` is what the report holds: the per-scan
-    ``pairs`` for OSPA, the global pairing for OSPAT."""
-    return MetricReport.from_sums(
-        [r.loc_sum for r in rows], [r.card_sum for r in rows], [r.n_t for r in rows],
-        params, assignment,
-    )
+    return per_scan_report(a, b, np.minimum(dist, params.c), params)

@@ -50,19 +50,6 @@ def resolve_mode(mode: Mode | str, total_tracks: int) -> Mode:
     return mode
 
 
-@dataclass(frozen=True)
-class DirectionalBreakdown:
-    """Raw per-scan sums of one directional evaluation (pre-normalization).
-
-    ``total_t[t-1] == loc_t[t-1] + card_t[t-1]`` and each total is at most
-    ``n_t * (c**p + delta**p)``.
-    """
-
-    total_t: tuple[float, ...]
-    loc_t: tuple[float, ...]
-    card_t: tuple[float, ...]
-
-
 def cost_matrix(
     src: TrackSet, tgt: TrackSet, params: MetricParams, dist: np.ndarray | None = None
 ) -> np.ndarray:
@@ -127,8 +114,10 @@ def directional_terms(
     orders: Sequence[Sequence[int]],
     params: MetricParams,
     dist: np.ndarray,
-) -> DirectionalBreakdown:
-    """Raw per-scan sums for a fixed assignment and fixed track orders.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw per-scan loc and card sums, as (T,) arrays, for a fixed
+    assignment and fixed track orders; each scan's two sum to at most
+    ``n_t * (c**p + delta**p)``.
 
     At every scan a target's order, minus its absent sources, keeps its
     relative order; the first source left is charged the capped distance,
@@ -164,9 +153,7 @@ def directional_terms(
             card += np.maximum(live[start:stop].sum(axis=0) - 1, 0) * (dp + cp)
         start = stop
     card += cp * (np.array(n_t) - live.sum(axis=0))
-    return DirectionalBreakdown(
-        tuple((loc + card).tolist()), tuple(loc.tolist()), tuple(card.tolist())
-    )
+    return loc, card
 
 
 def directional_cost(
@@ -189,9 +176,8 @@ def directional_cost(
             f"orders {tuple(orders)} do not order the preimages {preimages} of lambda"
         )
     _, n = count_distances(src, tgt)
-    dist = scan_distances(tgt, src, params)
-    breakdown = directional_terms(src, tgt, orders, params, dist)
-    return root_mean(sum(breakdown.total_t), n, params)
+    loc, card = directional_terms(src, tgt, orders, params, scan_distances(tgt, src, params))
+    return root_mean(sum((loc + card).tolist()), n, params)
 
 
 @lru_cache(maxsize=16)
@@ -351,20 +337,20 @@ def directional_distance(
     tgt: TrackSet,
     lam: Sequence[int],
     params: MetricParams,
-) -> tuple[float, DirectionalBreakdown, tuple[tuple[int, ...], ...]]:
+) -> tuple[float, tuple[tuple[int, ...], ...]]:
     """Directional distance for a fixed assignment, minimized over orders.
 
     The minimization runs independently per target preimage because the
-    objective is additive across targets.  Returns the value, the raw
-    per-scan breakdown under the optimal orders, and those orders.
+    objective is additive across targets.  Returns the value and the
+    optimal orders.
     """
     lam = tuple(lam)
     _check_feasible(src, tgt, lam)
     dist = scan_distances(tgt, src, params)
     engine = _DirectionalEngine(src, tgt, params, dist)
     orders = engine.best_orders(lam)
-    breakdown = directional_terms(src, tgt, orders, params, dist)
-    return root_mean(sum(breakdown.total_t), engine.n, params), breakdown, orders
+    loc, card = directional_terms(src, tgt, orders, params, dist)
+    return root_mean(sum((loc + card).tolist()), engine.n, params), orders
 
 
 def _quasi_greedy(
@@ -429,10 +415,10 @@ def _quasi(
         if costs is None:
             costs = cost_matrix(src, tgt, params, dist)
         lam, orders = _quasi_greedy(src, tgt, params, costs)
-    terms = directional_terms(src, tgt, orders, params, dist)
+    loc, card = directional_terms(src, tgt, orders, params, dist)
     n_t, _ = count_distances(src, tgt)
     assignment = Assignment(direction, lam, orders)
-    return MetricReport.from_sums(terms.loc_t, terms.card_t, n_t, params, assignment)
+    return MetricReport.from_sums(loc.tolist(), card.tolist(), n_t, params, assignment)
 
 
 def ospamt_metric(
@@ -511,9 +497,10 @@ def split_tracks(
     tracks to one estimated track, that track is cut at the boundaries of
     the truth lifetimes (``_split_track``) and the assignment is recomputed.
     Fragment k of track ``e1`` is named ``e1/k``, the next k whose name no
-    track of the set holds.  The track count grows on every round, so this
-    terminates unless the overlap pattern never untangles, which raises
-    NoConvergenceError after ``SPLIT_ROUNDS``.
+    track of the set holds; a track left whole keeps its ``track_label``.
+    The track count grows on every round, so this terminates unless the
+    overlap pattern never untangles, which raises NoConvergenceError after
+    ``SPLIT_ROUNDS``.
     """
     check_comparable(truth, est)
     log: list[SplitLogEntry] = []
@@ -529,7 +516,8 @@ def split_tracks(
         taken = {current.track_label(i) for i in range(1, len(current) + 1)}
         for i, (trk, order) in enumerate(zip(current.tracks, orders), start=1):
             if len(order) < 2:
-                new_tracks.append(trk)
+                # an unlabelled track would take the fallback of its new position
+                new_tracks.append(Track(trk.points, current.track_label(i)))
                 continue
             rows = sorted((j - 1 for j in order), key=lambda j: (truth.exists[j].argmax(), j))
             masks = _split_track(current.exists[i - 1], truth.exists[rows])

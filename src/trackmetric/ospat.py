@@ -19,14 +19,16 @@ import numpy as np
 from .assign import solve_one_to_one
 from .core import (
     MetricParams,
+    MetricReport,
     TrackSet,
     at_coexisting,
     base_distance,
     check_comparable,
+    count_distances,
     scan_distances,
 )
 from .errors import BadParametersError
-from .ospa import ScanOspa, ospa_at_scan
+from .ospa import ospa_at_scan, per_scan_report
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,9 @@ def ospat_at_time(
     labeled_b: LabeledTrackSet,
     t: int,
     params: MetricParams,
-) -> ScanOspa:
-    """OSPA minimization over the labeled states existing at scan t, which
-    must lie in 1..T; only that scan's distances are computed."""
+) -> MetricReport:
+    """Report of the OSPA minimization over the labeled states existing at
+    scan t, which must lie in 1..T; only that scan's distances are computed."""
     a, b = labeled_a.tracks, labeled_b.tracks
     check_comparable(a, b)
     if not 1 <= t <= a.scans:
@@ -166,26 +168,26 @@ def ospat_at_time(
     d = base_distance(a.states[:, None, t - 1 : t], b.states[None, :, t - 1 : t], params)
     both = a.exists[:, None, t - 1 : t] & b.exists[None, :, t - 1 : t]
     capped = _labeled_distances(d, both, labeled_a, labeled_b, params)[:, :, 0]
-    return ospa_at_scan(capped, a.exists[:, t - 1], b.exists[:, t - 1], t, params)
+    loc_sum, card_sum, pairs = ospa_at_scan(capped, a.exists[:, t - 1], b.exists[:, t - 1], params)
+    n_t, _ = count_distances(a, b)
+    return MetricReport.from_sums((loc_sum,), (card_sum,), (n_t[t - 1],), params, (pairs,))
 
 
 def ospat_per_scan(
     a: TrackSet, b: TrackSet, params: MetricParams, dist: np.ndarray | None = None
-) -> tuple[list[ScanOspa], OspatAssignment]:
+) -> tuple[MetricReport, OspatAssignment]:
     """Reorder, label, then score every scan; the usual evaluation pipeline.
 
+    Returns the report, whose ``assignment`` is the tuple of per-scan
+    matchings of labeled states, and the global pairing that set the labels.
     ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
     it; otherwise it is built here.  The reordering reuses it when the base
     norm is Euclidean (p' = 2) and builds its own Euclidean tensor otherwise.
     """
     if dist is None:
         dist = scan_distances(a, b, params)
-    assignment = ospat_reorder(a, b, params, dist if params.base_order == 2.0 else None)
-    labeled_a, labeled_b = ospat_label(a, b, assignment)
+    pairing = ospat_reorder(a, b, params, dist if params.base_order == 2.0 else None)
+    labeled_a, labeled_b = ospat_label(a, b, pairing)
     both = a.exists[:, None] & b.exists[None]
     capped = _labeled_distances(dist, both, labeled_a, labeled_b, params)
-    rows = [
-        ospa_at_scan(capped[:, :, t], a.exists[:, t], b.exists[:, t], t + 1, params)
-        for t in range(a.scans)
-    ]
-    return rows, assignment
+    return per_scan_report(a, b, capped, params), pairing

@@ -97,10 +97,9 @@ def _per_scan(figs: tuple[FigureId, ...], params: MetricParams) -> Values:
     got: Values = {}
     for fig in figs:
         sc = scenario(fig)
-        ospat_rows, _ = ospat_per_scan(sc.truth, sc.est, params)
         report = ospamt_metric(sc.truth, sc.est, params, Mode.EXACT)
-        got[f"{fig.value} ospa"] = tuple(r.total for r in ospa_per_scan(sc.truth, sc.est, params))
-        got[f"{fig.value} ospat"] = tuple(r.total for r in ospat_rows)
+        got[f"{fig.value} ospa"] = ospa_per_scan(sc.truth, sc.est, params).per_time
+        got[f"{fig.value} ospat"] = ospat_per_scan(sc.truth, sc.est, params)[0].per_time
         got[f"{fig.value} ospamt"], got[f"{fig.value} total"] = report.per_time, report.total
     return got
 
@@ -119,14 +118,14 @@ def _table1_want(params: MetricParams) -> Values:
 
 def _table2(params: MetricParams) -> Values:
     sc = scenario(FigureId.FIG1A)
-    ospa_rows = ospa_per_scan(sc.truth, sc.est, params)
-    ospat_rows, _ = ospat_per_scan(sc.truth, sc.est, params)
+    ospa_pairs = ospa_per_scan(sc.truth, sc.est, params).assignment
+    ospat_pairs = ospat_per_scan(sc.truth, sc.est, params)[0].assignment
     assignment = ospamt_metric(sc.truth, sc.est, params, Mode.EXACT).assignment
     return {
-        "ospa t=1": ospa_rows[0].pairs,
-        "ospa t=5": ospa_rows[4].pairs,
-        "ospat t=1": ospat_rows[0].pairs,
-        "ospat t=5": ospat_rows[4].pairs,
+        "ospa t=1": ospa_pairs[0],
+        "ospa t=5": ospa_pairs[4],
+        "ospat t=1": ospat_pairs[0],
+        "ospat t=5": ospat_pairs[4],
         "ospamt direction": assignment.direction,
         "ospamt orders": assignment.orders,
     }

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from trackmetric.core import MetricParams, Track, TrackSet
-from trackmetric.ospa import ospa_per_scan, report_over_time
+from trackmetric.ospa import ospa_per_scan
 from trackmetric.ospamt import Mode, ospamt_metric
 from trackmetric.ospat import ospat_per_scan
 from trackmetric.selftest import GOLDEN
@@ -73,16 +73,12 @@ def distance_params(dim, **fixed):
 
 
 def library_reports(a, b, params, mode=Mode.AUTO):
-    """The OSPAMT, OSPA and OSPAT library reports of one pair, with the
-    per-scan rows behind the OSPA and OSPAT ones."""
-    ospa_rows = ospa_per_scan(a, b, params)
-    ospat_rows, pairing = ospat_per_scan(a, b, params)
-    reports = {
+    """The OSPAMT, OSPA and OSPAT library reports of one pair."""
+    return {
         "ospamt": ospamt_metric(a, b, params, mode),
-        "ospa": report_over_time(ospa_rows, params, tuple(r.pairs for r in ospa_rows)),
-        "ospat": report_over_time(ospat_rows, params, pairing),
+        "ospa": ospa_per_scan(a, b, params),
+        "ospat": ospat_per_scan(a, b, params)[0],
     }
-    return reports, {"ospa": ospa_rows, "ospat": ospat_rows}
 
 
 def golden(criterion: str, key: str, p: float = 1.0):

@@ -273,7 +273,7 @@ def test_json_values_are_the_library_reports(tmp_path, capsys, argv, params):
         )
         assert code == 0
         doc = json.loads(out)["metrics"]
-        reports, _ = library_reports(load_track_set(truth), load_track_set(est), params)
+        reports = library_reports(load_track_set(truth), load_track_set(est), params)
         for name, report in reports.items():
             got = doc[name]
             assert (got["total"], got["loc"], got["card"]) == (report.total, report.loc, report.card)

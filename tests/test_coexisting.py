@@ -93,7 +93,7 @@ def test_sets_that_never_coexist(p):
     assert (cost_matrix(b, a, params) == INFEASIBLE).all()
     assert (cost_matrix(a, b, params) == INFEASIBLE).all()
     for mode in (Mode.EXACT, Mode.GREEDY):
-        reports, _ = library_reports(a, b, params, mode)
+        reports = library_reports(a, b, params, mode)
         assert {name: r.total for name, r in reports.items()} == dict.fromkeys(reports, 3.0)
     # the gather is empty, and the scale is still checked against the sets
     with pytest.raises(DimensionMismatchError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import golden
 from oracles import oracle_ospa
 from trackmetric.core import MetricParams, Track, TrackSet
-from trackmetric.errors import DimensionMismatchError
+from trackmetric.errors import DimensionMismatchError, NonFiniteCoordinateError
 from trackmetric.ospa import ospa, ospa_per_scan
 from trackmetric.scenarios import FigureId, ScenarioSpec, build
 
@@ -40,11 +40,32 @@ def test_dimension_mismatch():
         ospa([(0.0,)], [(0.0, 1.0)], MetricParams())
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_states_raise(bad):
+    # a NaN state scored 2.0, the matching's softening penalty, not a distance
+    for xs, ys in (([(bad,)], [(0.0,)]), ([(0.0, 1.0)], [(2.0, 3.0), (4.0, bad)])):
+        with pytest.raises(NonFiniteCoordinateError):
+            ospa(xs, ys, MetricParams())
+
+
+def test_states_without_coordinates_raise():
+    # these raised a bare TypeError
+    for xs, ys in (([()], [()]), ([()], []), ([], [(), ()])):
+        with pytest.raises(DimensionMismatchError):
+            ospa(xs, ys, MetricParams())
+
+
+def test_one_scan_report():
+    res = ospa([(0.0,), (10.0,)], [(9.0,)], MetricParams())
+    assert res.assignment == (((2, 1),),)
+    assert res.per_time == (res.total,) and res.n_t == (2,) and res.n == 2
+
+
 def test_fig9a_states_at_t1():
     sc = build(ScenarioSpec(FigureId.FIG9A))
-    rows = ospa_per_scan(sc.truth, sc.est, MetricParams())
-    assert rows[0].total == pytest.approx(golden("03_table1_fig9", "fig9a ospa"), rel=1e-9)
-    assert rows[0].pairs == ((1, 2), (2, 1))
+    report = ospa_per_scan(sc.truth, sc.est, MetricParams())
+    assert report.per_time[0] == pytest.approx(golden("03_table1_fig9", "fig9a ospa"), rel=1e-9)
+    assert report.assignment[0] == ((1, 2), (2, 1))
 
 
 @given(seed=st.integers(0, 10_000))
@@ -95,14 +116,14 @@ def test_cardinality_component_formula():
 
 def test_per_scan_fig1a_t4_pairs_tau1_with_tau2prime():
     sc = build(ScenarioSpec(FigureId.FIG1A))
-    rows = ospa_per_scan(sc.truth, sc.est, MetricParams())
-    assert rows[3].pairs == ((1, 2),)
-    assert rows[3].total == pytest.approx(1.0, rel=1e-9)
+    report = ospa_per_scan(sc.truth, sc.est, MetricParams())
+    assert report.assignment[3] == ((1, 2),)
+    assert report.per_time[3] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_per_scan_empty_scans_are_zero():
     a = TrackSet(3, 1, (Track({1: 0.0}),))
     b = TrackSet(3, 1, (Track({1: 0.5}),))
-    rows = ospa_per_scan(a, b, MetricParams())
-    assert rows[1].total == 0.0 and rows[2].total == 0.0
-    assert rows[1].n_t == 0
+    report = ospa_per_scan(a, b, MetricParams())
+    assert report.per_time[1:] == (0.0, 0.0)
+    assert report.n_t[1] == 0

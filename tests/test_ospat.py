@@ -102,10 +102,10 @@ def test_label_fig13_depends_on_reference_set():
 def test_fig9a_t1_value_and_pairs():
     for p in (1.0, 2.0):
         sc = fig(FigureId.FIG9A)
-        rows, _ = ospat_per_scan(sc.truth, sc.est, MetricParams(p=p))
+        report, _ = ospat_per_scan(sc.truth, sc.est, MetricParams(p=p))
         want = golden("03_table1_fig9", "fig9a ospat", p)
-        assert rows[0].total == pytest.approx(want, rel=1e-9)
-        assert rows[0].pairs == ((1, 2), (2, 1))
+        assert report.per_time[0] == pytest.approx(want, rel=1e-9)
+        assert report.assignment[0] == ((1, 2), (2, 1))
 
 
 def test_fig12a_fig12b_t4_value():
@@ -114,9 +114,9 @@ def test_fig12a_fig12b_t4_value():
             params = MetricParams(p=p)
             e, a, c = 1.0, params.alpha, params.c
             sc = fig(figure, epsilon=e)
-            rows, _ = ospat_per_scan(sc.truth, sc.est, params)
+            report, _ = ospat_per_scan(sc.truth, sc.est, params)
             want = ((e**p + a**p + c**p) / 2) ** (1 / p)
-            assert rows[3].total == pytest.approx(want, rel=1e-9)
+            assert report.per_time[3] == pytest.approx(want, rel=1e-9)
 
 
 def test_alpha_zero_identity_violation():
@@ -125,8 +125,7 @@ def test_alpha_zero_identity_violation():
     ts = TrackSet(1, 1, (Track({1: 3.0}),))
     la = LabeledTrackSet(ts, (1,))
     lb = LabeledTrackSet(ts, (2,))
-    row = ospat_at_time(la, lb, 1, params)
-    assert row.total == 0.0
+    assert ospat_at_time(la, lb, 1, params).total == 0.0
     assert la.labels != lb.labels
 
 
@@ -172,10 +171,9 @@ def test_at_time_equals_ospa_when_no_mislabeling():
 
     params = MetricParams()
     sc = fig(FigureId.FIG9B)  # no crossover, labels agree with geometry
-    rows, _ = ospat_per_scan(sc.truth, sc.est, params)
-    ospa_rows = ospa_per_scan(sc.truth, sc.est, params)
-    for got, want in zip(rows, ospa_rows):
-        assert got.total == pytest.approx(want.total, rel=1e-9)
+    report, _ = ospat_per_scan(sc.truth, sc.est, params)
+    for got, want in zip(report.per_time, ospa_per_scan(sc.truth, sc.est, params).per_time):
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -191,18 +189,22 @@ def test_at_time_matches_per_scan_rows(params):
     for seed in range(8):
         a, b = random_scenario(seed, n_truth=4, scans=9, miss_rate=0.3, false_rate=0.5,
                                break_rate=0.4, noise=6.0)
-        rows, assignment = ospat_per_scan(a, b, params)
-        la, lb = ospat_label(a, b, assignment)
+        report, pairing = ospat_per_scan(a, b, params)
+        la, lb = ospat_label(a, b, pairing)
         for t in range(1, a.scans + 1):
-            assert ospat_at_time(la, lb, t, params) == rows[t - 1]
+            one = ospat_at_time(la, lb, t, params)
+            scan = [(r.per_time[k], r.loc_t[k], r.card_t[k], r.n_t[k], r.assignment[k])
+                    for r, k in ((one, 0), (report, t - 1))]
+            assert scan[0] == scan[1]
+            assert (one.total, one.loc, one.card, one.n) == scan[0][:4]
 
 
 def test_at_time_empty_scan():
     params = MetricParams()
     ts = TrackSet(2, 1, (Track({1: 0.0}),))
     la, lb = ospat_label(ts, ts, ospat_reorder(ts, ts, params))
-    row = ospat_at_time(la, lb, 2, params)
-    assert row.total == 0.0 and row.n_t == 0
+    report = ospat_at_time(la, lb, 2, params)
+    assert report.total == 0.0 and report.n_t == (0,)
 
 
 @pytest.mark.parametrize("t", [0, 4, -1])
