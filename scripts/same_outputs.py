@@ -5,9 +5,10 @@ and ``selftest`` outputs.
 Every instance of the benchmark workloads (built by perfbench/workloads.py,
 which this script only imports) is scored by ``trackmetric compute TRUTH EST
 --metric all --per-time --report-assignment`` in json, csv and table, under
-each parameter set of ``PARAM_SETS``, and split by ``trackmetric split TRUTH
-EST --out FILE`` under each set of ``SPLIT_SETS``, once against each
-``src/`` tree; ``trackmetric selftest``, which replays the golden table
+each parameter set of ``PARAM_SETS``, and once more as a table without
+``--report-assignment`` under the defaults, which reads no matching.  It is
+split by ``trackmetric split TRUTH EST --out FILE`` under each set of
+``SPLIT_SETS``.  All runs are made once against each ``src/`` tree; ``trackmetric selftest``, which replays the golden table
 through the library calls, runs once per tree.  A run's stdout, stderr and
 exit code, and the bytes of the file a split writes, must be the same from
 both trees.  Each tree runs in its own interpreter, which makes every call
@@ -72,6 +73,12 @@ def build_runs(names: list[str], seeds: list[int], limit: int | None,
                         argv += [arg.format(scale=scale) for arg in extra]
                         runs.append({"id": f"{workload} seed {seed} {inst.name} {label} {fmt}",
                                      "argv": argv})
+                    if label == "defaults":
+                        # a table that prints no matching, so reads none
+                        argv = ["compute", truth, est, "--metric", "all", "--mode", inst.mode,
+                                "--output", "table", "--per-time"]
+                        runs.append({"id": f"{workload} seed {seed} {inst.name} {label} "
+                                           "table unread", "argv": argv})
                     if label in SPLIT_SETS:
                         argv = ["split", truth, est, "--out", "{out}", "--mode", inst.mode]
                         runs.append({"id": f"{workload} seed {seed} {inst.name} {label} split",

@@ -158,7 +158,46 @@ def solve_one_to_one(d: np.ndarray) -> tuple[tuple[int, ...], float]:
     entry.  INFEASIBLE entries are softened to a penalty above any finite
     matching so a full matching always exists.
 
-    One Hungarian solve gives the optimum and a witness matching, and
+    The total comes from the one solve of :func:`optimal_matching`; only
+    the choice among tied matchings needs :func:`lexicographic_matching`.
+    The per-scan metrics call the two apart: each scan's total comes from
+    its one solve, and its matching is computed when it is first read.
+    """
+    solve = optimal_matching(d)
+    return lexicographic_matching(*solve), solve[2]
+
+
+def optimal_matching(d: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
+    """First step of :func:`solve_one_to_one`: one Hungarian solve.
+
+    Returns the matrix with INFEASIBLE softened, a witness optimal matching
+    (0-based column of each row), the optimum and the tie tolerance, which
+    is what :func:`lexicographic_matching` takes.  A single row needs no
+    solve, and its witness already is the lexicographic matching.
+    """
+    d = np.asarray(d, dtype=float)
+    m, n = d.shape
+    if m == 0:
+        return d, [], 0.0, 0.0
+    if m > n:
+        raise ValueError(f"solve_one_to_one needs m <= n, got {m}x{n}")
+    finite = d < INFEASIBLE
+    top = float(d.max(initial=0.0, where=finite)) or 1.0
+    dd = d if finite.all() else np.where(finite, d, top * (m + 1))
+    tol = TIE * top * m
+    if m == 1:
+        best = float(dd[0].min())
+        return dd, [int(np.argmax(dd[0] <= best + tol))], best, tol
+    rows, cols = linear_sum_assignment(dd)
+    return dd, cols.tolist(), float(dd[rows, cols].sum()), tol
+
+
+def lexicographic_matching(
+    dd: np.ndarray, witness: list[int], best: float, tol: float
+) -> tuple[int, ...]:
+    """The lexicographically smallest optimal matching of ``dd``, from the
+    witness, optimum and tolerance of :func:`optimal_matching`.
+
     :func:`_reduced_costs` gives reduced costs ``r >= 0``.  A matching that
     holds the fixed prefix and (i, j) costs at least the optimum plus the
     reduced costs of those pairs, and one within tolerance uses only edges
@@ -166,25 +205,13 @@ def solve_one_to_one(d: np.ndarray) -> tuple[tuple[int, ...], float]:
     column left of the witness's that neither test rules out gets the exact
     check, one solve of the remaining rows; a column that passes makes that
     solve's matching the new witness, and every other row keeps its witness
-    column.  So a unique optimum costs one solve, each real tie about one
-    more, and a single row none.
+    column.  So a unique optimum costs no solve, each real tie about one,
+    and a single row nothing.
     """
-    d = np.asarray(d, dtype=float)
-    m, n = d.shape
-    if m == 0:
-        return (), 0.0
-    if m > n:
-        raise ValueError(f"solve_one_to_one needs m <= n, got {m}x{n}")
-    top = float(d[d < INFEASIBLE].max(initial=0.0)) or 1.0
-    dd = np.where(d < INFEASIBLE, d, top * (m + 1))
-    tol = TIE * top * m
-    if m == 1:
-        best = float(dd[0].min())
-        return (int(np.argmax(dd[0] <= best + tol)),), best
-
-    rows, cols = linear_sum_assignment(dd)
-    best = float(dd[rows, cols].sum())
-    r = _reduced_costs(dd, cols)
+    m, n = dd.shape
+    if m <= 1:
+        return tuple(witness)
+    r = _reduced_costs(dd, np.array(witness))
     # near[i]: row i's columns with r within twice the tolerance, ascending;
     # it always holds the column of the first witness, where r is 0
     near: list[list[int]] = [[] for _ in range(m)]
@@ -199,7 +226,6 @@ def solve_one_to_one(d: np.ndarray) -> tuple[tuple[int, ...], float]:
             owner[c] = k
         return owner, max((k for k in range(m) if near[k][0] < witness[k]), default=-1)
 
-    witness = cols.tolist()
     owner, until = adopt(witness)
     prefix = fixed = 0.0
     i = 0
@@ -225,4 +251,4 @@ def solve_one_to_one(d: np.ndarray) -> tuple[tuple[int, ...], float]:
         prefix += dd[i, witness[i]]
         fixed += max(r[i, witness[i]], 0.0)
         i += 1
-    return tuple(witness), best
+    return tuple(witness)

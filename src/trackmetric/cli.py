@@ -47,11 +47,16 @@ CSV_HEADER = ["t", "metric", "total", "loc", "card", "n_t"]
 
 @dataclass
 class MetricRows:
-    """Uniform result shape for one metric: its report, assignment text and extras."""
+    """Uniform result shape for one metric: its report, assignment text and extras.
+
+    ``assignment_text`` is a function of no arguments, called only by an
+    output that prints the text, so a CSV or plain table run never reads
+    the per-scan matchings of OSPA and OSPAT.
+    """
 
     name: str
     report: MetricReport
-    assignment_text: str
+    assignment_text: object  # () -> str
     extra: dict
 
     def rows(self, at_time: int | None = None):
@@ -71,19 +76,22 @@ def _eval_ospa(
     truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: np.ndarray
 ) -> MetricRows:
     report = ospa_per_scan(truth, est, params, dist)
-    pair_lines = "; ".join(
-        f"t={t}: {_pairs_text(pairs, truth, est)}"
-        for t, pairs in enumerate(report.assignment, start=1)
-    )
-    return MetricRows("ospa", report, pair_lines, {})
+
+    def describe() -> str:
+        return "; ".join(
+            f"t={t}: {_pairs_text(pairs, truth, est)}"
+            for t, pairs in enumerate(report.assignment, start=1)
+        )
+
+    return MetricRows("ospa", report, describe, {})
 
 
 def _eval_ospat(
     truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: np.ndarray
 ) -> MetricRows:
     report, pairing = ospat_per_scan(truth, est, params, dist)
-    text = "pairing " + _pairs_text(pairing.pairs, truth, est)
-    return MetricRows("ospat", report, text, {"global_distance": sum(pairing.costs_t)})
+    return MetricRows("ospat", report, lambda: "pairing " + _pairs_text(pairing.pairs, truth, est),
+                      {"global_distance": sum(pairing.costs_t)})
 
 
 def _eval_ospamt(
@@ -91,18 +99,22 @@ def _eval_ospamt(
 ) -> MetricRows:
     report = ospamt_metric(truth, est, params, mode=mode, dist=dist)
     asg = report.assignment
-    src, tgt = (est, truth) if asg.direction.value == "est_to_truth" else (truth, est)
-    mapping = ", ".join(
-        f"{tgt.track_label(i)}<-({', '.join(src.track_label(j) for j in order)})"
-        for i, order in enumerate(asg.orders, start=1)
-        if order
-    )
-    unassigned = ", ".join(src.track_label(j) for j in asg.unassigned_sources())
-    text = f"direction {asg.direction.value}; {mapping or '(none)'}"
-    if unassigned:
-        text += f"; unassigned: {unassigned}"
+
+    def describe() -> str:
+        src, tgt = (est, truth) if asg.direction.value == "est_to_truth" else (truth, est)
+        mapping = ", ".join(
+            f"{tgt.track_label(i)}<-({', '.join(src.track_label(j) for j in order)})"
+            for i, order in enumerate(asg.orders, start=1)
+            if order
+        )
+        unassigned = ", ".join(src.track_label(j) for j in asg.unassigned_sources())
+        text = f"direction {asg.direction.value}; {mapping or '(none)'}"
+        if unassigned:
+            text += f"; unassigned: {unassigned}"
+        return text
+
     return MetricRows(
-        "ospamt", report, text, {"direction": asg.direction.value, "n": report.n}
+        "ospamt", report, describe, {"direction": asg.direction.value, "n": report.n}
     )
 
 
@@ -164,7 +176,7 @@ def _emit_table(
     if report_assignment:
         print(file=out)
         for res in results:
-            print(f"{res.name} assignment: {res.assignment_text}", file=out)
+            print(f"{res.name} assignment: {res.assignment_text()}", file=out)
 
 
 def _load_pair(args: argparse.Namespace, params: MetricParams) -> tuple[TrackSet, TrackSet]:
@@ -216,7 +228,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
                         {"t": t, "total": tt, "loc": ll, "card": cc, "n_t": nn}
                         for t, tt, ll, cc, nn in res.rows(args.at_time)
                     ],
-                    "assignment": res.assignment_text,
+                    "assignment": res.assignment_text(),
                     **res.extra,
                 }
                 for res in results

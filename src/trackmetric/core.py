@@ -237,9 +237,12 @@ class MetricReport:
     with different ``n_t``; the greedy OSPAMT search can exceed c.
 
     ``assignment`` is an ``Assignment`` (direction, map and orders) for
-    OSPAMT.  For OSPA and OSPAT it is the tuple of per-scan matchings, each
-    a tuple of 1-based (index in a, index in b) pairs; OSPAT's match labeled
-    states, and its global pairing comes beside the report.
+    OSPAMT.  For OSPA and OSPAT it is the per-scan matchings, each a tuple
+    of 1-based (index in a, index in b) pairs; OSPAT's match labeled
+    states, and its global pairing comes beside the report.  Their totals
+    come from one solve per scan, and a scan's lexicographic matching is
+    computed when it is first read (``ospa.Matchings``, which compares
+    equal to the tuple of tuples it stands for).
     """
 
     total: float

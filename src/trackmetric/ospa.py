@@ -12,62 +12,99 @@ from typing import Sequence
 
 import numpy as np
 
-from .assign import solve_one_to_one
+from .assign import lexicographic_matching, optimal_matching
 from .core import (
     MetricParams,
     MetricReport,
     StateVector,
     Track,
     TrackSet,
-    count_distances,
+    check_comparable,
     scan_distances,
 )
 from .errors import DimensionMismatchError
 
 
-def ospa_at_scan(
-    capped: np.ndarray,
-    exists_a: np.ndarray,
-    exists_b: np.ndarray,
-    params: MetricParams,
-) -> tuple[float, float, tuple[tuple[int, int], ...]]:
-    """Raw OSPA sums of one scan from the capped distances of every pair there.
-
-    ``capped`` is (N_a, N_b) and is read only where both tracks exist, as
-    given by the (N_a,) and (N_b,) masks ``exists_a`` and ``exists_b``.  The
-    smaller side (``a`` on equal sizes) is matched into the larger.  Returns
-    the matched capped distances to the p-th power summed, ``c ** p`` per
-    unmatched state of the larger side, and the matching as 1-based
+class Matchings(Sequence):
+    """Per-scan matchings of an OSPA or OSPAT report, each a tuple of 1-based
     (index in a, index in b) pairs.
+
+    Scan t holds the first solve of its cost matrix (``optimal_matching``),
+    and its lexicographic matching is worked out from that solve when
+    ``self[t]`` is first read, then kept; a report never read pays no tie
+    walk.  The sequence compares equal to, and hashes like, the tuple of
+    tuples it stands for.
     """
-    ia = np.flatnonzero(exists_a).tolist()
-    ib = np.flatnonzero(exists_b).tolist()
-    m, n = len(ia), len(ib)
-    cp = params.c**params.p
-    if m == 0 or n == 0:
-        return 0.0, cp * max(m, n), ()
-    cost = capped[np.ix_(ia, ib)] ** params.p
-    if m <= n:
-        pi, loc_sum = solve_one_to_one(cost)
-        pairs = [(ia[i], ib[j]) for i, j in enumerate(pi)]
-    else:
-        pi, loc_sum = solve_one_to_one(cost.T)
-        pairs = [(ia[j], ib[i]) for i, j in enumerate(pi)]
-    return loc_sum, cp * abs(m - n), tuple(sorted((i + 1, j + 1) for i, j in pairs))
+
+    __slots__ = ("_pairs", "_solves")
+
+    def __init__(self, solves: list) -> None:
+        # per scan: (solve, rows in a, rows in b, whether b is the solve's rows),
+        # or None where a side is empty
+        self._solves = solves
+        self._pairs: list[tuple | None] = [None if x else () for x in solves]
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[t] for t in range(*k.indices(len(self))))
+        t = range(len(self))[k]
+        if self._pairs[t] is None:
+            solve, ia, ib, flipped = self._solves[t]
+            pi = lexicographic_matching(*solve)
+            ia, ib = ia.tolist(), ib.tolist()
+            if flipped:
+                pairs = ((ia[j], ib[i]) for i, j in enumerate(pi))
+            else:
+                pairs = ((ia[i], ib[j]) for i, j in enumerate(pi))
+            self._pairs[t] = tuple(sorted((i + 1, j + 1) for i, j in pairs))
+            self._solves[t] = None
+        return self._pairs[t]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, Matchings)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def per_scan_report(
-    a: TrackSet, b: TrackSet, capped: np.ndarray, params: MetricParams
+    exists_a: np.ndarray, exists_b: np.ndarray, capped: np.ndarray, params: MetricParams
 ) -> MetricReport:
-    """Report of ``ospa_at_scan`` at every scan of ``a`` and ``b``, from the
-    (N_a, N_b, T) capped distances ``capped``; its ``assignment`` is the
-    tuple of per-scan matchings.  OSPA and OSPAT both score through here."""
-    n_t, _ = count_distances(a, b)
-    loc_sums, card_sums, pairs = zip(*(
-        ospa_at_scan(capped[:, :, t], a.exists[:, t], b.exists[:, t], params)
-        for t in range(a.scans)
-    ))
-    return MetricReport.from_sums(loc_sums, card_sums, n_t, params, pairs)
+    """OSPA report of every scan of the (N_a, N_b, T) capped distances
+    ``capped``, read only where both tracks exist, as given by the (N_a, T)
+    and (N_b, T) masks ``exists_a`` and ``exists_b``.  OSPA and OSPAT both
+    score through here.
+
+    At each scan the smaller side (``a`` on equal sizes) is matched into the
+    larger by one ``optimal_matching`` solve, whose optimum is the scan's
+    loc sum; each unmatched state of the larger side adds ``c ** p`` to its
+    card sum.  The report's ``assignment`` is the ``Matchings`` of those
+    solves.
+    """
+    cp = params.c**params.p
+    n_t = np.maximum(exists_a.sum(axis=0), exists_b.sum(axis=0)).tolist()
+    loc_sums, card_sums, solves = [], [], []
+    for t in range(capped.shape[2]):
+        ia, ib = exists_a[:, t].nonzero()[0], exists_b[:, t].nonzero()[0]
+        m, n = len(ia), len(ib)
+        card_sums.append(cp * abs(m - n))
+        if m == 0 or n == 0:
+            loc_sums.append(0.0)
+            solves.append(None)
+            continue
+        cost = capped[ia[:, None], ib, t] ** params.p
+        solve = optimal_matching(cost if m <= n else cost.T)
+        loc_sums.append(solve[2])
+        solves.append((solve, ia, ib, m > n))
+    return MetricReport.from_sums(loc_sums, card_sums, n_t, params, Matchings(solves))
 
 
 def ospa(
@@ -95,6 +132,7 @@ def ospa_per_scan(
     ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
     it; otherwise it is built here.
     """
+    check_comparable(a, b)
     if dist is None:
         dist = scan_distances(a, b, params)
-    return per_scan_report(a, b, np.minimum(dist, params.c), params)
+    return per_scan_report(a.exists, b.exists, np.minimum(dist, params.c), params)

@@ -465,22 +465,25 @@ class SplitLogEntry:
     fragment_count: int
 
 
-def _split_track(exists: np.ndarray, truths: np.ndarray) -> list[np.ndarray]:
+def _split_track(exists: np.ndarray, truths: np.ndarray, ranks: list[int]) -> list[np.ndarray]:
     """Scan masks of the fragments of an estimated track that exists at the
     ``(T,)`` mask ``exists``, cut along the ``(s, T)`` lifetimes ``truths``
-    of its assigned truth tracks, in order of truth start scan.
+    of its assigned truth tracks, in order of truth start scan; ``ranks[w]``
+    is truth w's place in the preimage's order.
 
-    Each scan goes to the first truth existing there, else to the first
-    truth whose lifetime window spans it; a scan in no window is stray and
-    joins the first truth's fragment, which is never empty: an assignment
-    joins only tracks that coexist, so that truth wins a scan where it
-    exists.  Empty fragments are dropped.
+    Each scan goes to the truth existing there that comes first in the
+    preimage's order, the one the estimate is scored against.  A scan where
+    none exists goes to the first truth, in start order, whose lifetime
+    window spans it, and a scan in no window is stray and joins the first
+    truth's fragment.  Empty fragments are dropped.
     """
     # window[w, t]: truth w has existed by scan t and still exists at t or later
     window = np.logical_or.accumulate(truths, axis=1)
     window &= np.logical_or.accumulate(truths[:, ::-1], axis=1)[:, ::-1]
-    # argmax takes the first true row, and row 0 when there is none
-    owner = np.where(truths.any(axis=0), truths.argmax(axis=0), window.argmax(axis=0))
+    # argmin takes the existing truth of least rank; argmax the first true
+    # row of the window, and row 0 when there is none
+    ranked = np.where(truths, np.array(ranks)[:, None], len(ranks))
+    owner = np.where(truths.any(axis=0), ranked.argmin(axis=0), window.argmax(axis=0))
     masks = (exists & (owner == w) for w in range(len(truths)))
     return [mask for mask in masks if mask.any()]
 
@@ -519,8 +522,10 @@ def split_tracks(
                 # an unlabelled track would take the fallback of its new position
                 new_tracks.append(Track(trk.points, current.track_label(i)))
                 continue
-            rows = sorted((j - 1 for j in order), key=lambda j: (truth.exists[j].argmax(), j))
-            masks = _split_track(current.exists[i - 1], truth.exists[rows])
+            ranks = sorted(range(len(order)),
+                           key=lambda k: (truth.exists[order[k] - 1].argmax(), order[k]))
+            masks = _split_track(current.exists[i - 1],
+                                 truth.exists[[order[k] - 1 for k in ranks]], ranks)
             frags = [(np.flatnonzero(mask) + 1).tolist() for mask in masks]
             label = current.track_label(i)
             names = (f"{label}/{k}" for k in itertools.count(1) if f"{label}/{k}" not in taken)

@@ -24,11 +24,10 @@ from .core import (
     at_coexisting,
     base_distance,
     check_comparable,
-    count_distances,
     scan_distances,
 )
 from .errors import BadParametersError
-from .ospa import ospa_at_scan, per_scan_report
+from .ospa import per_scan_report
 
 
 @dataclass(frozen=True)
@@ -165,12 +164,10 @@ def ospat_at_time(
     check_comparable(a, b)
     if not 1 <= t <= a.scans:
         raise BadParametersError(f"scan {t} outside 1..{a.scans}")
+    exists_a, exists_b = a.exists[:, t - 1 : t], b.exists[:, t - 1 : t]
     d = base_distance(a.states[:, None, t - 1 : t], b.states[None, :, t - 1 : t], params)
-    both = a.exists[:, None, t - 1 : t] & b.exists[None, :, t - 1 : t]
-    capped = _labeled_distances(d, both, labeled_a, labeled_b, params)[:, :, 0]
-    loc_sum, card_sum, pairs = ospa_at_scan(capped, a.exists[:, t - 1], b.exists[:, t - 1], params)
-    n_t, _ = count_distances(a, b)
-    return MetricReport.from_sums((loc_sum,), (card_sum,), (n_t[t - 1],), params, (pairs,))
+    capped = _labeled_distances(d, exists_a[:, None] & exists_b[None], labeled_a, labeled_b, params)
+    return per_scan_report(exists_a, exists_b, capped, params)
 
 
 def ospat_per_scan(
@@ -178,8 +175,8 @@ def ospat_per_scan(
 ) -> tuple[MetricReport, OspatAssignment]:
     """Reorder, label, then score every scan; the usual evaluation pipeline.
 
-    Returns the report, whose ``assignment`` is the tuple of per-scan
-    matchings of labeled states, and the global pairing that set the labels.
+    Returns the report, whose ``assignment`` is the per-scan matchings of
+    labeled states, and the global pairing that set the labels.
     ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
     it; otherwise it is built here.  The reordering reuses it when the base
     norm is Euclidean (p' = 2) and builds its own Euclidean tensor otherwise.
@@ -190,4 +187,4 @@ def ospat_per_scan(
     labeled_a, labeled_b = ospat_label(a, b, pairing)
     both = a.exists[:, None] & b.exists[None]
     capped = _labeled_distances(dist, both, labeled_a, labeled_b, params)
-    return per_scan_report(a, b, capped, params), pairing
+    return per_scan_report(a.exists, b.exists, capped, params), pairing

@@ -620,6 +620,36 @@ def test_pair_distances_come_from_the_call_tensors_only(
     assert len(calls) == calls_wanted
 
 
+@pytest.mark.parametrize("extra, walked", [
+    (("--output", "csv", "--per-time"), False),
+    (("--per-time",), False),
+    (("--output", "json"), True),
+    (("--report-assignment",), True),
+])
+def test_matchings_are_walked_only_when_printed(tmp_path, capsys, monkeypatch, extra, walked):
+    # the per-scan totals come from one solve; a scan's lexicographic
+    # matching is walked only when JSON or --report-assignment prints it
+    import importlib
+
+    ospa = importlib.import_module("trackmetric.ospa")  # the package's `ospa` is the function
+    walks = []
+    original = ospa.lexicographic_matching
+
+    def counting(*args):
+        walks.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(ospa, "lexicographic_matching", counting)
+    truth, est = tmp_path / "truth.json", tmp_path / "est.json"
+    for path, ts in zip((truth, est), random_scenario(3, n_truth=6, scans=10, miss_rate=0.2,
+                                                      false_rate=0.3, noise=2.0)):
+        save_track_set(ts, path)
+    code, out, _ = run(capsys, "compute", str(truth), str(est), "--metric", "all", *extra)
+    assert code == 0 and out
+    # OSPA prints every scan's matching; OSPAT prints only its global pairing
+    assert len(walks) == (10 if walked else 0)
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

@@ -842,6 +842,26 @@ def test_split_owner_rules(scans, truth_points, fragments, cut_scans):
     assert log == [SplitLogEntry(1, "E", cut_scans, len(fragments))]
 
 
+def test_split_cuts_a_nested_truth_the_preimage_puts_first():
+    # B exists only at scan 2, inside A's lifetime, and the optimum sends
+    # both onto E in the order (B, A): scan 2 goes to B, the first truth of
+    # the preimage existing there, and fragments still come in start order
+    params = MetricParams()
+    truth = TrackSet(3, 1, (Track(dict.fromkeys((1, 2, 3), (50.0,)), "A"),
+                            Track({2: (0.0,)}, "B")))
+    est = TrackSet(3, 1, (Track(dict.fromkeys((1, 2, 3), (0.0,)), "E"),))
+    report = quasi_ospamt(truth, est, params, Mode.EXACT)
+    assert report.assignment.orders == ((2, 1),)
+    assert report.total == pytest.approx(52.5, rel=1e-12)
+    new_est, log = split_tracks(truth, est, params, Mode.EXACT)
+    assert [(trk.label, list(trk.points)) for trk in new_est.tracks] == [
+        ("E/1", [1, 3]), ("E/2", [2]),
+    ]
+    assert log == [SplitLogEntry(1, "E", (2,), 2)]
+    after = quasi_ospamt(truth, new_est, params, Mode.EXACT).assignment
+    assert all(len(order) <= 1 for order in after.orders)
+
+
 def test_split_renames_an_uncut_multi_preimage_track():
     # round 1 cuts e1 and sends t2 and t3 both onto e2, which exists only at
     # scan 1, where both truths do: e2 yields one fragment and is re-emitted
