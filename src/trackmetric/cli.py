@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -205,7 +206,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
             f"--at-time {args.at_time} outside 1..{truth.scans}"
         )
     names = ["ospa", "ospat", "ospamt"] if args.metric == "all" else [args.metric]
-    # one base-distance tensor per call, read by every metric; it dies with the call
+    # one gather of the coexisting distances per call, read by every metric;
+    # it dies with the call
     dist = scan_distances(truth, est, params)
     results = [_EVALUATORS[name](truth, est, params, mode, dist) for name in names]
     if args.output == "json":
@@ -303,7 +305,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_OK if run_selftest() else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on the first call and shared after it:
+    an in-process caller of ``main`` parses every call with one parser, and
+    importing the module builds none."""
     parser = argparse.ArgumentParser(
         prog="trackmetric",
         description="OSPAMT, OSPA and OSPAT distances between track-set files",
@@ -364,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

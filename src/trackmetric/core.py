@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -38,18 +38,33 @@ class Track:
 
     A record only: a ``TrackSet`` reads it once, when built, and the metrics
     read the set's arrays.  A bare number, Python or numpy, or any other
-    value with no axes, is a 1-D state.  ``label`` is carried for reporting
-    only; it plays no role in any distance.
+    value with no axes, is a 1-D state.  An integer beyond float range
+    reads as an infinite coordinate, which ``TrackSet`` rejects.  ``label``
+    is carried for reporting only; it plays no role in any distance.
     """
 
     points: Mapping[int, StateVector | float]
     label: str | None = None
 
     def __post_init__(self) -> None:
-        # lists and tuples, the common states, skip the cost of np.ndim
-        pts = {int(t): tuple(map(float, x)) if isinstance(x, (list, tuple)) or np.ndim(x)
-               else (float(x),) for t, x in self.points.items()}
+        def states(to_float) -> dict[int, StateVector]:
+            # lists and tuples, the common states, skip the cost of np.ndim
+            return {int(t): tuple(map(to_float, x)) if isinstance(x, (list, tuple)) or np.ndim(x)
+                    else (to_float(x),) for t, x in self.points.items()}
+
+        try:
+            pts = states(float)
+        except OverflowError:
+            pts = states(_float_or_inf)
         object.__setattr__(self, "points", pts)
+
+
+def _float_or_inf(value) -> float:
+    """``float(value)``, or an infinity of its sign where it overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -313,49 +328,124 @@ def base_distance(
     return out[..., 0][()]  # [()] makes a single pair's distance a scalar
 
 
-def at_coexisting(
-    coexist: np.ndarray, values: Callable[[np.ndarray], np.ndarray], fill: float = np.nan
-) -> np.ndarray:
-    """Float array of ``coexist``'s shape holding ``values(flat)`` at its
-    true entries and ``fill`` elsewhere, where ``flat`` are the flat indices
-    of those entries in scan order.  ``scan_distances`` builds its tensor
-    through here, and the greedy cost matrix, ``directional_terms`` and
-    OSPAT's reordering costs and labeled distances read it through here, so
-    none of them touches an entry where two tracks do not coexist.
-    ``ospa_per_scan`` and ``_DirectionalEngine`` cap the whole tensor, NaN
-    entries included."""
-    flat = np.flatnonzero(coexist)
-    out = np.full(coexist.shape, fill)
-    np.put(out, flat, values(flat))
-    return out
+class ScanDistances:
+    """Base distances of every pair of tracks, one from each of two sets, at
+    every scan where both exist, gathered once in scan-major order.
+
+    Entry k is the pair (``rows[k]``, ``cols[k]``) of 0-based track indices
+    at 0-based scan ``scan[k]``, and ``values[k]`` is its distance at the
+    order the layer was built with.  Within a scan the entries run by row,
+    then by column, so scan t's entries are one block that ``blocks``
+    reshapes to the matrix of the tracks existing then, and ``entries``
+    finds the entries of given pairs.  ``shape`` is the ``(rows, columns,
+    scans)`` shape of the dense tensor the entries come from; ``dense()``
+    builds that tensor, NaN where a pair does not coexist, and ``scatter``
+    writes any per-entry values into one.
+    ``transpose()`` is the same layer with the roles of the two sets
+    swapped, sharing every array.  ``at_order(q)`` gives the distances at
+    base norm order q, computed once from the gathered states.
+    """
+
+    __slots__ = ("rows", "cols", "scan", "shape", "values", "_by_order", "_states", "_params",
+                 "_tracks_at", "_ends", "_ranks", "_first", "_width", "_swapped")
+
+    def __init__(self, states_a: np.ndarray, exists_a: np.ndarray, states_b: np.ndarray,
+                 exists_b: np.ndarray, params: MetricParams, order: float | None = None) -> None:
+        (na, scans), nb = exists_a.shape, len(exists_b)
+        # the tracks of each set that exist at each scan, scan by scan
+        ta, ia = np.nonzero(exists_a.T)
+        tb, ib = np.nonzero(exists_b.T)
+        m_t = np.bincount(ta, minlength=scans)
+        n_t = np.bincount(tb, minlength=scans)
+        # each existing (scan, track of a) meets the tracks of b at its scan
+        # in order: its scan and row repeat, and its columns run through that
+        # scan's block of ib, which ends where the a-track's entries end
+        reps = n_t[ta]
+        self.scan, self.rows = np.repeat(ta, reps), np.repeat(ia, reps)
+        shift = np.cumsum(n_t)[ta] - np.cumsum(reps)
+        self.cols = ib[np.arange(len(self.rows)) + np.repeat(shift, reps)]
+        self.shape = (na, nb, scans)
+        dim = states_a.shape[-1]
+        self._states = (
+            np.take(states_a.reshape(-1, dim), self.rows * scans + self.scan, axis=0),
+            np.take(states_b.reshape(-1, dim), self.cols * scans + self.scan, axis=0),
+        )
+        self._params = params
+        order = params.base_order if order is None else order
+        self.values = base_distance(*self._states, params, order)
+        self._by_order = {order: self.values}
+        ia, ib = ia.tolist(), ib.tolist()
+        ends_a, ends_b = np.cumsum(m_t).tolist(), np.cumsum(n_t).tolist()
+        self._tracks_at = [(ia[sa:ea], ib[sb:eb]) for sa, ea, sb, eb
+                           in zip([0] + ends_a, ends_a, [0] + ends_b, ends_b)]
+        ends = np.cumsum(m_t * n_t)
+        self._ends = ends.tolist()
+        # a track's place among the tracks of its set existing at each scan
+        self._ranks = np.cumsum(exists_a, axis=0) - 1, np.cumsum(exists_b, axis=0) - 1
+        self._first, self._width = ends - m_t * n_t, n_t
+        self._swapped = False
+
+    def at_order(self, order: float) -> np.ndarray:
+        """The entries' distances at base norm order ``order``."""
+        if order not in self._by_order:
+            self._by_order[order] = base_distance(*self._states, self._params, order)
+        return self._by_order[order]
+
+    def transpose(self) -> ScanDistances:
+        """This layer with the two sets' roles swapped."""
+        out = object.__new__(ScanDistances)
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.rows, out.cols = self.cols, self.rows
+        out.shape = (self.shape[1], self.shape[0], self.shape[2])
+        out._swapped = not self._swapped
+        return out
+
+    def blocks(self, values: np.ndarray) -> Iterator[tuple[list[int], list[int], np.ndarray]]:
+        """Per scan: the 0-based row and column tracks existing then, and
+        that scan's slice of the per-entry ``values`` as their matrix."""
+        start = 0
+        for (ia, ib), end in zip(self._tracks_at, self._ends):
+            block = values[start:end].reshape(len(ia), len(ib))
+            yield (ib, ia, block.T) if self._swapped else (ia, ib, block)
+            start = end
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(len(rows), T) indices of the entries of the pairs (``rows[k]``,
+        ``cols[k]``) at every scan; only where both tracks exist is the
+        index one of that pair's entries."""
+        ia, ib = (cols, rows) if self._swapped else (rows, cols)
+        rank_a, rank_b = self._ranks
+        return self._first + rank_a[ia] * self._width + rank_b[ib]
+
+    def scatter(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out``, of ``shape``, with the per-entry ``values`` written at
+        their (row, column, scan) places."""
+        _, ncols, scans = self.shape
+        np.put(out, (self.rows * ncols + self.cols) * scans + self.scan, values)
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The ``shape`` tensor of the distances, NaN where a pair does not
+        coexist: what ``scan_distances`` returned before it gathered."""
+        return self.scatter(self.values, np.full(self.shape, np.nan))
 
 
 def scan_distances(
     a: TrackSet, b: TrackSet, params: MetricParams, order: float | None = None
-) -> np.ndarray:
-    """(N_a, N_b, T) base distances of every pair of tracks at every scan.
+) -> ScanDistances:
+    """Base distances of every pair of tracks of ``a`` and ``b`` at every
+    scan where both exist, as a ``ScanDistances`` layer at base norm order
+    ``order`` (``params.base_order`` by default).
 
-    Entries are NaN wherever the two tracks do not coexist, and only the
-    coexisting entries, where ``a.exists[:, None] & b.exists[None]`` holds,
-    are computed.  Each equals ``base_distance`` of its own pair of states
-    to the last bit.  The tensor of ``b`` against ``a`` is exactly
-    ``.transpose(1, 0, 2)`` of this one, so a caller that needs both
-    directions builds it once.  Raises ScanMismatchError or
+    Only the coexisting entries are computed, and each equals
+    ``base_distance`` of its own pair of states to the last bit.  The layer
+    of ``b`` against ``a`` is ``.transpose()`` of this one, so a caller that
+    needs both directions builds it once.  Raises ScanMismatchError or
     DimensionMismatchError unless the sets are comparable.
     """
     check_comparable(a, b)
-    nb, scans = len(b.tracks), a.scans
-
-    def distances(flat: np.ndarray) -> np.ndarray:
-        # flat = i * nb * scans + jt, where jt = j * scans + t is b's row in
-        # its (nb * scans, D) view and i * scans + t is a's row in its own
-        jt = flat % (nb * scans)
-        it = flat // (nb * scans) * scans + jt % scans
-        x = np.take(a.states.reshape(-1, a.state_dim), it, axis=0)
-        y = np.take(b.states.reshape(-1, b.state_dim), jt, axis=0)
-        return base_distance(x, y, params, order)
-
-    return at_coexisting(a.exists[:, None] & b.exists[None], distances)
+    return ScanDistances(a.states, a.exists, b.states, b.exists, params, order)
 
 
 def count_distances(a: TrackSet, b: TrackSet) -> tuple[tuple[int, ...], int]:

@@ -16,6 +16,7 @@ from .assign import lexicographic_matching, optimal_matching
 from .core import (
     MetricParams,
     MetricReport,
+    ScanDistances,
     StateVector,
     Track,
     TrackSet,
@@ -39,7 +40,7 @@ class Matchings(Sequence):
     __slots__ = ("_pairs", "_solves")
 
     def __init__(self, solves: list) -> None:
-        # per scan: (solve, rows in a, rows in b, whether b is the solve's rows),
+        # per scan: (solve, tracks of a, tracks of b, whether b is the solve's rows),
         # or None where a side is empty
         self._solves = solves
         self._pairs: list[tuple | None] = [None if x else () for x in solves]
@@ -54,7 +55,6 @@ class Matchings(Sequence):
         if self._pairs[t] is None:
             solve, ia, ib, flipped = self._solves[t]
             pi = lexicographic_matching(*solve)
-            ia, ib = ia.tolist(), ib.tolist()
             if flipped:
                 pairs = ((ia[j], ib[i]) for i, j in enumerate(pi))
             else:
@@ -75,32 +75,27 @@ class Matchings(Sequence):
         return repr(tuple(self))
 
 
-def per_scan_report(
-    exists_a: np.ndarray, exists_b: np.ndarray, capped: np.ndarray, params: MetricParams
-) -> MetricReport:
-    """OSPA report of every scan of the (N_a, N_b, T) capped distances
-    ``capped``, read only where both tracks exist, as given by the (N_a, T)
-    and (N_b, T) masks ``exists_a`` and ``exists_b``.  OSPA and OSPAT both
-    score through here.
+def per_scan_report(dist: ScanDistances, capped: np.ndarray, params: MetricParams) -> MetricReport:
+    """OSPA report of every scan of ``dist``, scored on ``capped``, one
+    capped distance per entry of the layer.  OSPA and OSPAT both score
+    through here.
 
     At each scan the smaller side (``a`` on equal sizes) is matched into the
-    larger by one ``optimal_matching`` solve, whose optimum is the scan's
-    loc sum; each unmatched state of the larger side adds ``c ** p`` to its
-    card sum.  The report's ``assignment`` is the ``Matchings`` of those
-    solves.
+    larger by one ``optimal_matching`` solve of that scan's block, whose
+    optimum is the scan's loc sum; each unmatched state of the larger side
+    adds ``c ** p`` to its card sum.  The report's ``assignment`` is the
+    ``Matchings`` of those solves.
     """
     cp = params.c**params.p
-    n_t = np.maximum(exists_a.sum(axis=0), exists_b.sum(axis=0)).tolist()
-    loc_sums, card_sums, solves = [], [], []
-    for t in range(capped.shape[2]):
-        ia, ib = exists_a[:, t].nonzero()[0], exists_b[:, t].nonzero()[0]
+    loc_sums, card_sums, n_t, solves = [], [], [], []
+    for ia, ib, cost in dist.blocks(capped**params.p):
         m, n = len(ia), len(ib)
         card_sums.append(cp * abs(m - n))
+        n_t.append(max(m, n))
         if m == 0 or n == 0:
             loc_sums.append(0.0)
             solves.append(None)
             continue
-        cost = capped[ia[:, None], ib, t] ** params.p
         solve = optimal_matching(cost if m <= n else cost.T)
         loc_sums.append(solve[2])
         solves.append((solve, ia, ib, m > n))
@@ -124,15 +119,16 @@ def ospa(
 
 
 def ospa_per_scan(
-    a: TrackSet, b: TrackSet, params: MetricParams, dist: np.ndarray | None = None
+    a: TrackSet, b: TrackSet, params: MetricParams, dist: ScanDistances | None = None
 ) -> MetricReport:
     """OSPA of the existing states of ``a`` and ``b`` at every scan, and over
     time, as one report.
 
     ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
-    it; otherwise it is built here.
+    it; otherwise it is built here.  Its distances are capped entry by
+    entry, and each scan's matrix is its block of them.
     """
     check_comparable(a, b)
     if dist is None:
         dist = scan_distances(a, b, params)
-    return per_scan_report(a.exists, b.exists, np.minimum(dist, params.c), params)
+    return per_scan_report(dist, np.minimum(dist.at_order(params.base_order), params.c), params)

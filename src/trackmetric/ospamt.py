@@ -24,9 +24,9 @@ from .core import (
     Direction,
     MetricParams,
     MetricReport,
+    ScanDistances,
     Track,
     TrackSet,
-    at_coexisting,
     check_comparable,
     count_distances,
     root_mean,
@@ -51,7 +51,7 @@ def resolve_mode(mode: Mode | str, total_tracks: int) -> Mode:
 
 
 def cost_matrix(
-    src: TrackSet, tgt: TrackSet, params: MetricParams, dist: np.ndarray | None = None
+    src: TrackSet, tgt: TrackSet, params: MetricParams, dist: ScanDistances | None = None
 ) -> np.ndarray:
     """Pairwise cost matrix with targets as rows and sources as columns.
 
@@ -62,18 +62,17 @@ def cost_matrix(
     whatever the lifetimes.  Pairs that never coexist are marked INFEASIBLE
     so the assignment search can never join them.  ``dist`` is
     ``scan_distances(tgt, src, params)`` when the caller already has it;
-    otherwise it is built here.  Only its coexisting entries are read, and
-    the scan counts come from products of the ``exists`` masks.  The matrix
-    of the swapped roles is exactly the transpose of this one.
+    otherwise it is built here.  Its entries are capped and powered, then
+    scattered into a dense tensor, zero elsewhere, so that each pair sums
+    over scans in numpy's order; the scan counts come from products of the
+    ``exists`` masks.  The matrix of the swapped roles is exactly the
+    transpose of this one.
     """
     if dist is None:
         dist = scan_distances(tgt, src, params)
     cp = params.c**params.p
-    d = at_coexisting(
-        tgt.exists[:, None] & src.exists[None],
-        lambda flat: np.minimum(np.take(dist, flat), params.c) ** params.p,
-        0.0,
-    )
+    capped = np.minimum(dist.at_order(params.base_order), params.c) ** params.p
+    d = dist.scatter(capped, np.zeros(dist.shape))
     # 0/1 products counted in floats: exact, and a BLAS call
     shared = tgt.exists.astype(float) @ src.exists.T.astype(float)
     either = tgt.exists.sum(axis=1)[:, None] + src.exists.sum(axis=1) - shared
@@ -113,7 +112,7 @@ def directional_terms(
     tgt: TrackSet,
     orders: Sequence[Sequence[int]],
     params: MetricParams,
-    dist: np.ndarray,
+    dist: ScanDistances,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw per-scan loc and card sums, as (T,) arrays, for a fixed
     assignment and fixed track orders; each scan's two sum to at most
@@ -122,8 +121,8 @@ def directional_terms(
     At every scan a target's order, minus its absent sources, keeps its
     relative order; the first source left is charged the capped distance,
     plus ``delta**p`` when it is not the first of the full order.  ``dist``
-    is ``scan_distances(tgt, src, params)``; only its coexisting entries
-    are read.
+    is ``scan_distances(tgt, src, params)``; only the entries of assigned
+    pairs are read.
     """
     p = params.p
     cp = params.c**p
@@ -133,10 +132,9 @@ def directional_terms(
     ii = np.array([i for i, order in enumerate(orders) for _ in order], dtype=int)
     jj = np.array([j - 1 for order in orders for j in order], dtype=int)
     live = src.exists[jj] & tgt.exists[ii]
-    pair_dist = dist[ii, jj]
-    capped = at_coexisting(
-        live, lambda flat: np.minimum(np.take(pair_dist, flat), params.c) ** p, 0.0
-    )
+    capped = np.zeros(live.shape)
+    at = dist.entries(ii, jj)[live]
+    capped[live] = np.minimum(dist.at_order(params.base_order)[at], params.c) ** p
     scans = np.arange(tgt.scans)
     loc = np.zeros(tgt.scans)
     card = np.zeros(tgt.scans)
@@ -250,7 +248,7 @@ class _DirectionalEngine:
     """
 
     def __init__(
-        self, src: TrackSet, tgt: TrackSet, params: MetricParams, dist: np.ndarray
+        self, src: TrackSet, tgt: TrackSet, params: MetricParams, dist: ScanDistances
     ) -> None:
         self.src = src
         self.tgt = tgt
@@ -262,9 +260,9 @@ class _DirectionalEngine:
         # coexist[i-1, j-1, t-1]: target i and source j both exist at scan t
         self.coexist = tgt.exists[:, None, :] & src.exists[None, :, :]
         # gain[i-1, j-1, t-1]: capped distance ** p minus c ** p where coexisting,
-        # read from dist = scan_distances(tgt, src, params)
-        capped = np.minimum(dist, params.c)
-        self.gain = np.where(self.coexist, capped**p - cp, 0.0)
+        # else 0, from dist = scan_distances(tgt, src, params)
+        capped = np.minimum(dist.at_order(params.base_order), params.c)
+        self.gain = dist.scatter(capped**p - cp, np.zeros(dist.shape))
 
     def best_order(self, i: int, pre: tuple[int, ...]) -> tuple[int, ...]:
         """Lexicographically smallest optimal order of target i's preimage.
@@ -376,7 +374,7 @@ def quasi_ospamt(
     params: MetricParams,
     mode: Mode | str = Mode.AUTO,
     direction: Direction = Direction.EST_TO_TRUTH,
-    dist: np.ndarray | None = None,
+    dist: ScanDistances | None = None,
 ) -> MetricReport:
     """Report of the smallest directional distance from ``src`` onto ``tgt``.
 
@@ -401,7 +399,7 @@ def _quasi(
     params: MetricParams,
     mode: Mode | str,
     direction: Direction,
-    dist: np.ndarray,
+    dist: ScanDistances,
     costs: np.ndarray | None,
 ) -> MetricReport:
     """``quasi_ospamt`` of comparable sets; the search and the scoring both
@@ -426,7 +424,7 @@ def ospamt_metric(
     b: TrackSet,
     params: MetricParams,
     mode: Mode | str = Mode.AUTO,
-    dist: np.ndarray | None = None,
+    dist: ScanDistances | None = None,
 ) -> MetricReport:
     """OSPAMT distance between truth set ``a`` and estimate set ``b``.
 
@@ -446,7 +444,7 @@ def ospamt_metric(
     if a.tracks and b.tracks and resolve_mode(mode, len(a.tracks) + len(b.tracks)) is Mode.GREEDY:
         costs = cost_matrix(b, a, params, dist)
     est = _quasi(b, a, params, mode, Direction.EST_TO_TRUTH, dist, costs)
-    tru = _quasi(a, b, params, mode, Direction.TRUTH_TO_EST, dist.transpose(1, 0, 2),
+    tru = _quasi(a, b, params, mode, Direction.TRUTH_TO_EST, dist.transpose(),
                  None if costs is None else costs.T)
     return est if est.total <= tru.total + TIE * params.c else tru
 

@@ -20,9 +20,8 @@ from .assign import solve_one_to_one
 from .core import (
     MetricParams,
     MetricReport,
+    ScanDistances,
     TrackSet,
-    at_coexisting,
-    base_distance,
     check_comparable,
     scan_distances,
 )
@@ -58,19 +57,19 @@ class OspatAssignment:
 
 
 def _reorder_costs(
-    d: np.ndarray, exists_a: np.ndarray, exists_b: np.ndarray, c: float
+    dist: ScanDistances, exists_a: np.ndarray, exists_b: np.ndarray, c: float
 ) -> np.ndarray:
-    """Per-scan reordering costs from Euclidean distances ``d``, read only
-    where the masks ``exists_a`` and ``exists_b`` (broadcast to its shape)
-    both hold: 0 where neither track exists, the cutoff where only one
-    does, else the capped distance."""
-    costs = at_coexisting(exists_a & exists_b, lambda flat: np.minimum(np.take(d, flat), c), 0.0)
-    costs[exists_a ^ exists_b] = c
-    return costs
+    """Dense per-scan reordering costs of every pair of tracks, from the
+    Euclidean distances of ``dist``, whose sets exist at the masks
+    ``exists_a`` and ``exists_b``: 0 where neither track exists, the cutoff
+    where only one does, else the capped distance.  Dense because the
+    global cost sums each pair's costs over scans in numpy's order."""
+    lone = exists_a[:, None] ^ exists_b[None]
+    return dist.scatter(np.minimum(dist.at_order(2.0), c), lone * c)
 
 
 def ospat_reorder(
-    a: TrackSet, b: TrackSet, params: MetricParams, dist: np.ndarray | None = None
+    a: TrackSet, b: TrackSet, params: MetricParams, dist: ScanDistances | None = None
 ) -> OspatAssignment:
     """Global pairing minimizing the summed per-scan costs.
 
@@ -79,9 +78,10 @@ def ospat_reorder(
     leftover tracks of the larger set contribute nothing to the choice.
     Ties resolve to the lexicographically smallest assignment vector.  The
     pairing keeps the per-scan costs of its pairs as ``costs_t``.
-    ``dist`` is ``scan_distances(a, b, params, order=2.0)`` when the caller
-    already has it; otherwise it is built here.  Only its coexisting entries
-    are read: a scan where one track of a pair exists costs the cutoff
+    ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
+    it; otherwise it is built here, and either way its Euclidean distances
+    are read (``at_order(2.0)``), computed from its gathered states unless
+    p' = 2.  A scan where one track of a pair exists costs the cutoff
     without a distance.
     """
     check_comparable(a, b)
@@ -91,7 +91,7 @@ def ospat_reorder(
         return OspatAssignment((), smaller, tuple((params.c * other.exists.sum(axis=0)).tolist()))
     if dist is None:
         dist = scan_distances(a, b, params, order=2.0)
-    costs = _reorder_costs(dist, a.exists[:, None, :], b.exists[None, :, :], params.c)
+    costs = _reorder_costs(dist, a.exists, b.exists, params.c)
     d = costs.sum(axis=2)
     if smaller == "b":
         pi, _ = solve_one_to_one(d.T)
@@ -135,21 +135,16 @@ def ospat_label(
 
 
 def _labeled_distances(
-    d: np.ndarray, both: np.ndarray, labeled_a: LabeledTrackSet, labeled_b: LabeledTrackSet,
+    dist: ScanDistances, labeled_a: LabeledTrackSet, labeled_b: LabeledTrackSet,
     params: MetricParams,
 ) -> np.ndarray:
-    """Capped labeled distances from base distances ``d`` of shape
-    (N_a, N_b, K): min{c, (d(x, y)^p' + (alpha when labels differ)^p')^(1/p')}
-    where the mask ``both`` holds, NaN elsewhere."""
+    """Capped labeled distances of the entries of ``dist``:
+    min{c, (d(x, y)^p' + (alpha when labels differ)^p')^(1/p')}."""
     q = params.base_order
-    differ = np.not_equal.outer(labeled_a.labels, labeled_b.labels).reshape(-1)
-
-    def capped(flat: np.ndarray) -> np.ndarray:
-        x = np.take(d, flat)
-        x = np.where(differ[flat // d.shape[2]], (x**q + params.alpha**q) ** (1.0 / q), x)
-        return np.minimum(x, params.c)
-
-    return at_coexisting(both, capped)
+    x = dist.at_order(q)
+    differ = np.not_equal.outer(labeled_a.labels, labeled_b.labels)
+    x = np.where(differ[dist.rows, dist.cols], (x**q + params.alpha**q) ** (1.0 / q), x)
+    return np.minimum(x, params.c)
 
 
 def ospat_at_time(
@@ -164,27 +159,27 @@ def ospat_at_time(
     check_comparable(a, b)
     if not 1 <= t <= a.scans:
         raise BadParametersError(f"scan {t} outside 1..{a.scans}")
-    exists_a, exists_b = a.exists[:, t - 1 : t], b.exists[:, t - 1 : t]
-    d = base_distance(a.states[:, None, t - 1 : t], b.states[None, :, t - 1 : t], params)
-    capped = _labeled_distances(d, exists_a[:, None] & exists_b[None], labeled_a, labeled_b, params)
-    return per_scan_report(exists_a, exists_b, capped, params)
+    scan = slice(t - 1, t)
+    dist = ScanDistances(a.states[:, scan], a.exists[:, scan], b.states[:, scan],
+                         b.exists[:, scan], params)
+    return per_scan_report(dist, _labeled_distances(dist, labeled_a, labeled_b, params), params)
 
 
 def ospat_per_scan(
-    a: TrackSet, b: TrackSet, params: MetricParams, dist: np.ndarray | None = None
+    a: TrackSet, b: TrackSet, params: MetricParams, dist: ScanDistances | None = None
 ) -> tuple[MetricReport, OspatAssignment]:
     """Reorder, label, then score every scan; the usual evaluation pipeline.
 
     Returns the report, whose ``assignment`` is the per-scan matchings of
     labeled states, and the global pairing that set the labels.
     ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
-    it; otherwise it is built here.  The reordering reuses it when the base
-    norm is Euclidean (p' = 2) and builds its own Euclidean tensor otherwise.
+    it; otherwise it is built here.  The reordering reads Euclidean
+    distances of its gathered states, computed once more unless p' = 2, and
+    the labeled distances are computed entry by entry from its p' ones.
     """
     if dist is None:
         dist = scan_distances(a, b, params)
-    pairing = ospat_reorder(a, b, params, dist if params.base_order == 2.0 else None)
+    pairing = ospat_reorder(a, b, params, dist)
     labeled_a, labeled_b = ospat_label(a, b, pairing)
-    both = a.exists[:, None] & b.exists[None]
-    capped = _labeled_distances(dist, both, labeled_a, labeled_b, params)
-    return per_scan_report(a.exists, b.exists, capped, params), pairing
+    capped = _labeled_distances(dist, labeled_a, labeled_b, params)
+    return per_scan_report(dist, capped, params), pairing

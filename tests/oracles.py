@@ -6,8 +6,8 @@ code cannot hide in its own oracle.  Sizes are expected to be tiny.
 
 The exception is the ``dense_*`` formulas at the end: the library's earlier
 whole-tensor arithmetic, which computed every (N_a, N_b, T) entry, NaN
-included.  The library now computes coexisting entries only, and must match
-these to the last bit.
+included.  The library now gathers the coexisting entries only, scan by
+scan, and must match these to the last bit.
 """
 
 from __future__ import annotations

@@ -210,7 +210,7 @@ def _capped_scan_matrices(seed, params):
     truth, est = random_scenario(
         seed, n_truth=8, scans=12, miss_rate=0.2, false_rate=0.4, break_rate=0.3, noise=2.0
     )
-    capped = np.minimum(scan_distances(truth, est, params), params.c)
+    capped = np.minimum(scan_distances(truth, est, params).dense(), params.c)
     for t in range(truth.scans):
         ia = np.flatnonzero(truth.exists[:, t])
         ib = np.flatnonzero(est.exists[:, t])

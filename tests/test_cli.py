@@ -207,6 +207,18 @@ def test_compute_dimension_mismatch_exit_3(tmp_path, capsys):
     assert "dimension" in err.lower()
 
 
+@pytest.mark.parametrize("digits", ["1" + "0" * 400, "-1" + "0" * 400, "1e400"],
+                         ids=["integer", "negative-integer", "float"])
+def test_compute_coordinate_beyond_float_range_exit_3(tmp_path, capsys, digits):
+    # a 400-digit integer coordinate crashed with OverflowError and exit 1
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"scans": 2, "state_dim": 1, "tracks": [{"id": "h", "points": '
+                   '[{"t": 1, "x": [0.0]}, {"t": 2, "x": [%s]}]}]}' % digits)
+    code, _, err = run(capsys, "compute", str(bad), str(bad))
+    assert code == 3
+    assert err == "validation error: track h at scan 2 has a non-finite coordinate\n"
+
+
 def test_compute_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -588,10 +600,10 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("extra, builds", [((), 2), (("--p-prime", "2"), 1)])
+@pytest.mark.parametrize("extra, builds", [((), 1), (("--p-prime", "2"), 1)])
 def test_distance_tensor_built_once_per_norm_order(tmp_path, capsys, monkeypatch, extra, builds):
-    # one base-distance tensor feeds all three metrics; OSPAT's reordering
-    # needs a Euclidean one of its own unless p' = 2 already gives it
+    # one gather of the coexisting entries feeds all three metrics; OSPAT's
+    # reordering reads Euclidean distances of the same gathered states
     calls = count_calls(monkeypatch, "scan_distances")
     truth, est = write_scenario(tmp_path, FigureId.FIG12)
     code, _, _ = run(capsys, "compute", str(truth), str(est), "--metric", "all", *extra)
@@ -604,9 +616,9 @@ def test_distance_tensor_built_once_per_norm_order(tmp_path, capsys, monkeypatch
 def test_pair_distances_come_from_the_call_tensors_only(
     tmp_path, capsys, monkeypatch, mode, extra, calls_wanted
 ):
-    # every track-pair distance of a compute call is read from its p' tensor
-    # and, unless p' = 2, OSPAT's Euclidean one: OSPAMT's scoring and OSPAT's
-    # global cost compute none of their own
+    # every track-pair distance of a compute call is read from its one
+    # gather, at p' and, unless p' = 2, at order 2 for OSPAT's reordering:
+    # OSPAMT's scoring and OSPAT's global cost compute none of their own
     calls = count_calls(monkeypatch, "base_distance")
     truth, est = tmp_path / "truth.json", tmp_path / "est.json"
     sets = random_scenario(2, n_truth=4, scans=8, miss_rate=0.2, false_rate=0.3,
@@ -667,3 +679,40 @@ def test_selftest_reports_a_failing_row(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines[0] == "FAIL  example-2 closed forms  [p=1 A2: got 7.0, want 6.5]"
     assert len(lines) == 6 and all(line.startswith("PASS  ") for line in lines[1:])
+
+
+def test_one_parser_serves_consecutive_calls(tmp_path, capsys):
+    # main builds its parser once per process; calls with other subcommands
+    # and flags in between print what fresh calls print, and a bad argument
+    # still exits 2
+    from trackmetric.cli import build_parser
+
+    truth, est = (str(path) for path in write_scenario(tmp_path, FigureId.FIG12))
+    out = str(tmp_path / "split.json")
+    calls = [
+        ["compute", truth, est, "--metric", "all", "--output", "json", "--p", "2", "--c", "30"],
+        ["compute", truth, est, "--per-time"],
+        ["compute", truth, est, "--metric", "ospa", "--output", "csv", "--at-time", "2"],
+        ["compute", truth, est, "--bogus"],
+        ["scenario", "fig1a", "--truth", str(tmp_path / "t.json"), "--est", str(tmp_path / "e.json")],
+        ["split", truth, est, "--out", out, "--p", "2"],
+        ["compute", truth, est, "--metric", "nope"],
+        ["compute", truth, est, "--metric", "all", "--report-assignment"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(call(argv))
+    build_parser.cache_clear()
+    assert [call(argv) for argv in calls] == fresh
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 0, 2, 0]

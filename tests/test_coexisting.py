@@ -1,7 +1,7 @@
-"""Distances are computed only where two tracks coexist, and every consumer
-of the distance tensor reads it there only.  Each result must equal the
-dense whole-tensor formulas of ``oracles`` to the last bit, and sets that
-share no scan must score exactly as the defining sums say."""
+"""Distances are computed only where two tracks coexist, gathered scan by
+scan into one layer, and every consumer reads that layer.  Each result must
+equal the dense whole-tensor formulas of ``oracles`` to the last bit, and
+sets that share no scan must score exactly as the defining sums say."""
 
 import random
 
@@ -16,7 +16,7 @@ from oracles import (
     dense_scan_distances,
 )
 from trackmetric.assign import INFEASIBLE
-from trackmetric.core import MetricParams, Track, TrackSet, scan_distances
+from trackmetric.core import MetricParams, ScanDistances, Track, TrackSet, scan_distances
 from trackmetric.errors import DimensionMismatchError
 from trackmetric.ospamt import Mode, cost_matrix
 from trackmetric.ospat import (
@@ -45,6 +45,51 @@ def pairs(rng, dim):
     return drawn + [(a, b), (b, a), (a, empty), (empty, b), (empty, empty)]
 
 
+def full_set(rng, dim, scans=4, max_tracks=4):
+    """Set whose every track exists at every scan."""
+    return TrackSet(scans, dim, tuple(
+        Track({t: tuple(rng.uniform(-9, 9) for _ in range(dim)) for t in range(1, scans + 1)})
+        for _ in range(rng.randint(1, max_tracks))
+    ))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 9])
+def test_gathered_layer_matches_the_dense_tensor(dim):
+    # the dense view is the broadcast tensor to the last bit, each scan's
+    # block is its matrix of the tracks existing then, each pair finds its
+    # own entries, and the transpose swaps the roles of the two sets
+    rng = random.Random(100 + dim)
+    empty = TrackSet(4, dim, ())
+    drawn = pairs(rng, dim) + [
+        (full_set(rng, dim), full_set(rng, dim)),
+        (full_set(rng, dim), random_float_set(rng, dim, max_tracks=4)),
+        (full_set(rng, dim), empty),
+    ]
+    for params in distance_params(dim, p=2.0):
+        for a, b in drawn:
+            dist = scan_distances(a, b, params)
+            dense = dense_scan_distances(a, b, params)
+            assert dist.shape == dense.shape
+            np.testing.assert_array_equal(dist.dense(), dense)
+            np.testing.assert_array_equal(dist.transpose().dense(), dense.transpose(1, 0, 2))
+            np.testing.assert_array_equal(dist.values, dense[dist.rows, dist.cols, dist.scan])
+            for t, (ia, ib, block) in enumerate(dist.blocks(dist.values)):
+                assert ia == np.flatnonzero(a.exists[:, t]).tolist()
+                assert ib == np.flatnonzero(b.exists[:, t]).tolist()
+                np.testing.assert_array_equal(block, dense[ia][:, ib, t])
+            for t, (ib, ia, block) in enumerate(dist.transpose().blocks(dist.values)):
+                np.testing.assert_array_equal(block, dense[ia][:, ib, t].T)
+            # every pair's entries, looked up from either side
+            ii, jj = (x.ravel() for x in np.indices((len(a), len(b))))
+            both = a.exists[ii] & b.exists[jj]
+            for at in (dist.entries(ii, jj), dist.transpose().entries(jj, ii)):
+                np.testing.assert_array_equal(dist.values[at[both]], dense[ii, jj][both])
+            for q in (1.0, 1.5, 2.0, 3.0):  # every order from the one gather
+                np.testing.assert_array_equal(
+                    dist.at_order(q), dense_scan_distances(a, b, params, q)[dist.rows, dist.cols,
+                                                                            dist.scan])
+
+
 @pytest.mark.parametrize("dim", [1, 3, 8])
 def test_coexisting_entries_match_the_dense_formulas(dim):
     rng = random.Random(dim)
@@ -52,35 +97,36 @@ def test_coexisting_entries_match_the_dense_formulas(dim):
         for params in distance_params(dim, p=p, c=6.0, delta=2.0, alpha=3.0):
             for a, b in pairs(rng, dim):
                 dist = scan_distances(a, b, params)
-                np.testing.assert_array_equal(dist, dense_scan_distances(a, b, params))
+                dense = dense_scan_distances(a, b, params)
                 np.testing.assert_array_equal(
-                    cost_matrix(b, a, params, dist), dense_cost_matrix(b, a, params, dist))
-                np.testing.assert_array_equal(
-                    cost_matrix(a, b, params),
-                    dense_cost_matrix(a, b, params, dist.transpose(1, 0, 2)))
+                    cost_matrix(b, a, params, dist), dense_cost_matrix(b, a, params, dense))
+                swapped = dense_cost_matrix(a, b, params, dense.transpose(1, 0, 2))
+                np.testing.assert_array_equal(cost_matrix(a, b, params), swapped)
+                np.testing.assert_array_equal(cost_matrix(a, b, params, dist.transpose()), swapped)
 
-                euclid = scan_distances(a, b, params, order=2.0)
-                np.testing.assert_array_equal(euclid, dense_scan_distances(a, b, params, 2.0))
+                euclid = dense_scan_distances(a, b, params, 2.0)
                 ea, eb = a.exists[:, None], b.exists[None]
-                np.testing.assert_array_equal(_reorder_costs(euclid, ea, eb, params.c),
+                np.testing.assert_array_equal(_reorder_costs(dist, a.exists, b.exists, params.c),
                                               dense_reorder_costs(euclid, ea, eb, params.c))
-                pairing = ospat_reorder(a, b, params, euclid)
+                pairing = ospat_reorder(a, b, params, dist)
+                assert pairing.costs_t == ospat_reorder(a, b, params).costs_t
                 if pairing.pairs:  # the pairing's per-scan costs: its pairs' dense costs
                     ia, ib = np.array(pairing.pairs).T - 1
-                    dense = dense_reorder_costs(euclid, ea, eb, params.c)[ia, ib]
-                    assert pairing.costs_t == tuple(dense.sum(axis=0).tolist())
+                    costs = dense_reorder_costs(euclid, ea, eb, params.c)[ia, ib]
+                    assert pairing.costs_t == tuple(costs.sum(axis=0).tolist())
 
                 la = tuple(rng.randint(1, 3) for _ in a.tracks)
                 lb = tuple(rng.randint(1, 3) for _ in b.tracks)
                 labeled = LabeledTrackSet(a, la), LabeledTrackSet(b, lb)
-                np.testing.assert_array_equal(
-                    _labeled_distances(dist, ea & eb, *labeled, params),
-                    dense_labeled_distances(dist, la, lb, params))
-                t = rng.randrange(a.scans)  # the one-scan form of ospat_at_time
-                np.testing.assert_array_equal(
-                    _labeled_distances(dist[:, :, t : t + 1], (ea & eb)[:, :, t : t + 1],
-                                       *labeled, params),
-                    dense_labeled_distances(dist[:, :, t : t + 1], la, lb, params))
+                penalized = dense_labeled_distances(dense, la, lb, params)
+                np.testing.assert_array_equal(_labeled_distances(dist, *labeled, params),
+                                              penalized[dist.rows, dist.cols, dist.scan])
+                k = rng.randrange(a.scans)
+                t = slice(k, k + 1)  # the one-scan layer of ospat_at_time
+                one = ScanDistances(a.states[:, t], a.exists[:, t], b.states[:, t],
+                                    b.exists[:, t], params)
+                np.testing.assert_array_equal(_labeled_distances(one, *labeled, params),
+                                              penalized[:, :, t][one.rows, one.cols, one.scan])
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -88,8 +134,8 @@ def test_sets_that_never_coexist(p):
     a, b = apart_pair(2)
     params = MetricParams(p=p, c=3.0, delta=1.0, alpha=1.0)
     dist = scan_distances(a, b, params)
-    assert dist.shape == (2, 1, 4)
-    assert np.isnan(dist).all()
+    assert dist.shape == (2, 1, 4) and dist.values.shape == (0,)
+    assert np.isnan(dist.dense()).all()
     assert (cost_matrix(b, a, params) == INFEASIBLE).all()
     assert (cost_matrix(a, b, params) == INFEASIBLE).all()
     for mode in (Mode.EXACT, Mode.GREEDY):

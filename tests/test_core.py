@@ -84,6 +84,19 @@ def test_validate_labels(labels, match):
         TrackSet(2, 1, tuple(Track({1: 0.0}, label) for label in labels))
 
 
+def test_integers_beyond_float_range_are_non_finite_coordinates():
+    # float() of such an integer raised OverflowError out of Track, where
+    # 1e400 in a file reads as inf and is rejected as a non-finite point
+    huge = 10**400
+    assert Track({1: (huge, -huge, 2)}).points == {1: (math.inf, -math.inf, 2.0)}
+    assert Track({1: -huge}).points == {1: (-math.inf,)}
+    with pytest.raises(NonFiniteCoordinateError, match="T1 at scan 2"):
+        TrackSet(3, 2, (Track({1: (0.0, 1.0), 2: [0, huge]}),))
+    # in the usual order: an error of an earlier point comes first
+    with pytest.raises(ScanOutOfRangeError, match="scan 9"):
+        TrackSet(3, 1, (Track({9: 0.0}), Track({1: [huge]})))
+
+
 def test_invalid_sets_cannot_be_built():
     # Before sets checked themselves, a point at scan 0 was stored at scan T
     # and a NaN coordinate read as a missing point, and both were scored.
@@ -192,7 +205,7 @@ def test_cutoff_distance_examples():
     # no distance where either track is absent: (x, None), (None, y), (None, None)
     a = TrackSet(3, 1, (Track({1: 0.0}),))
     b = TrackSet(3, 1, (Track({2: 0.0}),))
-    assert np.isnan(scan_distances(a, b, MetricParams())).all()
+    assert np.isnan(scan_distances(a, b, MetricParams()).dense()).all()
 
 
 def test_scan_distances_match_pairwise_reference():
@@ -201,7 +214,7 @@ def test_scan_distances_match_pairwise_reference():
         for params in distance_params(dim):
             for _ in range(8):
                 a, b = random_float_set(rng, dim), random_float_set(rng, dim)
-                d = scan_distances(a, b, params)
+                d = scan_distances(a, b, params).dense()
                 assert d.shape == (len(a), len(b), 4)
                 for i, x in enumerate(a.tracks):
                     for j, y in enumerate(b.tracks):
@@ -220,9 +233,10 @@ def test_scan_distances_of_swapped_sets_are_the_transpose():
     for params in distance_params(3):
         for _ in range(10):
             a, b = random_float_set(rng, 3), random_float_set(rng, 3)
-            np.testing.assert_array_equal(
-                scan_distances(b, a, params), scan_distances(a, b, params).transpose(1, 0, 2)
-            )
+            swapped = scan_distances(b, a, params).dense()
+            dist = scan_distances(a, b, params)
+            np.testing.assert_array_equal(swapped, dist.dense().transpose(1, 0, 2))
+            np.testing.assert_array_equal(swapped, dist.transpose().dense())
 
 
 def test_scan_distances_reject_incomparable_sets():
