@@ -2,14 +2,17 @@
 """Check that two source trees give byte-identical ``compute``, ``split``
 and ``selftest`` outputs.
 
-Every instance of the benchmark workloads (built by perfbench/workloads.py,
+Every file of ``ERROR_DOCS``, one per kind of parse or validation error,
+is scored by ``trackmetric compute BAD VALID --metric all``.  Every
+instance of the benchmark workloads (built by perfbench/workloads.py,
 which this script only imports) is scored by ``trackmetric compute TRUTH EST
 --metric all --per-time --report-assignment`` in json, csv and table, under
 each parameter set of ``PARAM_SETS``, and once more as a table without
 ``--report-assignment`` under the defaults, which reads no matching.  It is
 split by ``trackmetric split TRUTH EST --out FILE`` under each set of
-``SPLIT_SETS``.  All runs are made once against each ``src/`` tree; ``trackmetric selftest``, which replays the golden table
-through the library calls, runs once per tree.  A run's stdout, stderr and
+``SPLIT_SETS``.  All runs are made once against each ``src/`` tree;
+``trackmetric selftest``, which replays the golden table through the
+library calls, runs once per tree.  A run's stdout, stderr and
 exit code, and the bytes of the file a split writes, must be the same from
 both trees.  Each tree runs in its own interpreter, which makes every call
 in-process with stdout and stderr captured, as a fresh ``trackmetric``
@@ -56,11 +59,67 @@ SCALE = ("0.5", "2.0", "1.5")
 FORMATS = ("json", "csv", "table")
 
 
+def _error_doc(**changes) -> dict:
+    """A valid two-track document over 3 scans in 2-D, with ``changes``: a
+    top-level field, or ``track`` replacing the second track, or ``point``
+    and ``x`` replacing its point or state."""
+    point = {"t": 2, "x": changes.pop("x", [1.0, 2.0])}
+    point = changes.pop("point", point)
+    second = changes.pop("track", {"id": "b", "points": [point]})
+    doc = {"scans": 3, "state_dim": 2,
+           "tracks": [{"id": "a", "points": [{"t": 1, "x": [0.0, 0.5]}]}, second]}
+    doc.update(changes)
+    return doc
+
+
+#: Track-set files that ``compute`` must reject, one per parse error and one
+#: per validation error, each scored against the valid ``_error_doc()``.  A
+#: value is a document, or the file's text where that is no JSON document.
+ERROR_DOCS = {
+    "not json": "{\"scans\": 3,",
+    "top level not an object": "[]",
+    "missing field": {"scans": 3, "state_dim": 2},
+    "fractional scans": _error_doc(scans=2.5),
+    "true state_dim": _error_doc(state_dim=True),
+    "tracks not a list": _error_doc(tracks={}),
+    "track not an object": _error_doc(track=5),
+    "id not a string": _error_doc(track={"id": 5, "points": []}),
+    "duplicate id": _error_doc(track={"id": "a", "points": []}),
+    "points not a list": _error_doc(track={"id": "b", "points": 5}),
+    "malformed point": _error_doc(point={"t": 2}),
+    "fractional t": _error_doc(point={"t": 2.5, "x": [1.0, 2.0]}),
+    "string coordinate": _error_doc(x=[1.0, "2"]),
+    "duplicate t": _error_doc(track={"id": "b", "points": [{"t": 2, "x": [1.0, 2.0]}] * 2}),
+    "zero scans": _error_doc(scans=0),
+    "zero state_dim": _error_doc(state_dim=0),
+    "empty track": _error_doc(track={"id": "b", "points": []}),
+    "scan out of range": _error_doc(point={"t": 4, "x": [1.0, 2.0]}),
+    "wrong dimension": _error_doc(x=[1.0]),
+    "NaN coordinate": _error_doc(x=[1.0, float("nan")]),
+    "integer beyond float range": _error_doc(x=[1.0, 10**400]),
+    "scan counts differ": _error_doc(scans=4),
+}
+
+
+def build_error_runs(workdir: Path) -> list[dict]:
+    """Write ``ERROR_DOCS`` and the valid document they are scored against,
+    and list one ``compute`` run per document."""
+    valid = workdir / "valid.json"
+    valid.write_text(json.dumps(_error_doc()), encoding="utf-8")
+    runs = []
+    for k, (name, doc) in enumerate(ERROR_DOCS.items()):
+        path = workdir / f"error{k}.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        runs.append({"id": f"error: {name}",
+                     "argv": ["compute", str(path), str(valid), "--metric", "all"]})
+    return runs
+
+
 def build_runs(names: list[str], seeds: list[int], limit: int | None,
                workdir: Path) -> list[dict]:
     """Write every instance's files and list the runs made on them, after
-    the one selftest run."""
-    runs = [{"id": "selftest", "argv": ["selftest"]}]
+    the one selftest run and the runs on ``ERROR_DOCS``."""
+    runs = [{"id": "selftest", "argv": ["selftest"]}, *build_error_runs(workdir)]
     for workload in names:
         for seed in seeds:
             for inst in workloads.build_instances(workload, seed)[:limit]:

@@ -79,20 +79,19 @@ def greedy_many_to_one(d: np.ndarray, cutoff_row_col_value: float) -> ManyToOneR
     d3[fill] = d2[fill]
 
     work = d3.copy()
-    next_order = [1] * m
     while True:
         flat = np.argmin(work)
         i, j = divmod(int(flat), n)
         if work[i, j] == INFEASIBLE:
             break
-        # Global minimum starts a new row expansion.
-        row_entries = [(work[i, jj], jj) for jj in range(n) if work[i, jj] < INFEASIBLE]
-        row_entries.sort()
-        for _, jj in row_entries:
-            order[i, jj] = next_order[i]
-            next_order[i] += 1
-            work[i, jj] = INFEASIBLE
-            work[:, jj] = INFEASIBLE
+        # Global minimum starts a new row expansion: the row's finite entries
+        # numbered by increasing value, ties by column.  It leaves the row
+        # all INFEASIBLE, so no row is expanded twice.
+        row = work[i]
+        jj = np.flatnonzero(row < INFEASIBLE)
+        jj = jj[np.lexsort((jj, row[jj]))]
+        order[i, jj] = np.arange(1, len(jj) + 1)
+        work[:, jj] = INFEASIBLE
 
     return ManyToOneResult(order, d1, d2, d3)
 

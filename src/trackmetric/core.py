@@ -10,11 +10,12 @@ here is immutable after construction and all functions are pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -37,8 +38,9 @@ class Track:
     """One target trajectory: existing scans mapped to state vectors.
 
     A record only: a ``TrackSet`` reads it once, when built, and the metrics
-    read the set's arrays.  A bare number, Python or numpy, or any other
-    value with no axes, is a 1-D state.  An integer beyond float range
+    read the set's arrays; a loaded set makes its tracks from those arrays
+    when ``tracks`` is first read.  A bare number, Python or numpy, or any
+    other value with no axes, is a 1-D state.  An integer beyond float range
     reads as an infinite coordinate, which ``TrackSet`` rejects.  ``label``
     is carried for reporting only; it plays no role in any distance.
     """
@@ -67,86 +69,135 @@ def _float_or_inf(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-@dataclass(frozen=True)
 class TrackSet:
     """A finite (possibly empty) collection of tracks over scans 1..T, valid
     once built: the constructor raises for ``scans`` or ``state_dim`` below 1,
     then for the first bad label, empty track or bad point, in track and
-    point order.  A label is a string, and no two tracks share a
-    ``track_label``, so every set can be saved and loaded again.
-    ``states`` (N, T, D), NaN where a track does not exist, and the ``exists``
-    (N, T) mask are read-only and play no role in ``==``."""
+    point order, except that a non-finite point before that error comes
+    first.  A label is a string, and no two tracks share a ``track_label``,
+    so every set can be saved and loaded again.
 
-    scans: int
-    state_dim: int
-    tracks: tuple[Track, ...] = ()
-    states: np.ndarray = field(init=False, repr=False, compare=False)
-    exists: np.ndarray = field(init=False, repr=False, compare=False)
+    The set holds ``labels``, every track's ``track_label``; ``states``
+    (N, T, D), NaN where a track does not exist; and the ``exists`` (N, T)
+    mask.  The arrays are read-only and play no role in ``==``.  A set made
+    by ``from_records`` has no ``Track`` objects: ``tracks`` builds them from
+    the arrays on first read, with points in scan order.
+    """
 
-    def __post_init__(self) -> None:
-        tracks = tuple(self.tracks)
-        object.__setattr__(self, "tracks", tracks)
-        scans, dim = self.scans, self.state_dim
+    def __init__(self, scans: int, state_dim: int, tracks: Iterable[Track] = ()) -> None:
+        tracks = tuple(tracks)
+        records = [(trk.label if trk.label is not None else f"T{i}", trk.points)
+                   for i, trk in enumerate(tracks, start=1)]
+        self._build(scans, state_dim, records, tracks)
+
+    @classmethod
+    def from_records(cls, scans: int, state_dim: int,
+                     records: Sequence[tuple[str, Mapping[int, Sequence[float]]]]) -> TrackSet:
+        """The set of tracks given as (label, points) records, each mapping
+        scans to coordinate sequences in point order, checked by the rules
+        and in the order of the constructor; no ``Track`` is made."""
+        out = object.__new__(cls)
+        out._build(scans, state_dim, records, None)
+        return out
+
+    def _build(self, scans: int, dim: int, records, tracks: tuple[Track, ...] | None) -> None:
         if scans < 1:
             raise BadParametersError(f"scans must be >= 1, got {scans}")
         if dim < 1:
             raise BadParametersError(f"state_dim must be >= 1, got {dim}")
-        # every point before the first of wrong scan or size: its flat
-        # (track, scan) index, and its coordinates one after another
-        cells: list[int] = []
-        values: list[float] = []
+        # records[:n] break no label or empty-track rule; ts and xs are their
+        # points' scans and states in point order
+        n = len(records)
+        taken: set[str] = set()
+        for i, (name, points) in enumerate(records):
+            if not isinstance(name, str) or name in taken or not points:
+                n = i
+                break
+            taken.add(name)
+        error: ValidationError | None = None
+        if n < len(records):
+            name = records[n][0]
+            error = (ValidationError(f"track #{n + 1} has label {name!r}, not a string")
+                     if not isinstance(name, str) else
+                     ValidationError(f"track #{n + 1} repeats the label {name}")
+                     if name in taken else
+                     EmptyTrackError(f"track {name} has no existing state at any scan"))
+        kept = [points for _, points in records[:n]]
+        sizes = [len(points) for points in kept]
+        ts = list(itertools.chain.from_iterable(kept))
+        xs = list(itertools.chain.from_iterable(points.values() for points in kept))
 
-        def first_error() -> ValidationError | None:
-            labels: set[str] = set()
-            for i, trk in enumerate(tracks):
-                name = self.track_label(i + 1)
-                if not isinstance(name, str):
-                    return ValidationError(f"track #{i + 1} has label {name!r}, not a string")
-                if name in labels:
-                    return ValidationError(f"track #{i + 1} repeats the label {name}")
-                labels.add(name)
-                if not trk.points:
-                    return EmptyTrackError(f"track {name} has no existing state at any scan")
-                for t, x in trk.points.items():
-                    if not 1 <= t <= scans:
-                        return ScanOutOfRangeError(
-                            f"track {name} has a point at scan {t}, outside 1..{scans}"
-                        )
-                    if len(x) != dim:
-                        return DimensionMismatchError(
-                            f"track {name} at scan {t} has dimension {len(x)}, expected {dim}"
-                        )
-                    cells.append(i * scans + t - 1)
-                    values.extend(x)
-            return None
+        def owner(k: int) -> str:  # the label of the track of point k
+            return records[int(np.searchsorted(np.cumsum(sizes), k, side="right"))][0]
 
-        error = first_error()
-        coords = np.array(values, dtype=float).reshape(-1, dim)
-        # a non-finite point gathered before the first other error comes first
-        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
-        if bad.size:
-            i, t = divmod(cells[bad[0]], scans)
+        if ts and (min(ts) < 1 or max(ts) > scans or set(map(len, xs)) != {dim}):
+            # a bad point comes before any error of a later track; the
+            # points before it are kept for the finiteness check
+            k = next(k for k, (t, x) in enumerate(zip(ts, xs))
+                     if not 1 <= t <= scans or len(x) != dim)
+            name, t, x = owner(k), ts[k], xs[k]
+            error = (ScanOutOfRangeError(f"track {name} has a point at scan {t}, outside 1..{scans}")
+                     if not 1 <= t <= scans else
+                     DimensionMismatchError(
+                         f"track {name} at scan {t} has dimension {len(x)}, expected {dim}"))
+            del ts[k:], xs[k:]
+        flat, size = itertools.chain.from_iterable, len(xs) * dim
+        try:
+            coords = np.fromiter(flat(xs), float, size).reshape(-1, dim)
+        except OverflowError:
+            coords = np.fromiter(map(_float_or_inf, flat(xs)), float, size).reshape(-1, dim)
+        # a non-finite point before the first other error comes first
+        if not np.isfinite(coords).all():
+            k = int(np.flatnonzero(~np.isfinite(coords).all(axis=1))[0])
             raise NonFiniteCoordinateError(
-                f"track {self.track_label(i + 1)} at scan {t + 1} has a non-finite coordinate"
-            )
+                f"track {owner(k)} at scan {ts[k]} has a non-finite coordinate")
         if error is not None:
             raise error
-        flat = np.array(cells, dtype=np.intp)
-        states = np.full((len(tracks), scans, dim), np.nan)
-        states.reshape(-1, dim)[flat] = coords
-        exists = np.zeros((len(tracks), scans), dtype=bool)
-        exists.reshape(-1)[flat] = True
-        for name, array in (("states", states), ("exists", exists)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        rows = np.repeat(np.arange(n), sizes)
+        cols = np.fromiter(ts, np.intp, len(ts)) - 1
+        states = np.full((n, scans, dim), np.nan)
+        states[rows, cols] = coords
+        exists = np.zeros((n, scans), dtype=bool)
+        exists[rows, cols] = True
+        states.setflags(write=False)
+        exists.setflags(write=False)
+        for name, value in (("scans", scans), ("state_dim", dim), ("states", states),
+                            ("exists", exists), ("_tracks", tracks),
+                            ("labels", tuple(name for name, _ in records))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def tracks(self) -> tuple[Track, ...]:
+        """The tracks, made from the arrays on first read when the set was
+        built without them."""
+        if self._tracks is None:
+            object.__setattr__(self, "_tracks", tuple(
+                Track(dict(zip((np.flatnonzero(row) + 1).tolist(),
+                               map(tuple, states[row].tolist()))), label)
+                for label, states, row in zip(self.labels, self.states, self.exists)))
+        return self._tracks
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.scans, self.state_dim, self.tracks) == (other.scans, other.state_dim,
+                                                             other.tracks)
+
+    def __hash__(self) -> int:
+        return hash((self.scans, self.state_dim, self.tracks))
+
+    def __repr__(self) -> str:
+        return f"TrackSet(scans={self.scans!r}, state_dim={self.state_dim!r}, tracks={self.tracks!r})"
 
     def __len__(self) -> int:
-        return len(self.tracks)
+        return len(self.labels)
 
     def track_label(self, index: int) -> str:
         """Label of 1-based track ``index``, falling back to T<index>."""
-        trk = self.tracks[index - 1]
-        return trk.label if trk.label is not None else f"T{index}"
+        return self.labels[index - 1]
 
 
 class Direction(Enum):

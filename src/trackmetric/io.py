@@ -5,8 +5,11 @@ A track-set file is a JSON document::
     {"scans": 5, "state_dim": 1,
      "tracks": [{"id": "t1", "points": [{"t": 1, "x": [0.0]}, ...]}, ...]}
 
-Points keep their file order, which decides the invalid point ``TrackSet``
-reports; ``save_track_set`` writes them sorted.  ``scans``, ``state_dim``
+A file is decoded straight into the set's arrays, with no ``Track`` per
+track; the tracks are made from the arrays when first read, with points in
+scan order.  File order still decides which invalid point is reported, by
+the same rules and messages as ``TrackSet``; ``save_track_set`` writes the
+points sorted.  ``scans``, ``state_dim``
 and every ``t`` must be JSON integers, every ``points`` a list, every ``x``
 a list of numbers and every ``id`` a string (a track without one is
 labelled ``T<position>``); anything else, a duplicate scan index within one
@@ -18,19 +21,38 @@ digits), so a write/read round trip is bit-exact.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
-from .core import Track, TrackSet
+from .core import TrackSet
 from .errors import ParseError
 
 
-def _is_number(value: Any) -> bool:
-    return type(value) is float or type(value) is int
+#: The types of a coordinate: JSON true is a Python bool, not a number.
+_NUMBERS = frozenset((int, float))
+_T_X = itemgetter("t", "x")
+
+
+def _state_error(label: str, t: int) -> ParseError:
+    return ParseError(f"track {label}: state at scan {t} must be a list of numbers")
+
+
+def _first_bad_state(records: list[tuple[str, dict[int, list]]]) -> ParseError | None:
+    """The error of the first point, in file order, with a coordinate that
+    is not a number."""
+    for label, points in records:
+        for t, x in points.items():
+            if not _NUMBERS.issuperset(map(type, x)):
+                return _state_error(label, t)
+    return None
 
 
 def track_set_from_obj(obj: Any) -> TrackSet:
-    """Decode a track set from parsed JSON; ``TrackSet`` validates it."""
+    """Decode a track set from parsed JSON straight into its arrays: every
+    parse error of the document, in file order, comes before the checks of
+    ``TrackSet.from_records``, and no ``Track`` is made."""
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
     try:
@@ -42,35 +64,48 @@ def track_set_from_obj(obj: Any) -> TrackSet:
         raise ParseError(f"scans and state_dim must be integers, got {scans!r}, {state_dim!r}")
     if not isinstance(raw_tracks, list):
         raise ParseError("tracks must be a list")
-    tracks: list[Track] = []
+    # every point read so far, by track; its coordinates' types are checked
+    # once for the whole file, and before any later parse error is raised
+    records: list[tuple[str, dict[int, list]]] = []
     labels: set[str] = set()
-    for pos, raw in enumerate(raw_tracks, start=1):
-        if not isinstance(raw, dict):
-            raise ParseError(f"track #{pos} must be an object")
-        label = raw.get("id", f"T{pos}")
-        if type(label) is not str:
-            raise ParseError(f"track #{pos}: id must be a string, got {label!r}")
-        if label in labels:
-            raise ParseError(f"duplicate track id {label}")
-        labels.add(label)
-        raw_points = raw.get("points", [])
-        if type(raw_points) is not list:
-            raise ParseError(f"track {label}: points must be a list, got {raw_points!r}")
-        points: dict[int, list[float]] = {}
-        for entry in raw_points:
-            try:
-                t, x = entry["t"], entry["x"]
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"track {label}: malformed point: {exc}") from exc
-            if type(t) is not int:
-                raise ParseError(f"track {label}: scan index must be an integer, got {t!r}")
-            if type(x) is not list or not all(map(_is_number, x)):
-                raise ParseError(f"track {label}: state at scan {t} must be a list of numbers")
-            if t in points:
-                raise ParseError(f"track {label}: duplicate scan index {t}")
-            points[t] = x  # Track makes it a tuple of floats
-        tracks.append(Track(points, label=label))
-    return TrackSet(scans, state_dim, tuple(tracks))
+    try:
+        for pos, raw in enumerate(raw_tracks, start=1):
+            if not isinstance(raw, dict):
+                raise ParseError(f"track #{pos} must be an object")
+            label = raw.get("id", f"T{pos}")
+            if type(label) is not str:
+                raise ParseError(f"track #{pos}: id must be a string, got {label!r}")
+            if label in labels:
+                raise ParseError(f"duplicate track id {label}")
+            labels.add(label)
+            raw_points = raw.get("points", [])
+            if type(raw_points) is not list:
+                raise ParseError(f"track {label}: points must be a list, got {raw_points!r}")
+            points: dict[int, list] = {}
+            records.append((label, points))
+            for entry in raw_points:
+                try:
+                    t, x = _T_X(entry)
+                except (KeyError, TypeError) as exc:
+                    raise ParseError(f"track {label}: malformed point: {exc}") from exc
+                if type(t) is not int:
+                    raise ParseError(f"track {label}: scan index must be an integer, got {t!r}")
+                if type(x) is not list:
+                    raise _state_error(label, t)
+                if t in points:
+                    # its coordinates are checked before its scan index
+                    raise (_first_bad_state([(label, {t: x})])
+                           or ParseError(f"track {label}: duplicate scan index {t}"))
+                points[t] = x
+    except ParseError:
+        error = _first_bad_state(records)
+        if error is None:
+            raise
+        raise error from None
+    coords = chain.from_iterable(chain.from_iterable(points.values() for _, points in records))
+    if not _NUMBERS.issuperset(map(type, coords)):
+        raise _first_bad_state(records)
+    return TrackSet.from_records(scans, state_dim, records)
 
 
 def track_set_to_obj(track_set: TrackSet) -> dict[str, Any]:

@@ -81,14 +81,14 @@ def cost_matrix(
 
 
 def _check_feasible(src: TrackSet, tgt: TrackSet, lam: Sequence[int]) -> None:
-    if len(lam) != len(src.tracks):
+    if len(lam) != len(src):
         raise InfeasibleAssignmentError(
-            f"lambda has {len(lam)} entries for {len(src.tracks)} source tracks"
+            f"lambda has {len(lam)} entries for {len(src)} source tracks"
         )
     for j, i in enumerate(lam, start=1):
         if i == 0:
             continue
-        if not (1 <= i <= len(tgt.tracks)):
+        if not (1 <= i <= len(tgt)):
             raise InfeasibleAssignmentError(f"source {j} maps to unknown target {i}")
         if not (src.exists[j - 1] & tgt.exists[i - 1]).any():
             raise InfeasibleAssignmentError(
@@ -166,7 +166,7 @@ def directional_cost(
     Each target's order must be a permutation of its preimage under ``lam``.
     """
     _check_feasible(src, tgt, lam)
-    preimages = _orders_from_lambda(lam, len(tgt.tracks))
+    preimages = _orders_from_lambda(lam, len(tgt))
     if len(orders) != len(preimages) or any(
         tuple(sorted(order)) != pre for order, pre in zip(orders, preimages)
     ):
@@ -303,8 +303,8 @@ class _DirectionalEngine:
         table lookups, all of them in one vectorized pass, and the first
         lambda within ``TIE * base`` of the minimum wins.
         """
-        m = len(self.src.tracks)
-        k = len(self.tgt.tracks)
+        m = len(self.src)
+        k = len(self.tgt)
         if m + k > ENUMERATION_CAP:
             raise TooLargeError(
                 f"{m}+{k} tracks exceeds the enumeration cap of {ENUMERATION_CAP}"
@@ -326,7 +326,7 @@ class _DirectionalEngine:
         """Optimal track order of every target's preimage under ``lam``."""
         return tuple(
             self.best_order(i, pre) if pre else ()
-            for i, pre in enumerate(_orders_from_lambda(lam, len(self.tgt.tracks)), start=1)
+            for i, pre in enumerate(_orders_from_lambda(lam, len(self.tgt)), start=1)
         )
 
 
@@ -355,16 +355,23 @@ def _quasi_greedy(
     src: TrackSet, tgt: TrackSet, params: MetricParams, d: np.ndarray
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     result = greedy_many_to_one(d, cutoff_row_col_value=params.c**params.p)
-    m, n = d.shape
-    lam = [0] * n
-    orders: list[tuple[int, ...]] = []
-    for i in range(m):
-        row = result.order_matrix[i]
-        assigned = sorted((row[j], j + 1) for j in range(n) if row[j] > 0)
-        orders.append(tuple(j for _, j in assigned))
-        for _, j in assigned:
-            lam[j - 1] = i + 1
+    lam, orders = _greedy_orders(result.order_matrix)
     _check_feasible(src, tgt, lam)
+    return lam, orders
+
+
+def _greedy_orders(order: np.ndarray) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """``(lam, orders)`` of a greedy order matrix: row i's sources, 1-based,
+    in the order of their numbers, which run 1, 2, ... along the row."""
+    lam = [0] * order.shape[1]
+    orders: list[tuple[int, ...]] = []
+    for i, row in enumerate(order, start=1):
+        assigned = np.flatnonzero(row)
+        sources = np.empty_like(assigned)
+        sources[row[assigned] - 1] = assigned + 1  # number k goes to place k
+        orders.append(tuple(sources.tolist()))
+        for j in assigned.tolist():
+            lam[j] = i
     return tuple(lam), tuple(orders)
 
 
@@ -405,9 +412,9 @@ def _quasi(
     """``quasi_ospamt`` of comparable sets; the search and the scoring both
     read ``dist``, and ``costs`` is the greedy ``cost_matrix(src, tgt,
     params)`` when the caller has priced it."""
-    if not src.tracks or not tgt.tracks:
-        lam, orders = (0,) * len(src.tracks), ((),) * len(tgt.tracks)
-    elif resolve_mode(mode, len(src.tracks) + len(tgt.tracks)) is Mode.EXACT:
+    if not len(src) or not len(tgt):
+        lam, orders = (0,) * len(src), ((),) * len(tgt)
+    elif resolve_mode(mode, len(src) + len(tgt)) is Mode.EXACT:
         lam, orders = _DirectionalEngine(src, tgt, params, dist).search_exact()
     else:
         if costs is None:
@@ -441,7 +448,7 @@ def ospamt_metric(
         dist = scan_distances(a, b, params)
     check_comparable(b, a)
     costs = None
-    if a.tracks and b.tracks and resolve_mode(mode, len(a.tracks) + len(b.tracks)) is Mode.GREEDY:
+    if len(a) and len(b) and resolve_mode(mode, len(a) + len(b)) is Mode.GREEDY:
         costs = cost_matrix(b, a, params, dist)
     est = _quasi(b, a, params, mode, Direction.EST_TO_TRUTH, dist, costs)
     tru = _quasi(a, b, params, mode, Direction.TRUTH_TO_EST, dist.transpose(),
@@ -507,7 +514,7 @@ def split_tracks(
     log: list[SplitLogEntry] = []
     current = est
     for _ in range(SPLIT_ROUNDS):
-        if not truth.tracks or not current.tracks:
+        if not len(truth) or not len(current):
             return current, log
         orders = quasi_ospamt(truth, current, params, mode).assignment.orders
         if all(len(order) < 2 for order in orders):

@@ -85,9 +85,9 @@ def ospat_reorder(
     without a distance.
     """
     check_comparable(a, b)
-    smaller = "b" if len(b.tracks) <= len(a.tracks) else "a"
-    if not a.tracks or not b.tracks:
-        other = b if not a.tracks else a
+    smaller = "b" if len(b) <= len(a) else "a"
+    if not len(a) or not len(b):
+        other = b if not len(a) else a
         return OspatAssignment((), smaller, tuple((params.c * other.exists.sum(axis=0)).tolist()))
     if dist is None:
         dist = scan_distances(a, b, params, order=2.0)
@@ -95,10 +95,10 @@ def ospat_reorder(
     d = costs.sum(axis=2)
     if smaller == "b":
         pi, _ = solve_one_to_one(d.T)
-        pairs = tuple((pi[j] + 1, j + 1) for j in range(len(b.tracks)))
+        pairs = tuple((pi[j] + 1, j + 1) for j in range(len(b)))
     else:
         pi, _ = solve_one_to_one(d)
-        pairs = tuple((i + 1, pi[i] + 1) for i in range(len(a.tracks)))
+        pairs = tuple((i + 1, pi[i] + 1) for i in range(len(a)))
     ia, ib = np.array(pairs).T - 1
     return OspatAssignment(pairs, smaller, tuple(costs[ia, ib].sum(axis=0).tolist()))
 
@@ -112,8 +112,8 @@ def ospat_label(
     index); leftover tracks of the larger set take the next labels in their
     original order.
     """
-    labels_a = [0] * len(a.tracks)
-    labels_b = [0] * len(b.tracks)
+    labels_a = [0] * len(a)
+    labels_b = [0] * len(b)
     if assignment.smaller == "b":
         for ai, bi in assignment.pairs:
             labels_b[bi - 1] = bi

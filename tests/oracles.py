@@ -4,10 +4,14 @@ Everything here is written straight from the defining sums with plain loops
 and no reuse of the library's evaluation path, so a bug in the production
 code cannot hide in its own oracle.  Sizes are expected to be tiny.
 
-The exception is the ``dense_*`` formulas at the end: the library's earlier
-whole-tensor arithmetic, which computed every (N_a, N_b, T) entry, NaN
-included.  The library now gathers the coexisting entries only, scan by
-scan, and must match these to the last bit.
+The exceptions are the ``legacy_*`` copies and the ``dense_*`` formulas at
+the end.  The ``legacy_*`` copies are the library's earlier code: the
+greedy sweep entry by entry, and the decoder that made one ``Track`` per
+track and checked every point twice; the library must give the same
+results and raise the same errors.  The ``dense_*`` formulas are the
+library's earlier whole-tensor arithmetic, which computed every
+(N_a, N_b, T) entry, NaN included.  The library now gathers the coexisting
+entries only, scan by scan, and must match these to the last bit.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ from trackmetric.errors import (
     DimensionMismatchError,
     EmptyTrackError,
     NonFiniteCoordinateError,
+    ParseError,
     ScanOutOfRangeError,
     TooLargeError,
+    ValidationError,
 )
 
 
@@ -376,6 +382,150 @@ def oracle_greedy_many_to_one(d, cutoff: float) -> dict:
         "d2": d2,
         "d3": d3,
     }
+
+
+def legacy_greedy_sweep(d3) -> np.ndarray:
+    """The final sweep of ``greedy_many_to_one`` as it read before it was
+    vectorised: D4's order numbers from D3, one Python comparison per
+    entry.  The library must give the same order matrix."""
+    m, n = d3.shape
+    order = np.zeros((m, n), dtype=int)
+    work = np.array(d3, dtype=float)
+    next_order = [1] * m
+    while work.size:
+        flat = np.argmin(work)
+        i, j = divmod(int(flat), n)
+        if work[i, j] == INFEASIBLE:
+            break
+        row_entries = [(work[i, jj], jj) for jj in range(n) if work[i, jj] < INFEASIBLE]
+        row_entries.sort()
+        for _, jj in row_entries:
+            order[i, jj] = next_order[i]
+            next_order[i] += 1
+            work[i, jj] = INFEASIBLE
+            work[:, jj] = INFEASIBLE
+    return order
+
+
+def legacy_greedy_orders(order_matrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """``(lam, orders)`` of a greedy order matrix as the OSPAMT greedy
+    search read them before it was vectorised."""
+    m, n = order_matrix.shape
+    lam = [0] * n
+    orders = []
+    for i in range(m):
+        row = order_matrix[i]
+        assigned = sorted((row[j], j + 1) for j in range(n) if row[j] > 0)
+        orders.append(tuple(j for _, j in assigned))
+        for _, j in assigned:
+            lam[j - 1] = i + 1
+    return tuple(lam), tuple(orders)
+
+
+def _legacy_is_number(value) -> bool:
+    return type(value) is float or type(value) is int
+
+
+def legacy_track_set_from_obj(obj) -> TrackSet:
+    """The track-set decoder as it read before files were decoded straight
+    into arrays: the type-checking loop of ``io``, one ``Track`` per track,
+    then the public ``TrackSet`` constructor, whose checks walked every
+    point again.  The constructor's rules are inlined as they were
+    (``legacy_track_set_checks``), so this copy does not lean on the code
+    it is compared with.  Returns the labels, ``states`` and ``exists``."""
+    if not isinstance(obj, dict):
+        raise ParseError("top level must be an object")
+    try:
+        scans, state_dim, raw_tracks = obj["scans"], obj["state_dim"], obj["tracks"]
+    except KeyError as exc:
+        raise ParseError(f"missing top-level field: {exc}") from exc
+    if type(scans) is not int or type(state_dim) is not int:
+        raise ParseError(f"scans and state_dim must be integers, got {scans!r}, {state_dim!r}")
+    if not isinstance(raw_tracks, list):
+        raise ParseError("tracks must be a list")
+    tracks: list[Track] = []
+    labels: set[str] = set()
+    for pos, raw in enumerate(raw_tracks, start=1):
+        if not isinstance(raw, dict):
+            raise ParseError(f"track #{pos} must be an object")
+        label = raw.get("id", f"T{pos}")
+        if type(label) is not str:
+            raise ParseError(f"track #{pos}: id must be a string, got {label!r}")
+        if label in labels:
+            raise ParseError(f"duplicate track id {label}")
+        labels.add(label)
+        raw_points = raw.get("points", [])
+        if type(raw_points) is not list:
+            raise ParseError(f"track {label}: points must be a list, got {raw_points!r}")
+        points: dict[int, list[float]] = {}
+        for entry in raw_points:
+            try:
+                t, x = entry["t"], entry["x"]
+            except (KeyError, TypeError) as exc:
+                raise ParseError(f"track {label}: malformed point: {exc}") from exc
+            if type(t) is not int:
+                raise ParseError(f"track {label}: scan index must be an integer, got {t!r}")
+            if type(x) is not list or not all(map(_legacy_is_number, x)):
+                raise ParseError(f"track {label}: state at scan {t} must be a list of numbers")
+            if t in points:
+                raise ParseError(f"track {label}: duplicate scan index {t}")
+            points[t] = x
+        tracks.append(Track(points, label=label))
+    return legacy_track_set_checks(scans, state_dim, tuple(tracks))
+
+
+def legacy_track_set_checks(scans: int, dim: int, tracks: tuple[Track, ...]):
+    """The ``TrackSet`` constructor's checks as they read before they were
+    shared with the decoder: one walk over every point, then the
+    finiteness of the points gathered before the first other error.
+    Returns the labels, ``states`` and ``exists``."""
+    if scans < 1:
+        raise BadParametersError(f"scans must be >= 1, got {scans}")
+    if dim < 1:
+        raise BadParametersError(f"state_dim must be >= 1, got {dim}")
+    names = [trk.label if trk.label is not None else f"T{i}" for i, trk in enumerate(tracks, 1)]
+    cells: list[int] = []
+    values: list[float] = []
+
+    def first_error():
+        labels: set[str] = set()
+        for i, (name, trk) in enumerate(zip(names, tracks)):
+            if not isinstance(name, str):
+                return ValidationError(f"track #{i + 1} has label {name!r}, not a string")
+            if name in labels:
+                return ValidationError(f"track #{i + 1} repeats the label {name}")
+            labels.add(name)
+            if not trk.points:
+                return EmptyTrackError(f"track {name} has no existing state at any scan")
+            for t, x in trk.points.items():
+                if not 1 <= t <= scans:
+                    return ScanOutOfRangeError(
+                        f"track {name} has a point at scan {t}, outside 1..{scans}"
+                    )
+                if len(x) != dim:
+                    return DimensionMismatchError(
+                        f"track {name} at scan {t} has dimension {len(x)}, expected {dim}"
+                    )
+                cells.append(i * scans + t - 1)
+                values.extend(x)
+        return None
+
+    error = first_error()
+    coords = np.array(values, dtype=float).reshape(-1, dim)
+    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+    if bad.size:
+        i, t = divmod(cells[bad[0]], scans)
+        raise NonFiniteCoordinateError(
+            f"track {names[i]} at scan {t + 1} has a non-finite coordinate"
+        )
+    if error is not None:
+        raise error
+    flat = np.array(cells, dtype=np.intp)
+    states = np.full((len(tracks), scans, dim), np.nan)
+    states.reshape(-1, dim)[flat] = coords
+    exists = np.zeros((len(tracks), scans), dtype=bool)
+    exists.reshape(-1)[flat] = True
+    return tuple(names), states, exists
 
 
 def dense_scan_distances(a: TrackSet, b: TrackSet, params: MetricParams, order=None):

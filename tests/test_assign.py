@@ -9,6 +9,8 @@ from oracles import (
     brute_force_one_to_one,
     count_assignments,
     enumerate_assignments,
+    legacy_greedy_orders,
+    legacy_greedy_sweep,
     oracle_greedy_many_to_one,
     oracle_lex_one_to_one,
     oracle_matching,
@@ -16,6 +18,7 @@ from oracles import (
 import trackmetric.assign as assign
 from trackmetric.assign import INFEASIBLE, greedy_many_to_one, solve_one_to_one
 from trackmetric.core import MetricParams, scan_distances
+from trackmetric.ospamt import _greedy_orders
 from trackmetric.scenarios import random_scenario
 from trackmetric.errors import TooLargeError
 
@@ -126,6 +129,26 @@ def test_greedy_matches_entrywise_reference(seed):
     want = oracle_greedy_many_to_one(d, c)
     for name, value in want.items():
         assert np.array_equal(getattr(res, name), value), name
+
+
+def test_greedy_sweep_matches_the_entry_by_entry_sweep():
+    # seeded matrices with many ties, INFEASIBLE entries and rows or
+    # columns at the cutoff: the vectorised sweep numbers every entry as
+    # the earlier one-entry-at-a-time sweep did, and the OSPAMT search
+    # reads the same (lam, orders) from it
+    rng = np.random.default_rng(18)
+    c = 80.0
+    for _ in range(400):
+        m, n = rng.integers(1, 9, size=2)
+        d = rng.integers(0, 6, size=(m, n)).astype(float) * rng.choice([1.0, 0.5, 13.0])
+        d[rng.random((m, n)) < 0.2] = INFEASIBLE
+        if rng.random() < 0.3:
+            d[rng.integers(m)] = c
+        if rng.random() < 0.3:
+            d[:, rng.integers(n)] = c
+        res = greedy_many_to_one(d, cutoff_row_col_value=c)
+        assert np.array_equal(res.order_matrix, legacy_greedy_sweep(res.d3))
+        assert _greedy_orders(res.order_matrix) == legacy_greedy_orders(res.order_matrix)
 
 
 def test_solve_one_to_one_diagonal():

@@ -2,12 +2,17 @@ import csv
 import io
 import json
 import math
+import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import golden, library_reports, same_track_sets
+from oracles import legacy_track_set_from_obj
 from trackmetric.cli import main
 from trackmetric.core import MetricParams, Track, TrackSet
+from trackmetric.errors import BadParametersError, ParseError, ValidationError
 from trackmetric.io import load_track_set, save_track_set
 from trackmetric.scenarios import FigureId, ScenarioSpec, build, random_scenario
 
@@ -140,6 +145,164 @@ def test_malformed_fields_are_parse_errors(tmp_path, capsys, doc):
     code, _, err = run(capsys, "compute", str(bad), str(bad))
     assert code == 2
     assert err
+
+
+def _valid_doc(rng):
+    """A small valid track-set document; some tracks carry no id."""
+    scans, dim = rng.randint(1, 5), rng.randint(1, 3)
+    tracks = []
+    for k in range(rng.randint(0, 4)):
+        ts = rng.sample(range(1, scans + 1), rng.randint(1, scans))
+        track = {"points": [{"t": t, "x": [rng.choice((rng.uniform(-9, 9), rng.randint(-9, 9)))
+                                           for _ in range(dim)]} for t in ts]}
+        if rng.random() < 0.8:
+            track["id"] = f"k{k}"
+        tracks.append(track)
+    return {"scans": scans, "state_dim": dim, "tracks": tracks}
+
+
+#: Values a mutation writes into a document: wrong types, JSON NaN and
+#: Infinity, integers just above 2^53, at 2^63 and beyond float range.
+_ODD_VALUES = (1.5, 2.0, True, None, "1", [], {}, math.nan, math.inf, -math.inf,
+               2**53 + 1, 2**63, 10**400, -(10**400), 0, -3)
+
+
+def _mutate(rng, doc):
+    """Break one rule of ``doc`` in place, at a random place."""
+    tracks = doc["tracks"]
+    objects = [trk for trk in tracks if type(trk) is dict]
+    track = rng.choice(objects) if objects else None
+    raw_points = track.get("points") if track else None
+    points = [p for p in raw_points if type(p) is dict] if type(raw_points) is list else []
+    point = rng.choice(points) if points else None
+    kind = rng.randrange(13)
+    if kind == 0:
+        # not a count beyond memory: neither decoder can hold such a set
+        doc[rng.choice(("scans", "state_dim"))] = rng.choice((1.5, 2.0, True, None, "1", 0, -1))
+    elif kind == 1 and track:
+        track["id"] = rng.choice(_ODD_VALUES + ("T2", "k0", "k1"))  # T2 may be implicit
+    elif kind == 2 and track:
+        track.pop("id", None)
+    elif kind == 3 and track:
+        track["points"] = rng.choice(([], [], [], 5, None, {}, [[1]], [None], [{"t": 1}]))
+        if not track["points"] and rng.random() < 0.5:
+            del track["points"]
+    elif kind == 4 and point:
+        past_end = doc["scans"] + 1 if type(doc["scans"]) is int else 6
+        point["t"] = rng.choice(_ODD_VALUES + (past_end, 10**30))
+    elif kind == 5 and point:
+        point["x"] = rng.choice(_ODD_VALUES)
+    elif kind == 6 and point and type(point.get("x")) is list and point["x"]:
+        numbers = [v for v in _ODD_VALUES if type(v) in (int, float)]
+        pool = numbers if rng.random() < 0.8 else _ODD_VALUES
+        point["x"][rng.randrange(len(point["x"]))] = rng.choice(pool)
+    elif kind == 7 and point and type(point.get("x")) is list:
+        point["x"] = point["x"] + [0.5] if rng.random() < 0.5 else point["x"][1:]
+    elif kind == 8 and point:
+        # a duplicate scan index, at times with a bad state, then a fractional one
+        track["points"] += [{"t": point.get("t"), "x": rng.choice((point.get("x"), ["1"]))},
+                            {"t": 1.5, "x": point.get("x")}]
+    elif kind == 9 and point:
+        point.pop(rng.choice(("t", "x")), None)
+    elif kind == 10:
+        tracks.insert(rng.randint(0, len(tracks)), rng.choice((5, [], None)))
+    elif kind == 11:
+        doc["scans"] = 0
+    elif kind == 12 and track:
+        tracks.append(dict(track))  # a duplicate id, or a second implicit label
+
+
+def _decode_outcome(decode, doc):
+    try:
+        return decode(doc)
+    except (ParseError, ValidationError, BadParametersError) as exc:
+        return type(exc), str(exc)
+
+
+def test_decoder_matches_the_track_by_track_decoder(tmp_path):
+    # seeded documents with one to three broken rules each: the columnar
+    # decoder raises what the earlier decode path raised, in the same
+    # order, and decodes every valid document to the same columns
+    rng = random.Random(18)
+    path = tmp_path / "set.json"
+    kinds = Counter()
+    for _ in range(2000):
+        doc = _valid_doc(rng)
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            _mutate(rng, doc)
+        path.write_text(json.dumps(doc))
+        reread = json.loads(path.read_text())  # NaN, Infinity and 10**400 as a file holds them
+        want = _decode_outcome(legacy_track_set_from_obj, reread)
+        got = _decode_outcome(load_track_set, path)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want, doc
+            kinds[want[0].__name__] += 1
+            continue
+        labels, states, exists = want
+        assert got.labels == labels
+        assert np.array_equal(got.states.view(np.uint64), states.view(np.uint64))
+        assert np.array_equal(got.exists, exists)
+        kinds["valid"] += 1
+    assert set(kinds) == {"valid", "ParseError", "BadParametersError", "EmptyTrackError",
+                          "ScanOutOfRangeError", "DimensionMismatchError",
+                          "NonFiniteCoordinateError"}, kinds
+    assert min(kinds.values()) >= 20, kinds
+
+
+@pytest.mark.parametrize(
+    "tracks, error",
+    [
+        # a validation error in track 1, a parse error in track 2
+        ([{"id": "a", "points": [{"t": 9, "x": [0.0]}]}, {"id": "b", "points": 5}],
+         "track b: points must be a list, got 5"),
+        # a duplicate scan index, then a fractional one
+        ([{"id": "a", "points": [{"t": 1, "x": [0.0]}, {"t": 1, "x": [1.0]},
+                                 {"t": 1.5, "x": [1.0]}]}],
+         "track a: duplicate scan index 1"),
+        # the state of the duplicate point is checked before its scan index
+        ([{"id": "a", "points": [{"t": 1, "x": [0.0]}, {"t": 1, "x": [True]}]}],
+         "track a: state at scan 1 must be a list of numbers"),
+        # a bad coordinate before a track that is not an object
+        ([{"id": "a", "points": [{"t": 1, "x": ["0"]}]}, 5],
+         "track a: state at scan 1 must be a list of numbers"),
+        # an id missing next to an explicit T2
+        ([{"id": "T2", "points": []}, {"points": []}], "duplicate track id T2"),
+    ],
+    ids=["parse-after-validation", "duplicate-then-fractional", "duplicate-bad-state",
+         "bad-state-then-bad-track", "implicit-T2"],
+)
+def test_every_parse_error_comes_first_in_file_order(tmp_path, tracks, error):
+    from trackmetric.errors import ParseError
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"scans": 0, "state_dim": 1, "tracks": tracks}))
+    with pytest.raises(ParseError) as exc:
+        load_track_set(path)
+    assert str(exc.value) == error
+
+
+def test_a_loaded_set_builds_its_tracks_on_first_read(tmp_path):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"scans": 3, "state_dim": 1, "tracks": [
+        {"id": "a", "points": [{"t": 3, "x": [2]}, {"t": 1, "x": [0.5]}]}, {"points": [
+            {"t": 2, "x": [1e300]}]}]}))
+    ts = load_track_set(path)
+    assert ts._tracks is None and len(ts) == 2 and ts.track_label(2) == "T2"
+    # points in scan order, not file order
+    assert [(trk.label, list(trk.points.items())) for trk in ts.tracks] == [
+        ("a", [(1, (0.5,)), (3, (2.0,))]), ("T2", [(2, (1e300,))])]
+    assert ts == TrackSet(3, 1, (Track({3: [2], 1: [0.5]}, "a"), Track({2: 1e300}, "T2")))
+
+
+def test_scoring_builds_no_track(tmp_path, capsys, monkeypatch):
+    truth, est = write_scenario(tmp_path, FigureId.FIG13)
+    built = []
+    post_init = Track.__post_init__
+    monkeypatch.setattr(Track, "__post_init__", lambda trk: built.append(post_init(trk)))
+    code, out, _ = run(capsys, "compute", str(truth), str(est), "--metric", "all",
+                       "--output", "json", "--report-assignment")
+    assert code == 0 and json.loads(out)["metrics"]["ospamt"]["assignment"]
+    assert built == []
 
 
 # ---------------------------------------------------------------- compute

@@ -136,10 +136,11 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
         assert exc.value.code == code
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["run", "differs", "in"]
-        # one selftest, then 2 instances, each scored under 4 parameter sets
-        # in 3 formats, once more as a table without the assignment, and
-        # split under 2; json and the split files differ
-        assert lines[-1] == f"{differ} of 31 runs differ"
+        # one selftest, 22 runs on rejected files, then 2 instances, each
+        # scored under 4 parameter sets in 3 formats, once more as a table
+        # without the assignment, and split under 2; json and the split
+        # files differ
+        assert lines[-1] == f"{differ} of 53 runs differ"
         assert lines[-3:-1] == ["split small_batch: 2 no cut", "split exact_dense: 2 no cut"]
         assert all(" json " in line and line.endswith(" stdout")
                    or " split " in line and line.endswith(" file") for line in lines[1:-3])
