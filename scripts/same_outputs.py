@@ -92,6 +92,7 @@ ERROR_DOCS = {
     "duplicate t": _error_doc(track={"id": "b", "points": [{"t": 2, "x": [1.0, 2.0]}] * 2}),
     "zero scans": _error_doc(scans=0),
     "zero state_dim": _error_doc(state_dim=0),
+    "scans beyond index range": _error_doc(scans=10**21),
     "empty track": _error_doc(track={"id": "b", "points": []}),
     "scan out of range": _error_doc(point={"t": 4, "x": [1.0, 2.0]}),
     "wrong dimension": _error_doc(x=[1.0]),
@@ -154,7 +155,9 @@ def worker(manifest: Path) -> int:
     """Make every run of the manifest against the ``trackmetric`` on the
     path; print one JSON list of [exit code, stdout digest, stderr digest,
     written file's digest or null, outcome], where the outcome of a split
-    is "cut", "no cut" or "exit <code>"."""
+    is "cut", "no cut" or "exit <code>".  A run that raises an uncaught
+    exception exits 1 with the exception's type and message as its last
+    line of stderr."""
     from trackmetric.cli import main
 
     results = []
@@ -170,6 +173,10 @@ def worker(manifest: Path) -> int:
                     code = main([str(written) if arg == "{out}" else arg for arg in run["argv"]])
                 except SystemExit as exc:
                     code = exc.code
+                except Exception as exc:  # a crash, as a process would end with it
+                    # its type and message only: a traceback names the tree's paths
+                    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                    code = 1
             file_digest = digest(written.read_bytes()) if written.exists() else None
             written.unlink(missing_ok=True)
             outcome = (f"exit {code}" if code else

@@ -33,13 +33,17 @@ class ManyToOneResult:
 
     ``order_matrix[i][j] == k > 0`` means column j is the k-th source
     assigned to row i; 0 means unassigned.  The intermediate matrices are
-    kept so the pipeline can be audited stage by stage.
+    kept so the pipeline can be audited stage by stage.  ``lam[j]`` is the
+    1-based row of column j or 0, and ``orders[i]`` row i's 1-based columns
+    in the order of their numbers.
     """
 
     order_matrix: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
     d3: np.ndarray
+    lam: tuple[int, ...]
+    orders: tuple[tuple[int, ...], ...]
 
 
 def greedy_many_to_one(d: np.ndarray, cutoff_row_col_value: float) -> ManyToOneResult:
@@ -61,7 +65,7 @@ def greedy_many_to_one(d: np.ndarray, cutoff_row_col_value: float) -> ManyToOneR
     m, n = d.shape
     order = np.zeros((m, n), dtype=int)
     if m == 0 or n == 0:
-        return ManyToOneResult(order, d.copy(), d.copy(), d.copy())
+        return ManyToOneResult(order, d.copy(), d.copy(), d.copy(), (0,) * n, ((),) * m)
 
     cut = cutoff_row_col_value
     useless = (d == INFEASIBLE) | (np.abs(d - cut) <= TIE * cut)
@@ -78,22 +82,27 @@ def greedy_many_to_one(d: np.ndarray, cutoff_row_col_value: float) -> ManyToOneR
     fill = (d3 == INFEASIBLE) & (d2 < INFEASIBLE)
     d3[fill] = d2[fill]
 
-    work = d3.copy()
-    while True:
-        flat = np.argmin(work)
-        i, j = divmod(int(flat), n)
-        if work[i, j] == INFEASIBLE:
-            break
-        # Global minimum starts a new row expansion: the row's finite entries
-        # numbered by increasing value, ties by column.  It leaves the row
-        # all INFEASIBLE, so no row is expanded twice.
-        row = work[i]
-        jj = np.flatnonzero(row < INFEASIBLE)
-        jj = jj[np.lexsort((jj, row[jj]))]
-        order[i, jj] = np.arange(1, len(jj) + 1)
-        work[:, jj] = INFEASIBLE
+    # argmin over the matrix pops by (value, row, column) and an expanded row
+    # keeps no open entry, so one walk over D3's finite entries in that order
+    # meets every pop; a row's entries, in the same order, run by (value, column)
+    ii, jj = np.nonzero(d3 < INFEASIBLE)
+    by_value = np.argsort(d3[ii, jj], kind="stable")
+    ii, jj = ii[by_value].tolist(), jj[by_value].tolist()
+    row_entries: list[list[int]] = [[] for _ in range(m)]
+    for i, j in zip(ii, jj):
+        row_entries[i].append(j)
+    # column j is number rank[j] of row lam[j], 1-based; 0 while it is open
+    lam, rank, orders = [0] * n, [0] * n, [()] * m
+    for i, j in zip(ii, jj):
+        if not lam[j]:
+            cols = [c for c in row_entries[i] if not lam[c]]
+            for k, c in enumerate(cols, start=1):
+                lam[c], rank[c] = i + 1, k
+            orders[i] = tuple(c + 1 for c in cols)
+    cols = np.flatnonzero(lam)
+    order[np.array(lam)[cols] - 1, cols] = np.array(rank)[cols]
 
-    return ManyToOneResult(order, d1, d2, d3)
+    return ManyToOneResult(order, d1, d2, d3, tuple(lam), tuple(orders))
 
 
 def _reduced_costs(dd: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -180,9 +189,13 @@ def optimal_matching(d: np.ndarray) -> tuple[np.ndarray, list[int], float, float
         return d, [], 0.0, 0.0
     if m > n:
         raise ValueError(f"solve_one_to_one needs m <= n, got {m}x{n}")
-    finite = d < INFEASIBLE
-    top = float(d.max(initial=0.0, where=finite)) or 1.0
-    dd = d if finite.all() else np.where(finite, d, top * (m + 1))
+    top = float(d.max())
+    if math.isfinite(top):  # no INFEASIBLE, infinite or NaN entry: nothing to soften
+        dd, top = d, max(top, 0.0) or 1.0
+    else:
+        finite = d < INFEASIBLE
+        top = float(d.max(initial=0.0, where=finite)) or 1.0
+        dd = d if finite.all() else np.where(finite, d, top * (m + 1))
     tol = TIE * top * m
     if m == 1:
         best = float(dd[0].min())

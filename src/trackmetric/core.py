@@ -74,7 +74,8 @@ class TrackSet:
     once built: the constructor raises for ``scans`` or ``state_dim`` below 1,
     then for the first bad label, empty track or bad point, in track and
     point order, except that a non-finite point before that error comes
-    first.  A label is a string, and no two tracks share a ``track_label``,
+    first, and last for a ``scans`` count too large to size the arrays by.
+    A label is a string, and no two tracks share a ``track_label``,
     so every set can be saved and loaded again.
 
     The set holds ``labels``, every track's ``track_label``; ``states``
@@ -155,7 +156,11 @@ class TrackSet:
             raise error
         rows = np.repeat(np.arange(n), sizes)
         cols = np.fromiter(ts, np.intp, len(ts)) - 1
-        states = np.full((n, scans, dim), np.nan)
+        try:
+            states = np.full((n, scans, dim), np.nan)
+        except ValueError:  # a count beyond numpy's index range
+            raise ValidationError(f"cannot hold the states of {n} track(s) over {scans} "
+                                  f"scans in {dim} dimensions") from None
         states[rows, cols] = coords
         exists = np.zeros((n, scans), dtype=bool)
         exists[rows, cols] = True

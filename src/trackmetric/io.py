@@ -13,7 +13,9 @@ points sorted.  ``scans``, ``state_dim``
 and every ``t`` must be JSON integers, every ``points`` a list, every ``x``
 a list of numbers and every ``id`` a string (a track without one is
 labelled ``T<position>``); anything else, a duplicate scan index within one
-track or a duplicate track id is a parse error, never coerced.
+track or a duplicate track id is a parse error, never coerced.  A count
+below 1 or too large to hold the set is a validation error, as every rule
+of ``TrackSet`` is.
 Coordinates are serialized with repr precision (up to 17 significant
 digits), so a write/read round trip is bit-exact.
 """
@@ -27,7 +29,7 @@ from pathlib import Path
 from typing import Any
 
 from .core import TrackSet
-from .errors import ParseError
+from .errors import BadParametersError, ParseError, ValidationError
 
 
 #: The types of a coordinate: JSON true is a Python bool, not a number.
@@ -105,7 +107,10 @@ def track_set_from_obj(obj: Any) -> TrackSet:
     coords = chain.from_iterable(chain.from_iterable(points.values() for _, points in records))
     if not _NUMBERS.issuperset(map(type, coords)):
         raise _first_bad_state(records)
-    return TrackSet.from_records(scans, state_dim, records)
+    try:
+        return TrackSet.from_records(scans, state_dim, records)
+    except BadParametersError as exc:  # a count below 1: the file is at fault
+        raise ValidationError(str(exc)) from None
 
 
 def track_set_to_obj(track_set: TrackSet) -> dict[str, Any]:

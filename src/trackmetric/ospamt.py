@@ -11,6 +11,7 @@ over assignments one way; the metric is the smaller of the two directions.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -85,15 +86,16 @@ def _check_feasible(src: TrackSet, tgt: TrackSet, lam: Sequence[int]) -> None:
         raise InfeasibleAssignmentError(
             f"lambda has {len(lam)} entries for {len(src)} source tracks"
         )
-    for j, i in enumerate(lam, start=1):
-        if i == 0:
-            continue
-        if not (1 <= i <= len(tgt)):
-            raise InfeasibleAssignmentError(f"source {j} maps to unknown target {i}")
-        if not (src.exists[j - 1] & tgt.exists[i - 1]).any():
-            raise InfeasibleAssignmentError(
-                f"source {j} and target {i} share no existing scan"
-            )
+    to = np.fromiter(map(operator.index, lam), int, len(lam))
+    known = (to >= 0) & (to <= len(tgt))
+    # an unassigned source meets row 0, which exists at every scan
+    meets = np.vstack([np.ones((1, src.scans), bool), tgt.exists])[np.where(known, to, 0)]
+    failed = ~known | ~(src.exists & meets).any(axis=1)
+    if failed.any():
+        j = int(failed.argmax())
+        raise InfeasibleAssignmentError(
+            f"source {j + 1} and target {lam[j]} share no existing scan" if known[j] else
+            f"source {j + 1} maps to unknown target {lam[j]}")
 
 
 def _orders_from_lambda(
@@ -113,6 +115,7 @@ def directional_terms(
     orders: Sequence[Sequence[int]],
     params: MetricParams,
     dist: ScanDistances,
+    n_t: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw per-scan loc and card sums, as (T,) arrays, for a fixed
     assignment and fixed track orders; each scan's two sum to at most
@@ -121,36 +124,46 @@ def directional_terms(
     At every scan a target's order, minus its absent sources, keeps its
     relative order; the first source left is charged the capped distance,
     plus ``delta**p`` when it is not the first of the full order.  ``dist``
-    is ``scan_distances(tgt, src, params)``; only the entries of assigned
-    pairs are read.
+    is ``scan_distances(tgt, src, params)`` and ``n_t`` the per-scan counts
+    of ``count_distances(src, tgt)``; only the entries of assigned pairs
+    are read.
     """
     p = params.p
     cp = params.c**p
     dp = params.delta**p
-    n_t, _ = count_distances(src, tgt)
-    # one row per assigned pair, target by target in order
-    ii = np.array([i for i, order in enumerate(orders) for _ in order], dtype=int)
-    jj = np.array([j - 1 for order in orders for j in order], dtype=int)
+    # one row per assigned pair, target by target in order, with the row of
+    # its target's first source; its weights are delta**p unless it is that
+    # first source, and delta**p + c**p per extra coexisting source of its
+    # target if it is the target's last
+    rows, weights = [], []
+    for i, order in enumerate(orders):
+        lead = len(rows)
+        rows += [(i, j - 1, lead) for j in order]
+        weights += [(dp if r else 0.0, dp + cp if r == len(order) - 1 else 0.0)
+                    for r in range(len(order))]
+    size, scans = len(rows), tgt.scans
+    ii, jj, lead = np.array(rows, dtype=int).reshape(size, 3).T
+    weights = np.array(weights).reshape(size, 2)
     live = src.exists[jj] & tgt.exists[ii]
-    capped = np.zeros(live.shape)
-    at = dist.entries(ii, jj)[live]
-    capped[live] = np.minimum(dist.at_order(params.base_order)[at], params.c) ** p
-    scans = np.arange(tgt.scans)
-    loc = np.zeros(tgt.scans)
-    card = np.zeros(tgt.scans)
-    start = 0
-    # one target at a time, in index order: every scan adds its terms in the
-    # order of the defining sum, so the floats match a scan-by-scan loop;
-    # a scan where a target charges nothing adds zeros
-    for order in orders:
-        stop = start + len(order)
-        if order:
-            first = live[start:stop].argmax(axis=0)
-            loc += capped[start:stop][first, scans]
-            loc += dp * (first > 0)
-            card += np.maximum(live[start:stop].sum(axis=0) - 1, 0) * (dp + cp)
-        start = stop
-    card += cp * (np.array(n_t) - live.sum(axis=0))
+    # seen[r + 1]: live rows up to r; minus seen at the row's lead, the
+    # target's live sources so far, so 1 at its first live one
+    seen = np.zeros((size + 1, scans), dtype=int)
+    live.cumsum(axis=0, out=seen[1:])
+    count = seen[1:] - seen[lead]
+    first = live & (count == 1)
+    # terms[r, k, s]: row r's k-th term of the loc (s = 0) or card (s = 1)
+    # sum; the last row adds the unassigned slots to card
+    terms = np.zeros((size + 1, 2, 2, scans))
+    at = dist.entries(ii, jj)[first]
+    terms[:size, 0, 0][first] = np.minimum(dist.at_order(params.base_order)[at], params.c) ** p
+    np.multiply(first, weights[:, :1], out=terms[:size, 1, 0])
+    count -= 1
+    np.maximum(count, 0, out=count)
+    np.multiply(count, weights[:, 1:], out=terms[:size, 0, 1])
+    terms[size, 0, 1] = cp * (np.array(n_t) - seen[size])
+    # added in sequence, as a loop over targets adds them at every scan: a
+    # zero term changes no sum, and numpy's pairwise sum would change some
+    loc, card = np.add.accumulate(terms.reshape(-1, 2, scans), axis=0)[-1]
     return loc, card
 
 
@@ -173,8 +186,8 @@ def directional_cost(
         raise InfeasibleAssignmentError(
             f"orders {tuple(orders)} do not order the preimages {preimages} of lambda"
         )
-    _, n = count_distances(src, tgt)
-    loc, card = directional_terms(src, tgt, orders, params, scan_distances(tgt, src, params))
+    n_t, n = count_distances(src, tgt)
+    loc, card = directional_terms(src, tgt, orders, params, scan_distances(tgt, src, params), n_t)
     return root_mean(sum((loc + card).tolist()), n, params)
 
 
@@ -252,7 +265,7 @@ class _DirectionalEngine:
     ) -> None:
         self.src = src
         self.tgt = tgt
-        _, self.n = count_distances(src, tgt)
+        self.n_t, self.n = count_distances(src, tgt)
         p = params.p
         cp = params.c**p
         self.dp = params.delta**p
@@ -347,32 +360,8 @@ def directional_distance(
     dist = scan_distances(tgt, src, params)
     engine = _DirectionalEngine(src, tgt, params, dist)
     orders = engine.best_orders(lam)
-    loc, card = directional_terms(src, tgt, orders, params, dist)
+    loc, card = directional_terms(src, tgt, orders, params, dist, engine.n_t)
     return root_mean(sum((loc + card).tolist()), engine.n, params), orders
-
-
-def _quasi_greedy(
-    src: TrackSet, tgt: TrackSet, params: MetricParams, d: np.ndarray
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    result = greedy_many_to_one(d, cutoff_row_col_value=params.c**params.p)
-    lam, orders = _greedy_orders(result.order_matrix)
-    _check_feasible(src, tgt, lam)
-    return lam, orders
-
-
-def _greedy_orders(order: np.ndarray) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """``(lam, orders)`` of a greedy order matrix: row i's sources, 1-based,
-    in the order of their numbers, which run 1, 2, ... along the row."""
-    lam = [0] * order.shape[1]
-    orders: list[tuple[int, ...]] = []
-    for i, row in enumerate(order, start=1):
-        assigned = np.flatnonzero(row)
-        sources = np.empty_like(assigned)
-        sources[row[assigned] - 1] = assigned + 1  # number k goes to place k
-        orders.append(tuple(sources.tolist()))
-        for j in assigned.tolist():
-            lam[j] = i
-    return tuple(lam), tuple(orders)
 
 
 def quasi_ospamt(
@@ -419,9 +408,11 @@ def _quasi(
     else:
         if costs is None:
             costs = cost_matrix(src, tgt, params, dist)
-        lam, orders = _quasi_greedy(src, tgt, params, costs)
-    loc, card = directional_terms(src, tgt, orders, params, dist)
+        greedy = greedy_many_to_one(costs, cutoff_row_col_value=params.c**params.p)
+        lam, orders = greedy.lam, greedy.orders
+        _check_feasible(src, tgt, lam)
     n_t, _ = count_distances(src, tgt)
+    loc, card = directional_terms(src, tgt, orders, params, dist, n_t)
     assignment = Assignment(direction, lam, orders)
     return MetricReport.from_sums(loc.tolist(), card.tolist(), n_t, params, assignment)
 

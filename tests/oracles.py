@@ -6,8 +6,9 @@ code cannot hide in its own oracle.  Sizes are expected to be tiny.
 
 The exceptions are the ``legacy_*`` copies and the ``dense_*`` formulas at
 the end.  The ``legacy_*`` copies are the library's earlier code: the
-greedy sweep entry by entry, and the decoder that made one ``Track`` per
-track and checked every point twice; the library must give the same
+greedy sweep entry by entry and its order matrix read row by row, the
+OSPAMT scoring target by target, and the decoder that made one ``Track``
+per track and checked every point twice; the library must give the same
 results and raise the same errors.  The ``dense_*`` formulas are the
 library's earlier whole-tensor arithmetic, which computed every
 (N_a, N_b, T) entry, NaN included.  The library now gathers the coexisting
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from trackmetric.assign import ENUMERATION_CAP, INFEASIBLE, TIE
-from trackmetric.core import MetricParams, Track, TrackSet, base_distance
+from trackmetric.core import MetricParams, Track, TrackSet, base_distance, count_distances
 from trackmetric.errors import (
     BadParametersError,
     DimensionMismatchError,
@@ -420,6 +421,39 @@ def legacy_greedy_orders(order_matrix) -> tuple[tuple[int, ...], tuple[tuple[int
         for _, j in assigned:
             lam[j - 1] = i + 1
     return tuple(lam), tuple(orders)
+
+
+def legacy_directional_terms(src: TrackSet, tgt: TrackSet, orders, params: MetricParams, dist):
+    """``ospamt.directional_terms`` as it read before it scored every target
+    at once: one target at a time, in index order, so every scan adds its
+    terms in the order of the defining sum.  The library must give the
+    same arrays to the last bit."""
+    p = params.p
+    cp = params.c**p
+    dp = params.delta**p
+    n_t, _ = count_distances(src, tgt)
+    # one row per assigned pair, target by target in order
+    ii = np.array([i for i, order in enumerate(orders) for _ in order], dtype=int)
+    jj = np.array([j - 1 for order in orders for j in order], dtype=int)
+    live = src.exists[jj] & tgt.exists[ii]
+    capped = np.zeros(live.shape)
+    at = dist.entries(ii, jj)[live]
+    capped[live] = np.minimum(dist.at_order(params.base_order)[at], params.c) ** p
+    scans = np.arange(tgt.scans)
+    loc = np.zeros(tgt.scans)
+    card = np.zeros(tgt.scans)
+    start = 0
+    # a scan where a target charges nothing adds zeros
+    for order in orders:
+        stop = start + len(order)
+        if order:
+            first = live[start:stop].argmax(axis=0)
+            loc += capped[start:stop][first, scans]
+            loc += dp * (first > 0)
+            card += np.maximum(live[start:stop].sum(axis=0) - 1, 0) * (dp + cp)
+        start = stop
+    card += cp * (np.array(n_t) - live.sum(axis=0))
+    return loc, card
 
 
 def _legacy_is_number(value) -> bool:

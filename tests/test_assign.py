@@ -18,7 +18,6 @@ from oracles import (
 import trackmetric.assign as assign
 from trackmetric.assign import INFEASIBLE, greedy_many_to_one, solve_one_to_one
 from trackmetric.core import MetricParams, scan_distances
-from trackmetric.ospamt import _greedy_orders
 from trackmetric.scenarios import random_scenario
 from trackmetric.errors import TooLargeError
 
@@ -133,9 +132,9 @@ def test_greedy_matches_entrywise_reference(seed):
 
 def test_greedy_sweep_matches_the_entry_by_entry_sweep():
     # seeded matrices with many ties, INFEASIBLE entries and rows or
-    # columns at the cutoff: the vectorised sweep numbers every entry as
-    # the earlier one-entry-at-a-time sweep did, and the OSPAMT search
-    # reads the same (lam, orders) from it
+    # columns at the cutoff: the sorted-entry sweep numbers every entry as
+    # the earlier one-entry-at-a-time sweep did, and its (lam, orders) are
+    # the ones the OSPAMT search read off that order matrix
     rng = np.random.default_rng(18)
     c = 80.0
     for _ in range(400):
@@ -147,8 +146,9 @@ def test_greedy_sweep_matches_the_entry_by_entry_sweep():
         if rng.random() < 0.3:
             d[:, rng.integers(n)] = c
         res = greedy_many_to_one(d, cutoff_row_col_value=c)
-        assert np.array_equal(res.order_matrix, legacy_greedy_sweep(res.d3))
-        assert _greedy_orders(res.order_matrix) == legacy_greedy_orders(res.order_matrix)
+        legacy = legacy_greedy_sweep(res.d3)
+        assert np.array_equal(res.order_matrix, legacy)
+        assert (res.lam, res.orders) == legacy_greedy_orders(legacy)
 
 
 def test_solve_one_to_one_diagonal():

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 import warnings
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from conftest import (
     PARAM_SETS,
     golden,
     library_reports,
+    random_float_set,
     random_small_set,
     same_track_sets,
     shuffled_copy,
@@ -19,6 +21,7 @@ from conftest import (
 from oracles import (
     _feasible,
     enumerate_assignments,
+    legacy_directional_terms,
     oracle_counts,
     oracle_exact_quasi,
     oracle_ospamt,
@@ -119,7 +122,8 @@ def test_example1_fig1a_per_scan_terms():
     sc = fig(FigureId.FIG1A)
     eps = 1.0
     loc, card = directional_terms(sc.est, sc.truth, ((1, 2),), params,
-                                  scan_distances(sc.truth, sc.est, params))
+                                  scan_distances(sc.truth, sc.est, params),
+                                  count_distances(sc.est, sc.truth)[0])
     want = [eps**p] * 3 + [eps**p + d**p] * 2
     assert list(loc + card) == pytest.approx(want, rel=1e-9)
 
@@ -130,7 +134,8 @@ def test_example1_fig1b_per_scan_terms():
     sc = fig(FigureId.FIG1B)
     eps = 1.0
     loc, card = directional_terms(sc.est, sc.truth, ((1, 2), ()), params,
-                                  scan_distances(sc.truth, sc.est, params))
+                                  scan_distances(sc.truth, sc.est, params),
+                                  count_distances(sc.est, sc.truth)[0])
     want = [eps**p] * 3 + [eps**p + d**p + c**p] * 2
     assert list(loc + card) == pytest.approx(want, rel=1e-9)
 
@@ -139,7 +144,8 @@ def test_example1_fig1c_false_track():
     params = MetricParams()
     sc = fig(FigureId.FIG1C)
     loc, card = directional_terms(sc.est, sc.truth, ((),), params,
-                                  scan_distances(sc.truth, sc.est, params))
+                                  scan_distances(sc.truth, sc.est, params),
+                                  count_distances(sc.est, sc.truth)[0])
     assert list(loc + card) == pytest.approx([params.c**params.p] * 5, rel=1e-9)
 
 
@@ -168,6 +174,21 @@ def test_directional_infeasible_assignment_raises():
         directional_distance(sc.est, sc.truth, (1,), MetricParams())
 
 
+@pytest.mark.parametrize("lam, message", [
+    ((2, 9, 0), "source 1 and target 2 share no existing scan"),
+    ((1, 9, 1), "source 2 maps to unknown target 9"),
+    ((1, -1, 0), "source 2 maps to unknown target -1"),
+    ((0, 2, 1), "source 3 and target 1 share no existing scan"),
+    ((1, 2), "lambda has 2 entries for 3 source tracks"),
+])
+def test_infeasible_assignment_names_the_first_failing_source(lam, message):
+    tgt = TrackSet(4, 1, (Track({1: 0.0, 2: 0.0}), Track({3: 0.0, 4: 0.0})))
+    src = TrackSet(4, 1, (Track({1: 1.0}), Track({3: 1.0}), Track({4: 1.0})))
+    with pytest.raises(InfeasibleAssignmentError) as exc:
+        directional_distance(src, tgt, lam, MetricParams())
+    assert str(exc.value) == message
+
+
 def test_directional_breakdown_bound():
     # every scan's raw sum is at most n_t * (c^p + delta^p)
     rng = random.Random(7)
@@ -177,9 +198,9 @@ def test_directional_breakdown_bound():
         src = random_small_set(rng, min_tracks=1)
         tgt = random_small_set(rng, min_tracks=1)
         assignment = quasi_ospamt(src, tgt, params, Mode.EXACT).assignment
-        loc, card = directional_terms(src, tgt, assignment.orders, params,
-                                      scan_distances(tgt, src, params))
         n_t, _ = count_distances(src, tgt)
+        loc, card = directional_terms(src, tgt, assignment.orders, params,
+                                      scan_distances(tgt, src, params), n_t)
         for raw, nt in zip(loc + card, n_t):
             assert raw <= nt * cap + 1e-9
             assert raw >= -1e-12
@@ -204,7 +225,7 @@ def test_directional_terms_match_oracle_per_scan(params):
         pairs = enumerate_assignments(len(src.tracks), len(tgt.tracks), _feasible(src, tgt))
         dist = scan_distances(tgt, src, params)
         for _, orders in pairs:
-            loc, card = directional_terms(src, tgt, orders, params, dist)
+            loc, card = directional_terms(src, tgt, orders, params, dist, n_t)
             for t in range(1, src.scans + 1):
                 want = oracle_tilde_d_t(src, tgt, orders, params, t, n_t[t - 1])
                 assert loc[t - 1] + card[t - 1] == pytest.approx(want, rel=1e-12)
@@ -214,6 +235,40 @@ def test_directional_terms_match_oracle_per_scan(params):
                     if len(order) > 1 and t not in src.tracks[order[0] - 1].points
                 )
     assert first_absent > 0
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_directional_terms_match_the_target_by_target_loop(p):
+    # seeded real-valued sets under random maps and orders: scoring every
+    # target at once gives the arrays of the earlier loop over targets to
+    # the last bit, also with empty preimages, with a target whose sources
+    # are all absent at some scan, and with every source on one target
+    params = MetricParams(p=p, c=7.0, delta=2.5, alpha=0.0)
+    rng = random.Random(19)
+    cases = Counter()
+    for _ in range(150):
+        src = random_float_set(rng, 2, scans=6, max_tracks=5)
+        tgt = random_float_set(rng, 2, scans=6, max_tracks=4)
+        if not len(tgt):
+            continue
+        lam = ([rng.randint(1, len(tgt))] * len(src) if rng.random() < 0.2 else
+               [rng.randint(0, len(tgt)) for _ in range(len(src))])
+        orders = [[j for j, i in enumerate(lam, start=1) if i == k]
+                  for k in range(1, len(tgt) + 1)]
+        for order in orders:
+            rng.shuffle(order)
+        orders = tuple(map(tuple, orders))
+        dist = scan_distances(tgt, src, params)
+        loc, card = directional_terms(src, tgt, orders, params, dist,
+                                      count_distances(src, tgt)[0])
+        want_loc, want_card = legacy_directional_terms(src, tgt, orders, params, dist)
+        assert np.array_equal(loc, want_loc) and np.array_equal(card, want_card)
+        cases["empty preimage"] += () in orders
+        cases["sources absent"] += any(
+            order and not src.exists[[j - 1 for j in order]].any(axis=0).all()
+            for order in orders)
+        cases["all on one"] += len(src) > 1 and len(set(lam)) == 1 and lam[0] > 0
+    assert min(cases.values()) >= 10, cases
 
 
 # ------------------------------------------------------------------- quasi

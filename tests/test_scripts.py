@@ -126,22 +126,40 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
         module = changed / "trackmetric" / name
         module.write_text(module.read_text(encoding="utf-8").replace("indent=2", "indent=1"),
                           encoding="utf-8")
+    # and a copy whose main raises, which the comparison must survive
+    crashed = tmp_path / "crashed"
+    shutil.copytree(changed, crashed)
+    module = crashed / "trackmetric" / "cli.py"
+    signature = "def main(argv: list[str] | None = None) -> int:\n"
+    module.write_text(module.read_text(encoding="utf-8").replace(
+        signature, signature + "    raise RuntimeError('no main')\n"), encoding="utf-8")
     path = SCRIPTS / "same_outputs.py"
-    for new, code, differ in ((src, 0, 0), (changed, 1, 12)):
+
+    def compare(new) -> tuple[int, list[str]]:
         monkeypatch.setattr(sys, "argv", [str(path), str(src), str(new), "--workloads",
                                           "small_batch", "exact_dense", "--limit", "1"])
         monkeypatch.setattr(sys, "path", list(sys.path))
         with pytest.raises(SystemExit) as exc:
             runpy.run_path(str(path), run_name="__main__")
-        assert exc.value.code == code
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["run", "differs", "in"]
-        # one selftest, 22 runs on rejected files, then 2 instances, each
+        return exc.value.code, lines
+
+    for new, code, differ in ((src, 0, 0), (changed, 1, 12)):
+        got, lines = compare(new)
+        assert got == code
+        # one selftest, 23 runs on rejected files, then 2 instances, each
         # scored under 4 parameter sets in 3 formats, once more as a table
         # without the assignment, and split under 2; json and the split
         # files differ
-        assert lines[-1] == f"{differ} of 53 runs differ"
+        assert lines[-1] == f"{differ} of 54 runs differ"
         assert lines[-3:-1] == ["split small_batch: 2 no cut", "split exact_dense: 2 no cut"]
         assert all(" json " in line and line.endswith(" stdout")
                    or " split " in line and line.endswith(" file") for line in lines[1:-3])
         assert sum(" split " in line for line in lines[1:-3]) == differ // 3
+    # every run of the crashed tree exits 1, so every one differs
+    code, lines = compare(crashed)
+    assert code == 1
+    assert lines[-1] == "54 of 54 runs differ"
+    assert lines[-3:-1] == ["split small_batch: 2 exit 1", "split exact_dense: 2 exit 1"]
+    assert all(" exit code, " in line for line in lines[1:-3])
