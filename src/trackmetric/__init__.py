@@ -2,7 +2,6 @@
 
 from .assign import (
     INFEASIBLE,
-    ManyToOneResult,
     greedy_many_to_one,
     solve_one_to_one,
 )
@@ -41,9 +40,8 @@ from .ospamt import (
     split_tracks,
 )
 from .ospat import (
-    LabeledTrackSet,
-    ospat_at_time,
     ospat_label,
+    ospat_labeled,
     ospat_per_scan,
     ospat_reorder,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "FigureId",
     "INFEASIBLE",
     "InfeasibleAssignmentError",
-    "LabeledTrackSet",
-    "ManyToOneResult",
     "MetricParams",
     "MetricReport",
     "Mode",
@@ -86,8 +82,8 @@ __all__ = [
     "ospa",
     "ospa_per_scan",
     "ospamt_metric",
-    "ospat_at_time",
     "ospat_label",
+    "ospat_labeled",
     "ospat_per_scan",
     "ospat_reorder",
     "quasi_ospamt",

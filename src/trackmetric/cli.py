@@ -19,9 +19,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import MetricParams, MetricReport, TrackSet, scan_distances
+from .core import MetricParams, MetricReport, ScanDistances, TrackSet, scan_distances
 from .errors import (
     BadParametersError,
     NoConvergenceError,
@@ -74,7 +72,7 @@ def _pairs_text(pairs, left: TrackSet, right: TrackSet) -> str:
 
 
 def _eval_ospa(
-    truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: np.ndarray
+    truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: ScanDistances
 ) -> MetricRows:
     report = ospa_per_scan(truth, est, params, dist)
 
@@ -88,7 +86,7 @@ def _eval_ospa(
 
 
 def _eval_ospat(
-    truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: np.ndarray
+    truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: ScanDistances
 ) -> MetricRows:
     report, pairing = ospat_per_scan(truth, est, params, dist)
     return MetricRows("ospat", report, lambda: "pairing " + _pairs_text(pairing.pairs, truth, est),
@@ -96,7 +94,7 @@ def _eval_ospat(
 
 
 def _eval_ospamt(
-    truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: np.ndarray
+    truth: TrackSet, est: TrackSet, params: MetricParams, mode: Mode, dist: ScanDistances
 ) -> MetricRows:
     report = ospamt_metric(truth, est, params, mode=mode, dist=dist)
     asg = report.assignment

@@ -74,7 +74,8 @@ class TrackSet:
     once built: the constructor raises for ``scans`` or ``state_dim`` below 1,
     then for the first bad label, empty track or bad point, in track and
     point order, except that a non-finite point before that error comes
-    first, and last for a ``scans`` count too large to size the arrays by.
+    first, and last for a ``scans`` or ``state_dim`` count too large to size
+    the arrays by.
     A label is a string, and no two tracks share a ``track_label``,
     so every set can be saved and loaded again.
 
@@ -144,12 +145,12 @@ class TrackSet:
             del ts[k:], xs[k:]
         flat, size = itertools.chain.from_iterable, len(xs) * dim
         try:
-            coords = np.fromiter(flat(xs), float, size).reshape(-1, dim)
+            coords = np.fromiter(flat(xs), float, size)
         except OverflowError:
-            coords = np.fromiter(map(_float_or_inf, flat(xs)), float, size).reshape(-1, dim)
+            coords = np.fromiter(map(_float_or_inf, flat(xs)), float, size)
         # a non-finite point before the first other error comes first
         if not np.isfinite(coords).all():
-            k = int(np.flatnonzero(~np.isfinite(coords).all(axis=1))[0])
+            k = int(np.flatnonzero(~np.isfinite(coords))[0]) // dim
             raise NonFiniteCoordinateError(
                 f"track {owner(k)} at scan {ts[k]} has a non-finite coordinate")
         if error is not None:
@@ -161,7 +162,7 @@ class TrackSet:
         except ValueError:  # a count beyond numpy's index range
             raise ValidationError(f"cannot hold the states of {n} track(s) over {scans} "
                                   f"scans in {dim} dimensions") from None
-        states[rows, cols] = coords
+        states[rows, cols] = coords.reshape(-1, dim)
         exists = np.zeros((n, scans), dtype=bool)
         exists[rows, cols] = True
         states.setflags(write=False)
@@ -386,7 +387,8 @@ def base_distance(
 
 class ScanDistances:
     """Base distances of every pair of tracks, one from each of two sets, at
-    every scan where both exist, gathered once in scan-major order.
+    every scan where both exist, gathered once in scan-major order from two
+    comparable track sets; ``scan_distances`` builds it.
 
     Entry k is the pair (``rows[k]``, ``cols[k]``) of 0-based track indices
     at 0-based scan ``scan[k]``, and ``values[k]`` is its distance at the
@@ -394,9 +396,8 @@ class ScanDistances:
     then by column, so scan t's entries are one block that ``blocks``
     reshapes to the matrix of the tracks existing then, and ``entries``
     finds the entries of given pairs.  ``shape`` is the ``(rows, columns,
-    scans)`` shape of the dense tensor the entries come from; ``dense()``
-    builds that tensor, NaN where a pair does not coexist, and ``scatter``
-    writes any per-entry values into one.
+    scans)`` shape of the dense tensor the entries come from, and
+    ``scatter`` writes any per-entry values into one.
     ``transpose()`` is the same layer with the roles of the two sets
     swapped, sharing every array.  ``at_order(q)`` gives the distances at
     base norm order q, computed once from the gathered states.
@@ -405,12 +406,12 @@ class ScanDistances:
     __slots__ = ("rows", "cols", "scan", "shape", "values", "_by_order", "_states", "_params",
                  "_tracks_at", "_ends", "_ranks", "_first", "_width", "_swapped")
 
-    def __init__(self, states_a: np.ndarray, exists_a: np.ndarray, states_b: np.ndarray,
-                 exists_b: np.ndarray, params: MetricParams, order: float | None = None) -> None:
-        (na, scans), nb = exists_a.shape, len(exists_b)
+    def __init__(self, a: TrackSet, b: TrackSet, params: MetricParams,
+                 order: float | None = None) -> None:
+        scans = a.scans
         # the tracks of each set that exist at each scan, scan by scan
-        ta, ia = np.nonzero(exists_a.T)
-        tb, ib = np.nonzero(exists_b.T)
+        ta, ia = np.nonzero(a.exists.T)
+        tb, ib = np.nonzero(b.exists.T)
         m_t = np.bincount(ta, minlength=scans)
         n_t = np.bincount(tb, minlength=scans)
         # each existing (scan, track of a) meets the tracks of b at its scan
@@ -420,11 +421,11 @@ class ScanDistances:
         self.scan, self.rows = np.repeat(ta, reps), np.repeat(ia, reps)
         shift = np.cumsum(n_t)[ta] - np.cumsum(reps)
         self.cols = ib[np.arange(len(self.rows)) + np.repeat(shift, reps)]
-        self.shape = (na, nb, scans)
-        dim = states_a.shape[-1]
+        self.shape = (len(a), len(b), scans)
+        dim = a.state_dim
         self._states = (
-            np.take(states_a.reshape(-1, dim), self.rows * scans + self.scan, axis=0),
-            np.take(states_b.reshape(-1, dim), self.cols * scans + self.scan, axis=0),
+            np.take(a.states.reshape(-1, dim), self.rows * scans + self.scan, axis=0),
+            np.take(b.states.reshape(-1, dim), self.cols * scans + self.scan, axis=0),
         )
         self._params = params
         order = params.base_order if order is None else order
@@ -437,7 +438,7 @@ class ScanDistances:
         ends = np.cumsum(m_t * n_t)
         self._ends = ends.tolist()
         # a track's place among the tracks of its set existing at each scan
-        self._ranks = np.cumsum(exists_a, axis=0) - 1, np.cumsum(exists_b, axis=0) - 1
+        self._ranks = np.cumsum(a.exists, axis=0) - 1, np.cumsum(b.exists, axis=0) - 1
         self._first, self._width = ends - m_t * n_t, n_t
         self._swapped = False
 
@@ -481,11 +482,6 @@ class ScanDistances:
         np.put(out, (self.rows * ncols + self.cols) * scans + self.scan, values)
         return out
 
-    def dense(self) -> np.ndarray:
-        """The ``shape`` tensor of the distances, NaN where a pair does not
-        coexist: what ``scan_distances`` returned before it gathered."""
-        return self.scatter(self.values, np.full(self.shape, np.nan))
-
 
 def scan_distances(
     a: TrackSet, b: TrackSet, params: MetricParams, order: float | None = None
@@ -501,7 +497,7 @@ def scan_distances(
     DimensionMismatchError unless the sets are comparable.
     """
     check_comparable(a, b)
-    return ScanDistances(a.states, a.exists, b.states, b.exists, params, order)
+    return ScanDistances(a, b, params, order)
 
 
 def count_distances(a: TrackSet, b: TrackSet) -> tuple[tuple[int, ...], int]:

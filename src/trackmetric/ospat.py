@@ -12,6 +12,7 @@ are always fully paired even across disjoint lifetimes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,18 +28,6 @@ from .core import (
 )
 from .errors import BadParametersError
 from .ospa import per_scan_report
-
-
-@dataclass(frozen=True)
-class LabeledTrackSet:
-    """A track set with one label per track, aligned with track order."""
-
-    tracks: TrackSet
-    labels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.tracks):
-            raise BadParametersError(f"{len(self.labels)} labels for {len(self.tracks)} tracks")
 
 
 @dataclass(frozen=True)
@@ -105,64 +94,56 @@ def ospat_reorder(
 
 def ospat_label(
     a: TrackSet, b: TrackSet, assignment: OspatAssignment
-) -> tuple[LabeledTrackSet, LabeledTrackSet]:
-    """Stamp labels from the global pairing onto both sets.
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Labels the global pairing stamps onto the tracks of ``a`` and of
+    ``b``, one per track in track order.
 
     Paired tracks share the label of the smaller-set track (its 1-based
     index); leftover tracks of the larger set take the next labels in their
     original order.
     """
-    labels_a = [0] * len(a)
-    labels_b = [0] * len(b)
-    if assignment.smaller == "b":
-        for ai, bi in assignment.pairs:
-            labels_b[bi - 1] = bi
-            labels_a[ai - 1] = bi
-    else:
-        for ai, bi in assignment.pairs:
-            labels_a[ai - 1] = ai
-            labels_b[bi - 1] = ai
-    next_label = len(assignment.pairs)
-    for labels in (labels_a, labels_b):
-        for idx, lab in enumerate(labels):
-            if lab == 0:
-                next_label += 1
-                labels[idx] = next_label
-    return (
-        LabeledTrackSet(a, tuple(labels_a)),
-        LabeledTrackSet(b, tuple(labels_b)),
-    )
+    labels_a, labels_b = [0] * len(a), [0] * len(b)
+    for ai, bi in assignment.pairs:
+        labels_a[ai - 1] = labels_b[bi - 1] = bi if assignment.smaller == "b" else ai
+    leftover = itertools.count(len(assignment.pairs) + 1)
+    return tuple(tuple(lab or next(leftover) for lab in labels) for labels in (labels_a, labels_b))
 
 
 def _labeled_distances(
-    dist: ScanDistances, labeled_a: LabeledTrackSet, labeled_b: LabeledTrackSet,
+    dist: ScanDistances, labels_a: tuple[int, ...], labels_b: tuple[int, ...],
     params: MetricParams,
 ) -> np.ndarray:
     """Capped labeled distances of the entries of ``dist``:
     min{c, (d(x, y)^p' + (alpha when labels differ)^p')^(1/p')}."""
     q = params.base_order
     x = dist.at_order(q)
-    differ = np.not_equal.outer(labeled_a.labels, labeled_b.labels)
+    differ = np.not_equal.outer(labels_a, labels_b)
     x = np.where(differ[dist.rows, dist.cols], (x**q + params.alpha**q) ** (1.0 / q), x)
     return np.minimum(x, params.c)
 
 
-def ospat_at_time(
-    labeled_a: LabeledTrackSet,
-    labeled_b: LabeledTrackSet,
-    t: int,
+def ospat_labeled(
+    a: TrackSet,
+    b: TrackSet,
+    labels_a: tuple[int, ...],
+    labels_b: tuple[int, ...],
     params: MetricParams,
+    dist: ScanDistances | None = None,
 ) -> MetricReport:
-    """Report of the OSPA minimization over the labeled states existing at
-    scan t, which must lie in 1..T; only that scan's distances are computed."""
-    a, b = labeled_a.tracks, labeled_b.tracks
-    check_comparable(a, b)
-    if not 1 <= t <= a.scans:
-        raise BadParametersError(f"scan {t} outside 1..{a.scans}")
-    scan = slice(t - 1, t)
-    dist = ScanDistances(a.states[:, scan], a.exists[:, scan], b.states[:, scan],
-                         b.exists[:, scan], params)
-    return per_scan_report(dist, _labeled_distances(dist, labeled_a, labeled_b, params), params)
+    """OSPA minimization over the labeled states of every scan, as one
+    report, with one label per track of ``a`` and of ``b`` in track order.
+
+    Raises BadParametersError unless each side has one label per track.
+    ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
+    it; otherwise it is built here.  The labeled distances are computed
+    entry by entry from its p' ones.
+    """
+    for labels, tracks in ((labels_a, a), (labels_b, b)):
+        if len(labels) != len(tracks):
+            raise BadParametersError(f"{len(labels)} labels for {len(tracks)} tracks")
+    if dist is None:
+        dist = scan_distances(a, b, params)
+    return per_scan_report(dist, _labeled_distances(dist, labels_a, labels_b, params), params)
 
 
 def ospat_per_scan(
@@ -170,16 +151,14 @@ def ospat_per_scan(
 ) -> tuple[MetricReport, OspatAssignment]:
     """Reorder, label, then score every scan; the usual evaluation pipeline.
 
-    Returns the report, whose ``assignment`` is the per-scan matchings of
-    labeled states, and the global pairing that set the labels.
-    ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
-    it; otherwise it is built here.  The reordering reads Euclidean
-    distances of its gathered states, computed once more unless p' = 2, and
-    the labeled distances are computed entry by entry from its p' ones.
+    Returns the report of ``ospat_labeled``, whose ``assignment`` is the
+    per-scan matchings of labeled states, and the global pairing that set
+    the labels.  ``dist`` is ``scan_distances(a, b, params)`` when the
+    caller already has it; otherwise it is built here.  The reordering
+    reads Euclidean distances of its gathered states, computed once more
+    unless p' = 2.
     """
     if dist is None:
         dist = scan_distances(a, b, params)
     pairing = ospat_reorder(a, b, params, dist)
-    labeled_a, labeled_b = ospat_label(a, b, pairing)
-    capped = _labeled_distances(dist, labeled_a, labeled_b, params)
-    return per_scan_report(dist, capped, params), pairing
+    return ospat_labeled(a, b, *ospat_label(a, b, pairing), params, dist), pairing

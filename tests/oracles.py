@@ -567,6 +567,12 @@ def dense_scan_distances(a: TrackSet, b: TrackSet, params: MetricParams, order=N
     return base_distance(a.states[:, None], b.states[None], params, order)
 
 
+def dense_layer(dist):
+    """The ``shape`` tensor of a ``ScanDistances`` layer's distances, NaN
+    where a pair does not coexist."""
+    return dist.scatter(dist.values, np.full(dist.shape, np.nan))
+
+
 def dense_cost_matrix(src: TrackSet, tgt: TrackSet, params: MetricParams, dist):
     """``cost_matrix`` from ``dist = scan_distances(tgt, src, params)``,
     capped and powered everywhere and counted from NaN masks."""

@@ -30,7 +30,7 @@ from trackmetric.core import MetricParams
 from trackmetric.io import load_track_set, save_track_set
 from trackmetric.ospa import ospa
 from trackmetric.ospamt import Mode, ospamt_metric
-from trackmetric.ospat import ospat_at_time, ospat_label, ospat_reorder
+from trackmetric.ospat import ospat_label, ospat_labeled, ospat_reorder
 from trackmetric.scenarios import FigureId, ScenarioSpec, build
 from trackmetric.selftest import GOLDEN, scenario
 
@@ -190,21 +190,19 @@ def test_criterion_09_ospat_pathologies():
         params = MetricParams(alpha=alpha)
 
         def at4(x, y):
-            labeled = ospat_label(x, y, ospat_reorder(x, y, params))
-            return ospat_at_time(*labeled, 4, params).total
+            labels = ospat_label(x, y, ospat_reorder(x, y, params))
+            return ospat_labeled(x, y, *labels, params).per_time[3]
 
         assert at4(sc.truth, sc.alt) > at4(sc.truth, sc.est) + at4(sc.est, sc.alt)
 
     # (b) alpha = 0 breaks identity: same states, different labels, zero distance
     from trackmetric.core import Track, TrackSet
-    from trackmetric.ospat import LabeledTrackSet
 
     params0 = MetricParams(alpha=0.0)
     ts = TrackSet(1, 1, (Track({1: 3.0}),))
-    la = LabeledTrackSet(ts, (1,))
-    lb = LabeledTrackSet(ts, (2,))
-    assert ospat_at_time(la, lb, 1, params0).total == 0.0
-    assert la.labels != lb.labels
+    la, lb = (1,), (2,)
+    assert ospat_labeled(ts, ts, la, lb, params0).per_time[0] == 0.0
+    assert la != lb
 
     # (c) equal-size sets always pair fully, even across disjoint lifetimes
     sc10 = fig(FigureId.FIG10A)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     brute_force_one_to_one,
     count_assignments,
+    dense_layer,
     enumerate_assignments,
     legacy_greedy_orders,
     legacy_greedy_sweep,
@@ -233,7 +234,7 @@ def _capped_scan_matrices(seed, params):
     truth, est = random_scenario(
         seed, n_truth=8, scans=12, miss_rate=0.2, false_rate=0.4, break_rate=0.3, noise=2.0
     )
-    capped = np.minimum(scan_distances(truth, est, params).dense(), params.c)
+    capped = np.minimum(dense_layer(scan_distances(truth, est, params)), params.c)
     for t in range(truth.scans):
         ia = np.flatnonzero(truth.exists[:, t])
         ib = np.flatnonzero(est.exists[:, t])

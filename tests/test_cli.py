@@ -390,7 +390,10 @@ def test_compute_coordinate_beyond_float_range_exit_3(tmp_path, capsys, digits):
     ("state_dim", 0, "state_dim must be >= 1, got 0"),
     # beyond numpy's index range, so no array of it is ever allocated
     ("scans", 10**21, f"cannot hold the states of 1 track(s) over {10**21} scans in 1 dimensions"),
-], ids=["zero-scans", "zero-state_dim", "scans-beyond-index-range"])
+    # the 1-D point's own error comes before the arrays are sized
+    ("state_dim", 10**21, f"track a at scan 1 has dimension 1, expected {10**21}"),
+], ids=["zero-scans", "zero-state_dim", "scans-beyond-index-range",
+        "state_dim-beyond-index-range"])
 def test_compute_count_out_of_range_exit_3(tmp_path, capsys, field, value, message):
     # a count below 1 exited 4 as a configuration error, and a count beyond
     # the index range crashed with ValueError and exit 1
@@ -399,6 +402,15 @@ def test_compute_count_out_of_range_exit_3(tmp_path, capsys, field, value, messa
     bad.write_text(json.dumps({**doc, field: value}))
     code, _, err = run(capsys, "compute", str(bad), str(bad))
     assert (code, err) == (3, f"validation error: {message}\n")
+
+
+def test_compute_state_dim_beyond_index_range_exit_3(tmp_path, capsys):
+    # crashed with ValueError and exit 1 from the coordinates' reshape
+    bad = tmp_path / "dim.json"
+    bad.write_text(json.dumps({"scans": 2, "state_dim": 10**21, "tracks": []}))
+    code, _, err = run(capsys, "compute", str(bad), str(bad))
+    assert (code, err) == (3, "validation error: cannot hold the states of 0 track(s) over 2 "
+                              f"scans in {10**21} dimensions\n")
 
 
 def test_compute_parse_error_exit_2(tmp_path, capsys):

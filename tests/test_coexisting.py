@@ -12,19 +12,15 @@ from conftest import distance_params, library_reports, random_float_set
 from oracles import (
     dense_cost_matrix,
     dense_labeled_distances,
+    dense_layer,
     dense_reorder_costs,
     dense_scan_distances,
 )
 from trackmetric.assign import INFEASIBLE
-from trackmetric.core import MetricParams, ScanDistances, Track, TrackSet, scan_distances
+from trackmetric.core import MetricParams, Track, TrackSet, scan_distances
 from trackmetric.errors import DimensionMismatchError
 from trackmetric.ospamt import Mode, cost_matrix
-from trackmetric.ospat import (
-    LabeledTrackSet,
-    _labeled_distances,
-    _reorder_costs,
-    ospat_reorder,
-)
+from trackmetric.ospat import _labeled_distances, _reorder_costs, ospat_reorder
 
 
 def apart_pair(dim):
@@ -70,8 +66,8 @@ def test_gathered_layer_matches_the_dense_tensor(dim):
             dist = scan_distances(a, b, params)
             dense = dense_scan_distances(a, b, params)
             assert dist.shape == dense.shape
-            np.testing.assert_array_equal(dist.dense(), dense)
-            np.testing.assert_array_equal(dist.transpose().dense(), dense.transpose(1, 0, 2))
+            np.testing.assert_array_equal(dense_layer(dist), dense)
+            np.testing.assert_array_equal(dense_layer(dist.transpose()), dense.transpose(1, 0, 2))
             np.testing.assert_array_equal(dist.values, dense[dist.rows, dist.cols, dist.scan])
             for t, (ia, ib, block) in enumerate(dist.blocks(dist.values)):
                 assert ia == np.flatnonzero(a.exists[:, t]).tolist()
@@ -117,16 +113,9 @@ def test_coexisting_entries_match_the_dense_formulas(dim):
 
                 la = tuple(rng.randint(1, 3) for _ in a.tracks)
                 lb = tuple(rng.randint(1, 3) for _ in b.tracks)
-                labeled = LabeledTrackSet(a, la), LabeledTrackSet(b, lb)
                 penalized = dense_labeled_distances(dense, la, lb, params)
-                np.testing.assert_array_equal(_labeled_distances(dist, *labeled, params),
+                np.testing.assert_array_equal(_labeled_distances(dist, la, lb, params),
                                               penalized[dist.rows, dist.cols, dist.scan])
-                k = rng.randrange(a.scans)
-                t = slice(k, k + 1)  # the one-scan layer of ospat_at_time
-                one = ScanDistances(a.states[:, t], a.exists[:, t], b.states[:, t],
-                                    b.exists[:, t], params)
-                np.testing.assert_array_equal(_labeled_distances(one, *labeled, params),
-                                              penalized[:, :, t][one.rows, one.cols, one.scan])
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -135,7 +124,7 @@ def test_sets_that_never_coexist(p):
     params = MetricParams(p=p, c=3.0, delta=1.0, alpha=1.0)
     dist = scan_distances(a, b, params)
     assert dist.shape == (2, 1, 4) and dist.values.shape == (0,)
-    assert np.isnan(dist.dense()).all()
+    assert np.isnan(dense_layer(dist)).all()
     assert (cost_matrix(b, a, params) == INFEASIBLE).all()
     assert (cost_matrix(a, b, params) == INFEASIBLE).all()
     for mode in (Mode.EXACT, Mode.GREEDY):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import distance_params, random_float_set, same_track_sets
-from oracles import oracle_check, oracle_norm
+from oracles import dense_layer, oracle_check, oracle_norm
 from trackmetric.core import (
     MetricParams,
     Track,
@@ -95,6 +95,21 @@ def test_integers_beyond_float_range_are_non_finite_coordinates():
     # in the usual order: an error of an earlier point comes first
     with pytest.raises(ScanOutOfRangeError, match="scan 9"):
         TrackSet(3, 1, (Track({9: 0.0}), Track({1: [huge]})))
+
+
+def test_state_dim_beyond_index_range_is_a_validation_error():
+    # the coordinates' reshape raised a bare ValueError before the states
+    # were sized; a point's dimension error still comes first
+    big = 10**21
+    with pytest.raises(ValidationError) as info:
+        TrackSet(3, big, ())
+    assert (type(info.value), str(info.value)) == (
+        ValidationError, f"cannot hold the states of 0 track(s) over 3 scans in {big} dimensions")
+    for build_set in (lambda: TrackSet(3, big, (Track({1: 0.0}, "a"),)),
+                      lambda: TrackSet.from_records(3, big, [("a", {1: [0.0]})])):
+        with pytest.raises(DimensionMismatchError) as info:
+            build_set()
+        assert str(info.value) == f"track a at scan 1 has dimension 1, expected {big}"
 
 
 def test_invalid_sets_cannot_be_built():
@@ -205,7 +220,7 @@ def test_cutoff_distance_examples():
     # no distance where either track is absent: (x, None), (None, y), (None, None)
     a = TrackSet(3, 1, (Track({1: 0.0}),))
     b = TrackSet(3, 1, (Track({2: 0.0}),))
-    assert np.isnan(scan_distances(a, b, MetricParams()).dense()).all()
+    assert np.isnan(dense_layer(scan_distances(a, b, MetricParams()))).all()
 
 
 def test_scan_distances_match_pairwise_reference():
@@ -214,7 +229,7 @@ def test_scan_distances_match_pairwise_reference():
         for params in distance_params(dim):
             for _ in range(8):
                 a, b = random_float_set(rng, dim), random_float_set(rng, dim)
-                d = scan_distances(a, b, params).dense()
+                d = dense_layer(scan_distances(a, b, params))
                 assert d.shape == (len(a), len(b), 4)
                 for i, x in enumerate(a.tracks):
                     for j, y in enumerate(b.tracks):
@@ -233,10 +248,10 @@ def test_scan_distances_of_swapped_sets_are_the_transpose():
     for params in distance_params(3):
         for _ in range(10):
             a, b = random_float_set(rng, 3), random_float_set(rng, 3)
-            swapped = scan_distances(b, a, params).dense()
+            swapped = dense_layer(scan_distances(b, a, params))
             dist = scan_distances(a, b, params)
-            np.testing.assert_array_equal(swapped, dist.dense().transpose(1, 0, 2))
-            np.testing.assert_array_equal(swapped, dist.transpose().dense())
+            np.testing.assert_array_equal(swapped, dense_layer(dist).transpose(1, 0, 2))
+            np.testing.assert_array_equal(swapped, dense_layer(dist.transpose()))
 
 
 def test_scan_distances_reject_incomparable_sets():

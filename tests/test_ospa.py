@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import golden
-from oracles import dense_labeled_distances, oracle_ospa
+from oracles import dense_labeled_distances, dense_layer, oracle_ospa
 from trackmetric.assign import solve_one_to_one
 from trackmetric.core import (
     MetricParams,
@@ -169,9 +169,9 @@ def eager_report(a, b, capped, params):
 
 def both_reports(a, b, params):
     """(lazy, eager) report pairs of OSPA and of OSPAT for one pair of sets."""
-    dist = scan_distances(a, b, params).dense()
-    labeled_a, labeled_b = ospat_label(a, b, ospat_reorder(a, b, params))
-    labeled = dense_labeled_distances(dist, labeled_a.labels, labeled_b.labels, params)
+    dist = dense_layer(scan_distances(a, b, params))
+    labels_a, labels_b = ospat_label(a, b, ospat_reorder(a, b, params))
+    labeled = dense_labeled_distances(dist, labels_a, labels_b, params)
     return [(ospa_per_scan(a, b, params), eager_report(a, b, np.minimum(dist, params.c), params)),
             (ospat_per_scan(a, b, params)[0], eager_report(a, b, labeled, params))]
 

@@ -6,10 +6,9 @@ from conftest import golden
 from trackmetric.core import MetricParams, Track, TrackSet
 from trackmetric.errors import BadParametersError
 from trackmetric.ospat import (
-    LabeledTrackSet,
     OspatAssignment,
-    ospat_at_time,
     ospat_label,
+    ospat_labeled,
     ospat_per_scan,
     ospat_reorder,
 )
@@ -61,7 +60,7 @@ def test_label_identical_singletons():
     one = TrackSet(3, 1, (Track({1: 0.0}),))
     asg = ospat_reorder(one, one, MetricParams())
     la, lb = ospat_label(one, one, asg)
-    assert la.labels == (1,) and lb.labels == (1,)
+    assert la == (1,) and lb == (1,)
 
 
 def test_label_leftover_numbering():
@@ -77,8 +76,8 @@ def test_label_leftover_numbering():
     est = TrackSet(2, 1, (Track({1: 0.1, 2: 0.1}), Track({1: 10.1, 2: 10.1})))
     asg = ospat_reorder(truth, est, MetricParams())
     la, lb = ospat_label(truth, est, asg)
-    assert lb.labels == (1, 2)
-    assert la.labels == (1, 2, 3)  # the unpaired far truth takes the next label
+    assert lb == (1, 2)
+    assert la == (1, 2, 3)  # the unpaired far truth takes the next label
 
 
 def test_label_fig13_depends_on_reference_set():
@@ -88,12 +87,12 @@ def test_label_fig13_depends_on_reference_set():
     _, lab_alt_vs_est = ospat_label(
         sc.est, sc.alt, ospat_reorder(sc.est, sc.alt, params)
     )
-    assert lab_alt_vs_est.labels[1] == 1
+    assert lab_alt_vs_est[1] == 1
     # ... but against the truth it is labeled 2
     _, lab_alt_vs_truth = ospat_label(
         sc.truth, sc.alt, ospat_reorder(sc.truth, sc.alt, params)
     )
-    assert lab_alt_vs_truth.labels[1] == 2
+    assert lab_alt_vs_truth[1] == 2
 
 
 # ----------------------------------------------------------------- at time
@@ -123,20 +122,21 @@ def test_alpha_zero_identity_violation():
     # same position, different labels, alpha = 0: distance collapses to zero
     params = MetricParams(alpha=0.0)
     ts = TrackSet(1, 1, (Track({1: 3.0}),))
-    la = LabeledTrackSet(ts, (1,))
-    lb = LabeledTrackSet(ts, (2,))
-    assert ospat_at_time(la, lb, 1, params).total == 0.0
-    assert la.labels != lb.labels
+    la, lb = (1,), (2,)
+    assert ospat_labeled(ts, ts, la, lb, params).per_time[0] == 0.0
+    assert la != lb
 
 
 def test_labeled_set_needs_one_label_per_track():
     # three labels for two tracks used to pass unnoticed, and one label for
     # two failed only when scored, with a bare IndexError
     two = TrackSet(2, 1, (Track({1: 0.0}), Track({2: 1.0})))
+    params = MetricParams()
     for labels in ((1, 2, 3), (1,), ()):
-        with pytest.raises(BadParametersError, match="labels for 2 tracks"):
-            LabeledTrackSet(two, labels)
-    assert LabeledTrackSet(two, (2, 1)).labels == (2, 1)
+        for la, lb in ((labels, (2, 1)), ((2, 1), labels)):
+            with pytest.raises(BadParametersError, match=f"^{len(labels)} labels for 2 tracks$"):
+                ospat_labeled(two, two, la, lb, params)
+    assert ospat_labeled(two, two, (2, 1), (2, 1), params).total == 0.0
 
 
 def labeled_base_distance(x, y, params):
@@ -145,8 +145,7 @@ def labeled_base_distance(x, y, params):
     (label_x, state_x), (label_y, state_y) = x, y
     ta = TrackSet(1, 1, (Track({1: state_x}),))
     tb = TrackSet(1, 1, (Track({1: state_y}),))
-    la, lb = LabeledTrackSet(ta, (label_x,)), LabeledTrackSet(tb, (label_y,))
-    return ospat_at_time(la, lb, 1, params).total
+    return ospat_labeled(ta, tb, (label_x,), (label_y,), params).per_time[0]
 
 
 def test_labeled_base_distance_is_metric_with_fixed_labels():
@@ -186,36 +185,23 @@ def test_at_time_equals_ospa_when_no_mislabeling():
     ],
 )
 def test_at_time_matches_per_scan_rows(params):
+    # scoring under the pairing's own labels is the whole OSPAT pipeline
     for seed in range(8):
         a, b = random_scenario(seed, n_truth=4, scans=9, miss_rate=0.3, false_rate=0.5,
                                break_rate=0.4, noise=6.0)
         report, pairing = ospat_per_scan(a, b, params)
-        la, lb = ospat_label(a, b, pairing)
-        for t in range(1, a.scans + 1):
-            one = ospat_at_time(la, lb, t, params)
-            scan = [(r.per_time[k], r.loc_t[k], r.card_t[k], r.n_t[k], r.assignment[k])
-                    for r, k in ((one, 0), (report, t - 1))]
-            assert scan[0] == scan[1]
-            assert (one.total, one.loc, one.card, one.n) == scan[0][:4]
+        labeled = ospat_labeled(a, b, *ospat_label(a, b, pairing), params)
+        for name in ("total", "per_time", "loc", "card", "loc_t", "card_t", "assignment", "n_t",
+                     "n"):
+            assert getattr(labeled, name) == getattr(report, name), name
 
 
 def test_at_time_empty_scan():
     params = MetricParams()
     ts = TrackSet(2, 1, (Track({1: 0.0}),))
-    la, lb = ospat_label(ts, ts, ospat_reorder(ts, ts, params))
-    report = ospat_at_time(la, lb, 2, params)
-    assert report.total == 0.0 and report.n_t == (0,)
-
-
-@pytest.mark.parametrize("t", [0, 4, -1])
-def test_at_time_rejects_scans_outside_the_window(t):
-    # a 3-scan pair: 0 and 4 raised a bare IndexError, -1 scored scan 2
-    params = MetricParams()
-    a = TrackSet(3, 1, (Track({1: 0.0, 2: 1.0, 3: 2.0}),))
-    b = TrackSet(3, 1, (Track({2: 1.5, 3: 2.5}),))
-    la, lb = ospat_label(a, b, ospat_reorder(a, b, params))
-    with pytest.raises(BadParametersError, match="outside 1..3"):
-        ospat_at_time(la, lb, t, params)
+    report = ospat_labeled(ts, ts, *ospat_label(ts, ts, ospat_reorder(ts, ts, params)), params)
+    assert report.per_time[1] == 0.0 and report.n_t[1] == 0
+    assert report.assignment[1] == ()
 
 
 # ------------------------------------------------------------------ global
@@ -264,8 +250,8 @@ def test_fig13_triangle_violation_at_t4():
         params = MetricParams(alpha=alpha)
 
         def at4(x, y):
-            la, lb = ospat_label(x, y, ospat_reorder(x, y, params))
-            return ospat_at_time(la, lb, 4, params).total
+            labels = ospat_label(x, y, ospat_reorder(x, y, params))
+            return ospat_labeled(x, y, *labels, params).per_time[3]
 
         d_truth_alt = at4(sc.truth, sc.alt)
         d_truth_est = at4(sc.truth, sc.est)
