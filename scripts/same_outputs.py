@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
-"""Check that two source trees give byte-identical ``compute``, ``split``
-and ``selftest`` outputs.
+"""Check that two source trees give byte-identical ``compute``, ``split``,
+``scenario`` and ``selftest`` outputs.
 
 Every file of ``ERROR_DOCS``, one per kind of parse or validation error,
-is scored by ``trackmetric compute BAD VALID --metric all``.  Every
+is scored by ``trackmetric compute BAD VALID --metric all``.  Every figure
+is written by ``trackmetric scenario FIG`` under each spec of
+``FIGURE_SPECS``, and a random scenario at each seed under each option set
+of ``RANDOM_OPTIONS``; these files come from each tree itself, so a changed
+figure shows here even though the workload instances below are built by
+the new tree's library.  Every
 instance of the benchmark workloads (built by perfbench/workloads.py,
 which this script only imports) is scored by ``trackmetric compute TRUTH EST
 --metric all --per-time --report-assignment`` in json, csv and table, under
@@ -13,8 +18,8 @@ split by ``trackmetric split TRUTH EST --out FILE`` under each set of
 ``SPLIT_SETS``.  All runs are made once against each ``src/`` tree;
 ``trackmetric selftest``, which replays the golden table through the
 library calls, runs once per tree.  A run's stdout, stderr and
-exit code, and the bytes of the file a split writes, must be the same from
-both trees.  Each tree runs in its own interpreter, which makes every call
+exit code, and the bytes of the files a split or a scenario writes, must be
+the same from both trees.  Each tree runs in its own interpreter, which makes every call
 in-process with stdout and stderr captured, as a fresh ``trackmetric``
 process would print them.  One line is printed per run that differs, then
 per workload how the new tree's split runs ended (cut a track, changed
@@ -57,6 +62,24 @@ SPLIT_SETS = ("defaults", "p2")
 #: Scale factors of the first state dimensions, for ``{scale}`` above.
 SCALE = ("0.5", "2.0", "1.5")
 FORMATS = ("json", "csv", "table")
+#: Every figure id of ``trackmetric scenario``, named here rather than read
+#: from either tree, so a figure gone from one tree shows as a differing run.
+FIGURES = ("fig1a", "fig1b", "fig1c", "fig1d", "fig5", "fig6", "fig8", "fig9a", "fig9b",
+           "fig10a", "fig11a", "fig11b", "fig12", "fig12a", "fig12b", "fig13")
+#: The epsilon, eta, beta and cutoff every figure is written under: the CLI
+#: defaults, and values that round in the sums of a figure's states.
+FIGURE_SPECS = {
+    "defaults": [],
+    "fractional": ["--epsilon", "0.1", "--eta", "2.7", "--beta", "123.4", "--c", "30"],
+}
+#: The options a random scenario is written under at each seed; the last
+#: overflows a coordinate and is refused.
+RANDOM_OPTIONS = {
+    "defaults": [],
+    "degraded": ["--n-truth", "5", "--scans", "12", "--miss-rate", "0.2", "--false-rate",
+                 "0.5", "--break-rate", "0.5", "--noise", "2"],
+    "overflow": ["--noise", "1e308"],
+}
 
 
 def _error_doc(**changes) -> dict:
@@ -116,11 +139,25 @@ def build_error_runs(workdir: Path) -> list[dict]:
     return runs
 
 
+def build_scenario_runs(seeds: list[int]) -> list[dict]:
+    """One ``scenario`` run per figure and spec of ``FIGURE_SPECS``, then
+    per seed and option set of ``RANDOM_OPTIONS``; each writes its sets to
+    the ``{out...}`` files, and ``--alt`` is ignored where none is drawn."""
+    outputs = ["--truth", "{out}", "--est", "{out.est}", "--alt", "{out.alt}"]
+    runs = [{"id": f"scenario {fig} {label}", "argv": ["scenario", fig, *outputs, *extra]}
+            for fig in FIGURES for label, extra in FIGURE_SPECS.items()]
+    runs += [{"id": f"scenario random seed {seed} {label}",
+              "argv": ["scenario", "random", "--seed", str(seed), *outputs, *extra]}
+             for seed in seeds for label, extra in RANDOM_OPTIONS.items()]
+    return runs
+
+
 def build_runs(names: list[str], seeds: list[int], limit: int | None,
                workdir: Path) -> list[dict]:
     """Write every instance's files and list the runs made on them, after
-    the one selftest run and the runs on ``ERROR_DOCS``."""
-    runs = [{"id": "selftest", "argv": ["selftest"]}, *build_error_runs(workdir)]
+    the one selftest run, the runs on ``ERROR_DOCS`` and the scenario runs."""
+    runs = [{"id": "selftest", "argv": ["selftest"]}, *build_error_runs(workdir),
+            *build_scenario_runs(seeds)]
     for workload in names:
         for seed in seeds:
             for inst in workloads.build_instances(workload, seed)[:limit]:
@@ -154,35 +191,41 @@ def digest(data: bytes) -> str:
 def worker(manifest: Path) -> int:
     """Make every run of the manifest against the ``trackmetric`` on the
     path; print one JSON list of [exit code, stdout digest, stderr digest,
-    written file's digest or null, outcome], where the outcome of a split
-    is "cut", "no cut" or "exit <code>".  A run that raises an uncaught
+    written files' digest or null, outcome], where the outcome of a split
+    is "cut", "no cut" or "exit <code>".  An argument ``{out...}`` names the
+    file ``out....json`` in the worker's working directory, so a path printed
+    reads the same from both trees.  A run that raises an uncaught
     exception exits 1 with the exception's type and message as its last
     line of stderr."""
     from trackmetric.cli import main
 
     results = []
-    with tempfile.TemporaryDirectory() as tmp:
-        written = Path(tmp) / "out.json"
-        for run in json.loads(manifest.read_text(encoding="utf-8")):
-            out, err = io.StringIO(), io.StringIO()
-            # catch_warnings forgets the warnings already shown, so each
-            # prints once per run, as it would once per process
-            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                try:
-                    code = main([str(written) if arg == "{out}" else arg for arg in run["argv"]])
-                except SystemExit as exc:
-                    code = exc.code
-                except Exception as exc:  # a crash, as a process would end with it
-                    # its type and message only: a traceback names the tree's paths
-                    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-                    code = 1
-            file_digest = digest(written.read_bytes()) if written.exists() else None
-            written.unlink(missing_ok=True)
-            outcome = (f"exit {code}" if code else
-                       "cut" if out.getvalue().startswith("split ") else "no cut")
-            results.append([code, *(digest(s.getvalue().encode()) for s in (out, err)),
-                            file_digest, outcome])
+    for run in json.loads(manifest.read_text(encoding="utf-8")):
+        argv = [arg[1:-1] + ".json" if arg.startswith("{out") else arg
+                for arg in run["argv"]]
+        outputs = [Path(arg) for arg, raw in zip(argv, run["argv"]) if arg != raw]
+        out, err = io.StringIO(), io.StringIO()
+        # catch_warnings forgets the warnings already shown, so each
+        # prints once per run, as it would once per process
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a crash, as a process would end with it
+                # its type and message only: a traceback names the tree's paths
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                code = 1
+        written = [path for path in outputs if path.exists()]
+        file_digest = digest(b"".join(bytes(path) + b"\0" + path.read_bytes()
+                                      for path in written)) if written else None
+        for path in written:
+            path.unlink()
+        outcome = (f"exit {code}" if code else
+                   "cut" if out.getvalue().startswith("split ") else "no cut")
+        results.append([code, *(digest(s.getvalue().encode()) for s in (out, err)),
+                        file_digest, outcome])
     print(json.dumps(results))
     return 0
 
@@ -210,12 +253,13 @@ def main(argv: list[str] | None = None) -> int:
         runs = build_runs(args.workloads, args.seeds, args.limit, workdir)
         manifest = workdir / "manifest.json"
         manifest.write_text(json.dumps(runs), encoding="utf-8")
-        procs = [
-            subprocess.Popen([sys.executable, __file__, args.old, args.new, "--worker", manifest],
-                             env={**env, "PYTHONPATH": str(tree.resolve())},
-                             stdout=subprocess.PIPE, text=True)
-            for tree in (args.old, args.new)
-        ]
+        procs = []
+        for name, tree in (("old", args.old), ("new", args.new)):
+            (workdir / name).mkdir()  # each worker's files are written here
+            procs.append(subprocess.Popen(
+                [sys.executable, __file__, args.old, args.new, "--worker", manifest],
+                env={**env, "PYTHONPATH": str(tree.resolve())}, cwd=workdir / name,
+                stdout=subprocess.PIPE, text=True))
         outputs = [proc.communicate()[0] for proc in procs]
     if any(proc.returncode for proc in procs):
         print("a worker failed", file=sys.stderr)

@@ -32,6 +32,10 @@ from .errors import (
 
 StateVector = tuple[float, ...]
 
+#: The most state coordinates, ``scans * state_dim * max(N, 1)``, a set of N
+#: tracks may hold: 1 GiB of float64 states.
+_MAX_STATES = 2**27
+
 
 @dataclass(frozen=True)
 class Track:
@@ -74,8 +78,8 @@ class TrackSet:
     once built: the constructor raises for ``scans`` or ``state_dim`` below 1,
     then for the first bad label, empty track or bad point, in track and
     point order, except that a non-finite point before that error comes
-    first, and last for a ``scans`` or ``state_dim`` count too large to size
-    the arrays by.
+    first, and last for counts too large to hold: ``scans * state_dim *
+    max(N, 1)`` above ``_MAX_STATES``.
     A label is a string, and no two tracks share a ``track_label``,
     so every set can be saved and loaded again.
 
@@ -155,13 +159,12 @@ class TrackSet:
                 f"track {owner(k)} at scan {ts[k]} has a non-finite coordinate")
         if error is not None:
             raise error
+        if scans * dim * max(n, 1) > _MAX_STATES:  # checked before any array is sized by it
+            raise ValidationError(f"cannot hold the states of {n} track(s) over {scans} "
+                                  f"scans in {dim} dimensions")
         rows = np.repeat(np.arange(n), sizes)
         cols = np.fromiter(ts, np.intp, len(ts)) - 1
-        try:
-            states = np.full((n, scans, dim), np.nan)
-        except ValueError:  # a count beyond numpy's index range
-            raise ValidationError(f"cannot hold the states of {n} track(s) over {scans} "
-                                  f"scans in {dim} dimensions") from None
+        states = np.full((n, scans, dim), np.nan)
         states[rows, cols] = coords.reshape(-1, dim)
         exists = np.zeros((n, scans), dtype=bool)
         exists[rows, cols] = True

@@ -8,8 +8,8 @@ A track-set file is a JSON document::
 A file is decoded straight into the set's arrays, with no ``Track`` per
 track; the tracks are made from the arrays when first read, with points in
 scan order.  File order still decides which invalid point is reported, by
-the same rules and messages as ``TrackSet``; ``save_track_set`` writes the
-points sorted.  ``scans``, ``state_dim``
+the same rules and messages as ``TrackSet``; ``save_track_set`` writes
+from the arrays, each track's points in scan order.  ``scans``, ``state_dim``
 and every ``t`` must be JSON integers, every ``points`` a list, every ``x``
 a list of numbers and every ``id`` a string (a track without one is
 labelled ``T<position>``); anything else, a duplicate scan index within one
@@ -27,6 +27,8 @@ from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from .core import TrackSet
 from .errors import BadParametersError, ParseError, ValidationError
@@ -114,17 +116,19 @@ def track_set_from_obj(obj: Any) -> TrackSet:
 
 
 def track_set_to_obj(track_set: TrackSet) -> dict[str, Any]:
+    """The document of a set, from its arrays: no ``Track`` is made."""
     return {
         "scans": track_set.scans,
         "state_dim": track_set.state_dim,
         "tracks": [
             {
-                "id": track_set.track_label(idx),
+                "id": label,
                 "points": [
-                    {"t": t, "x": list(x)} for t, x in sorted(trk.points.items())
+                    {"t": t, "x": x}
+                    for t, x in zip((np.flatnonzero(row) + 1).tolist(), states[row].tolist())
                 ],
             }
-            for idx, trk in enumerate(track_set.tracks, start=1)
+            for label, states, row in zip(track_set.labels, track_set.states, track_set.exists)
         ],
     }
 

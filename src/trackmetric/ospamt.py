@@ -26,7 +26,6 @@ from .core import (
     MetricParams,
     MetricReport,
     ScanDistances,
-    Track,
     TrackSet,
     check_comparable,
     count_distances,
@@ -369,24 +368,19 @@ def quasi_ospamt(
     tgt: TrackSet,
     params: MetricParams,
     mode: Mode | str = Mode.AUTO,
-    direction: Direction = Direction.EST_TO_TRUTH,
-    dist: ScanDistances | None = None,
 ) -> MetricReport:
     """Report of the smallest directional distance from ``src`` onto ``tgt``.
 
     The report holds the quasi distance as ``total``, its per-scan values,
     the localization/cardinality split and the assignment that attains it,
-    which maps source indices into {0} + target indices; ``direction`` only
-    records which roles the caller gave the two sets.  The distance is
-    zero when both sets are empty; when only one is, every distance slot
-    pays the cutoff, all of it cardinality.  ``dist`` is
-    ``scan_distances(tgt, src, params)`` when the caller already has it;
-    otherwise it is built here.
+    which maps source indices into {0} + target indices, with ``src`` in
+    the estimate's role (``EST_TO_TRUTH``).  The distance is zero when both
+    sets are empty; when only one is, every distance slot pays the cutoff,
+    all of it cardinality.
     """
     check_comparable(src, tgt)
-    if dist is None:
-        dist = scan_distances(tgt, src, params)
-    return _quasi(src, tgt, params, mode, direction, dist, None)
+    return _quasi(src, tgt, params, mode, Direction.EST_TO_TRUTH,
+                  scan_distances(tgt, src, params), None)
 
 
 def _quasi(
@@ -511,29 +505,28 @@ def split_tracks(
         if all(len(order) < 2 for order in orders):
             return current, log
         progressed = False
-        new_tracks: list[Track] = []
-        taken = {current.track_label(i) for i in range(1, len(current) + 1)}
-        for i, (trk, order) in enumerate(zip(current.tracks, orders), start=1):
-            if len(order) < 2:
-                # an unlabelled track would take the fallback of its new position
-                new_tracks.append(Track(trk.points, current.track_label(i)))
-                continue
-            ranks = sorted(range(len(order)),
-                           key=lambda k: (truth.exists[order[k] - 1].argmax(), order[k]))
-            masks = _split_track(current.exists[i - 1],
-                                 truth.exists[[order[k] - 1 for k in ranks]], ranks)
-            frags = [(np.flatnonzero(mask) + 1).tolist() for mask in masks]
-            label = current.track_label(i)
-            names = (f"{label}/{k}" for k in itertools.count(1) if f"{label}/{k}" not in taken)
-            new_tracks.extend(Track({t: trk.points[t] for t in ts}, next(names)) for ts in frags)
-            if len(frags) > 1:
-                progressed = True
-                log.append(SplitLogEntry(i, label, tuple(ts[0] for ts in frags[1:]), len(frags)))
+        records: list[tuple[str, dict[int, list[float]]]] = []
+        taken = set(current.labels)
+        for i, (label, order, exists) in enumerate(zip(current.labels, orders, current.exists)):
+            masks, names = [exists], iter([label])
+            if len(order) > 1:
+                ranks = sorted(range(len(order)),
+                               key=lambda k: (truth.exists[order[k] - 1].argmax(), order[k]))
+                masks = _split_track(exists, truth.exists[[order[k] - 1 for k in ranks]], ranks)
+                names = (f"{label}/{k}" for k in itertools.count(1)
+                         if f"{label}/{k}" not in taken)
+                if len(masks) > 1:
+                    progressed = True
+                    cuts = tuple(int(mask.argmax()) + 1 for mask in masks[1:])
+                    log.append(SplitLogEntry(i + 1, label, cuts, len(masks)))
+            records += ((next(names), dict(zip((np.flatnonzero(mask) + 1).tolist(),
+                                               current.states[i, mask].tolist())))
+                        for mask in masks)
         if not progressed:
             raise NoConvergenceError(
                 "many-to-one overlap cannot be split along truth lifetimes"
             )
-        current = TrackSet(current.scans, current.state_dim, tuple(new_tracks))
+        current = TrackSet.from_records(current.scans, current.state_dim, records)
     raise NoConvergenceError(
         f"splitting did not reach a one-to-one assignment in {SPLIT_ROUNDS} rounds"
     )

@@ -3,7 +3,9 @@
 Every figure scenario is a pair (or, for the triangle-violation study, a
 triple) of 1-D track sets whose existence windows and inter-state distances
 follow the drawings: a tight offset epsilon for well-estimated states, a
-middling eta, and a far beta that exceeds any sensible cutoff.
+middling eta, and a far beta that exceeds any sensible cutoff.  Each figure
+is one row of ``_FIGURES``; its sets, like the random ones, are built from
+(label, points) records by ``TrackSet.from_records``, with no ``Track``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Track, TrackSet
+from .core import TrackSet
 from .errors import BadParametersError, NonFiniteCoordinateError
 
 
@@ -67,116 +69,55 @@ class Scenario:
     alt: TrackSet | None = None
 
 
-def _ts(scans: int, *tracks: Track) -> TrackSet:
-    return TrackSet(scans, 1, tuple(tracks))
-
-
-def _span(lo: int, hi: int, value: float) -> dict[int, float]:
-    return {t: value for t in range(lo, hi + 1)}
+#: Each figure as a function of (epsilon, eta, beta) giving its row
+#: ``(scans, truth, est[, alt])``.  A set is a list of 1-D tracks, each a
+#: label followed by ``(first scan, last scan, value)`` runs.
+_FIGURES = {
+    FigureId.FIG1A: lambda e, h, b: (5, [("t1", (1, 5, 0.0))],
+                                     [("e1", (1, 3, e)), ("e2", (4, 5, e))]),
+    FigureId.FIG1B: lambda e, h, b: (5, [("t1", (1, 5, 0.0)), ("t3", (4, 5, e + b))],
+                                     [("e1", (1, 3, e)), ("e2", (4, 5, e))]),
+    FigureId.FIG1C: lambda e, h, b: (5, [("t1", (1, 5, 0.0))], [("e1", (1, 5, b))]),
+    FigureId.FIG1D: lambda e, h, b: (5, [("t1", (1, 5, 0.0))],
+                                     [("e1", (1, 3, e)), ("e2", (4, 5, b))]),
+    FigureId.FIG5: lambda e, h, b: (5, [("t1", (1, 3, 0.0)), ("t2", (4, 5, 0.0))],
+                                    [("e1", (1, 5, e))]),
+    FigureId.FIG6: lambda e, h, b: (5, [("t1", (1, 3, 0.0)), ("t2", (4, 5, 0.0))],
+                                    [("e1", (1, 3, e), (4, 5, b))]),
+    FigureId.FIG8: lambda e, h, b: (5, [("t1", (1, 3, 0.0)), ("t2", (4, 5, 0.0))],
+                                    [("e1", (1, 3, e)), ("e2", (4, 5, e))]),
+    # two truth lines b + e apart; the estimates start on the wrong lines
+    # and cross after scan 1
+    FigureId.FIG9A: lambda e, h, b: (3, [("t1", (1, 3, 0.0)), ("t2", (1, 3, b + e))],
+                                     [("e1", (1, 1, b), (2, 3, e)), ("e2", (1, 1, e), (2, 3, b))]),
+    FigureId.FIG9B: lambda e, h, b: (3, [("t1", (1, 3, 0.0)), ("t2", (1, 3, b + e))],
+                                     [("e1", (1, 1, h), (2, 3, e)),
+                                      ("e2", (1, 1, b + e - h), (2, 3, b))]),
+    FigureId.FIG10A: lambda e, h, b: (4, [("t1", (1, 2, 0.0))], [("e1", (3, 4, 0.0))]),
+    FigureId.FIG11A: lambda e, h, b: (4, [("t1", (1, 2, 0.0))],
+                                      [("e1", (1, 2, e)), ("e2", (3, 4, 0.0))]),
+    FigureId.FIG11B: lambda e, h, b: (4, [("t1", (1, 2, 0.0))],
+                                      [("e1", (1, 2, e)), ("e2", (3, 4, 0.0)), ("e3", (3, 4, e))]),
+    FigureId.FIG12: lambda e, h, b: (6, [("t1", (1, 6, 0.0)), ("t2", (1, 1, b + e), (2, 2, 2 * e)),
+                                         ("t3", (3, 5, b + e))],
+                                     [("e1", (1, 3, e)), ("e2", (5, 6, e))]),
+    FigureId.FIG12A: lambda e, h, b: (6, [("t1", (1, 2, 0.0)), ("t2", (3, 4, 0.0))],
+                                      [("e1", (1, 2, e)), ("e2", (3, 4, b)), ("e3", (3, 6, e))]),
+    FigureId.FIG12B: lambda e, h, b: (6, [("t1", (1, 2, 0.0)), ("t2", (3, 4, 0.0))],
+                                      [("e1", (1, 6, e)), ("e2", (3, 4, b))]),
+    FigureId.FIG13: lambda e, h, b: (5, [("t1", (1, 5, 0.0))], [("e1", (3, 5, e))],
+                                     [("a1", (1, 3, 2 * e)), ("a2", (4, 5, 2 * e))]),
+}
 
 
 def build(spec: ScenarioSpec) -> Scenario:
     """Construct the named figure scenario."""
-    e, h, b = spec.epsilon, spec.eta, spec.beta
-    fig = FigureId(spec.figure)
-    if fig is FigureId.FIG1A:
-        truth = _ts(5, Track(_span(1, 5, 0.0), "t1"))
-        est = _ts(5, Track(_span(1, 3, e), "e1"), Track(_span(4, 5, e), "e2"))
-        return Scenario(truth, est)
-    if fig is FigureId.FIG1B:
-        truth = _ts(
-            5,
-            Track(_span(1, 5, 0.0), "t1"),
-            Track(_span(4, 5, e + b), "t3"),
-        )
-        est = _ts(5, Track(_span(1, 3, e), "e1"), Track(_span(4, 5, e), "e2"))
-        return Scenario(truth, est)
-    if fig is FigureId.FIG1C:
-        truth = _ts(5, Track(_span(1, 5, 0.0), "t1"))
-        est = _ts(5, Track(_span(1, 5, b), "e1"))
-        return Scenario(truth, est)
-    if fig is FigureId.FIG1D:
-        truth = _ts(5, Track(_span(1, 5, 0.0), "t1"))
-        est = _ts(5, Track(_span(1, 3, e), "e1"), Track(_span(4, 5, b), "e2"))
-        return Scenario(truth, est)
-    if fig is FigureId.FIG5:
-        truth = _ts(5, Track(_span(1, 3, 0.0), "t1"), Track(_span(4, 5, 0.0), "t2"))
-        est = _ts(5, Track(_span(1, 5, e), "e1"))
-        return Scenario(truth, est)
-    if fig is FigureId.FIG6:
-        truth = _ts(5, Track(_span(1, 3, 0.0), "t1"), Track(_span(4, 5, 0.0), "t2"))
-        est = _ts(5, Track({**_span(1, 3, e), **_span(4, 5, b)}, "e1"))
-        return Scenario(truth, est)
-    if fig is FigureId.FIG8:
-        truth = _ts(5, Track(_span(1, 3, 0.0), "t1"), Track(_span(4, 5, 0.0), "t2"))
-        est = _ts(5, Track(_span(1, 3, e), "e1"), Track(_span(4, 5, e), "e2"))
-        return Scenario(truth, est)
-    if fig in (FigureId.FIG9A, FigureId.FIG9B):
-        sep = b + e  # the two truth lines; cross distances stay above beta-ish
-        truth = _ts(3, Track(_span(1, 3, 0.0), "t1"), Track(_span(1, 3, sep), "t2"))
-        if fig is FigureId.FIG9A:
-            # The estimates start on the wrong lines and cross after scan 1.
-            est = _ts(
-                3,
-                Track({1: b, 2: e, 3: e}, "e1"),
-                Track({1: e, 2: b, 3: b}, "e2"),
-            )
-        else:
-            est = _ts(
-                3,
-                Track({1: h, 2: e, 3: e}, "e1"),
-                Track({1: sep - h, 2: b, 3: b}, "e2"),
-            )
-        return Scenario(truth, est)
-    if fig is FigureId.FIG10A:
-        truth = _ts(4, Track(_span(1, 2, 0.0), "t1"))
-        est = _ts(4, Track(_span(3, 4, 0.0), "e1"))
-        return Scenario(truth, est)
-    if fig is FigureId.FIG11A:
-        truth = _ts(4, Track(_span(1, 2, 0.0), "t1"))
-        est = _ts(4, Track(_span(1, 2, e), "e1"), Track(_span(3, 4, 0.0), "e2"))
-        return Scenario(truth, est)
-    if fig is FigureId.FIG11B:
-        truth = _ts(4, Track(_span(1, 2, 0.0), "t1"))
-        est = _ts(
-            4,
-            Track(_span(1, 2, e), "e1"),
-            Track(_span(3, 4, 0.0), "e2"),
-            Track(_span(3, 4, e), "e3"),
-        )
-        return Scenario(truth, est)
-    if fig is FigureId.FIG12:
-        truth = _ts(
-            6,
-            Track(_span(1, 6, 0.0), "t1"),
-            Track({1: b + e, 2: 2 * e}, "t2"),
-            Track(_span(3, 5, b + e), "t3"),
-        )
-        est = _ts(6, Track(_span(1, 3, e), "e1"), Track(_span(5, 6, e), "e2"))
-        return Scenario(truth, est)
-    if fig is FigureId.FIG12A:
-        truth = _ts(6, Track(_span(1, 2, 0.0), "t1"), Track(_span(3, 4, 0.0), "t2"))
-        est = _ts(
-            6,
-            Track(_span(1, 2, e), "e1"),
-            Track(_span(3, 4, b), "e2"),
-            Track(_span(3, 6, e), "e3"),
-        )
-        return Scenario(truth, est)
-    if fig is FigureId.FIG12B:
-        truth = _ts(6, Track(_span(1, 2, 0.0), "t1"), Track(_span(3, 4, 0.0), "t2"))
-        est = _ts(6, Track(_span(1, 6, e), "e1"), Track(_span(3, 4, b), "e2"))
-        return Scenario(truth, est)
-    if fig is FigureId.FIG13:
-        truth = _ts(5, Track(_span(1, 5, 0.0), "t1"))
-        est = _ts(5, Track(_span(3, 5, e), "e1"))
-        alt = _ts(
-            5,
-            Track(_span(1, 3, 2 * e), "a1"),
-            Track(_span(4, 5, 2 * e), "a2"),
-        )
-        return Scenario(truth, est, alt)
-    raise BadParametersError(f"unknown figure id {spec.figure!r}")
+    scans, *sets = _FIGURES[FigureId(spec.figure)](spec.epsilon, spec.eta, spec.beta)
+    return Scenario(*(
+        TrackSet.from_records(scans, 1, [
+            (label, {t: (value,) for first, last, value in runs for t in range(first, last + 1)})
+            for label, *runs in tracks])
+        for tracks in sets))
 
 
 def random_scenario(
@@ -206,7 +147,7 @@ def random_scenario(
             f"need scans >= 1, n_truth >= 0, noise >= 0; got {scans}, {n_truth}, {noise}"
         )
     rng = random.Random(seed)
-    truth_tracks: list[Track] = []
+    truth_records: list[tuple[str, dict[int, tuple[float, ...]]]] = []
     for k in range(n_truth):
         start = rng.randint(1, max(1, scans - 1))
         end = rng.randint(start, scans)
@@ -216,14 +157,14 @@ def random_scenario(
             t: tuple(p + v * (t - start) for p, v in zip(pos, vel))
             for t in range(start, end + 1)
         }
-        truth_tracks.append(Track(points, label=f"t{k + 1}"))
-    truth = TrackSet(scans, state_dim, tuple(truth_tracks))
+        truth_records.append((f"t{k + 1}", points))
+    truth = TrackSet.from_records(scans, state_dim, truth_records)
 
-    est_tracks: list[Track] = []
-    for k, trk in enumerate(truth_tracks):
+    est_records: list[tuple[str, dict[int, tuple[float, ...]]]] = []
+    for k, (_, truth_points) in enumerate(truth_records):
         points = {
             t: tuple(v + rng.gauss(0.0, noise) for v in x) if noise > 0 else x
-            for t, x in trk.points.items()
+            for t, x in truth_points.items()
             if not (miss_rate > 0 and rng.random() < miss_rate)
         }
         if not points:
@@ -237,17 +178,15 @@ def random_scenario(
                 {t: points[t] for t in scans_sorted if t >= cut},
             ]
         for piece_no, piece in enumerate(pieces, start=1):
-            est_tracks.append(Track(piece, label=f"e{k + 1}.{piece_no}"))
+            est_records.append((f"e{k + 1}.{piece_no}", piece))
     n_false = sum(1 for _ in range(n_truth) if rng.random() < false_rate)
     for f in range(n_false):
         start = rng.randint(1, max(1, scans - 1))
         end = rng.randint(start, scans)
         pos = [rng.uniform(-100.0, 100.0) for _ in range(state_dim)]
-        est_tracks.append(
-            Track({t: tuple(pos) for t in range(start, end + 1)}, label=f"f{f + 1}")
-        )
+        est_records.append((f"f{f + 1}", {t: tuple(pos) for t in range(start, end + 1)}))
     try:
-        est = TrackSet(scans, state_dim, tuple(est_tracks))
+        est = TrackSet.from_records(scans, state_dim, est_records)
     except NonFiniteCoordinateError as exc:
         raise BadParametersError(f"noise {noise} makes an estimated coordinate non-finite") from exc
     return truth, est

@@ -96,7 +96,7 @@ def _doc(**changes):
         ],
     }
     for key, value in changes.items():
-        if key in ("scans", "state_dim"):
+        if key in ("scans", "state_dim", "tracks"):
             doc[key] = value
         elif key == "t":
             doc["tracks"][0]["points"][0]["t"] = value
@@ -127,24 +127,31 @@ def _doc(**changes):
         _doc(points=None),
         _doc(id=None),
         _doc(id=5),
+        [],
+        {"scans": 3, "state_dim": 1},
+        _doc(tracks={}),
+        None,
     ],
     ids=[
         "fractional-scans", "true-scans", "fractional-state-dim", "true-state-dim",
         "fractional-t", "true-t", "float-t", "string-x", "string-coordinate",
         "true-coordinate", "duplicate-id", "points-int", "points-null", "id-null",
-        "id-int",
+        "id-int", "top-level-list", "missing-tracks", "tracks-object", "unreadable-path",
     ],
 )
 def test_malformed_fields_are_parse_errors(tmp_path, capsys, doc):
     from trackmetric.errors import ParseError
 
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    if doc is None:
+        bad.mkdir()  # a directory, which cannot be read as a file
+    else:
+        bad.write_text(json.dumps(doc))
     with pytest.raises(ParseError):
         load_track_set(bad)
     code, _, err = run(capsys, "compute", str(bad), str(bad))
     assert code == 2
-    assert err
+    assert err.startswith("parse error: ")
 
 
 def _valid_doc(rng):
@@ -392,25 +399,35 @@ def test_compute_coordinate_beyond_float_range_exit_3(tmp_path, capsys, digits):
     ("scans", 10**21, f"cannot hold the states of 1 track(s) over {10**21} scans in 1 dimensions"),
     # the 1-D point's own error comes before the arrays are sized
     ("state_dim", 10**21, f"track a at scan 1 has dimension 1, expected {10**21}"),
+    # within the index range but beyond the cap: no array of it is allocated
+    ("scans", 4 * 10**12, f"cannot hold the states of 1 track(s) over {4 * 10**12} scans "
+                          "in 1 dimensions"),
+    # a file whose count differs from the other file's, named with both paths
+    ("scans", 3, "scan counts differ: {bad} has 3, {good} has 2"),
 ], ids=["zero-scans", "zero-state_dim", "scans-beyond-index-range",
-        "state_dim-beyond-index-range"])
+        "state_dim-beyond-index-range", "scans-beyond-cap", "scan-counts-differ"])
 def test_compute_count_out_of_range_exit_3(tmp_path, capsys, field, value, message):
-    # a count below 1 exited 4 as a configuration error, and a count beyond
-    # the index range crashed with ValueError and exit 1
+    # a count below 1 exited 4 as a configuration error, a count beyond the
+    # index range crashed with ValueError and exit 1, and one within it but
+    # too large to allocate crashed with MemoryError and exit 1
     doc = {"scans": 2, "state_dim": 1, "tracks": [{"id": "a", "points": [{"t": 1, "x": [0.0]}]}]}
-    bad = tmp_path / "count.json"
+    bad, good = tmp_path / "count.json", tmp_path / "good.json"
     bad.write_text(json.dumps({**doc, field: value}))
-    code, _, err = run(capsys, "compute", str(bad), str(bad))
-    assert (code, err) == (3, f"validation error: {message}\n")
+    good.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "compute", str(bad), str(good))
+    assert (code, err) == (3, f"validation error: {message.format(bad=bad, good=good)}\n")
 
 
 def test_compute_state_dim_beyond_index_range_exit_3(tmp_path, capsys):
-    # crashed with ValueError and exit 1 from the coordinates' reshape
-    bad = tmp_path / "dim.json"
-    bad.write_text(json.dumps({"scans": 2, "state_dim": 10**21, "tracks": []}))
-    code, _, err = run(capsys, "compute", str(bad), str(bad))
-    assert (code, err) == (3, "validation error: cannot hold the states of 0 track(s) over 2 "
-                              f"scans in {10**21} dimensions\n")
+    # crashed with ValueError and exit 1 from the coordinates' reshape, and
+    # a scan count within the index range but beyond the cap with MemoryError
+    # from the per-scan counts
+    for scans, dim in ((2, 10**21), (4 * 10**12, 1)):
+        bad = tmp_path / "dim.json"
+        bad.write_text(json.dumps({"scans": scans, "state_dim": dim, "tracks": []}))
+        code, _, err = run(capsys, "compute", str(bad), str(bad))
+        assert (code, err) == (3, f"validation error: cannot hold the states of 0 track(s) "
+                                  f"over {scans} scans in {dim} dimensions\n")
 
 
 def test_compute_parse_error_exit_2(tmp_path, capsys):

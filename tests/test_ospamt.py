@@ -1,6 +1,7 @@
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 import warnings
 from fractions import Fraction
 
@@ -669,8 +670,11 @@ def test_greedy_metric_prices_one_cost_matrix(monkeypatch):
             ospamt_metric(a, b, params, Mode.GREEDY)
             assert len(priced) == 1
             est, tru = reports
-            assert est == quasi_ospamt(b, a, params, Mode.GREEDY, Direction.EST_TO_TRUTH)
-            assert tru == quasi_ospamt(a, b, params, Mode.GREEDY, Direction.TRUTH_TO_EST)
+            assert est == quasi_ospamt(b, a, params, Mode.GREEDY)
+            # a direct call puts its source in the estimate's role
+            direct = quasi_ospamt(a, b, params, Mode.GREEDY)
+            assert tru == replace(direct, assignment=replace(
+                direct.assignment, direction=Direction.TRUTH_TO_EST))
 
 
 def test_t1_reduction_to_ospa_spot():
@@ -840,6 +844,15 @@ def test_split_noop_when_one_to_one():
     new_est, log = split_tracks(sc.truth, sc.est, params, Mode.EXACT)
     assert log == []
     assert same_track_sets(new_est, sc.est)
+
+
+def test_split_with_an_empty_set_returns_the_estimate():
+    params = MetricParams()
+    sc = fig(FigureId.FIG5)
+    empty = TrackSet(sc.truth.scans, 1, ())
+    for truth, est in ((empty, sc.est), (sc.truth, empty), (empty, empty)):
+        new_est, log = split_tracks(truth, est, params, Mode.EXACT)
+        assert new_est is est and log == []
 
 
 def test_split_interleaved_lifetimes():

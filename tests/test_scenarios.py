@@ -92,3 +92,60 @@ def test_false_track_strictly_increases_total():
     est_plus = TrackSet(est.scans, est.state_dim, est.tracks + (far,))
     more = ospamt_metric(truth, est_plus, params, Mode.EXACT).total
     assert more > base
+
+
+def _runs(*runs):
+    """scan -> value of runs given as (first scan, last scan, value)."""
+    return {t: value for first, last, value in runs for t in range(first, last + 1)}
+
+
+#: Every figure at the default spec (epsilon 1, eta 5, beta 1000): its scan
+#: count, then each set as track label -> scan -> value, in track order.
+FIGURE_POINTS = {
+    FigureId.FIG1A: (5, {"t1": _runs((1, 5, 0.0))},
+                     {"e1": _runs((1, 3, 1.0)), "e2": _runs((4, 5, 1.0))}),
+    FigureId.FIG1B: (5, {"t1": _runs((1, 5, 0.0)), "t3": _runs((4, 5, 1001.0))},
+                     {"e1": _runs((1, 3, 1.0)), "e2": _runs((4, 5, 1.0))}),
+    FigureId.FIG1C: (5, {"t1": _runs((1, 5, 0.0))}, {"e1": _runs((1, 5, 1000.0))}),
+    FigureId.FIG1D: (5, {"t1": _runs((1, 5, 0.0))},
+                     {"e1": _runs((1, 3, 1.0)), "e2": _runs((4, 5, 1000.0))}),
+    FigureId.FIG5: (5, {"t1": _runs((1, 3, 0.0)), "t2": _runs((4, 5, 0.0))},
+                    {"e1": _runs((1, 5, 1.0))}),
+    FigureId.FIG6: (5, {"t1": _runs((1, 3, 0.0)), "t2": _runs((4, 5, 0.0))},
+                    {"e1": _runs((1, 3, 1.0), (4, 5, 1000.0))}),
+    FigureId.FIG8: (5, {"t1": _runs((1, 3, 0.0)), "t2": _runs((4, 5, 0.0))},
+                    {"e1": _runs((1, 3, 1.0)), "e2": _runs((4, 5, 1.0))}),
+    FigureId.FIG9A: (3, {"t1": _runs((1, 3, 0.0)), "t2": _runs((1, 3, 1001.0))},
+                     {"e1": {1: 1000.0, 2: 1.0, 3: 1.0}, "e2": {1: 1.0, 2: 1000.0, 3: 1000.0}}),
+    FigureId.FIG9B: (3, {"t1": _runs((1, 3, 0.0)), "t2": _runs((1, 3, 1001.0))},
+                     {"e1": {1: 5.0, 2: 1.0, 3: 1.0}, "e2": {1: 996.0, 2: 1000.0, 3: 1000.0}}),
+    FigureId.FIG10A: (4, {"t1": _runs((1, 2, 0.0))}, {"e1": _runs((3, 4, 0.0))}),
+    FigureId.FIG11A: (4, {"t1": _runs((1, 2, 0.0))},
+                      {"e1": _runs((1, 2, 1.0)), "e2": _runs((3, 4, 0.0))}),
+    FigureId.FIG11B: (4, {"t1": _runs((1, 2, 0.0))},
+                      {"e1": _runs((1, 2, 1.0)), "e2": _runs((3, 4, 0.0)),
+                       "e3": _runs((3, 4, 1.0))}),
+    FigureId.FIG12: (6, {"t1": _runs((1, 6, 0.0)), "t2": {1: 1001.0, 2: 2.0},
+                         "t3": _runs((3, 5, 1001.0))},
+                     {"e1": _runs((1, 3, 1.0)), "e2": _runs((5, 6, 1.0))}),
+    FigureId.FIG12A: (6, {"t1": _runs((1, 2, 0.0)), "t2": _runs((3, 4, 0.0))},
+                      {"e1": _runs((1, 2, 1.0)), "e2": _runs((3, 4, 1000.0)),
+                       "e3": _runs((3, 6, 1.0))}),
+    FigureId.FIG12B: (6, {"t1": _runs((1, 2, 0.0)), "t2": _runs((3, 4, 0.0))},
+                      {"e1": _runs((1, 6, 1.0)), "e2": _runs((3, 4, 1000.0))}),
+    FigureId.FIG13: (5, {"t1": _runs((1, 5, 0.0))}, {"e1": _runs((3, 5, 1.0))},
+                     {"a1": _runs((1, 3, 2.0)), "a2": _runs((4, 5, 2.0))}),
+}
+
+
+@pytest.mark.parametrize("fig", list(FigureId), ids=[fig.value for fig in FigureId])
+def test_every_figure_at_the_default_spec(fig):
+    scans, *want = FIGURE_POINTS[fig]
+    sc = build(ScenarioSpec(fig))
+    sets = [sc.truth, sc.est] + ([sc.alt] if sc.alt is not None else [])
+    assert len(sets) == len(want)
+    for track_set, tracks in zip(sets, want):
+        assert (track_set.scans, track_set.state_dim) == (scans, 1)
+        assert {trk.label: {t: x for t, (x,) in trk.points.items()}
+                for trk in track_set.tracks} == tracks
+        assert track_set.labels == tuple(tracks)

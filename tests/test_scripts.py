@@ -133,6 +133,13 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
     signature = "def main(argv: list[str] | None = None) -> int:\n"
     module.write_text(module.read_text(encoding="utf-8").replace(
         signature, signature + "    raise RuntimeError('no main')\n"), encoding="utf-8")
+    # and a copy that draws fig10a as fig11a: the workload instances come
+    # from the new tree's figures, so only the scenario runs can see it
+    refigured = tmp_path / "refigured"
+    shutil.copytree(src / "trackmetric", refigured / "trackmetric",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(refigured / "trackmetric" / "scenarios.py", "a", encoding="utf-8") as fh:
+        fh.write("_FIGURES[FigureId.FIG10A] = _FIGURES[FigureId.FIG11A]\n")
     path = SCRIPTS / "same_outputs.py"
 
     def compare(new) -> tuple[int, list[str]]:
@@ -145,21 +152,31 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
         assert lines[0].split() == ["run", "differs", "in"]
         return exc.value.code, lines
 
-    for new, code, differ in ((src, 0, 0), (changed, 1, 12)):
+    # one selftest, 23 runs on rejected files, 16 figures under 2 specs and
+    # a random scenario under 3 option sets (the last refused), then 2
+    # instances, each scored under 4 parameter sets in 3 formats, once more
+    # as a table without the assignment, and split under 2
+    # json, and the files every split and every written scenario write, differ
+    for new, code, counts in ((src, 0, (0, 0, 0)), (changed, 1, (8, 4, 34))):
         got, lines = compare(new)
         assert got == code
-        # one selftest, 23 runs on rejected files, then 2 instances, each
-        # scored under 4 parameter sets in 3 formats, once more as a table
-        # without the assignment, and split under 2; json and the split
-        # files differ
-        assert lines[-1] == f"{differ} of 54 runs differ"
+        assert lines[-1] == f"{sum(counts)} of 89 runs differ"
         assert lines[-3:-1] == ["split small_batch: 2 no cut", "split exact_dense: 2 no cut"]
+        differing = lines[1:-3]
         assert all(" json " in line and line.endswith(" stdout")
-                   or " split " in line and line.endswith(" file") for line in lines[1:-3])
-        assert sum(" split " in line for line in lines[1:-3]) == differ // 3
+                   or line.endswith(" file") for line in differing)
+        assert (sum(" json " in line for line in differing),
+                sum(" split " in line for line in differing),
+                sum(line.startswith("scenario ") for line in differing)) == counts
     # every run of the crashed tree exits 1, so every one differs
     code, lines = compare(crashed)
     assert code == 1
-    assert lines[-1] == "54 of 54 runs differ"
+    assert lines[-1] == "89 of 89 runs differ"
     assert lines[-3:-1] == ["split small_batch: 2 exit 1", "split exact_dense: 2 exit 1"]
     assert all(" exit code, " in line for line in lines[1:-3])
+    # a changed figure shows in its files alone
+    code, lines = compare(refigured)
+    assert code == 1
+    assert [line.split() for line in lines[1:-3]] == [
+        ["scenario", "fig10a", spec, "file"] for spec in ("defaults", "fractional")]
+    assert lines[-1] == "2 of 89 runs differ"
