@@ -3,7 +3,9 @@
 ``scenario`` and ``selftest`` outputs.
 
 Every file of ``ERROR_DOCS``, one per kind of parse or validation error,
-is scored by ``trackmetric compute BAD VALID --metric all``.  Every figure
+is scored by ``trackmetric compute BAD VALID --metric all``, once more with
+the options of ``ERROR_OPTIONS`` where it has some, and a split of VALID is
+written into a missing directory.  Every figure
 is written by ``trackmetric scenario FIG`` under each spec of
 ``FIGURE_SPECS``, and a random scenario at each seed under each option set
 of ``RANDOM_OPTIONS``; these files come from each tree itself, so a changed
@@ -122,20 +124,31 @@ ERROR_DOCS = {
     "NaN coordinate": _error_doc(x=[1.0, float("nan")]),
     "integer beyond float range": _error_doc(x=[1.0, 10**400]),
     "scan counts differ": _error_doc(scans=4),
+    "state dimensions differ": {"scans": 3, "state_dim": 1,
+                                "tracks": [{"id": "a", "points": [{"t": 1, "x": [0.0]}]}]},
 }
+#: More options a file of ``ERROR_DOCS`` is scored with, in one more run.
+ERROR_OPTIONS = {"state dimensions differ": ["--scale", "1,2"]}
 
 
 def build_error_runs(workdir: Path) -> list[dict]:
     """Write ``ERROR_DOCS`` and the valid document they are scored against,
-    and list one ``compute`` run per document."""
+    and list the ``compute`` runs on each document, then a ``split`` whose
+    output directory is missing."""
     valid = workdir / "valid.json"
     valid.write_text(json.dumps(_error_doc()), encoding="utf-8")
     runs = []
     for k, (name, doc) in enumerate(ERROR_DOCS.items()):
         path = workdir / f"error{k}.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
-        runs.append({"id": f"error: {name}",
-                     "argv": ["compute", str(path), str(valid), "--metric", "all"]})
+        argv = ["compute", str(path), str(valid), "--metric", "all"]
+        runs.append({"id": f"error: {name}", "argv": argv})
+        if name in ERROR_OPTIONS:
+            runs.append({"id": f"error: {name} {' '.join(ERROR_OPTIONS[name])}",
+                         "argv": argv + ERROR_OPTIONS[name]})
+    # relative to the worker's own directory, so the message reads the same
+    runs.append({"id": "error: split --out in a missing directory",
+                 "argv": ["split", str(valid), str(valid), "--out", "missing/split.json"]})
     return runs
 
 

@@ -5,15 +5,20 @@ a cost matrix through row minima, column minima, a merge and an ordering
 sweep, and a minimum-cost one-to-one solver used by the per-scan metrics.
 The exact many-to-one search is a subset DP in ``ospamt``; this module holds
 its enumeration cap and the tie rule every search shares.
+
+Only the one-to-one solver needs scipy, and only OSPA and OSPAT solve one:
+:func:`linear_sum_assignment` imports ``scipy.optimize`` on its first call,
+so a process that scores OSPAMT alone, splits or writes scenarios never
+loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 #: Sentinel for forbidden pairs in cost matrices.
 INFEASIBLE = math.inf
@@ -25,6 +30,21 @@ ENUMERATION_CAP = 10
 #: most ``TIE`` times the problem's own scale above it, so a tie never
 #: depends on the unit the states are written in.
 TIE = 1e-9
+
+
+@functools.cache
+def _scipy_solver():
+    # importing scipy.optimize costs more than the rest of the package
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's minimum-cost rectangular assignment, imported on the first
+    call: rows and their columns, as ``scipy.optimize.linear_sum_assignment``
+    returns them."""
+    return _scipy_solver()(cost)
 
 
 @dataclass(frozen=True)

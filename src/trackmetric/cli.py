@@ -19,7 +19,14 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .core import MetricParams, MetricReport, ScanDistances, TrackSet, scan_distances
+from .core import (
+    MetricParams,
+    MetricReport,
+    ScanDistances,
+    TrackSet,
+    check_comparable,
+    scan_distances,
+)
 from .errors import (
     BadParametersError,
     NoConvergenceError,
@@ -188,6 +195,7 @@ def _load_pair(args: argparse.Namespace, params: MetricParams) -> tuple[TrackSet
             f"scan counts differ: {args.truth} has {truth.scans}, "
             f"{args.est} has {est.scans}"
         )
+    check_comparable(truth, est)  # scans agree, so this checks state dimensions
     if params.scale is not None and len(params.scale) != truth.state_dim:
         raise BadParametersError(
             f"--scale has {len(params.scale)} factors for state dimension {truth.state_dim}"

@@ -31,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from .core import TrackSet
-from .errors import BadParametersError, ParseError, ValidationError
+from .errors import BadParametersError, ParseError, TrackMetricError, ValidationError
 
 
 #: The types of a coordinate: JSON true is a Python bool, not a number.
@@ -145,6 +145,11 @@ def load_track_set(path: str | Path) -> TrackSet:
 
 
 def save_track_set(track_set: TrackSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(track_set_to_obj(track_set), fh, indent=2)
-        fh.write("\n")
+    """Write a set's document; a path that cannot be written, such as one
+    in a missing directory or a directory itself, is a ``TrackMetricError``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(track_set_to_obj(track_set), fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise TrackMetricError(f"cannot write {path}: {exc}") from exc

@@ -2,18 +2,25 @@ import csv
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import golden, library_reports, same_track_sets
 from oracles import legacy_track_set_from_obj
+import trackmetric
+import trackmetric.assign as assign
 from trackmetric.cli import main
 from trackmetric.core import MetricParams, Track, TrackSet
 from trackmetric.errors import BadParametersError, ParseError, ValidationError
 from trackmetric.io import load_track_set, save_track_set
+from trackmetric.ospa import ospa_per_scan
 from trackmetric.scenarios import FigureId, ScenarioSpec, build, random_scenario
 
 
@@ -375,9 +382,11 @@ def test_compute_dimension_mismatch_exit_3(tmp_path, capsys):
     save_track_set(
         TrackSet(5, 2, (Track({1: (0.0, 0.0)}),)), other
     )
-    code, _, err = run(capsys, "compute", str(truth), str(other))
-    assert code == 3
-    assert "dimension" in err.lower()
+    # with --scale sized for the estimate, the mismatch exited 4 as a
+    # configuration error naming --scale
+    for extra in ((), ("--scale", "1,2")):
+        code, _, err = run(capsys, "compute", str(truth), str(other), *extra)
+        assert (code, err) == (3, "validation error: state dimensions differ: 1 vs 2\n")
 
 
 @pytest.mark.parametrize("digits", ["1" + "0" * 400, "-1" + "0" * 400, "1e400"],
@@ -550,6 +559,26 @@ def test_fig13_requires_alt_path(tmp_path, capsys):
     assert code == 4
     assert "--alt" in err
     assert not (tmp_path / "t.json").exists() and not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["scenario", "fig1a", "--truth", "{missing}", "--est", "{tmp}/e.json"], "{missing}"),
+    (["scenario", "fig1a", "--truth", "{tmp}/t.json", "--est", "{missing}"], "{missing}"),
+    (["split", "{tmp}/truth.json", "{tmp}/est.json", "--out", "{missing}"], "{missing}"),
+    (["split", "{tmp}/truth.json", "{tmp}/est.json", "--out", "{tmp}"], "{tmp}"),
+], ids=["scenario-truth", "scenario-est", "split-out", "split-out-directory"])
+def test_unwritable_output_path_exit_4(tmp_path, capsys, argv, target):
+    # each ended in a FileNotFoundError or IsADirectoryError traceback, exit 1
+    write_scenario(tmp_path, FigureId.FIG5)
+    names = {"tmp": tmp_path, "missing": tmp_path / "no-such-dir" / "o.json"}
+    target = target.format(**names)
+    code, _, err = run(capsys, *(arg.format(**names) for arg in argv))
+    assert code == 4
+    assert err.startswith(f"error: cannot write {target}: [Errno ")
+    assert not (tmp_path / "no-such-dir").exists()
+    # scenario writes the truth file first and stops at the first failure
+    assert (tmp_path / "t.json").exists() == ("{tmp}/t.json" in argv)
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_split_fig5(tmp_path, capsys):
@@ -927,3 +956,64 @@ def test_one_parser_serves_consecutive_calls(tmp_path, capsys):
     assert [call(argv) for argv in calls] == fresh
     assert build_parser.cache_info().misses == 1
     assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 0, 2, 0]
+
+
+# ------------------------------------------------------------ scipy loading
+
+#: Run in a fresh interpreter: the CLI commands that solve no one-to-one
+#: problem, each followed by whether scipy.optimize is loaded, then
+#: ``compute --metric all`` on fig 9a, whose scans hold two tracks per side.
+_SCIPY_PROBE = """
+import sys
+loaded = lambda: "scipy.optimize" in sys.modules
+import trackmetric
+seen = [loaded()]
+from trackmetric.cli import main
+seen.append(loaded())
+main(["scenario", "fig9a", "--truth", "t.json", "--est", "e.json"])
+seen.append(loaded())
+for mode in ("exact", "greedy", "auto"):
+    main(["compute", "t.json", "e.json", "--metric", "ospamt", "--mode", mode])
+    seen.append(loaded())
+main(["split", "t.json", "e.json", "--out", "s.json"])
+seen.append(loaded())
+print("LOADED", seen)
+main(["compute", "t.json", "e.json", "--metric", "all", "--per-time", "--report-assignment"])
+print("LOADED", loaded())
+"""
+
+
+def _probe(tmp_path, preamble=""):
+    src = str(Path(trackmetric.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", preamble + _SCIPY_PROBE], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_scipy_optimize_loads_on_the_first_one_to_one_solve(tmp_path):
+    # it was imported with trackmetric.assign, so by every command
+    lazy = _probe(tmp_path)
+    lines = lazy.splitlines()
+    assert "LOADED [False, False, False, False, False, False, False]" in lines
+    assert lines[-1] == "LOADED True"
+    # every output is that of a process that loaded it first
+    eager = _probe(tmp_path, "import scipy.optimize\n").splitlines()
+    assert eager[-1] == "LOADED True"
+    assert [line for line in eager if not line.startswith("LOADED")] == [
+        line for line in lines if not line.startswith("LOADED")]
+
+
+def test_ospa_solves_through_the_module_solver(monkeypatch):
+    solves = []
+
+    def counted(cost):
+        solves.append(np.shape(cost))
+        return real(cost)
+
+    real = assign.linear_sum_assignment
+    monkeypatch.setattr(assign, "linear_sum_assignment", counted)
+    sc = build(ScenarioSpec(FigureId.FIG9A))
+    ospa_per_scan(sc.truth, sc.est, MetricParams())
+    assert solves and all(len(shape) == 2 and min(shape) >= 2 for shape in solves)
