@@ -99,7 +99,10 @@ def _error_doc(**changes) -> dict:
 
 #: Track-set files that ``compute`` must reject, one per parse error and one
 #: per validation error, each scored against the valid ``_error_doc()``.  A
-#: value is a document, or the file's text where that is no JSON document.
+#: value is a document, or the file's text or bytes where that is no JSON
+#: document.  The bare ``NaN``, the integers beyond 64 bits or float range,
+#: the invalid UTF-8 and the deep nesting are files orjson refuses or reads
+#: as floats, so the stdlib parser decides them.
 ERROR_DOCS = {
     "not json": "{\"scans\": 3,",
     "top level not an object": "[]",
@@ -123,6 +126,9 @@ ERROR_DOCS = {
     "wrong dimension": _error_doc(x=[1.0]),
     "NaN coordinate": _error_doc(x=[1.0, float("nan")]),
     "integer beyond float range": _error_doc(x=[1.0, 10**400]),
+    "t of 2^64": _error_doc(point={"t": 2**64, "x": [1.0, 2.0]}),
+    "invalid UTF-8": json.dumps(_error_doc()).encode().replace(b'"b"', b'"\xff"'),
+    "deep nesting": f'{{"scans": 3, "state_dim": 2, "tracks": {"[" * 100000}{"]" * 100000}}}',
     "scan counts differ": _error_doc(scans=4),
     "state dimensions differ": {"scans": 3, "state_dim": 1,
                                 "tracks": [{"id": "a", "points": [{"t": 1, "x": [0.0]}]}]},
@@ -140,7 +146,9 @@ def build_error_runs(workdir: Path) -> list[dict]:
     runs = []
     for k, (name, doc) in enumerate(ERROR_DOCS.items()):
         path = workdir / f"error{k}.json"
-        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        if not isinstance(doc, (str, bytes)):
+            doc = json.dumps(doc)
+        path.write_bytes(doc if isinstance(doc, bytes) else doc.encode("utf-8"))
         argv = ["compute", str(path), str(valid), "--metric", "all"]
         runs.append({"id": f"error: {name}", "argv": argv})
         if name in ERROR_OPTIONS:

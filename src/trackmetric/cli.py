@@ -242,8 +242,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 for res in results
             },
         }
-        json.dump(doc, sys.stdout, indent=2)
-        print()
+        print(json.dumps(doc, indent=2))
     elif args.output == "csv":
         _emit_csv(results, args.at_time, sys.stdout)
     else:

@@ -7,8 +7,9 @@ code cannot hide in its own oracle.  Sizes are expected to be tiny.
 The exceptions are the ``legacy_*`` copies and the ``dense_*`` formulas at
 the end.  The ``legacy_*`` copies are the library's earlier code: the
 greedy sweep entry by entry and its order matrix read row by row, the
-OSPAMT scoring target by target, and the decoder that made one ``Track``
-per track and checked every point twice; the library must give the same
+OSPAMT scoring target by target, the decoder that made one ``Track``
+per track and checked every point twice, and the loader that parsed every
+file with the stdlib ``json`` module; the library must give the same
 results and raise the same errors.  The ``dense_*`` formulas are the
 library's earlier whole-tensor arithmetic, which computed every
 (N_a, N_b, T) entry, NaN included.  The library now gathers the coexisting
@@ -18,6 +19,7 @@ entries only, scan by scan, and must match these to the last bit.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -36,6 +38,7 @@ from trackmetric.errors import (
     TooLargeError,
     ValidationError,
 )
+from trackmetric.io import track_set_from_obj
 
 
 def oracle_check(scans: int, state_dim: int, tracks: tuple[Track, ...]) -> None:
@@ -560,6 +563,21 @@ def legacy_track_set_checks(scans: int, dim: int, tracks: tuple[Track, ...]):
     exists = np.zeros((len(tracks), scans), dtype=bool)
     exists.reshape(-1)[flat] = True
     return tuple(names), states, exists
+
+
+def legacy_load_track_set(path) -> TrackSet:
+    """The track-set loader as it read before files were parsed by orjson:
+    the stdlib parser alone, in text mode, then the library's decoder.  A
+    file that is not UTF-8 raised ``UnicodeDecodeError`` from it, and one
+    nested too deeply ``RecursionError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    return track_set_from_obj(obj)
 
 
 def dense_scan_distances(a: TrackSet, b: TrackSet, params: MetricParams, order=None):

@@ -8,17 +8,18 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from string import Template
 
 import numpy as np
 import pytest
 
 from conftest import golden, library_reports, same_track_sets
-from oracles import legacy_track_set_from_obj
+from oracles import legacy_load_track_set, legacy_track_set_from_obj
 import trackmetric
 import trackmetric.assign as assign
 from trackmetric.cli import main
 from trackmetric.core import MetricParams, Track, TrackSet
-from trackmetric.errors import BadParametersError, ParseError, ValidationError
+from trackmetric.errors import BadParametersError, ParseError, TrackMetricError, ValidationError
 from trackmetric.io import load_track_set, save_track_set
 from trackmetric.ospa import ospa_per_scan
 from trackmetric.scenarios import FigureId, ScenarioSpec, build, random_scenario
@@ -138,12 +139,15 @@ def _doc(**changes):
         {"scans": 3, "state_dim": 1},
         _doc(tracks={}),
         None,
+        json.dumps(_doc()).encode().replace(b'"b"', b'"\xff"'),
+        b'{"scans": 1, "state_dim": 1, "tracks": ' + b"[" * 100000 + b"]" * 100000 + b"}",
     ],
     ids=[
         "fractional-scans", "true-scans", "fractional-state-dim", "true-state-dim",
         "fractional-t", "true-t", "float-t", "string-x", "string-coordinate",
         "true-coordinate", "duplicate-id", "points-int", "points-null", "id-null",
         "id-int", "top-level-list", "missing-tracks", "tracks-object", "unreadable-path",
+        "invalid-utf8", "deep-nesting",
     ],
 )
 def test_malformed_fields_are_parse_errors(tmp_path, capsys, doc):
@@ -152,6 +156,8 @@ def test_malformed_fields_are_parse_errors(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
     if doc is None:
         bad.mkdir()  # a directory, which cannot be read as a file
+    elif isinstance(doc, bytes):
+        bad.write_bytes(doc)  # the file's raw bytes
     else:
         bad.write_text(json.dumps(doc))
     with pytest.raises(ParseError):
@@ -264,6 +270,122 @@ def test_decoder_matches_the_track_by_track_decoder(tmp_path):
                           "ScanOutOfRangeError", "DimensionMismatchError",
                           "NonFiniteCoordinateError"}, kinds
     assert min(kinds.values()) >= 20, kinds
+
+
+#: A valid document whose scan count, state dimension, first scan index and
+#: coordinate, and second id the raw texts below replace.
+_TEXT = Template('{"scans": $scans, "state_dim": $dim, "tracks": [{"id": "a", "points": '
+                 '[{"t": $t, "x": [$x]}, {"t": 2, "x": [0.25]}]}, '
+                 '{"id": $id, "points": [{"t": 3, "x": [1.5]}]}]}')
+
+
+def _text(**fields) -> bytes:
+    return _TEXT.substitute({"scans": 3, "dim": 1, "t": 1, "x": 0.5, "id": '"b"', **fields}).encode()
+
+
+def _nested(depth: int) -> bytes:
+    return b"[" * depth + b"]" * depth
+
+
+def _raw_texts() -> dict[str, bytes]:
+    """A valid file, then files a ``json.dumps`` round trip cannot write,
+    where orjson and the stdlib parser may part."""
+    texts = {"valid": _text()}
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 399):
+        texts[f"x {literal[:9]}"] = _text(x=literal)
+    # integers orjson reads as floats; the third is halfway between two floats
+    for name, value in (("2^64", 2**64), ("2^64+1", 2**64 + 1), ("2^64+2048", 2**64 + 2048),
+                        ("-2^63-1", -(2**63) - 1)):
+        for field in ("x", "t", "scans", "dim"):
+            texts[f"{field} {name}"] = _text(**{field: value})
+    texts["lone surrogate id"] = _text(id='"\\ud800"')
+    texts["duplicate keys, last valid"] = _text().replace(b'"scans": 3', b'"scans": 0, "scans": 3')
+    texts["duplicate keys, last invalid"] = _text(id='"b", "id": "a"')
+    texts["BOM"] = b"\xef\xbb\xbf" + _text()
+    lines = json.dumps(json.loads(_text()), indent=1).splitlines()
+    assert lines[2] == ' "state_dim": 1,'
+    lines[2] += ","
+    texts["CRLF, error on line 3"] = "\r\n".join(lines).encode()
+    texts["invalid UTF-8"] = _text().replace(b'"b"', b'"b\xff"')
+    texts["truncated UTF-8"] = _text().replace(b'"b"', b'"\xe2\x82"')
+    # orjson reads 3000 levels, and the decoder's message of them fails in
+    # repr; 100 000 are over the count of "[" and "{" orjson is given
+    texts["deep tracks"] = _text().replace(b'"a"', _nested(3000))
+    texts["deep scans"] = _text(scans=_nested(3000).decode())
+    texts["very deep tracks"] = _text().replace(b'"a"', _nested(100000))
+    return texts
+
+
+def _mutations(rng: random.Random, count: int):
+    """``count`` texts, each a valid one with one to three byte fragments
+    inserted, replaced or deleted at random places."""
+    fragments = (b"NaN", b"Infinity", b"1e400", b"18446744073709551616", b"\r\n", b'"', b"\\",
+                 b"\\ud800", b"\xff", b"\xef\xbb\xbf", b"[", b"]", b"{", b"}", b",", b":", b"-",
+                 b"0", b".5", b"true", b"null", b" ")
+    for _ in range(count):
+        text = _text(x=rng.choice((0.5, -3, 2**64)))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text))
+            cut = rng.choice((0, 0, 1, 2))
+            text = text[:at] + rng.choice(fragments + (b"",)) + text[at + cut:]
+        yield text
+
+
+def _load_outcome(load, path):
+    try:
+        ts = load(path)
+    except (TrackMetricError, UnicodeDecodeError, RecursionError) as exc:
+        return type(exc), str(exc)
+    return ts.labels, ts.states.shape, ts.states.tobytes(), ts.exists.tobytes()
+
+
+def test_loader_matches_the_stdlib_loader(tmp_path, monkeypatch):
+    # every file, parsed by orjson or handed to the stdlib parser, loads as
+    # the stdlib parser alone loads it in text mode, or raises what it
+    # raises; a file that is not UTF-8 or nests too deeply is now a parse error
+    path = tmp_path / "set.json"
+    stdlib_load = json.load
+    decided_by_stdlib = set()
+    outcomes = Counter()
+    raw = _raw_texts()
+    texts = [*raw.items(), *((f"mutation {k}", text)
+                             for k, text in enumerate(_mutations(random.Random(24), 600)))]
+    for name, text in texts:
+        path.write_bytes(text)
+        want = _load_outcome(legacy_load_track_set, path)
+        if want[0] is UnicodeDecodeError:
+            want = ParseError, f"{path} is not valid UTF-8: {want[1]}"
+        elif want[0] is RecursionError:
+            want = ParseError, f"{path} is nested too deeply: {want[1]}"
+        with monkeypatch.context() as patched:
+            patched.setattr(json, "load", lambda fh: decided_by_stdlib.add(name) or stdlib_load(fh))
+            got = _load_outcome(load_track_set, path)
+        assert got == want, name
+        outcomes[want[0].__name__ if isinstance(want[0], type) else "valid"] += 1
+        if name == "CRLF, error on line 3":
+            # the offset counts each CRLF as one character, as text mode reads it
+            with pytest.raises(json.JSONDecodeError) as exc:
+                json.loads(text.replace(b"\r\n", b"\n"))
+            assert got == (ParseError, f"{path} is not valid JSON: {exc.value}")
+            assert "line 3" in got[1]
+    # orjson alone decides the files it reads as the stdlib does and that load
+    assert set(raw) - decided_by_stdlib == {
+        "valid", "x 2^64", "x 2^64+1", "x 2^64+2048", "x -2^63-1", "duplicate keys, last valid"}
+    assert outcomes["valid"] >= 20 and outcomes["ParseError"] >= 100, outcomes
+
+
+def test_a_file_nested_past_orjson_stack_is_a_parse_error(tmp_path):
+    # orjson 3.8 sets no nesting limit, and 200 000 nested objects overflow
+    # its stack and kill the process; such a file goes to the stdlib parser
+    path = tmp_path / "deep.json"
+    path.write_bytes(b'{"scans": 1, "state_dim": 1, "tracks": [], "note": '
+                     + b'{"a": ' * 200000 + b"1" + b"}" * 200000 + b"}")
+    src = str(Path(trackmetric.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "trackmetric.cli", "compute", str(path),
+                           str(path)], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"parse error: {path} is nested too deeply: ")
 
 
 @pytest.mark.parametrize(

@@ -152,7 +152,7 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
         assert lines[0].split() == ["run", "differs", "in"]
         return exc.value.code, lines
 
-    # one selftest, 25 runs on rejected files and a split into a missing
+    # one selftest, 28 runs on rejected files and a split into a missing
     # directory, 16 figures under 2 specs and a random scenario under 3
     # option sets (the last refused), then 2 instances, each scored under 4
     # parameter sets in 3 formats, once more as a table without the
@@ -161,7 +161,7 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
     for new, code, counts in ((src, 0, (0, 0, 0)), (changed, 1, (8, 4, 34))):
         got, lines = compare(new)
         assert got == code
-        assert lines[-1] == f"{sum(counts)} of 92 runs differ"
+        assert lines[-1] == f"{sum(counts)} of 95 runs differ"
         assert lines[-3:-1] == ["split small_batch: 2 no cut", "split exact_dense: 2 no cut"]
         differing = lines[1:-3]
         assert all(" json " in line and line.endswith(" stdout")
@@ -172,7 +172,7 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
     # every run of the crashed tree exits 1, so every one differs
     code, lines = compare(crashed)
     assert code == 1
-    assert lines[-1] == "92 of 92 runs differ"
+    assert lines[-1] == "95 of 95 runs differ"
     assert lines[-3:-1] == ["split small_batch: 2 exit 1", "split exact_dense: 2 exit 1"]
     assert all(" exit code, " in line for line in lines[1:-3])
     # a changed figure shows in its files alone
@@ -180,4 +180,4 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
     assert code == 1
     assert [line.split() for line in lines[1:-3]] == [
         ["scenario", "fig10a", spec, "file"] for spec in ("defaults", "fractional")]
-    assert lines[-1] == "2 of 92 runs differ"
+    assert lines[-1] == "2 of 95 runs differ"
