@@ -4,7 +4,8 @@ A track is a sparse map from 1-based scan indices to state vectors; a scan
 with no entry means the target does not exist then.  A track set fixes the
 number of scans T and the state dimension for all of its tracks, and is
 valid once built: its constructor rejects every set that breaks one of
-these rules, so the metrics trust every set they are given.  Everything
+these rules, so the metrics trust every set they are given, and a distance
+layer only with the two sets it was built from (``layer_for``).  Everything
 here is immutable after construction and all functions are pure.
 """
 
@@ -42,8 +43,8 @@ class Track:
     """One target trajectory: existing scans mapped to state vectors.
 
     A record only: a ``TrackSet`` reads it once, when built, and the metrics
-    read the set's arrays; a loaded set makes its tracks from those arrays
-    when ``tracks`` is first read.  A bare number, Python or numpy, or any
+    read the set's arrays; a set makes its tracks from those arrays when
+    ``tracks`` is first read.  A bare number, Python or numpy, or any
     other value with no axes, is a 1-D state.  An integer beyond float range
     reads as an infinite coordinate, which ``TrackSet`` rejects.  ``label``
     is carried for reporting only; it plays no role in any distance.
@@ -85,16 +86,15 @@ class TrackSet:
 
     The set holds ``labels``, every track's ``track_label``; ``states``
     (N, T, D), NaN where a track does not exist; and the ``exists`` (N, T)
-    mask.  The arrays are read-only and play no role in ``==``.  A set made
-    by ``from_records`` has no ``Track`` objects: ``tracks`` builds them from
-    the arrays on first read, with points in scan order.
+    mask.  The arrays are read-only.  Two sets are equal when their scans,
+    state dimension, labels, masks and existing states are.  A set keeps no
+    ``Track``: ``tracks`` builds them from the arrays on first read, with
+    points in scan order.
     """
 
     def __init__(self, scans: int, state_dim: int, tracks: Iterable[Track] = ()) -> None:
-        tracks = tuple(tracks)
-        records = [(trk.label if trk.label is not None else f"T{i}", trk.points)
-                   for i, trk in enumerate(tracks, start=1)]
-        self._build(scans, state_dim, records, tracks)
+        self._build(scans, state_dim, [(trk.label if trk.label is not None else f"T{i}", trk.points)
+                                       for i, trk in enumerate(tracks, start=1)])
 
     @classmethod
     def from_records(cls, scans: int, state_dim: int,
@@ -103,10 +103,10 @@ class TrackSet:
         scans to coordinate sequences in point order, checked by the rules
         and in the order of the constructor; no ``Track`` is made."""
         out = object.__new__(cls)
-        out._build(scans, state_dim, records, None)
+        out._build(scans, state_dim, records)
         return out
 
-    def _build(self, scans: int, dim: int, records, tracks: tuple[Track, ...] | None) -> None:
+    def _build(self, scans: int, dim: int, records) -> None:
         if scans < 1:
             raise BadParametersError(f"scans must be >= 1, got {scans}")
         if dim < 1:
@@ -171,14 +171,14 @@ class TrackSet:
         states.setflags(write=False)
         exists.setflags(write=False)
         for name, value in (("scans", scans), ("state_dim", dim), ("states", states),
-                            ("exists", exists), ("_tracks", tracks),
+                            ("exists", exists), ("_tracks", None),
                             ("labels", tuple(name for name, _ in records))):
             object.__setattr__(self, name, value)
 
     @property
     def tracks(self) -> tuple[Track, ...]:
-        """The tracks, made from the arrays on first read when the set was
-        built without them."""
+        """The tracks, made from the arrays on first read, with points in
+        scan order."""
         if self._tracks is None:
             object.__setattr__(self, "_tracks", tuple(
                 Track(dict(zip((np.flatnonzero(row) + 1).tolist(),
@@ -192,11 +192,13 @@ class TrackSet:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.scans, self.state_dim, self.tracks) == (other.scans, other.state_dim,
-                                                             other.tracks)
+        return ((self.scans, self.state_dim, self.labels) == (other.scans, other.state_dim,
+                                                               other.labels)
+                and np.array_equal(self.exists, other.exists)
+                and np.array_equal(self.states[self.exists], other.states[other.exists]))
 
     def __hash__(self) -> int:
-        return hash((self.scans, self.state_dim, self.tracks))
+        return hash((self.scans, self.state_dim, self.labels))
 
     def __repr__(self) -> str:
         return f"TrackSet(scans={self.scans!r}, state_dim={self.state_dim!r}, tracks={self.tracks!r})"
@@ -205,7 +207,9 @@ class TrackSet:
         return len(self.labels)
 
     def track_label(self, index: int) -> str:
-        """Label of 1-based track ``index``, falling back to T<index>."""
+        """Label of 1-based track ``index``; IndexError outside 1..N."""
+        if not 1 <= index <= len(self.labels):
+            raise IndexError(f"track index {index} outside 1..{len(self.labels)}")
         return self.labels[index - 1]
 
 
@@ -391,12 +395,14 @@ def base_distance(
 class ScanDistances:
     """Base distances of every pair of tracks, one from each of two sets, at
     every scan where both exist, gathered once in scan-major order from two
-    comparable track sets; ``scan_distances`` builds it.
+    comparable track sets; ``scan_distances`` builds it.  ``sets`` is the
+    pair ``(a, b)`` it was built from, and a metric scores a layer only
+    with those very sets (``layer_for``).
 
     Entry k is the pair (``rows[k]``, ``cols[k]``) of 0-based track indices
-    at 0-based scan ``scan[k]``, and ``values[k]`` is its distance at the
-    order the layer was built with.  Within a scan the entries run by row,
-    then by column, so scan t's entries are one block that ``blocks``
+    at 0-based scan ``scan[k]``, and ``values[k]`` is its distance at base
+    norm order p'.  Within a scan the entries run by row, then by column,
+    so scan t's entries are one block that ``blocks``
     reshapes to the matrix of the tracks existing then, and ``entries``
     finds the entries of given pairs.  ``shape`` is the ``(rows, columns,
     scans)`` shape of the dense tensor the entries come from, and
@@ -406,11 +412,11 @@ class ScanDistances:
     base norm order q, computed once from the gathered states.
     """
 
-    __slots__ = ("rows", "cols", "scan", "shape", "values", "_by_order", "_states", "_params",
-                 "_tracks_at", "_ends", "_ranks", "_first", "_width", "_swapped")
+    __slots__ = ("sets", "rows", "cols", "scan", "shape", "values", "_by_order", "_states",
+                 "_params", "_tracks_at", "_ends", "_ranks", "_first", "_width", "_swapped")
 
-    def __init__(self, a: TrackSet, b: TrackSet, params: MetricParams,
-                 order: float | None = None) -> None:
+    def __init__(self, a: TrackSet, b: TrackSet, params: MetricParams) -> None:
+        self.sets = (a, b)
         scans = a.scans
         # the tracks of each set that exist at each scan, scan by scan
         ta, ia = np.nonzero(a.exists.T)
@@ -431,9 +437,8 @@ class ScanDistances:
             np.take(b.states.reshape(-1, dim), self.cols * scans + self.scan, axis=0),
         )
         self._params = params
-        order = params.base_order if order is None else order
-        self.values = base_distance(*self._states, params, order)
-        self._by_order = {order: self.values}
+        self.values = base_distance(*self._states, params)
+        self._by_order = {params.base_order: self.values}
         ia, ib = ia.tolist(), ib.tolist()
         ends_a, ends_b = np.cumsum(m_t).tolist(), np.cumsum(n_t).tolist()
         self._tracks_at = [(ia[sa:ea], ib[sb:eb]) for sa, ea, sb, eb
@@ -456,7 +461,7 @@ class ScanDistances:
         out = object.__new__(ScanDistances)
         for name in self.__slots__:
             setattr(out, name, getattr(self, name))
-        out.rows, out.cols = self.cols, self.rows
+        out.sets, out.rows, out.cols = self.sets[::-1], self.cols, self.rows
         out.shape = (self.shape[1], self.shape[0], self.shape[2])
         out._swapped = not self._swapped
         return out
@@ -486,12 +491,9 @@ class ScanDistances:
         return out
 
 
-def scan_distances(
-    a: TrackSet, b: TrackSet, params: MetricParams, order: float | None = None
-) -> ScanDistances:
+def scan_distances(a: TrackSet, b: TrackSet, params: MetricParams) -> ScanDistances:
     """Base distances of every pair of tracks of ``a`` and ``b`` at every
-    scan where both exist, as a ``ScanDistances`` layer at base norm order
-    ``order`` (``params.base_order`` by default).
+    scan where both exist, as a ``ScanDistances`` layer at order p'.
 
     Only the coexisting entries are computed, and each equals
     ``base_distance`` of its own pair of states to the last bit.  The layer
@@ -500,7 +502,22 @@ def scan_distances(
     DimensionMismatchError unless the sets are comparable.
     """
     check_comparable(a, b)
-    return ScanDistances(a, b, params, order)
+    return ScanDistances(a, b, params)
+
+
+def layer_for(a: TrackSet, b: TrackSet, params: MetricParams,
+              dist: ScanDistances | None) -> ScanDistances:
+    """The layer of ``a`` against ``b`` that a metric given ``dist`` scores:
+    ``scan_distances(a, b, params)`` when ``dist`` is None, else ``dist``
+    itself, which must have been built from these very sets under the same
+    ``scale``, the one parameter its distances depend on (``at_order``
+    serves any p').  Raises BadParametersError for any other layer."""
+    if dist is None:
+        return scan_distances(a, b, params)
+    if dist.sets[0] is not a or dist.sets[1] is not b or dist._params.scale != params.scale:
+        raise BadParametersError("the distance layer was built from other track sets "
+                                 "or under another scale")
+    return dist
 
 
 def count_distances(a: TrackSet, b: TrackSet) -> tuple[tuple[int, ...], int]:

@@ -20,8 +20,7 @@ from .core import (
     StateVector,
     Track,
     TrackSet,
-    check_comparable,
-    scan_distances,
+    layer_for,
 )
 from .errors import DimensionMismatchError
 
@@ -124,11 +123,8 @@ def ospa_per_scan(
     """OSPA of the existing states of ``a`` and ``b`` at every scan, and over
     time, as one report.
 
-    ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
-    it; otherwise it is built here.  Its distances are capped entry by
-    entry, and each scan's matrix is its block of them.
+    ``dist``, if given, is the layer of this pair (``layer_for``).  Its
+    distances are capped entry by entry; a scan's matrix is its block.
     """
-    check_comparable(a, b)
-    if dist is None:
-        dist = scan_distances(a, b, params)
+    dist = layer_for(a, b, params, dist)
     return per_scan_report(dist, np.minimum(dist.at_order(params.base_order), params.c), params)

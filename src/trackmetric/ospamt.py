@@ -5,7 +5,9 @@ sets: matched pairs pay the capped base distance per shared scan, a non-first
 assigned track pays the extra-assignment penalty whenever it stands in for
 the first, every further coexisting assignee pays penalty plus cutoff, and
 every remaining distance slot pays the cutoff.  The quasi distance minimizes
-over assignments one way; the metric is the smaller of the two directions.
+over assignments one way; the metric is the smaller of the two directions,
+which share one distance layer, one resolved search mode and one count of
+the distance slots.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import (
     TrackSet,
     check_comparable,
     count_distances,
+    layer_for,
     root_mean,
     scan_distances,
 )
@@ -60,16 +63,14 @@ def cost_matrix(
     and a lone scan contributes the cutoff to the p-th power; each entry is
     the mean over those scans, which keeps entries comparable to ``c ** p``
     whatever the lifetimes.  Pairs that never coexist are marked INFEASIBLE
-    so the assignment search can never join them.  ``dist`` is
-    ``scan_distances(tgt, src, params)`` when the caller already has it;
-    otherwise it is built here.  Its entries are capped and powered, then
-    scattered into a dense tensor, zero elsewhere, so that each pair sums
-    over scans in numpy's order; the scan counts come from products of the
-    ``exists`` masks.  The matrix of the swapped roles is exactly the
-    transpose of this one.
+    so the assignment search can never join them.  ``dist``, if given, is
+    the layer of ``tgt`` against ``src`` (``layer_for``).  Its entries are
+    capped and powered, then scattered into a dense tensor, zero elsewhere,
+    so that each pair sums over scans in numpy's order; the scan counts
+    come from products of the ``exists`` masks.  The matrix of the swapped
+    roles is exactly the transpose of this one.
     """
-    if dist is None:
-        dist = scan_distances(tgt, src, params)
+    dist = layer_for(tgt, src, params, dist)
     cp = params.c**params.p
     capped = np.minimum(dist.at_order(params.base_order), params.c) ** params.p
     d = dist.scatter(capped, np.zeros(dist.shape))
@@ -109,11 +110,9 @@ def _orders_from_lambda(
 
 
 def directional_terms(
-    src: TrackSet,
-    tgt: TrackSet,
+    dist: ScanDistances,
     orders: Sequence[Sequence[int]],
     params: MetricParams,
-    dist: ScanDistances,
     n_t: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw per-scan loc and card sums, as (T,) arrays, for a fixed
@@ -127,6 +126,7 @@ def directional_terms(
     of ``count_distances(src, tgt)``; only the entries of assigned pairs
     are read.
     """
+    tgt, src = dist.sets
     p = params.p
     cp = params.c**p
     dp = params.delta**p
@@ -186,7 +186,7 @@ def directional_cost(
             f"orders {tuple(orders)} do not order the preimages {preimages} of lambda"
         )
     n_t, n = count_distances(src, tgt)
-    loc, card = directional_terms(src, tgt, orders, params, scan_distances(tgt, src, params), n_t)
+    loc, card = directional_terms(scan_distances(tgt, src, params), orders, params, n_t)
     return root_mean(sum((loc + card).tolist()), n, params)
 
 
@@ -256,23 +256,20 @@ class _DirectionalEngine:
     into ``delta**p`` per coexisting scan of every source and
     ``-(delta**p + c**p)`` per newly covered scan, so the cost of a placement
     depends only on P and j.  An adjustment ties with the best when it is
-    at most ``TIE * base`` above it.
+    at most ``TIE * base`` above it, ``base`` being ``c**p`` for each of
+    the ``n`` distance slots.
     """
 
-    def __init__(
-        self, src: TrackSet, tgt: TrackSet, params: MetricParams, dist: ScanDistances
-    ) -> None:
-        self.src = src
-        self.tgt = tgt
-        self.n_t, self.n = count_distances(src, tgt)
+    def __init__(self, dist: ScanDistances, params: MetricParams, n: int) -> None:
+        self.tgt, self.src = dist.sets
         p = params.p
         cp = params.c**p
         self.dp = params.delta**p
-        self.base = cp * self.n
+        self.base = cp * n
         # coexist[i-1, j-1, t-1]: target i and source j both exist at scan t
-        self.coexist = tgt.exists[:, None, :] & src.exists[None, :, :]
+        self.coexist = self.tgt.exists[:, None, :] & self.src.exists[None, :, :]
         # gain[i-1, j-1, t-1]: capped distance ** p minus c ** p where coexisting,
-        # else 0, from dist = scan_distances(tgt, src, params)
+        # else 0
         capped = np.minimum(dist.at_order(params.base_order), params.c)
         self.gain = dist.scatter(capped**p - cp, np.zeros(dist.shape))
 
@@ -357,10 +354,10 @@ def directional_distance(
     lam = tuple(lam)
     _check_feasible(src, tgt, lam)
     dist = scan_distances(tgt, src, params)
-    engine = _DirectionalEngine(src, tgt, params, dist)
-    orders = engine.best_orders(lam)
-    loc, card = directional_terms(src, tgt, orders, params, dist, engine.n_t)
-    return root_mean(sum((loc + card).tolist()), engine.n, params), orders
+    n_t, n = count_distances(src, tgt)
+    orders = _DirectionalEngine(dist, params, n).best_orders(lam)
+    loc, card = directional_terms(dist, orders, params, n_t)
+    return root_mean(sum((loc + card).tolist()), n, params), orders
 
 
 def quasi_ospamt(
@@ -378,35 +375,33 @@ def quasi_ospamt(
     sets are empty; when only one is, every distance slot pays the cutoff,
     all of it cardinality.
     """
-    check_comparable(src, tgt)
-    return _quasi(src, tgt, params, mode, Direction.EST_TO_TRUTH,
-                  scan_distances(tgt, src, params), None)
+    return _quasi(scan_distances(tgt, src, params), params, resolve_mode(mode, len(src) + len(tgt)),
+                  Direction.EST_TO_TRUTH, count_distances(src, tgt)[0], None)
 
 
 def _quasi(
-    src: TrackSet,
-    tgt: TrackSet,
-    params: MetricParams,
-    mode: Mode | str,
-    direction: Direction,
     dist: ScanDistances,
+    params: MetricParams,
+    mode: Mode,
+    direction: Direction,
+    n_t: Sequence[int],
     costs: np.ndarray | None,
 ) -> MetricReport:
-    """``quasi_ospamt`` of comparable sets; the search and the scoring both
-    read ``dist``, and ``costs`` is the greedy ``cost_matrix(src, tgt,
-    params)`` when the caller has priced it."""
+    """``quasi_ospamt`` of the sets of ``dist = scan_distances(tgt, src,
+    params)`` under the resolved ``mode`` and slot counts ``n_t``; ``costs``
+    is the greedy ``cost_matrix(src, tgt, params)`` when priced.  Greedy
+    pairs only finite entries, never tracks that share no scan."""
+    tgt, src = dist.sets
     if not len(src) or not len(tgt):
         lam, orders = (0,) * len(src), ((),) * len(tgt)
-    elif resolve_mode(mode, len(src) + len(tgt)) is Mode.EXACT:
-        lam, orders = _DirectionalEngine(src, tgt, params, dist).search_exact()
+    elif mode is Mode.EXACT:
+        lam, orders = _DirectionalEngine(dist, params, sum(n_t)).search_exact()
     else:
         if costs is None:
             costs = cost_matrix(src, tgt, params, dist)
         greedy = greedy_many_to_one(costs, cutoff_row_col_value=params.c**params.p)
         lam, orders = greedy.lam, greedy.orders
-        _check_feasible(src, tgt, lam)
-    n_t, _ = count_distances(src, tgt)
-    loc, card = directional_terms(src, tgt, orders, params, dist, n_t)
+    loc, card = directional_terms(dist, orders, params, n_t)
     assignment = Assignment(direction, lam, orders)
     return MetricReport.from_sums(loc.tolist(), card.tolist(), n_t, params, assignment)
 
@@ -422,21 +417,20 @@ def ospamt_metric(
 
     The smaller of the two directional reports of ``quasi_ospamt`` wins;
     when the estimate-to-truth total is at most ``TIE * c`` above the other,
-    that direction is reported.  ``dist`` is
-    ``scan_distances(a, b, params)`` when the caller already has it;
-    otherwise it is built here.  Either way both directions read it, the
-    truth-to-estimate one through its transpose.  So does the greedy search:
-    it prices the estimate-to-truth ``cost_matrix`` once and reads the other
-    direction's matrix as its transpose.
+    that direction is reported.  ``dist``, if given, is the layer of this
+    pair (``layer_for``).  Both directions read it, the truth-to-estimate
+    one through its transpose, with one resolved mode and one count of the
+    slots.  The greedy search prices the estimate-to-truth ``cost_matrix``
+    once and reads the other direction's matrix as its transpose.
     """
-    if dist is None:
-        dist = scan_distances(a, b, params)
-    check_comparable(b, a)
+    dist = layer_for(a, b, params, dist)
+    mode = resolve_mode(mode, len(a) + len(b))
+    n_t = count_distances(a, b)[0]
     costs = None
-    if len(a) and len(b) and resolve_mode(mode, len(a) + len(b)) is Mode.GREEDY:
+    if len(a) and len(b) and mode is Mode.GREEDY:
         costs = cost_matrix(b, a, params, dist)
-    est = _quasi(b, a, params, mode, Direction.EST_TO_TRUTH, dist, costs)
-    tru = _quasi(a, b, params, mode, Direction.TRUTH_TO_EST, dist.transpose(),
+    est = _quasi(dist, params, mode, Direction.EST_TO_TRUTH, n_t, costs)
+    tru = _quasi(dist.transpose(), params, mode, Direction.TRUTH_TO_EST, n_t,
                  None if costs is None else costs.T)
     return est if est.total <= tru.total + TIE * params.c else tru
 

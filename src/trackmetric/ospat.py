@@ -23,8 +23,7 @@ from .core import (
     MetricReport,
     ScanDistances,
     TrackSet,
-    check_comparable,
-    scan_distances,
+    layer_for,
 )
 from .errors import BadParametersError
 from .ospa import per_scan_report
@@ -45,15 +44,14 @@ class OspatAssignment:
     costs_t: tuple[float, ...] = field(compare=False)
 
 
-def _reorder_costs(
-    dist: ScanDistances, exists_a: np.ndarray, exists_b: np.ndarray, c: float
-) -> np.ndarray:
-    """Dense per-scan reordering costs of every pair of tracks, from the
-    Euclidean distances of ``dist``, whose sets exist at the masks
-    ``exists_a`` and ``exists_b``: 0 where neither track exists, the cutoff
-    where only one does, else the capped distance.  Dense because the
-    global cost sums each pair's costs over scans in numpy's order."""
-    lone = exists_a[:, None] ^ exists_b[None]
+def _reorder_costs(dist: ScanDistances, c: float) -> np.ndarray:
+    """Dense per-scan reordering costs of every pair of tracks of the two
+    sets of ``dist``, from its Euclidean distances: 0 where neither track
+    exists, the cutoff where only one does, else the capped distance.
+    Dense because the global cost sums each pair's costs over scans in
+    numpy's order."""
+    a, b = dist.sets
+    lone = a.exists[:, None] ^ b.exists[None]
     return dist.scatter(np.minimum(dist.at_order(2.0), c), lone * c)
 
 
@@ -66,21 +64,17 @@ def ospat_reorder(
     smaller set is paired no matter how far apart the lifetimes are, and
     leftover tracks of the larger set contribute nothing to the choice.
     Ties resolve to the lexicographically smallest assignment vector.  The
-    pairing keeps the per-scan costs of its pairs as ``costs_t``.
-    ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
-    it; otherwise it is built here, and either way its Euclidean distances
-    are read (``at_order(2.0)``), computed from its gathered states unless
-    p' = 2.  A scan where one track of a pair exists costs the cutoff
-    without a distance.
+    pairing keeps the per-scan costs of its pairs as ``costs_t``.  ``dist``,
+    if given, is the layer of this pair (``layer_for``), and its Euclidean
+    distances are read (``at_order(2.0)``).  A scan where one track of a
+    pair exists costs the cutoff without a distance.
     """
-    check_comparable(a, b)
+    dist = layer_for(a, b, params, dist)
     smaller = "b" if len(b) <= len(a) else "a"
     if not len(a) or not len(b):
         other = b if not len(a) else a
         return OspatAssignment((), smaller, tuple((params.c * other.exists.sum(axis=0)).tolist()))
-    if dist is None:
-        dist = scan_distances(a, b, params, order=2.0)
-    costs = _reorder_costs(dist, a.exists, b.exists, params.c)
+    costs = _reorder_costs(dist, params.c)
     d = costs.sum(axis=2)
     if smaller == "b":
         pi, _ = solve_one_to_one(d.T)
@@ -134,15 +128,13 @@ def ospat_labeled(
     report, with one label per track of ``a`` and of ``b`` in track order.
 
     Raises BadParametersError unless each side has one label per track.
-    ``dist`` is ``scan_distances(a, b, params)`` when the caller already has
-    it; otherwise it is built here.  The labeled distances are computed
-    entry by entry from its p' ones.
+    ``dist``, if given, is the layer of this pair (``layer_for``), whose p'
+    distances are labeled entry by entry.
     """
     for labels, tracks in ((labels_a, a), (labels_b, b)):
         if len(labels) != len(tracks):
             raise BadParametersError(f"{len(labels)} labels for {len(tracks)} tracks")
-    if dist is None:
-        dist = scan_distances(a, b, params)
+    dist = layer_for(a, b, params, dist)
     return per_scan_report(dist, _labeled_distances(dist, labels_a, labels_b, params), params)
 
 
@@ -153,12 +145,9 @@ def ospat_per_scan(
 
     Returns the report of ``ospat_labeled``, whose ``assignment`` is the
     per-scan matchings of labeled states, and the global pairing that set
-    the labels.  ``dist`` is ``scan_distances(a, b, params)`` when the
-    caller already has it; otherwise it is built here.  The reordering
-    reads Euclidean distances of its gathered states, computed once more
-    unless p' = 2.
+    the labels.  ``dist``, if given, is the layer of this pair
+    (``layer_for``), and both steps read it.
     """
-    if dist is None:
-        dist = scan_distances(a, b, params)
+    dist = layer_for(a, b, params, dist)
     pairing = ospat_reorder(a, b, params, dist)
     return ospat_labeled(a, b, *ospat_label(a, b, pairing), params, dist), pairing

@@ -4,6 +4,7 @@ equal the dense whole-tensor formulas of ``oracles`` to the last bit, and
 sets that share no scan must score exactly as the defining sums say."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,16 @@ from oracles import (
 )
 from trackmetric.assign import INFEASIBLE
 from trackmetric.core import MetricParams, Track, TrackSet, scan_distances
-from trackmetric.errors import DimensionMismatchError
-from trackmetric.ospamt import Mode, cost_matrix
-from trackmetric.ospat import _labeled_distances, _reorder_costs, ospat_reorder
+from trackmetric.errors import BadParametersError, DimensionMismatchError
+from trackmetric.ospa import ospa_per_scan
+from trackmetric.ospamt import Mode, cost_matrix, ospamt_metric
+from trackmetric.ospat import (
+    _labeled_distances,
+    _reorder_costs,
+    ospat_labeled,
+    ospat_per_scan,
+    ospat_reorder,
+)
 
 
 def apart_pair(dim):
@@ -102,7 +110,7 @@ def test_coexisting_entries_match_the_dense_formulas(dim):
 
                 euclid = dense_scan_distances(a, b, params, 2.0)
                 ea, eb = a.exists[:, None], b.exists[None]
-                np.testing.assert_array_equal(_reorder_costs(dist, a.exists, b.exists, params.c),
+                np.testing.assert_array_equal(_reorder_costs(dist, params.c),
                                               dense_reorder_costs(euclid, ea, eb, params.c))
                 pairing = ospat_reorder(a, b, params, dist)
                 assert pairing.costs_t == ospat_reorder(a, b, params).costs_t
@@ -152,3 +160,51 @@ def test_integer_parameters_score_as_floats():
         assert pairing.costs_t == ospat_reorder(a, b, as_float).costs_t
         for mode in (Mode.EXACT, Mode.GREEDY):
             assert library_reports(a, b, as_int, mode) == library_reports(a, b, as_float, mode)
+
+
+#: The six entry points that take a layer, each as ``score(a, b, params,
+#: dist)`` with ``dist`` the layer of ``a`` against ``b``.
+LAYER_READERS = {
+    "ospa_per_scan": ospa_per_scan,
+    "ospat_reorder": ospat_reorder,
+    "ospat_labeled": lambda a, b, params, dist: ospat_labeled(
+        a, b, tuple(range(1, len(a) + 1)), tuple(range(1, len(b) + 1)), params, dist),
+    "ospat_per_scan": ospat_per_scan,
+    "cost_matrix": lambda a, b, params, dist: cost_matrix(b, a, params, dist).tolist(),
+    "ospamt_metric": lambda a, b, params, dist: ospamt_metric(a, b, params, dist=dist),
+}
+
+
+@pytest.mark.parametrize("name", LAYER_READERS)
+def test_a_layer_scores_only_the_sets_and_scale_it_was_built_from(name):
+    score = LAYER_READERS[name]
+    a = TrackSet(3, 1, (Track({1: 0.0, 2: 0.0}, "a"),))
+    b = TrackSet(3, 1, (Track({1: 1.0, 2: 1.0}, "b"),))
+    c = TrackSet(3, 1, (Track({1: 0.0}, "x"), Track({2: 5.0, 3: 5.0}, "z")))
+    params = MetricParams()
+    layer = scan_distances(a, b, params)
+    # another set, the sets swapped, an equal copy, another scale
+    for x, y, given in ((c, b, params), (b, a, params), (a, TrackSet(3, 1, b.tracks), params),
+                        (a, b, MetricParams(scale=(2.0,)))):
+        with pytest.raises(BadParametersError, match="distance layer"):
+            score(x, y, given, layer)
+    fresh = score(b, a, params, None)
+    assert score(b, a, params, layer.transpose()) == fresh
+    assert score(a, b, params, layer) == score(a, b, params, None)
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.GREEDY])
+def test_a_layer_serves_every_parameter_but_the_scale(mode):
+    # the distances depend on the scale alone, and at_order serves any p'
+    rng = random.Random(61)
+    built = MetricParams(p=1.0, c=6.0, delta=2.0, alpha=3.0, scale=(1.0, 2.0))
+    variants = [replace(built, p=2.0), replace(built, c=9.0), replace(built, delta=1.0),
+                replace(built, alpha=0.5), replace(built, p_prime=1.5),
+                replace(built, p=2.5, p_prime=2.0)]
+    for a, b in pairs(rng, 2):
+        dist = scan_distances(a, b, built)
+        for params in variants:
+            for score in LAYER_READERS.values():
+                assert score(a, b, params, dist) == score(a, b, params, None)
+            assert (ospamt_metric(a, b, params, mode, dist) ==
+                    ospamt_metric(a, b, params, mode))

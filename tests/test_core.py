@@ -25,6 +25,7 @@ from trackmetric.errors import (
     ScanOutOfRangeError,
     ValidationError,
 )
+from trackmetric.io import load_track_set, save_track_set
 from trackmetric.scenarios import FigureId, ScenarioSpec, build
 
 
@@ -125,7 +126,7 @@ def test_invalid_sets_cannot_be_built():
         TrackSet(3, 0, ())
 
 
-def test_states_and_exists_are_read_only_and_outside_equality():
+def test_states_and_exists_are_read_only_and_outside_repr():
     a = TrackSet(2, 1, (Track({1: 1.0}, "a"),))
     with pytest.raises(ValueError):
         a.states[0, 0, 0] = 2.0
@@ -133,6 +134,30 @@ def test_states_and_exists_are_read_only_and_outside_equality():
         a.exists[0, 1] = True
     assert a == TrackSet(2, 1, (Track({1: (1.0,)}, "a"),))
     assert "states" not in repr(a) and "exists" not in repr(a)
+
+
+def test_a_set_equals_its_round_trip_and_its_records_twin(tmp_path):
+    # equality and hash read the arrays, so an unlabelled track equals its
+    # saved and loaded copy, which reads the label T1
+    ts = TrackSet(3, 1, [Track({1: 0.0})])
+    path = tmp_path / "set.json"
+    save_track_set(ts, path)
+    twins = (load_track_set(path), TrackSet.from_records(3, 1, [("T1", {1: [0.0]})]))
+    assert all(twin == ts and hash(twin) == hash(ts) for twin in twins)
+    assert len({ts, *twins}) == 1
+    assert ts.tracks == (Track({1: (0.0,)}, "T1"),)
+    for other in (TrackSet(3, 1, [Track({1: 0.5})]), TrackSet(3, 1, [Track({2: 0.0})]),
+                  TrackSet(3, 1, [Track({1: 0.0}, "x")]), TrackSet(4, 1, [Track({1: 0.0})]),
+                  TrackSet(3, 2, [Track({1: (0.0, 0.0)})]), TrackSet(3, 1, ())):
+        assert other != ts
+
+
+def test_track_label_outside_the_set_raises():
+    ts = TrackSet(3, 1, [Track({1: 0.0}, "a"), Track({2: 1.0})])
+    assert (ts.track_label(1), ts.track_label(2)) == ("a", "T2")
+    for index in (0, 3, -1):
+        with pytest.raises(IndexError):
+            ts.track_label(index)
 
 
 def test_numpy_scalars_are_one_dimensional_states():

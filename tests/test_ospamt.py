@@ -122,8 +122,7 @@ def test_example1_fig1a_per_scan_terms():
     p, c, d = params.p, params.c, params.delta
     sc = fig(FigureId.FIG1A)
     eps = 1.0
-    loc, card = directional_terms(sc.est, sc.truth, ((1, 2),), params,
-                                  scan_distances(sc.truth, sc.est, params),
+    loc, card = directional_terms(scan_distances(sc.truth, sc.est, params), ((1, 2),), params,
                                   count_distances(sc.est, sc.truth)[0])
     want = [eps**p] * 3 + [eps**p + d**p] * 2
     assert list(loc + card) == pytest.approx(want, rel=1e-9)
@@ -134,8 +133,7 @@ def test_example1_fig1b_per_scan_terms():
     p, c, d = params.p, params.c, params.delta
     sc = fig(FigureId.FIG1B)
     eps = 1.0
-    loc, card = directional_terms(sc.est, sc.truth, ((1, 2), ()), params,
-                                  scan_distances(sc.truth, sc.est, params),
+    loc, card = directional_terms(scan_distances(sc.truth, sc.est, params), ((1, 2), ()), params,
                                   count_distances(sc.est, sc.truth)[0])
     want = [eps**p] * 3 + [eps**p + d**p + c**p] * 2
     assert list(loc + card) == pytest.approx(want, rel=1e-9)
@@ -144,8 +142,7 @@ def test_example1_fig1b_per_scan_terms():
 def test_example1_fig1c_false_track():
     params = MetricParams()
     sc = fig(FigureId.FIG1C)
-    loc, card = directional_terms(sc.est, sc.truth, ((),), params,
-                                  scan_distances(sc.truth, sc.est, params),
+    loc, card = directional_terms(scan_distances(sc.truth, sc.est, params), ((),), params,
                                   count_distances(sc.est, sc.truth)[0])
     assert list(loc + card) == pytest.approx([params.c**params.p] * 5, rel=1e-9)
 
@@ -200,8 +197,8 @@ def test_directional_breakdown_bound():
         tgt = random_small_set(rng, min_tracks=1)
         assignment = quasi_ospamt(src, tgt, params, Mode.EXACT).assignment
         n_t, _ = count_distances(src, tgt)
-        loc, card = directional_terms(src, tgt, assignment.orders, params,
-                                      scan_distances(tgt, src, params), n_t)
+        loc, card = directional_terms(scan_distances(tgt, src, params), assignment.orders,
+                                      params, n_t)
         for raw, nt in zip(loc + card, n_t):
             assert raw <= nt * cap + 1e-9
             assert raw >= -1e-12
@@ -226,7 +223,7 @@ def test_directional_terms_match_oracle_per_scan(params):
         pairs = enumerate_assignments(len(src.tracks), len(tgt.tracks), _feasible(src, tgt))
         dist = scan_distances(tgt, src, params)
         for _, orders in pairs:
-            loc, card = directional_terms(src, tgt, orders, params, dist, n_t)
+            loc, card = directional_terms(dist, orders, params, n_t)
             for t in range(1, src.scans + 1):
                 want = oracle_tilde_d_t(src, tgt, orders, params, t, n_t[t - 1])
                 assert loc[t - 1] + card[t - 1] == pytest.approx(want, rel=1e-12)
@@ -260,8 +257,7 @@ def test_directional_terms_match_the_target_by_target_loop(p):
             rng.shuffle(order)
         orders = tuple(map(tuple, orders))
         dist = scan_distances(tgt, src, params)
-        loc, card = directional_terms(src, tgt, orders, params, dist,
-                                      count_distances(src, tgt)[0])
+        loc, card = directional_terms(dist, orders, params, count_distances(src, tgt)[0])
         want_loc, want_card = legacy_directional_terms(src, tgt, orders, params, dist)
         assert np.array_equal(loc, want_loc) and np.array_equal(card, want_card)
         cases["empty preimage"] += () in orders
@@ -675,6 +671,42 @@ def test_greedy_metric_prices_one_cost_matrix(monkeypatch):
             direct = quasi_ospamt(a, b, params, Mode.GREEDY)
             assert tru == replace(direct, assignment=replace(
                 direct.assignment, direction=Direction.TRUTH_TO_EST))
+
+
+def test_greedy_never_assigns_tracks_that_share_no_scan():
+    # the sweep numbers only finite entries of the cost matrix, which marks
+    # every pair that never coexists INFEASIBLE, so no check is needed after it
+    rng = random.Random(53)
+    apart = 0
+    for params in PARAM_SETS:
+        for _ in range(60):
+            src = random_small_set(rng, max_tracks=6, scans=5)
+            tgt = random_small_set(rng, max_tracks=6, scans=5)
+            apart += int((src.exists.astype(int) @ tgt.exists.T.astype(int) == 0).sum())
+            for report in (quasi_ospamt(src, tgt, params, Mode.GREEDY),
+                           ospamt_metric(tgt, src, params, Mode.GREEDY)):
+                asg = report.assignment
+                s, t = (src, tgt) if asg.direction is Direction.EST_TO_TRUTH else (tgt, src)
+                for j, i in enumerate(asg.source_to_target):
+                    assert not i or (s.exists[j] & t.exists[i - 1]).any()
+    assert apart > 0
+
+
+def test_metric_resolves_the_mode_and_counts_the_slots_once(monkeypatch):
+    from trackmetric import ospamt
+
+    calls = Counter()
+    for name in ("resolve_mode", "count_distances"):
+        def counting(*args, _name=name, _fn=getattr(ospamt, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(ospamt, name, counting)
+    sc = fig(FigureId.FIG5)
+    for mode in (Mode.EXACT, Mode.GREEDY, Mode.AUTO):
+        calls.clear()
+        ospamt_metric(sc.truth, sc.est, MetricParams(), mode)
+        assert calls == {"resolve_mode": 1, "count_distances": 1}
 
 
 def test_t1_reduction_to_ospa_spot():
