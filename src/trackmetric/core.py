@@ -404,9 +404,11 @@ class ScanDistances:
     norm order p'.  Within a scan the entries run by row, then by column,
     so scan t's entries are one block that ``blocks``
     reshapes to the matrix of the tracks existing then, and ``entries``
-    finds the entries of given pairs.  ``shape`` is the ``(rows, columns,
-    scans)`` shape of the dense tensor the entries come from, and
-    ``scatter`` writes any per-entry values into one.
+    finds the entries of given pairs.  ``pair_sums`` counts each pair's
+    shared scans and adds any per-entry values over them in scan order,
+    with no dense tensor.
+    ``shape`` is the ``(rows, columns, scans)`` shape of the dense tensor
+    the entries come from, and ``scatter`` writes per-entry values into one.
     ``transpose()`` is the same layer with the roles of the two sets
     swapped, sharing every array.  ``at_order(q)`` gives the distances at
     base norm order q, computed once from the gathered states.
@@ -482,6 +484,16 @@ class ScanDistances:
         ia, ib = (cols, rows) if self._swapped else (rows, cols)
         rank_a, rank_b = self._ranks
         return self._first + rank_a[ia] * self._width + rank_b[ib]
+
+    def pair_sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two (rows, columns) arrays: each pair's count of shared scans, and
+        its sum of the per-entry ``values`` over them, added one scan after
+        another in scan order; both are zero for a pair that never coexists.
+        The transposed layer's are exactly the transposes."""
+        nrows, ncols, _ = self.shape
+        pair = self.rows * ncols + self.cols
+        return tuple(np.bincount(pair, weights, nrows * ncols).reshape(nrows, ncols)
+                     for weights in (None, values))
 
     def scatter(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out``, of ``shape``, with the per-entry ``values`` written at

@@ -65,19 +65,17 @@ def cost_matrix(
     whatever the lifetimes.  Pairs that never coexist are marked INFEASIBLE
     so the assignment search can never join them.  ``dist``, if given, is
     the layer of ``tgt`` against ``src`` (``layer_for``).  Its entries are
-    capped and powered, then scattered into a dense tensor, zero elsewhere,
-    so that each pair sums over scans in numpy's order; the scan counts
-    come from products of the ``exists`` masks.  The matrix of the swapped
-    roles is exactly the transpose of this one.
+    capped and powered, then each pair's are added over its shared scans in
+    scan order, with no dense tensor (``ScanDistances.pair_sums``, which
+    counts those scans too).  The matrix of the swapped roles is exactly
+    the transpose of this one.
     """
     dist = layer_for(tgt, src, params, dist)
     cp = params.c**params.p
     capped = np.minimum(dist.at_order(params.base_order), params.c) ** params.p
-    d = dist.scatter(capped, np.zeros(dist.shape))
-    # 0/1 products counted in floats: exact, and a BLAS call
-    shared = tgt.exists.astype(float) @ src.exists.T.astype(float)
+    shared, summed = dist.pair_sums(capped)
     either = tgt.exists.sum(axis=1)[:, None] + src.exists.sum(axis=1) - shared
-    mean = (d.sum(axis=2) + cp * (either - shared)) / either
+    mean = (summed + cp * (either - shared)) / either
     return np.where(shared > 0, mean, INFEASIBLE)
 
 

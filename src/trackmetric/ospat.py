@@ -44,17 +44,6 @@ class OspatAssignment:
     costs_t: tuple[float, ...] = field(compare=False)
 
 
-def _reorder_costs(dist: ScanDistances, c: float) -> np.ndarray:
-    """Dense per-scan reordering costs of every pair of tracks of the two
-    sets of ``dist``, from its Euclidean distances: 0 where neither track
-    exists, the cutoff where only one does, else the capped distance.
-    Dense because the global cost sums each pair's costs over scans in
-    numpy's order."""
-    a, b = dist.sets
-    lone = a.exists[:, None] ^ b.exists[None]
-    return dist.scatter(np.minimum(dist.at_order(2.0), c), lone * c)
-
-
 def ospat_reorder(
     a: TrackSet, b: TrackSet, params: MetricParams, dist: ScanDistances | None = None
 ) -> OspatAssignment:
@@ -67,23 +56,33 @@ def ospat_reorder(
     pairing keeps the per-scan costs of its pairs as ``costs_t``.  ``dist``,
     if given, is the layer of this pair (``layer_for``), and its Euclidean
     distances are read (``at_order(2.0)``).  A scan where one track of a
-    pair exists costs the cutoff without a distance.
+    pair exists costs the cutoff without a distance.  A pair's summed cost,
+    which chooses the pairing, is its capped distances added in scan order
+    (``ScanDistances.pair_sums``) plus the cutoff times its count of lone
+    scans; ``costs_t`` sums the chosen pairs' per-scan costs pair by pair.
     """
     dist = layer_for(a, b, params, dist)
     smaller = "b" if len(b) <= len(a) else "a"
     if not len(a) or not len(b):
         other = b if not len(a) else a
         return OspatAssignment((), smaller, tuple((params.c * other.exists.sum(axis=0)).tolist()))
-    costs = _reorder_costs(dist, params.c)
-    d = costs.sum(axis=2)
+    c = params.c
+    capped = np.minimum(dist.at_order(2.0), c)
+    shared, summed = dist.pair_sums(capped)
+    d = summed + c * (a.exists.sum(axis=1)[:, None] + b.exists.sum(axis=1) - 2 * shared)
     if smaller == "b":
         pi, _ = solve_one_to_one(d.T)
         pairs = tuple((pi[j] + 1, j + 1) for j in range(len(b)))
     else:
         pi, _ = solve_one_to_one(d)
         pairs = tuple((i + 1, pi[i] + 1) for i in range(len(a)))
+    # the chosen pairs' (pairs, T) costs: 0 where neither track exists, the
+    # cutoff where one does, else the capped distance
     ia, ib = np.array(pairs).T - 1
-    return OspatAssignment(pairs, smaller, tuple(costs[ia, ib].sum(axis=0).tolist()))
+    both = a.exists[ia] & b.exists[ib]
+    costs = (a.exists[ia] ^ b.exists[ib]) * c
+    costs[both] = capped[dist.entries(ia, ib)[both]]
+    return OspatAssignment(pairs, smaller, tuple(costs.sum(axis=0).tolist()))
 
 
 def ospat_label(

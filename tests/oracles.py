@@ -13,7 +13,10 @@ file with the stdlib ``json`` module; the library must give the same
 results and raise the same errors.  The ``dense_*`` formulas are the
 library's earlier whole-tensor arithmetic, which computed every
 (N_a, N_b, T) entry, NaN included.  The library now gathers the coexisting
-entries only, scan by scan, and must match these to the last bit.
+entries only, scan by scan, and must match these to the last bit.  Its
+per-pair sums over scans add in scan order, as ``dense_pair_sums`` does;
+``dense_cost_matrix`` and ``dense_reorder_costs`` summed in numpy's
+pairwise order stay as the earlier choices the library's must agree with.
 """
 
 from __future__ import annotations
@@ -591,15 +594,23 @@ def dense_layer(dist):
     return dist.scatter(dist.values, np.full(dist.shape, np.nan))
 
 
-def dense_cost_matrix(src: TrackSet, tgt: TrackSet, params: MetricParams, dist):
+def dense_pair_sums(d):
+    """Each pair's sum of a dense (N_a, N_b, T) tensor over scans, added one
+    scan after another in scan order."""
+    return np.add.accumulate(d, axis=2)[..., -1]
+
+
+def dense_cost_matrix(src: TrackSet, tgt: TrackSet, params: MetricParams, dist,
+                      total=lambda d: d.sum(axis=2)):
     """``cost_matrix`` from ``dist = scan_distances(tgt, src, params)``,
-    capped and powered everywhere and counted from NaN masks."""
+    capped and powered everywhere and counted from NaN masks; ``total``
+    sums each pair over scans, in numpy's pairwise order unless given."""
     cp = params.c**params.p
     d = np.minimum(dist, params.c) ** params.p
     both = ~np.isnan(d)
     either = (tgt.exists[:, None, :] | src.exists[None, :, :]).sum(axis=2)
     shared = both.sum(axis=2)
-    mean = (np.where(both, d, 0.0).sum(axis=2) + cp * (either - shared)) / either
+    mean = (total(np.where(both, d, 0.0)) + cp * (either - shared)) / either
     return np.where(shared > 0, mean, INFEASIBLE)
 
 
@@ -607,6 +618,13 @@ def dense_reorder_costs(d, exists_a, exists_b, c: float):
     """OSPAT reordering costs: 0 where neither track exists, c where one
     does, else the capped distance, chosen by NaN masks."""
     return np.where(np.isnan(d), np.where(exists_a ^ exists_b, c, 0.0), np.minimum(d, c))
+
+
+def dense_pairing_costs(d, exists_a, exists_b, c: float):
+    """Every pair's summed OSPAT reordering cost: its capped distances in
+    scan order, then c for each scan where one track exists."""
+    lone = (exists_a ^ exists_b).sum(axis=2)
+    return dense_pair_sums(np.where(np.isnan(d), 0.0, np.minimum(d, c))) + c * lone
 
 
 def dense_labeled_distances(d, labels_a, labels_b, params: MetricParams):

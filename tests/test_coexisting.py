@@ -1,7 +1,8 @@
 """Distances are computed only where two tracks coexist, gathered scan by
 scan into one layer, and every consumer reads that layer.  Each result must
-equal the dense whole-tensor formulas of ``oracles`` to the last bit, and
-sets that share no scan must score exactly as the defining sums say."""
+equal the dense whole-tensor formulas of ``oracles`` to the last bit, with
+per-pair sums over scans added in scan order, and sets that share no scan
+must score exactly as the defining sums say."""
 
 import random
 from dataclasses import replace
@@ -9,22 +10,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import distance_params, library_reports, random_float_set
+from conftest import PARAM_SETS, distance_params, library_reports, random_float_set
 from oracles import (
     dense_cost_matrix,
     dense_labeled_distances,
     dense_layer,
+    dense_pair_sums,
+    dense_pairing_costs,
     dense_reorder_costs,
     dense_scan_distances,
 )
-from trackmetric.assign import INFEASIBLE
-from trackmetric.core import MetricParams, Track, TrackSet, scan_distances
+from trackmetric import ospat
+from trackmetric.assign import INFEASIBLE, greedy_many_to_one, solve_one_to_one
+from trackmetric.core import MetricParams, ScanDistances, Track, TrackSet, scan_distances
 from trackmetric.errors import BadParametersError, DimensionMismatchError
 from trackmetric.ospa import ospa_per_scan
 from trackmetric.ospamt import Mode, cost_matrix, ospamt_metric
 from trackmetric.ospat import (
     _labeled_distances,
-    _reorder_costs,
     ospat_labeled,
     ospat_per_scan,
     ospat_reorder,
@@ -47,6 +50,19 @@ def pairs(rng, dim):
     drawn = [(random_float_set(rng, dim, max_tracks=4), random_float_set(rng, dim, max_tracks=4))
              for _ in range(6)]
     return drawn + [(a, b), (b, a), (a, empty), (empty, b), (empty, empty)]
+
+
+def pairing_costs(a, b, params, dist=None):
+    """The pairing of ``ospat_reorder`` and the summed pair costs, rows of
+    ``a`` and columns of ``b``, that it handed its solver (None when it
+    solved nothing)."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ospat, "solve_one_to_one", lambda d: seen.append(d) or solve_one_to_one(d))
+        pairing = ospat_reorder(a, b, params, dist)
+    if not seen:
+        return pairing, None
+    return pairing, seen[0].T if len(b) <= len(a) else seen[0]
 
 
 def full_set(rng, dim, scans=4, max_tracks=4):
@@ -103,16 +119,19 @@ def test_coexisting_entries_match_the_dense_formulas(dim):
                 dist = scan_distances(a, b, params)
                 dense = dense_scan_distances(a, b, params)
                 np.testing.assert_array_equal(
-                    cost_matrix(b, a, params, dist), dense_cost_matrix(b, a, params, dense))
-                swapped = dense_cost_matrix(a, b, params, dense.transpose(1, 0, 2))
+                    cost_matrix(b, a, params, dist),
+                    dense_cost_matrix(b, a, params, dense, dense_pair_sums))
+                swapped = dense_cost_matrix(a, b, params, dense.transpose(1, 0, 2),
+                                            dense_pair_sums)
                 np.testing.assert_array_equal(cost_matrix(a, b, params), swapped)
                 np.testing.assert_array_equal(cost_matrix(a, b, params, dist.transpose()), swapped)
 
                 euclid = dense_scan_distances(a, b, params, 2.0)
                 ea, eb = a.exists[:, None], b.exists[None]
-                np.testing.assert_array_equal(_reorder_costs(dist, params.c),
-                                              dense_reorder_costs(euclid, ea, eb, params.c))
-                pairing = ospat_reorder(a, b, params, dist)
+                pairing, summed = pairing_costs(a, b, params, dist)
+                if summed is not None:
+                    np.testing.assert_array_equal(
+                        summed, dense_pairing_costs(euclid, ea, eb, params.c))
                 assert pairing.costs_t == ospat_reorder(a, b, params).costs_t
                 if pairing.pairs:  # the pairing's per-scan costs: its pairs' dense costs
                     ia, ib = np.array(pairing.pairs).T - 1
@@ -143,7 +162,150 @@ def test_sets_that_never_coexist(p):
         scan_distances(a, b, MetricParams(scale=(1.0, 2.0, 3.0)))
 
 
+def test_pair_sums_add_in_scan_order():
+    # over 20 scans numpy's pairwise sum parts from the scan-order one in the
+    # last bit for some pairs; the cost matrix and the pairing costs take
+    # the scan-order sums
+    rng = random.Random(24)
+    a = random_float_set(rng, 2, scans=20, max_tracks=5)
+    b = random_float_set(rng, 2, scans=20, max_tracks=5)
+    params = MetricParams(p=2.0, c=12.0)
+    dense = dense_scan_distances(b, a, params)
+    in_order = dense_cost_matrix(a, b, params, dense, dense_pair_sums)
+    assert (in_order != dense_cost_matrix(a, b, params, dense)).any()
+    np.testing.assert_array_equal(cost_matrix(a, b, params), in_order)
+
+    euclid = dense_scan_distances(a, b, params, 2.0)
+    ea, eb = a.exists[:, None], b.exists[None]
+    in_order = dense_pairing_costs(euclid, ea, eb, params.c)
+    assert (in_order != dense_reorder_costs(euclid, ea, eb, params.c).sum(axis=2)).any()
+    np.testing.assert_array_equal(pairing_costs(a, b, params)[1], in_order)
+
+
+def test_pair_sums_of_a_layer_with_no_coexisting_entry():
+    a, b = apart_pair(2)
+    params = MetricParams(c=3.0, delta=1.0, alpha=1.0)
+    dist = scan_distances(a, b, params)
+    for layer, shape in ((dist, (2, 1)), (dist.transpose(), (1, 2))):
+        counts, sums = layer.pair_sums(layer.values)
+        assert counts.shape == sums.shape == shape
+        assert not counts.any() and not sums.any()
+    # every scan of either track is a lone one
+    lone = a.exists.sum(axis=1)[:, None] + b.exists.sum(axis=1)
+    np.testing.assert_array_equal(pairing_costs(a, b, params, dist)[1], 3.0 * lone)
+
+
+def test_pair_sums_of_the_transposed_layer_are_the_transpose():
+    rng = random.Random(9)
+    params = MetricParams()
+    drawn = [(random_float_set(rng, 2, scans=20, max_tracks=5),
+              random_float_set(rng, 2, scans=20, max_tracks=5)) for _ in range(6)]
+    for a, b in pairs(rng, 2) + drawn:
+        dist = scan_distances(a, b, params)
+        values = np.array([rng.uniform(0, 9) for _ in dist.values])
+        counts, sums = dist.pair_sums(values)
+        for got, want in zip(dist.transpose().pair_sums(values), (counts.T, sums.T)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(counts, (a.exists[:, None] & b.exists[None]).sum(axis=2))
+        np.testing.assert_array_equal(sums, dense_pair_sums(dist.scatter(values,
+                                                                         np.zeros(dist.shape))))
+
+
+def test_cost_matrix_with_an_empty_set():
+    rng = random.Random(3)
+    a = full_set(rng, 2, max_tracks=3)
+    empty = TrackSet(4, 2, ())
+    params = MetricParams()
+    assert cost_matrix(empty, a, params).shape == (len(a), 0)
+    assert cost_matrix(a, empty, params).shape == (0, len(a))
+    assert cost_matrix(empty, empty, params).shape == (0, 0)
+
+
+def test_greedy_search_and_reorder_build_no_dense_tensor(monkeypatch):
+    def scatter(self, values, out):
+        raise AssertionError("a dense (N_a, N_b, T) tensor was built")
+
+    monkeypatch.setattr(ScanDistances, "scatter", scatter)
+    rng = random.Random(8)
+    params = MetricParams(c=6.0, delta=2.0, alpha=3.0)
+    for a, b in pairs(rng, 2):
+        ospat_reorder(a, b, params)
+        ospat_per_scan(a, b, params)
+        ospamt_metric(a, b, params, Mode.GREEDY)
+    # the exact search still does, so the patch is live
+    a, b = full_set(rng, 2), full_set(rng, 2)
+    with pytest.raises(AssertionError, match="dense"):
+        ospamt_metric(a, b, params, Mode.EXACT)
+
+
+def tracked_pair(rng, scans=40):
+    """8-15 truths on 2-D random walks over random windows of scans, and
+    8-15 estimates: most follow one truth with noise over part of its
+    window, the rest are walks of their own."""
+    def walk(start, end):
+        x, y = rng.uniform(-10, 10), rng.uniform(-10, 10)
+        points = {}
+        for t in range(start, end + 1):
+            x, y = x + rng.gauss(0, 1), y + rng.gauss(0, 1)
+            points[t] = (x, y)
+        return points
+
+    def window():
+        start = rng.randint(1, scans - 4)
+        return start, rng.randint(start + 3, scans)
+
+    truths = [walk(*window()) for _ in range(rng.randint(8, 15))]
+    ests = []
+    for _ in range(rng.randint(8, 15)):
+        if rng.random() < 0.2:
+            ests.append(walk(*window()))
+            continue
+        truth = rng.choice(truths)
+        kept = sorted(truth)
+        first = rng.randrange(len(kept))
+        kept = kept[first:rng.randint(first, len(kept) - 1) + 1]
+        ests.append({t: tuple(v + rng.gauss(0, 0.8) for v in truth[t]) for t in kept})
+    return tuple(TrackSet(scans, 2, tuple(map(Track, side))) for side in (truths, ests))
+
+
+def test_scan_order_sums_choose_as_the_pairwise_ones():
+    # the sums only choose: on tracked pairs of 8-15 tracks a side, the
+    # greedy assignment and orders of both directions and the OSPAT pairing
+    # are the ones numpy's pairwise sums choose, and the pairing's per-scan
+    # costs are the same to the last bit
+    rng = random.Random(26)
+    drawn = [tracked_pair(rng) for _ in range(20)]
+    differ = 0
+    for params in PARAM_SETS:
+        cp = params.c**params.p
+        for a, b in drawn:
+            for src, tgt in ((b, a), (a, b)):
+                summed = dense_cost_matrix(src, tgt, params, dense_scan_distances(tgt, src, params))
+                costs = cost_matrix(src, tgt, params)
+                differ += int((costs != summed).sum())
+                got, want = (greedy_many_to_one(d, cutoff_row_col_value=cp)
+                             for d in (costs, summed))
+                assert (got.lam, got.orders) == (want.lam, want.orders)
+
+            euclid = dense_scan_distances(a, b, params, 2.0)
+            dense = dense_reorder_costs(euclid, a.exists[:, None], b.exists[None], params.c)
+            summed = dense.sum(axis=2)
+            if len(b) <= len(a):
+                pi, _ = solve_one_to_one(summed.T)
+                want = tuple((pi[j] + 1, j + 1) for j in range(len(b)))
+            else:
+                pi, _ = solve_one_to_one(summed)
+                want = tuple((i + 1, pi[i] + 1) for i in range(len(a)))
+            pairing, costs = pairing_costs(a, b, params)
+            differ += int((costs != summed).sum())
+            assert pairing.pairs == want
+            ia, ib = np.array(want).T - 1
+            assert pairing.costs_t == tuple(dense[ia, ib].sum(axis=0).tolist())
+    assert differ > 0  # some sums do part in the last bit
+
+
 def test_integer_parameters_score_as_floats():
+
     # arrays filled from an integer cutoff must not truncate the distances
     # written into them
     as_int = MetricParams(p=2, c=6, delta=2, alpha=3)
