@@ -400,21 +400,20 @@ class ScanDistances:
     with those very sets (``layer_for``).
 
     Entry k is the pair (``rows[k]``, ``cols[k]``) of 0-based track indices
-    at 0-based scan ``scan[k]``, and ``values[k]`` is its distance at base
-    norm order p'.  Within a scan the entries run by row, then by column,
-    so scan t's entries are one block that ``blocks``
-    reshapes to the matrix of the tracks existing then, and ``entries``
-    finds the entries of given pairs.  ``pair_sums`` counts each pair's
-    shared scans and adds any per-entry values over them in scan order,
-    with no dense tensor.
-    ``shape`` is the ``(rows, columns, scans)`` shape of the dense tensor
-    the entries come from, and ``scatter`` writes per-entry values into one.
+    at one scan, and ``values[k]`` is its distance at base norm order p'.
+    The entries run by scan, then by row, then by column, so scan t's
+    entries are one block.  The layer has three readers: per scan,
+    ``blocks`` reshapes each block to the matrix of the tracks existing
+    then; per pair over scans, ``pair_sums`` counts each pair's shared
+    scans and adds any per-entry values over them in scan order; per pair
+    per scan, ``entries`` finds the entries of given pairs.  None builds a
+    dense tensor.
     ``transpose()`` is the same layer with the roles of the two sets
     swapped, sharing every array.  ``at_order(q)`` gives the distances at
     base norm order q, computed once from the gathered states.
     """
 
-    __slots__ = ("sets", "rows", "cols", "scan", "shape", "values", "_by_order", "_states",
+    __slots__ = ("sets", "rows", "cols", "values", "_by_order", "_states",
                  "_params", "_tracks_at", "_ends", "_ranks", "_first", "_width", "_swapped")
 
     def __init__(self, a: TrackSet, b: TrackSet, params: MetricParams) -> None:
@@ -429,14 +428,13 @@ class ScanDistances:
         # in order: its scan and row repeat, and its columns run through that
         # scan's block of ib, which ends where the a-track's entries end
         reps = n_t[ta]
-        self.scan, self.rows = np.repeat(ta, reps), np.repeat(ia, reps)
+        scan, self.rows = np.repeat(ta, reps), np.repeat(ia, reps)
         shift = np.cumsum(n_t)[ta] - np.cumsum(reps)
         self.cols = ib[np.arange(len(self.rows)) + np.repeat(shift, reps)]
-        self.shape = (len(a), len(b), scans)
         dim = a.state_dim
         self._states = (
-            np.take(a.states.reshape(-1, dim), self.rows * scans + self.scan, axis=0),
-            np.take(b.states.reshape(-1, dim), self.cols * scans + self.scan, axis=0),
+            np.take(a.states.reshape(-1, dim), self.rows * scans + scan, axis=0),
+            np.take(b.states.reshape(-1, dim), self.cols * scans + scan, axis=0),
         )
         self._params = params
         self.values = base_distance(*self._states, params)
@@ -464,7 +462,6 @@ class ScanDistances:
         for name in self.__slots__:
             setattr(out, name, getattr(self, name))
         out.sets, out.rows, out.cols = self.sets[::-1], self.cols, self.rows
-        out.shape = (self.shape[1], self.shape[0], self.shape[2])
         out._swapped = not self._swapped
         return out
 
@@ -478,9 +475,10 @@ class ScanDistances:
             start = end
 
     def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """(len(rows), T) indices of the entries of the pairs (``rows[k]``,
-        ``cols[k]``) at every scan; only where both tracks exist is the
-        index one of that pair's entries."""
+        """Indices of the entries of the pairs (``rows[k]``, ``cols[k]``) at
+        every scan, of shape ``rows`` and ``cols`` broadcast, then T; only
+        where both tracks exist is the index one of that pair's entries.
+        Rows of shape (K, 1) and columns of shape (M,) give every pair's."""
         ia, ib = (cols, rows) if self._swapped else (rows, cols)
         rank_a, rank_b = self._ranks
         return self._first + rank_a[ia] * self._width + rank_b[ib]
@@ -490,17 +488,10 @@ class ScanDistances:
         its sum of the per-entry ``values`` over them, added one scan after
         another in scan order; both are zero for a pair that never coexists.
         The transposed layer's are exactly the transposes."""
-        nrows, ncols, _ = self.shape
+        nrows, ncols = map(len, self.sets)
         pair = self.rows * ncols + self.cols
         return tuple(np.bincount(pair, weights, nrows * ncols).reshape(nrows, ncols)
                      for weights in (None, values))
-
-    def scatter(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out``, of ``shape``, with the per-entry ``values`` written at
-        their (row, column, scan) places."""
-        _, ncols, scans = self.shape
-        np.put(out, (self.rows * ncols + self.cols) * scans + self.scan, values)
-        return out
 
 
 def scan_distances(a: TrackSet, b: TrackSet, params: MetricParams) -> ScanDistances:

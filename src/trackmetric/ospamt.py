@@ -256,6 +256,9 @@ class _DirectionalEngine:
     depends only on P and j.  An adjustment ties with the best when it is
     at most ``TIE * base`` above it, ``base`` being ``c**p`` for each of
     the ``n`` distance slots.
+
+    ``gain`` is a dense ``(K, M, T)`` array over at most ``ENUMERATION_CAP``
+    tracks, gathered from every pair's ``entries`` in the layer.
     """
 
     def __init__(self, dist: ScanDistances, params: MetricParams, n: int) -> None:
@@ -267,9 +270,11 @@ class _DirectionalEngine:
         # coexist[i-1, j-1, t-1]: target i and source j both exist at scan t
         self.coexist = self.tgt.exists[:, None, :] & self.src.exists[None, :, :]
         # gain[i-1, j-1, t-1]: capped distance ** p minus c ** p where coexisting,
-        # else 0
+        # else 0, gathered from every pair's entries
         capped = np.minimum(dist.at_order(params.base_order), params.c)
-        self.gain = dist.scatter(capped**p - cp, np.zeros(dist.shape))
+        at = dist.entries(np.arange(len(self.tgt))[:, None], np.arange(len(self.src)))
+        self.gain = np.zeros(self.coexist.shape)
+        self.gain[self.coexist] = (capped**p - cp)[at[self.coexist]]
 
     def best_order(self, i: int, pre: tuple[int, ...]) -> tuple[int, ...]:
         """Lexicographically smallest optimal order of target i's preimage.
@@ -505,9 +510,9 @@ def split_tracks(
                 ranks = sorted(range(len(order)),
                                key=lambda k: (truth.exists[order[k] - 1].argmax(), order[k]))
                 masks = _split_track(exists, truth.exists[[order[k] - 1 for k in ranks]], ranks)
-                names = (f"{label}/{k}" for k in itertools.count(1)
-                         if f"{label}/{k}" not in taken)
                 if len(masks) > 1:
+                    names = (f"{label}/{k}" for k in itertools.count(1)
+                             if f"{label}/{k}" not in taken)
                     progressed = True
                     cuts = tuple(int(mask.argmax()) + 1 for mask in masks[1:])
                     log.append(SplitLogEntry(i + 1, label, cuts, len(masks)))

@@ -588,10 +588,22 @@ def dense_scan_distances(a: TrackSet, b: TrackSet, params: MetricParams, order=N
     return base_distance(a.states[:, None], b.states[None], params, order)
 
 
-def dense_layer(dist):
-    """The ``shape`` tensor of a ``ScanDistances`` layer's distances, NaN
-    where a pair does not coexist."""
-    return dist.scatter(dist.values, np.full(dist.shape, np.nan))
+def entry_scans(dist):
+    """The 0-based scan of each entry of a ``ScanDistances`` layer, counted
+    from its sets' ``exists`` masks: scan t holds m_t * n_t entries, for
+    the layer and its transpose alike."""
+    a, b = dist.sets
+    return np.repeat(np.arange(a.scans), a.exists.sum(axis=0) * b.exists.sum(axis=0))
+
+
+def dense_layer(dist, values=None):
+    """The (N_a, N_b, T) tensor of a ``ScanDistances`` layer's per-entry
+    ``values``, its distances unless given, NaN where a pair does not
+    coexist."""
+    a, b = dist.sets
+    out = np.full((len(a), len(b), a.scans), np.nan)
+    out[dist.rows, dist.cols, entry_scans(dist)] = dist.values if values is None else values
+    return out
 
 
 def dense_pair_sums(d):

@@ -97,6 +97,8 @@ def test_greedy_removes_all_cutoff_rows_and_cols():
 def test_greedy_empty_matrix():
     res = greedy_many_to_one(np.zeros((0, 0)), cutoff_row_col_value=80.0)
     assert res.order_matrix.shape == (0, 0)
+    with pytest.raises(ValueError, match="two-dimensional"):
+        greedy_many_to_one(np.zeros(3), cutoff_row_col_value=80.0)
 
 
 @given(seed=st.integers(0, 2_000))
@@ -177,6 +179,8 @@ def test_solve_one_to_one_lexicographic_ties():
 
 def test_solve_one_to_one_empty():
     assert solve_one_to_one(np.zeros((0, 4))) == ((), 0.0)
+    with pytest.raises(ValueError, match="m <= n"):
+        solve_one_to_one(np.zeros((3, 2)))
 
 
 @given(seed=st.integers(0, 5_000))

@@ -19,13 +19,14 @@ from oracles import (
     dense_pairing_costs,
     dense_reorder_costs,
     dense_scan_distances,
+    entry_scans,
 )
 from trackmetric import ospat
 from trackmetric.assign import INFEASIBLE, greedy_many_to_one, solve_one_to_one
 from trackmetric.core import MetricParams, ScanDistances, Track, TrackSet, scan_distances
 from trackmetric.errors import BadParametersError, DimensionMismatchError
 from trackmetric.ospa import ospa_per_scan
-from trackmetric.ospamt import Mode, cost_matrix, ospamt_metric
+from trackmetric.ospamt import Mode, _DirectionalEngine, cost_matrix, ospamt_metric
 from trackmetric.ospat import (
     _labeled_distances,
     ospat_labeled,
@@ -75,6 +76,7 @@ def full_set(rng, dim, scans=4, max_tracks=4):
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 9])
 def test_gathered_layer_matches_the_dense_tensor(dim):
+    # the entries run in the C order of the (T, N_a, N_b) coexistence mask,
     # the dense view is the broadcast tensor to the last bit, each scan's
     # block is its matrix of the tracks existing then, each pair finds its
     # own entries, and the transpose swaps the roles of the two sets
@@ -89,10 +91,12 @@ def test_gathered_layer_matches_the_dense_tensor(dim):
         for a, b in drawn:
             dist = scan_distances(a, b, params)
             dense = dense_scan_distances(a, b, params)
-            assert dist.shape == dense.shape
+            scan, rows, cols = np.nonzero(a.exists.T[:, :, None] & b.exists.T[:, None])
+            for got, want in ((dist.rows, rows), (dist.cols, cols), (entry_scans(dist), scan)):
+                np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(dense_layer(dist), dense)
             np.testing.assert_array_equal(dense_layer(dist.transpose()), dense.transpose(1, 0, 2))
-            np.testing.assert_array_equal(dist.values, dense[dist.rows, dist.cols, dist.scan])
+            np.testing.assert_array_equal(dist.values, dense[rows, cols, scan])
             for t, (ia, ib, block) in enumerate(dist.blocks(dist.values)):
                 assert ia == np.flatnonzero(a.exists[:, t]).tolist()
                 assert ib == np.flatnonzero(b.exists[:, t]).tolist()
@@ -106,8 +110,7 @@ def test_gathered_layer_matches_the_dense_tensor(dim):
                 np.testing.assert_array_equal(dist.values[at[both]], dense[ii, jj][both])
             for q in (1.0, 1.5, 2.0, 3.0):  # every order from the one gather
                 np.testing.assert_array_equal(
-                    dist.at_order(q), dense_scan_distances(a, b, params, q)[dist.rows, dist.cols,
-                                                                            dist.scan])
+                    dist.at_order(q), dense_scan_distances(a, b, params, q)[rows, cols, scan])
 
 
 @pytest.mark.parametrize("dim", [1, 3, 8])
@@ -142,7 +145,8 @@ def test_coexisting_entries_match_the_dense_formulas(dim):
                 lb = tuple(rng.randint(1, 3) for _ in b.tracks)
                 penalized = dense_labeled_distances(dense, la, lb, params)
                 np.testing.assert_array_equal(_labeled_distances(dist, la, lb, params),
-                                              penalized[dist.rows, dist.cols, dist.scan])
+                                              penalized[dist.rows, dist.cols,
+                                                        entry_scans(dist)])
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -150,8 +154,8 @@ def test_sets_that_never_coexist(p):
     a, b = apart_pair(2)
     params = MetricParams(p=p, c=3.0, delta=1.0, alpha=1.0)
     dist = scan_distances(a, b, params)
-    assert dist.shape == (2, 1, 4) and dist.values.shape == (0,)
-    assert np.isnan(dense_layer(dist)).all()
+    dense = dense_layer(dist)
+    assert dist.values.shape == (0,) and dense.shape == (2, 1, 4) and np.isnan(dense).all()
     assert (cost_matrix(b, a, params) == INFEASIBLE).all()
     assert (cost_matrix(a, b, params) == INFEASIBLE).all()
     for mode in (Mode.EXACT, Mode.GREEDY):
@@ -207,8 +211,8 @@ def test_pair_sums_of_the_transposed_layer_are_the_transpose():
         for got, want in zip(dist.transpose().pair_sums(values), (counts.T, sums.T)):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(counts, (a.exists[:, None] & b.exists[None]).sum(axis=2))
-        np.testing.assert_array_equal(sums, dense_pair_sums(dist.scatter(values,
-                                                                         np.zeros(dist.shape))))
+        np.testing.assert_array_equal(sums, dense_pair_sums(np.nan_to_num(dense_layer(dist,
+                                                                                      values))))
 
 
 def test_cost_matrix_with_an_empty_set():
@@ -221,21 +225,49 @@ def test_cost_matrix_with_an_empty_set():
     assert cost_matrix(empty, empty, params).shape == (0, 0)
 
 
-def test_greedy_search_and_reorder_build_no_dense_tensor(monkeypatch):
-    def scatter(self, values, out):
-        raise AssertionError("a dense (N_a, N_b, T) tensor was built")
+def test_only_the_exact_search_reads_every_pair(monkeypatch):
+    # the greedy search and the reorder ask the layer for the entries of at
+    # most max(N_a, N_b) pairs at a time; the exact search gathers all K * M
+    asked = []
+    entries = ScanDistances.entries
 
-    monkeypatch.setattr(ScanDistances, "scatter", scatter)
+    def spy(self, rows, cols):
+        asked.append(np.broadcast(rows, cols).size)
+        return entries(self, rows, cols)
+
+    monkeypatch.setattr(ScanDistances, "entries", spy)
     rng = random.Random(8)
     params = MetricParams(c=6.0, delta=2.0, alpha=3.0)
     for a, b in pairs(rng, 2):
+        asked.clear()
         ospat_reorder(a, b, params)
         ospat_per_scan(a, b, params)
         ospamt_metric(a, b, params, Mode.GREEDY)
-    # the exact search still does, so the patch is live
-    a, b = full_set(rng, 2), full_set(rng, 2)
-    with pytest.raises(AssertionError, match="dense"):
+        assert max(asked, default=0) <= max(len(a), len(b))
+    drawn = [(full_set(rng, 2), full_set(rng, 2)) for _ in range(6)]
+    drawn = [(a, b) for a, b in drawn if min(len(a), len(b)) >= 2]
+    assert drawn
+    for a, b in drawn:
+        asked.clear()
         ospamt_metric(a, b, params, Mode.EXACT)
+        assert len(a) * len(b) in asked
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5])
+def test_exact_engine_gain_is_the_dense_formula(p):
+    # in both directions, and for sets that never coexist, whose layer has
+    # no entries
+    rng = random.Random(27)
+    for params in distance_params(2, p=p, c=6.0, delta=2.0, alpha=3.0):
+        for a, b in pairs(rng, 2):
+            dist = scan_distances(a, b, params)
+            for layer, dense in ((dist, dense_scan_distances(a, b, params)),
+                                 (dist.transpose(), dense_scan_distances(b, a, params))):
+                tgt, src = layer.sets
+                coexist = tgt.exists[:, None] & src.exists[None]
+                want = np.where(coexist, np.minimum(dense, params.c) ** p - params.c**p, 0)
+                gain = _DirectionalEngine(layer, params, 1).gain
+                assert gain.shape == want.shape and gain.tobytes() == want.tobytes()
 
 
 def tracked_pair(rng, scans=40):

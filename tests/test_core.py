@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -132,7 +133,10 @@ def test_states_and_exists_are_read_only_and_outside_repr():
         a.states[0, 0, 0] = 2.0
     with pytest.raises(ValueError):
         a.exists[0, 1] = True
+    with pytest.raises(FrozenInstanceError):
+        a.labels = ("b",)
     assert a == TrackSet(2, 1, (Track({1: (1.0,)}, "a"),))
+    assert (a == object()) is False  # through NotImplemented
     assert "states" not in repr(a) and "exists" not in repr(a)
 
 

@@ -29,6 +29,7 @@ from oracles import (
     oracle_quasi,
     oracle_tilde_d_t,
 )
+from trackmetric import ospamt
 from trackmetric.assign import INFEASIBLE
 from trackmetric.core import (
     Direction,
@@ -962,10 +963,11 @@ def test_split_cuts_a_nested_truth_the_preimage_puts_first():
     assert all(len(order) <= 1 for order in after.orders)
 
 
-def test_split_renames_an_uncut_multi_preimage_track():
+def test_split_keeps_the_label_of_an_uncut_multi_preimage_track(monkeypatch):
     # round 1 cuts e1 and sends t2 and t3 both onto e2, which exists only at
-    # scan 1, where both truths do: e2 yields one fragment and is re-emitted
-    # as e2/1 with no log entry; pinned so that a change to it is deliberate
+    # scan 1, where both truths do: e2 yields one fragment, so it has no log
+    # entry and keeps its label; round 2 cuts e1/1, so one round is not
+    # enough
     params = MetricParams(c=5.0, delta=1.0, alpha=1.0)
     truth = TrackSet(3, 1, (Track({1: 0.0}, "t1"), Track({1: 6.0, 2: 3.0}, "t2"),
                             Track({1: 4.0}, "t3"), Track({3: 0.0}, "t4")))
@@ -975,9 +977,12 @@ def test_split_renames_an_uncut_multi_preimage_track():
     new_est, log = split_tracks(truth, est, params, Mode.GREEDY)
     assert [(trk.label, trk.points) for trk in new_est.tracks] == [
         ("e1/1/1", {1: (0.0,)}), ("e1/1/2", {2: (3.0,)}), ("e1/2", {3: (0.0,)}),
-        ("e2/1", {1: (5.0,)}), ("e3", {2: (6.0,)}),
+        ("e2", {1: (5.0,)}), ("e3", {2: (6.0,)}),
     ]
     assert log == [SplitLogEntry(1, "e1", (3,), 2), SplitLogEntry(1, "e1/1", (2,), 2)]
+    monkeypatch.setattr(ospamt, "SPLIT_ROUNDS", 1)
+    with pytest.raises(NoConvergenceError, match="in 1 rounds"):
+        split_tracks(truth, est, params, Mode.GREEDY)
 
 
 def test_split_keeps_the_labels_of_unlabelled_tracks():
