@@ -1,10 +1,6 @@
 """Distances between finite sets of target tracks: OSPAMT, OSPA and OSPAT."""
 
-from .assign import (
-    INFEASIBLE,
-    greedy_many_to_one,
-    solve_one_to_one,
-)
+from .assign import INFEASIBLE, greedy_many_to_one
 from .core import (
     Assignment,
     Direction,
@@ -90,6 +86,5 @@ __all__ = [
     "random_scenario",
     "save_track_set",
     "scan_distances",
-    "solve_one_to_one",
     "split_tracks",
 ]

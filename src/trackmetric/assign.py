@@ -175,53 +175,27 @@ def _exchange_closes(near: list[list[int]], owner: list[int], i: int, j: int) ->
     return False
 
 
-def solve_one_to_one(d: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """Minimum-cost injective map of rows into columns (requires m <= n).
-
-    Returns the 0-based column for each row and the total cost.  Among all
-    optimal matchings the lexicographically smallest assignment vector is
-    returned: row i takes the smallest free column j such that the fixed
-    prefix, ``d[i, j]`` and an optimal completion of the remaining rows
-    total at most the optimum plus ``TIE`` times m times the largest finite
-    entry.  INFEASIBLE entries are softened to a penalty above any finite
-    matching so a full matching always exists.
-
-    The total comes from the one solve of :func:`optimal_matching`; only
-    the choice among tied matchings needs :func:`lexicographic_matching`.
-    The per-scan metrics call the two apart: each scan's total comes from
-    its one solve, and its matching is computed when it is first read.
-    """
-    solve = optimal_matching(d)
-    return lexicographic_matching(*solve), solve[2]
-
-
 def optimal_matching(d: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
-    """First step of :func:`solve_one_to_one`: one Hungarian solve.
+    """One Hungarian solve of a finite, non-negative matrix with m <= n.
 
-    Returns the matrix with INFEASIBLE softened, a witness optimal matching
-    (0-based column of each row), the optimum and the tie tolerance, which
-    is what :func:`lexicographic_matching` takes.  A single row needs no
-    solve, and its witness already is the lexicographic matching.
+    Returns the matrix, a witness optimal matching (0-based column of each
+    row), the optimum and the tie tolerance, ``TIE`` times m times the
+    largest entry, which is what :func:`lexicographic_matching` takes.  A
+    single row needs no solve, and its witness already is the lexicographic
+    matching.
     """
     d = np.asarray(d, dtype=float)
     m, n = d.shape
     if m == 0:
         return d, [], 0.0, 0.0
     if m > n:
-        raise ValueError(f"solve_one_to_one needs m <= n, got {m}x{n}")
-    top = float(d.max())
-    if math.isfinite(top):  # no INFEASIBLE, infinite or NaN entry: nothing to soften
-        dd, top = d, max(top, 0.0) or 1.0
-    else:
-        finite = d < INFEASIBLE
-        top = float(d.max(initial=0.0, where=finite)) or 1.0
-        dd = d if finite.all() else np.where(finite, d, top * (m + 1))
-    tol = TIE * top * m
+        raise ValueError(f"optimal_matching needs m <= n, got {m}x{n}")
+    tol = TIE * (max(float(d.max()), 0.0) or 1.0) * m
     if m == 1:
-        best = float(dd[0].min())
-        return dd, [int(np.argmax(dd[0] <= best + tol))], best, tol
-    rows, cols = linear_sum_assignment(dd)
-    return dd, cols.tolist(), float(dd[rows, cols].sum()), tol
+        best = float(d[0].min())
+        return d, [int(np.argmax(d[0] <= best + tol))], best, tol
+    rows, cols = linear_sum_assignment(d)
+    return d, cols.tolist(), float(d[rows, cols].sum()), tol
 
 
 def lexicographic_matching(

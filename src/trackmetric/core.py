@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 import warnings
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
@@ -42,9 +44,9 @@ _MAX_STATES = 2**27
 class Track:
     """One target trajectory: existing scans mapped to state vectors.
 
-    A record only: a ``TrackSet`` reads it once, when built, and the metrics
-    read the set's arrays; a set makes its tracks from those arrays when
-    ``tracks`` is first read.  A bare number, Python or numpy, or any
+    A record only: a ``TrackSet`` reads it once, when built, and keeps its
+    points as arrays.  A scan is an integer, Python or numpy; any other key
+    is a ValidationError.  A bare number, Python or numpy, or any
     other value with no axes, is a 1-D state.  An integer beyond float range
     reads as an infinite coordinate, which ``TrackSet`` rejects.  ``label``
     is carried for reporting only; it plays no role in any distance.
@@ -56,14 +58,23 @@ class Track:
     def __post_init__(self) -> None:
         def states(to_float) -> dict[int, StateVector]:
             # lists and tuples, the common states, skip the cost of np.ndim
-            return {int(t): tuple(map(to_float, x)) if isinstance(x, (list, tuple)) or np.ndim(x)
-                    else (to_float(x),) for t, x in self.points.items()}
+            return {_scan_index(t): tuple(map(to_float, x))
+                    if isinstance(x, (list, tuple)) or np.ndim(x) else (to_float(x),)
+                    for t, x in self.points.items()}
 
         try:
             pts = states(float)
         except OverflowError:
             pts = states(_float_or_inf)
         object.__setattr__(self, "points", pts)
+
+
+def _scan_index(t) -> int:
+    """A point's scan key as an int; ValidationError for a non-integer."""
+    try:
+        return operator.index(t)
+    except TypeError:
+        raise ValidationError(f"scan key {t!r} is not an integer") from None
 
 
 def _float_or_inf(value) -> float:
@@ -88,8 +99,7 @@ class TrackSet:
     (N, T, D), NaN where a track does not exist; and the ``exists`` (N, T)
     mask.  The arrays are read-only.  Two sets are equal when their scans,
     state dimension, labels, masks and existing states are.  A set keeps no
-    ``Track``: ``tracks`` builds them from the arrays on first read, with
-    points in scan order.
+    ``Track``.
     """
 
     def __init__(self, scans: int, state_dim: int, tracks: Iterable[Track] = ()) -> None:
@@ -100,8 +110,9 @@ class TrackSet:
     def from_records(cls, scans: int, state_dim: int,
                      records: Sequence[tuple[str, Mapping[int, Sequence[float]]]]) -> TrackSet:
         """The set of tracks given as (label, points) records, each mapping
-        scans to coordinate sequences in point order, checked by the rules
-        and in the order of the constructor; no ``Track`` is made."""
+        integer scans to coordinate sequences in point order, checked by the
+        rules and in the order of the constructor; no ``Track`` is made and
+        the scans' type is not checked."""
         out = object.__new__(cls)
         out._build(scans, state_dim, records)
         return out
@@ -171,20 +182,9 @@ class TrackSet:
         states.setflags(write=False)
         exists.setflags(write=False)
         for name, value in (("scans", scans), ("state_dim", dim), ("states", states),
-                            ("exists", exists), ("_tracks", None),
+                            ("exists", exists),
                             ("labels", tuple(name for name, _ in records))):
             object.__setattr__(self, name, value)
-
-    @property
-    def tracks(self) -> tuple[Track, ...]:
-        """The tracks, made from the arrays on first read, with points in
-        scan order."""
-        if self._tracks is None:
-            object.__setattr__(self, "_tracks", tuple(
-                Track(dict(zip((np.flatnonzero(row) + 1).tolist(),
-                               map(tuple, states[row].tolist()))), label)
-                for label, states, row in zip(self.labels, self.states, self.exists)))
-        return self._tracks
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -201,7 +201,7 @@ class TrackSet:
         return hash((self.scans, self.state_dim, self.labels))
 
     def __repr__(self) -> str:
-        return f"TrackSet(scans={self.scans!r}, state_dim={self.state_dim!r}, tracks={self.tracks!r})"
+        return f"TrackSet(scans={self.scans!r}, state_dim={self.state_dim!r}, labels={self.labels!r})"
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -282,7 +282,12 @@ class MetricParams:
                 f"base norm order p_prime must satisfy 1 <= p' < inf, got {self.p_prime}"
             )
         if self.scale is not None:
-            scale = tuple(float(s) for s in self.scale)
+            # a string is never read as its characters, nor a factor as its digits
+            scale = (tuple(self.scale) if isinstance(self.scale, Iterable)
+                     and not isinstance(self.scale, (str, bytes)) else None)
+            if scale is None or not all(isinstance(s, numbers.Real) for s in scale):
+                raise BadParametersError(f"scale must be a sequence of numbers, got {self.scale!r}")
+            scale = tuple(map(float, scale))
             if any(not (s > 0.0 and math.isfinite(s)) for s in scale):
                 raise BadParametersError("scale factors must be positive reals")
             object.__setattr__(self, "scale", scale)

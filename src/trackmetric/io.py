@@ -6,8 +6,7 @@ A track-set file is a JSON document::
      "tracks": [{"id": "t1", "points": [{"t": 1, "x": [0.0]}, ...]}, ...]}
 
 A file is decoded straight into the set's arrays, with no ``Track`` per
-track; the tracks are made from the arrays when first read, with points in
-scan order.  File order still decides which invalid point is reported, by
+track.  File order still decides which invalid point is reported, by
 the same rules and messages as ``TrackSet``; ``save_track_set`` writes
 from the arrays, each track's points in scan order.  ``scans``, ``state_dim``
 and every ``t`` must be JSON integers, every ``points`` a list, every ``x``

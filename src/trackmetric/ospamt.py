@@ -96,6 +96,17 @@ def _check_feasible(src: TrackSet, tgt: TrackSet, lam: Sequence[int]) -> None:
             f"source {j + 1} maps to unknown target {lam[j]}")
 
 
+def _fixed_layer(
+    src: TrackSet, tgt: TrackSet, lam: Sequence[int], params: MetricParams
+) -> tuple[ScanDistances, tuple[int, ...], int]:
+    """The layer of ``tgt`` against ``src``, which raises unless the sets
+    are comparable, then, once ``lam`` is checked feasible, the per-scan
+    and total distance counts: what a fixed assignment is scored on."""
+    dist = scan_distances(tgt, src, params)
+    _check_feasible(src, tgt, lam)
+    return dist, *count_distances(src, tgt)
+
+
 def _orders_from_lambda(
     lam: Sequence[int], n_tgt: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -175,7 +186,7 @@ def directional_cost(
 
     Each target's order must be a permutation of its preimage under ``lam``.
     """
-    _check_feasible(src, tgt, lam)
+    dist, n_t, n = _fixed_layer(src, tgt, lam, params)
     preimages = _orders_from_lambda(lam, len(tgt))
     if len(orders) != len(preimages) or any(
         tuple(sorted(order)) != pre for order, pre in zip(orders, preimages)
@@ -183,8 +194,7 @@ def directional_cost(
         raise InfeasibleAssignmentError(
             f"orders {tuple(orders)} do not order the preimages {preimages} of lambda"
         )
-    n_t, n = count_distances(src, tgt)
-    loc, card = directional_terms(scan_distances(tgt, src, params), orders, params, n_t)
+    loc, card = directional_terms(dist, orders, params, n_t)
     return root_mean(sum((loc + card).tolist()), n, params)
 
 
@@ -355,9 +365,7 @@ def directional_distance(
     optimal orders.
     """
     lam = tuple(lam)
-    _check_feasible(src, tgt, lam)
-    dist = scan_distances(tgt, src, params)
-    n_t, n = count_distances(src, tgt)
+    dist, n_t, n = _fixed_layer(src, tgt, lam, params)
     orders = _DirectionalEngine(dist, params, n).best_orders(lam)
     loc, card = directional_terms(dist, orders, params, n_t)
     return root_mean(sum((loc + card).tolist()), n, params), orders

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assign import solve_one_to_one
+from .assign import lexicographic_matching, optimal_matching
 from .core import (
     MetricParams,
     MetricReport,
@@ -70,12 +70,8 @@ def ospat_reorder(
     capped = np.minimum(dist.at_order(2.0), c)
     shared, summed = dist.pair_sums(capped)
     d = summed + c * (a.exists.sum(axis=1)[:, None] + b.exists.sum(axis=1) - 2 * shared)
-    if smaller == "b":
-        pi, _ = solve_one_to_one(d.T)
-        pairs = tuple((pi[j] + 1, j + 1) for j in range(len(b)))
-    else:
-        pi, _ = solve_one_to_one(d)
-        pairs = tuple((i + 1, pi[i] + 1) for i in range(len(a)))
+    pi = lexicographic_matching(*optimal_matching(d.T if smaller == "b" else d))
+    pairs = tuple((j + 1, i + 1) if smaller == "b" else (i + 1, j + 1) for i, j in enumerate(pi))
     # the chosen pairs' (pairs, T) costs: 0 where neither track exists, the
     # cutoff where one does, else the capped distance
     ia, ib = np.array(pairs).T - 1

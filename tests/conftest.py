@@ -1,8 +1,10 @@
 import random
 import warnings
 
+import numpy as np
 import pytest
 
+from trackmetric.assign import lexicographic_matching, optimal_matching
 from trackmetric.core import MetricParams, Track, TrackSet
 from trackmetric.ospa import ospa_per_scan
 from trackmetric.ospamt import Mode, ospamt_metric
@@ -86,22 +88,39 @@ def golden(criterion: str, key: str, p: float = 1.0):
     return GOLDEN[criterion].want(MetricParams(p=p))[key]
 
 
+def tracks_of(ts: TrackSet) -> tuple[Track, ...]:
+    """The tracks of ``ts``, made from its arrays, with points in scan order."""
+    return tuple(
+        Track(dict(zip((np.flatnonzero(row) + 1).tolist(), map(tuple, states[row].tolist()))),
+              label)
+        for label, states, row in zip(ts.labels, ts.states, ts.exists)
+    )
+
+
+def solve_one_to_one(d) -> tuple[tuple[int, ...], float]:
+    """The library's one-to-one solve in its two steps: the lexicographically
+    smallest optimal matching of a finite, non-negative matrix with m <= n
+    (0-based column of each row) and its cost."""
+    s = optimal_matching(d)
+    return lexicographic_matching(*s), s[2]
+
+
 def same_track_sets(a: TrackSet, b: TrackSet) -> bool:
     """Equality as multisets of tracks, ignoring order and labels."""
 
     def multiset(ts: TrackSet) -> list:
-        return sorted(sorted(trk.points.items()) for trk in ts.tracks)
+        return sorted(sorted(trk.points.items()) for trk in tracks_of(ts))
 
     return (a.scans, a.state_dim, multiset(a)) == (b.scans, b.state_dim, multiset(b))
 
 
 def states_at(ts: TrackSet, t: int) -> list:
     """The states of every track of ``ts`` that exists at scan ``t``."""
-    return [trk.points[t] for trk in ts.tracks if t in trk.points]
+    return [trk.points[t] for trk in tracks_of(ts) if t in trk.points]
 
 
 def shuffled_copy(rng: random.Random, ts: TrackSet) -> TrackSet:
-    order = list(ts.tracks)
+    order = list(tracks_of(ts))
     rng.shuffle(order)
     return TrackSet(ts.scans, ts.state_dim, tuple(order))
 

@@ -29,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from conftest import tracks_of
 from trackmetric.assign import ENUMERATION_CAP, INFEASIBLE, TIE
 from trackmetric.core import MetricParams, Track, TrackSet, base_distance, count_distances
 from trackmetric.errors import (
@@ -88,10 +89,11 @@ def oracle_cutoff(x, y, params: MetricParams) -> float:
 
 
 def oracle_counts(a: TrackSet, b: TrackSet) -> tuple[list[int], int]:
+    a_tracks, b_tracks = tracks_of(a), tracks_of(b)
     n_t = [
         max(
-            sum(1 for trk in a.tracks if t in trk.points),
-            sum(1 for trk in b.tracks if t in trk.points),
+            sum(1 for trk in a_tracks if t in trk.points),
+            sum(1 for trk in b_tracks if t in trk.points),
         )
         for t in range(1, a.scans + 1)
     ]
@@ -99,8 +101,8 @@ def oracle_counts(a: TrackSet, b: TrackSet) -> tuple[list[int], int]:
 
 
 def oracle_tilde_d_t(
-    src: TrackSet,
-    tgt: TrackSet,
+    src: tuple[Track, ...],
+    tgt: tuple[Track, ...],
     orders: tuple[tuple[int, ...], ...],
     params: MetricParams,
     t: int,
@@ -109,6 +111,7 @@ def oracle_tilde_d_t(
 ):
     """One scan's raw sum: per-target distances plus the cardinality term.
 
+    ``src`` and ``tgt`` are the tracks of the two sets (``tracks_of``).
     Every float term passes through ``num`` before it is added, so
     ``num=Fraction`` sums the very same terms without rounding.
     """
@@ -117,16 +120,15 @@ def oracle_tilde_d_t(
     dp = params.delta**p
     total = num(0.0)
     used = 0
-    for i in range(1, len(tgt.tracks) + 1):
+    for i, tgt_trk in enumerate(tgt, start=1):
         pi_i = orders[i - 1]
-        tgt_trk = tgt.tracks[i - 1]
         exists_i = 1 if t in tgt_trk.points else 0
-        pi_it = tuple(j for j in pi_i if t in src.tracks[j - 1].points)
+        pi_it = tuple(j for j in pi_i if t in src[j - 1].points)
         n_bar = len(pi_it)
         # spatial part: first ordered existing assignee, penalty if not first overall
         if pi_it and exists_i:
             j, k = pi_it[0], pi_i[0]
-            d = oracle_cutoff(tgt_trk.points[t], src.tracks[j - 1].points[t], params)
+            d = oracle_cutoff(tgt_trk.points[t], src[j - 1].points[t], params)
             total += num(d**p) + (num(dp) if j != k else 0)
         # cardinality part, first term: extra coexisting assignees
         total += exists_i * max(n_bar - 1, 0) * (num(dp) + num(cp))
@@ -142,8 +144,9 @@ def oracle_value(
     params: MetricParams,
 ) -> float:
     n_t, n = oracle_counts(src, tgt)
+    src_tracks, tgt_tracks = tracks_of(src), tracks_of(tgt)
     raw = sum(
-        oracle_tilde_d_t(src, tgt, orders, params, t, n_t[t - 1])
+        oracle_tilde_d_t(src_tracks, tgt_tracks, orders, params, t, n_t[t - 1])
         for t in range(1, src.scans + 1)
     )
     return (raw / n) ** (1.0 / params.p)
@@ -194,9 +197,11 @@ def count_assignments(m_src: int, n_tgt: int) -> int:
 
 
 def _feasible(src: TrackSet, tgt: TrackSet):
+    src_tracks, tgt_tracks = tracks_of(src), tracks_of(tgt)
+
     def feasible(j: int, i: int) -> bool:
         return any(
-            t in tgt.tracks[i - 1].points for t in src.tracks[j - 1].points
+            t in tgt_tracks[i - 1].points for t in src_tracks[j - 1].points
         )
 
     return feasible
@@ -204,12 +209,12 @@ def _feasible(src: TrackSet, tgt: TrackSet):
 
 def oracle_quasi(src: TrackSet, tgt: TrackSet, params: MetricParams) -> float:
     """Minimum over every (assignment, order) pair, enumerated outright."""
-    if not src.tracks and not tgt.tracks:
+    if not len(src) and not len(tgt):
         return 0.0
-    if not src.tracks or not tgt.tracks:
+    if not len(src) or not len(tgt):
         return params.c
     pairs = enumerate_assignments(
-        len(src.tracks), len(tgt.tracks), _feasible(src, tgt), cap=math.inf
+        len(src), len(tgt), _feasible(src, tgt), cap=math.inf
     )
     return min(oracle_value(src, tgt, orders, params) for _, orders in pairs)
 
@@ -225,12 +230,13 @@ def oracle_exact_quasi(
     its value.
     """
     n_t, n = oracle_counts(src, tgt)
+    src_tracks, tgt_tracks = tracks_of(src), tracks_of(tgt)
     best = None
     for lam, orders in enumerate_assignments(
-        len(src.tracks), len(tgt.tracks), _feasible(src, tgt), cap=math.inf
+        len(src), len(tgt), _feasible(src, tgt), cap=math.inf
     ):
         raw = sum(
-            oracle_tilde_d_t(src, tgt, orders, params, t, n_t[t - 1], num=Fraction)
+            oracle_tilde_d_t(src_tracks, tgt_tracks, orders, params, t, n_t[t - 1], num=Fraction)
             for t in range(1, src.scans + 1)
         )
         if best is None or raw < best[0]:
@@ -275,13 +281,14 @@ def oracle_matching(matrix) -> float:
 
 
 def _top(d: np.ndarray) -> float:
-    """The largest finite entry of ``d``, or 1 when none is positive; ties
-    in a matching are decided within ``TIE`` times m times this."""
-    return float(max((v for v in d.flat if 0 < v < INFEASIBLE), default=1.0))
+    """The largest entry of ``d``, or 1 when none is positive; ties in a
+    matching are decided within ``TIE`` times m times this."""
+    return float(max((v for v in d.flat if v > 0), default=1.0))
 
 
 def brute_force_one_to_one(d) -> tuple[tuple[int, ...], float]:
-    """Factorial-time reference for solve_one_to_one (small matrices only).
+    """Factorial-time reference for the one-to-one solve of a finite,
+    non-negative matrix (small matrices only).
 
     The first injective map in lexicographic order whose cost is at most
     ``TIE * top * m`` above the optimum, with the optimum.
@@ -302,8 +309,8 @@ def brute_force_one_to_one(d) -> tuple[tuple[int, ...], float]:
 def oracle_lex_one_to_one(d) -> tuple[tuple[int, ...], float]:
     """Lexicographically smallest optimal matching, rebuilt row by row.
 
-    The same contract as ``solve_one_to_one`` (INFEASIBLE softened to
-    ``top * (m + 1)``, ties within ``TIE * top * m``) by the plain method:
+    The contract of the library's one-to-one solve (a finite, non-negative
+    matrix, ties within ``TIE * top * m``) by the plain method:
     row i takes the smallest free column j for which ``j`` plus an optimal
     completion of the remaining rows still totals ``best`` within that,
     re-solving that completion for every column it tries.
@@ -317,11 +324,8 @@ def oracle_lex_one_to_one(d) -> tuple[tuple[int, ...], float]:
     m, n = d.shape
     if m == 0:
         return (), 0.0
-    top = _top(d)
-    dd = np.where(d < INFEASIBLE, d, top * (m + 1))
-
-    best = matching_cost(dd)
-    tol = TIE * top * m
+    best = matching_cost(d)
+    tol = TIE * _top(d) * m
     assignment: list[int] = []
     taken: set[int] = set()
     prefix = 0.0
@@ -331,11 +335,11 @@ def oracle_lex_one_to_one(d) -> tuple[tuple[int, ...], float]:
             if j in taken:
                 continue
             cols = [jj for jj in range(n) if jj not in taken and jj != j]
-            rest = matching_cost(dd[np.ix_(rest_rows, cols)]) if rest_rows else 0.0
-            if prefix + dd[i, j] + rest <= best + tol:
+            rest = matching_cost(d[np.ix_(rest_rows, cols)]) if rest_rows else 0.0
+            if prefix + d[i, j] + rest <= best + tol:
                 assignment.append(j)
                 taken.add(j)
-                prefix += dd[i, j]
+                prefix += d[i, j]
                 break
     return tuple(assignment), best
 

@@ -13,7 +13,7 @@ from string import Template
 import numpy as np
 import pytest
 
-from conftest import golden, library_reports, same_track_sets
+from conftest import golden, library_reports, same_track_sets, tracks_of
 from oracles import legacy_load_track_set, legacy_track_set_from_obj
 import trackmetric
 import trackmetric.assign as assign
@@ -57,7 +57,7 @@ def test_round_trip_bit_exact(tmp_path):
     save_track_set(ts, path)
     back = load_track_set(path)
     assert back.scans == ts.scans and back.state_dim == ts.state_dim
-    for orig, loaded in zip(ts.tracks, back.tracks):
+    for orig, loaded in zip(tracks_of(ts), tracks_of(back)):
         assert loaded.points == orig.points  # bit-exact coordinates
         assert loaded.label == orig.label
 
@@ -76,7 +76,7 @@ def test_points_sorted_on_load_and_duplicate_t_rejected(tmp_path):
         )
     )
     ts = load_track_set(path)
-    assert sorted(ts.tracks[0].points) == [1, 3]
+    assert sorted(tracks_of(ts)[0].points) == [1, 3]
     path.write_text(
         json.dumps(
             {
@@ -420,15 +420,15 @@ def test_every_parse_error_comes_first_in_file_order(tmp_path, tracks, error):
     assert str(exc.value) == error
 
 
-def test_a_loaded_set_builds_its_tracks_on_first_read(tmp_path):
+def test_a_loaded_set_holds_its_points_in_scan_order(tmp_path):
     path = tmp_path / "set.json"
     path.write_text(json.dumps({"scans": 3, "state_dim": 1, "tracks": [
         {"id": "a", "points": [{"t": 3, "x": [2]}, {"t": 1, "x": [0.5]}]}, {"points": [
             {"t": 2, "x": [1e300]}]}]}))
     ts = load_track_set(path)
-    assert ts._tracks is None and len(ts) == 2 and ts.track_label(2) == "T2"
+    assert len(ts) == 2 and ts.track_label(2) == "T2"
     # points in scan order, not file order
-    assert [(trk.label, list(trk.points.items())) for trk in ts.tracks] == [
+    assert [(trk.label, list(trk.points.items())) for trk in tracks_of(ts)] == [
         ("a", [(1, (0.5,)), (3, (2.0,))]), ("T2", [(2, (1e300,))])]
     assert ts == TrackSet(3, 1, (Track({3: [2], 1: [0.5]}, "a"), Track({2: 1e300}, "T2")))
 
@@ -710,7 +710,7 @@ def test_split_fig5(tmp_path, capsys):
     assert code == 0
     assert "split" in out
     new_est = load_track_set(out_path)
-    assert len(new_est.tracks) == 2
+    assert len(new_est) == 2
     code, out, _ = run(
         capsys, "compute", str(truth), str(out_path), "--output", "json"
     )
@@ -740,7 +740,7 @@ def test_split_fragment_labels_skip_taken_ones(tmp_path, capsys):
     code, out, _ = run(capsys, "split", str(truth), str(est), "--out", str(out_path))
     assert code == 0
     assert out.startswith("split e1 into 2 fragments (cut at scans 4)\n")
-    assert [(trk.label, list(trk.points)) for trk in load_track_set(out_path).tracks] == [
+    assert [(trk.label, list(trk.points)) for trk in tracks_of(load_track_set(out_path))] == [
         ("e1/1", [1, 2, 3]), ("e1/3", [4, 5]), ("e1/2", [1]),
     ]
     assert run(capsys, "compute", str(truth), str(out_path))[0] == 0

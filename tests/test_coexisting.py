@@ -10,7 +10,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import PARAM_SETS, distance_params, library_reports, random_float_set
+from conftest import (
+    PARAM_SETS,
+    distance_params,
+    library_reports,
+    random_float_set,
+    solve_one_to_one,
+    tracks_of,
+)
 from oracles import (
     dense_cost_matrix,
     dense_labeled_distances,
@@ -22,7 +29,7 @@ from oracles import (
     entry_scans,
 )
 from trackmetric import ospat
-from trackmetric.assign import INFEASIBLE, greedy_many_to_one, solve_one_to_one
+from trackmetric.assign import INFEASIBLE, greedy_many_to_one, optimal_matching
 from trackmetric.core import MetricParams, ScanDistances, Track, TrackSet, scan_distances
 from trackmetric.errors import BadParametersError, DimensionMismatchError
 from trackmetric.ospa import ospa_per_scan
@@ -59,7 +66,7 @@ def pairing_costs(a, b, params, dist=None):
     solved nothing)."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ospat, "solve_one_to_one", lambda d: seen.append(d) or solve_one_to_one(d))
+        patch.setattr(ospat, "optimal_matching", lambda d: seen.append(d) or optimal_matching(d))
         pairing = ospat_reorder(a, b, params, dist)
     if not seen:
         return pairing, None
@@ -141,8 +148,8 @@ def test_coexisting_entries_match_the_dense_formulas(dim):
                     costs = dense_reorder_costs(euclid, ea, eb, params.c)[ia, ib]
                     assert pairing.costs_t == tuple(costs.sum(axis=0).tolist())
 
-                la = tuple(rng.randint(1, 3) for _ in a.tracks)
-                lb = tuple(rng.randint(1, 3) for _ in b.tracks)
+                la = tuple(rng.randint(1, 3) for _ in range(len(a)))
+                lb = tuple(rng.randint(1, 3) for _ in range(len(b)))
                 penalized = dense_labeled_distances(dense, la, lb, params)
                 np.testing.assert_array_equal(_labeled_distances(dist, la, lb, params),
                                               penalized[dist.rows, dist.cols,
@@ -378,7 +385,7 @@ def test_a_layer_scores_only_the_sets_and_scale_it_was_built_from(name):
     params = MetricParams()
     layer = scan_distances(a, b, params)
     # another set, the sets swapped, an equal copy, another scale
-    for x, y, given in ((c, b, params), (b, a, params), (a, TrackSet(3, 1, b.tracks), params),
+    for x, y, given in ((c, b, params), (b, a, params), (a, TrackSet(3, 1, tracks_of(b)), params),
                         (a, b, MetricParams(scale=(2.0,)))):
         with pytest.raises(BadParametersError, match="distance layer"):
             score(x, y, given, layer)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import distance_params, random_float_set, same_track_sets
+from conftest import distance_params, random_float_set, same_track_sets, tracks_of
 from oracles import dense_layer, oracle_check, oracle_norm
 from trackmetric.core import (
     MetricParams,
@@ -138,6 +138,7 @@ def test_states_and_exists_are_read_only_and_outside_repr():
     assert a == TrackSet(2, 1, (Track({1: (1.0,)}, "a"),))
     assert (a == object()) is False  # through NotImplemented
     assert "states" not in repr(a) and "exists" not in repr(a)
+    assert repr(a) == "TrackSet(scans=2, state_dim=1, labels=('a',))"
 
 
 def test_a_set_equals_its_round_trip_and_its_records_twin(tmp_path):
@@ -149,11 +150,19 @@ def test_a_set_equals_its_round_trip_and_its_records_twin(tmp_path):
     twins = (load_track_set(path), TrackSet.from_records(3, 1, [("T1", {1: [0.0]})]))
     assert all(twin == ts and hash(twin) == hash(ts) for twin in twins)
     assert len({ts, *twins}) == 1
-    assert ts.tracks == (Track({1: (0.0,)}, "T1"),)
+    assert tracks_of(ts) == (Track({1: (0.0,)}, "T1"),)
     for other in (TrackSet(3, 1, [Track({1: 0.5})]), TrackSet(3, 1, [Track({2: 0.0})]),
                   TrackSet(3, 1, [Track({1: 0.0}, "x")]), TrackSet(4, 1, [Track({1: 0.0})]),
                   TrackSet(3, 2, [Track({1: (0.0, 0.0)})]), TrackSet(3, 1, ())):
         assert other != ts
+
+
+@pytest.mark.parametrize("points", [{1.7: 0.0}, {"2": 0.0}, {1: 0.0, 1.5: 3.0}])
+def test_a_scan_key_that_is_not_an_integer_is_rejected(points):
+    # truncating such a key could move a point or drop another
+    with pytest.raises(ValidationError, match="is not an integer"):
+        Track(points)
+    assert Track({np.int64(2): 0.0}).points == {2: (0.0,)}
 
 
 def test_track_label_outside_the_set_raises():
@@ -260,8 +269,8 @@ def test_scan_distances_match_pairwise_reference():
                 a, b = random_float_set(rng, dim), random_float_set(rng, dim)
                 d = dense_layer(scan_distances(a, b, params))
                 assert d.shape == (len(a), len(b), 4)
-                for i, x in enumerate(a.tracks):
-                    for j, y in enumerate(b.tracks):
+                for i, x in enumerate(tracks_of(a)):
+                    for j, y in enumerate(tracks_of(b)):
                         for t in range(1, 5):
                             if t in x.points and t in y.points:
                                 pair = base_distance(x.points[t], y.points[t], params)
@@ -381,6 +390,12 @@ def test_params_validation():
         MetricParams(p_prime=0.9)
     with pytest.raises(BadParametersError):
         MetricParams(scale=(1.0, -1.0))
+
+
+@pytest.mark.parametrize("scale", ["12", "1,2", [1, "x"], 5.0])
+def test_scale_that_is_not_numbers_is_a_parameter_error(scale):
+    with pytest.raises(BadParametersError, match="scale must be a sequence of numbers"):
+        MetricParams(scale=scale)
 
 
 def test_params_warns_at_delta_equal_c():

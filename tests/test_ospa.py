@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import golden
+from conftest import golden, solve_one_to_one
 from oracles import dense_labeled_distances, dense_layer, oracle_ospa
-from trackmetric.assign import solve_one_to_one
 from trackmetric.core import (
     MetricParams,
     MetricReport,

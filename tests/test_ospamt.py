@@ -18,6 +18,7 @@ from conftest import (
     same_track_sets,
     shuffled_copy,
     states_at,
+    tracks_of,
 )
 from oracles import (
     _feasible,
@@ -173,6 +174,16 @@ def test_directional_infeasible_assignment_raises():
         directional_distance(sc.est, sc.truth, (1,), MetricParams())
 
 
+def test_a_fixed_assignment_of_sets_with_other_scan_counts_raises_scan_mismatch():
+    # the sets are compared before lambda is checked against them
+    src = TrackSet(4, 1, (Track({1: 1.0}),))
+    tgt = TrackSet(5, 1, (Track({1: 0.0}),))
+    with pytest.raises(ScanMismatchError, match="scan counts differ"):
+        directional_cost(src, tgt, (1,), ((1,),), MetricParams())
+    with pytest.raises(ScanMismatchError, match="scan counts differ"):
+        directional_distance(src, tgt, (1,), MetricParams())
+
+
 @pytest.mark.parametrize("lam, message", [
     ((2, 9, 0), "source 1 and target 2 share no existing scan"),
     ((1, 9, 1), "source 2 maps to unknown target 9"),
@@ -221,17 +232,18 @@ def test_directional_terms_match_oracle_per_scan(params):
         src = random_small_set(rng, max_tracks=3, min_tracks=1)
         tgt = random_small_set(rng, max_tracks=3, min_tracks=1)
         n_t, _ = oracle_counts(src, tgt)
-        pairs = enumerate_assignments(len(src.tracks), len(tgt.tracks), _feasible(src, tgt))
+        pairs = enumerate_assignments(len(src), len(tgt), _feasible(src, tgt))
         dist = scan_distances(tgt, src, params)
+        src_tracks, tgt_tracks = tracks_of(src), tracks_of(tgt)
         for _, orders in pairs:
             loc, card = directional_terms(dist, orders, params, n_t)
             for t in range(1, src.scans + 1):
-                want = oracle_tilde_d_t(src, tgt, orders, params, t, n_t[t - 1])
+                want = oracle_tilde_d_t(src_tracks, tgt_tracks, orders, params, t, n_t[t - 1])
                 assert loc[t - 1] + card[t - 1] == pytest.approx(want, rel=1e-12)
                 first_absent += sum(
                     1
                     for order in orders
-                    if len(order) > 1 and t not in src.tracks[order[0] - 1].points
+                    if len(order) > 1 and not src.exists[order[0] - 1, t - 1]
                 )
     assert first_absent > 0
 
@@ -514,10 +526,11 @@ def test_order_tie_goes_to_the_lexicographically_smaller_order():
     ))
     params = MetricParams(p=2.0)
     n_t, _ = oracle_counts(est, truth)
+    est_tracks, truth_tracks = tracks_of(est), tracks_of(truth)
 
     def exact(orders):
         return sum(
-            oracle_tilde_d_t(est, truth, orders, params, t, n_t[t - 1], num=Fraction)
+            oracle_tilde_d_t(est_tracks, truth_tracks, orders, params, t, n_t[t - 1], num=Fraction)
             for t in range(1, 21)
         )
 
@@ -790,7 +803,8 @@ def test_exact_direction_tie_reports_est_to_truth(case):
     def exact(src, tgt):
         orders = quasi_ospamt(src, tgt, params, Mode.EXACT).assignment.orders
         return sum(
-            oracle_tilde_d_t(src, tgt, orders, params, t, n_t[t - 1], num=Fraction)
+            oracle_tilde_d_t(tracks_of(src), tracks_of(tgt), orders, params, t, n_t[t - 1],
+                             num=Fraction)
             for t in range(1, 4)
         )
 
@@ -859,9 +873,9 @@ def test_split_fig5_matches_fig8():
     params = MetricParams()
     sc = fig(FigureId.FIG5)
     new_est, log = split_tracks(sc.truth, sc.est, params, Mode.EXACT)
-    assert len(new_est.tracks) == 2
-    assert sorted(new_est.tracks[0].points) == [1, 2, 3]
-    assert sorted(new_est.tracks[1].points) == [4, 5]
+    assert len(new_est) == 2
+    assert sorted(tracks_of(new_est)[0].points) == [1, 2, 3]
+    assert sorted(tracks_of(new_est)[1].points) == [4, 5]
     assert len(log) == 1 and log[0].fragment_count == 2
     assert log[0].cut_scans == (4,)
     after = ospamt_metric(sc.truth, new_est, params, Mode.EXACT)
@@ -904,9 +918,9 @@ def test_split_interleaved_lifetimes():
     assignment = quasi_ospamt(truth, est, params, Mode.EXACT).assignment
     assert assignment.orders == ((1, 2),)  # both truths onto E: split needed
     new_est, log = split_tracks(truth, est, params, Mode.EXACT)
-    assert len(new_est.tracks) == 2
-    assert sorted(new_est.tracks[0].points) == [1, 3]
-    assert sorted(new_est.tracks[1].points) == [2]
+    assert len(new_est) == 2
+    assert sorted(tracks_of(new_est)[0].points) == [1, 3]
+    assert sorted(tracks_of(new_est)[1].points) == [2]
     after = quasi_ospamt(truth, new_est, params, Mode.EXACT).assignment
     assert all(len(order) <= 1 for order in after.orders)
 
@@ -936,10 +950,10 @@ def test_split_owner_rules(scans, truth_points, fragments, cut_scans):
     order = quasi_ospamt(truth, est, params, Mode.EXACT).assignment.orders[0]
     assert len(order) == len(truth_points)  # every truth onto E
     new_est, log = split_tracks(truth, est, params, Mode.EXACT)
-    assert [(trk.label, list(trk.points)) for trk in new_est.tracks] == [
+    assert [(trk.label, list(trk.points)) for trk in tracks_of(new_est)] == [
         (f"E/{k}", scans_k) for k, scans_k in enumerate(fragments, 1)
     ]
-    assert all(x == (0.5,) for trk in new_est.tracks for x in trk.points.values())
+    assert all(x == (0.5,) for trk in tracks_of(new_est) for x in trk.points.values())
     assert log == [SplitLogEntry(1, "E", cut_scans, len(fragments))]
 
 
@@ -955,7 +969,7 @@ def test_split_cuts_a_nested_truth_the_preimage_puts_first():
     assert report.assignment.orders == ((2, 1),)
     assert report.total == pytest.approx(52.5, rel=1e-12)
     new_est, log = split_tracks(truth, est, params, Mode.EXACT)
-    assert [(trk.label, list(trk.points)) for trk in new_est.tracks] == [
+    assert [(trk.label, list(trk.points)) for trk in tracks_of(new_est)] == [
         ("E/1", [1, 3]), ("E/2", [2]),
     ]
     assert log == [SplitLogEntry(1, "E", (2,), 2)]
@@ -975,7 +989,7 @@ def test_split_keeps_the_label_of_an_uncut_multi_preimage_track(monkeypatch):
                           Track({2: 6.0}, "e3")))
     assert quasi_ospamt(truth, est, params, Mode.GREEDY).assignment.orders[1] == (3, 2)
     new_est, log = split_tracks(truth, est, params, Mode.GREEDY)
-    assert [(trk.label, trk.points) for trk in new_est.tracks] == [
+    assert [(trk.label, trk.points) for trk in tracks_of(new_est)] == [
         ("e1/1/1", {1: (0.0,)}), ("e1/1/2", {2: (3.0,)}), ("e1/2", {3: (0.0,)}),
         ("e2", {1: (5.0,)}), ("e3", {2: (6.0,)}),
     ]
@@ -994,7 +1008,7 @@ def test_split_keeps_the_labels_of_unlabelled_tracks():
     est = TrackSet(5, 1, (Track(dict.fromkeys(range(1, 6), 0.0)), Track({1: 5.0}),
                           Track({1: 9.0}, "T3")))
     new_est, log = split_tracks(truth, est, params, Mode.EXACT)
-    assert [(trk.label, list(trk.points)) for trk in new_est.tracks] == [
+    assert [(trk.label, list(trk.points)) for trk in tracks_of(new_est)] == [
         ("T1/1", [1, 2, 3]), ("T1/2", [4, 5]), ("T2", [1]), ("T3", [1]),
     ]
     assert log == [SplitLogEntry(1, "T1", (4,), 2)]

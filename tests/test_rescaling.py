@@ -14,7 +14,7 @@ import warnings
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import PARAM_SETS, random_small_set
+from conftest import PARAM_SETS, random_small_set, tracks_of
 from trackmetric.core import MetricParams, Track, TrackSet
 from trackmetric.ospa import ospa_per_scan
 from trackmetric.ospamt import Mode, ospamt_metric
@@ -31,7 +31,7 @@ def rescaled(params: MetricParams, f: float) -> MetricParams:
 def rescaled_set(ts: TrackSet, f: float) -> TrackSet:
     tracks = tuple(
         Track({t: tuple(f * v for v in x) for t, x in trk.points.items()}, trk.label)
-        for trk in ts.tracks
+        for trk in tracks_of(ts)
     )
     return TrackSet(ts.scans, ts.state_dim, tracks)
 

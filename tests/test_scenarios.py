@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import same_track_sets
+from conftest import same_track_sets, tracks_of
 from trackmetric.core import count_distances
 from trackmetric.errors import BadParametersError
 from trackmetric.core import MetricParams
@@ -22,24 +22,24 @@ def test_every_figure_builds_and_validates():
 
 def test_fig1b_has_far_truth_over_last_scans():
     sc = build(ScenarioSpec(FigureId.FIG1B))
-    tau3 = sc.truth.tracks[1]
+    tau3 = tracks_of(sc.truth)[1]
     assert sorted(tau3.points) == [4, 5]
-    e2 = sc.est.tracks[1]
+    e2 = tracks_of(sc.est)[1]
     gap = abs(tau3.points[4][0] - e2.points[4][0])
     assert gap == pytest.approx(1000.0)  # beta
 
 
 def test_fig13_geometry():
     sc = build(ScenarioSpec(FigureId.FIG13))
-    assert sorted(sc.truth.tracks[0].points) == [1, 2, 3, 4, 5]
-    assert sorted(sc.est.tracks[0].points) == [3, 4, 5]
+    assert sorted(tracks_of(sc.truth)[0].points) == [1, 2, 3, 4, 5]
+    assert sorted(tracks_of(sc.est)[0].points) == [3, 4, 5]
     assert sc.alt is not None
-    a1, a2 = sc.alt.tracks
+    a1, a2 = tracks_of(sc.alt)
     assert sorted(a1.points) == [1, 2, 3]
     assert sorted(a2.points) == [4, 5]
     # alt sits 2*epsilon from truth and epsilon from the estimate
-    assert abs(a1.points[1][0] - sc.truth.tracks[0].points[1][0]) == pytest.approx(2.0)
-    assert abs(a2.points[4][0] - sc.est.tracks[0].points[4][0]) == pytest.approx(1.0)
+    assert abs(a1.points[1][0] - tracks_of(sc.truth)[0].points[1][0]) == pytest.approx(2.0)
+    assert abs(a2.points[4][0] - tracks_of(sc.est)[0].points[4][0]) == pytest.approx(1.0)
 
 
 def test_distance_counts_match_study_values():
@@ -89,7 +89,7 @@ def test_false_track_strictly_increases_total():
     truth, est = random_scenario(seed=11, n_truth=2, scans=4, noise=0.1)
     base = ospamt_metric(truth, est, params, Mode.EXACT).total
     far = Track({t: (5000.0, 5000.0) for t in (1, 2)}, label="false")
-    est_plus = TrackSet(est.scans, est.state_dim, est.tracks + (far,))
+    est_plus = TrackSet(est.scans, est.state_dim, tracks_of(est) + (far,))
     more = ospamt_metric(truth, est_plus, params, Mode.EXACT).total
     assert more > base
 
@@ -147,5 +147,5 @@ def test_every_figure_at_the_default_spec(fig):
     for track_set, tracks in zip(sets, want):
         assert (track_set.scans, track_set.state_dim) == (scans, 1)
         assert {trk.label: {t: x for t, (x,) in trk.points.items()}
-                for trk in track_set.tracks} == tracks
+                for trk in tracks_of(track_set)} == tracks
         assert track_set.labels == tuple(tracks)

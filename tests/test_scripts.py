@@ -5,7 +5,9 @@ Each script is run in-process as ``__main__`` with a small argument list;
 it must exit 0 and print its header line first.
 """
 
+import importlib
 import json
+import pkgutil
 import re
 import runpy
 import shutil
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import trackmetric
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -181,3 +185,18 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
     assert [line.split() for line in lines[1:-3]] == [
         ["scenario", "fig10a", spec, "file"] for spec in ("defaults", "fractional")]
     assert lines[-1] == "2 of 95 runs differ"
+
+
+def test_readme_documents_the_public_api():
+    # every exported name is shown in the Library section's code, and every
+    # call in its list of lower-level pieces names something the package has
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = " ".join(re.findall(r"```.*?```|`[^`]+`", library, re.S))
+    assert set(trackmetric.__all__) - set(re.findall(r"\w+", code)) == set()
+    modules = [trackmetric] + [importlib.import_module(f"trackmetric.{m.name}")
+                               for m in pkgutil.iter_modules(trackmetric.__path__)]
+    owners = modules + [v for m in modules for v in vars(m).values() if isinstance(v, type)]
+    pieces = library.split("Lower-level pieces", 1)[1].split("\n\n", 2)[1]
+    calls = re.findall(r"`(?:\w+\.)*(\w+)\(", pieces)
+    assert calls and [c for c in calls if not any(hasattr(o, c) for o in owners)] == []
