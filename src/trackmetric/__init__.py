@@ -8,7 +8,6 @@ from .core import (
     MetricReport,
     Track,
     TrackSet,
-    count_distances,
     scan_distances,
 )
 from .errors import (
@@ -70,7 +69,6 @@ __all__ = [
     "TrackSet",
     "ValidationError",
     "build",
-    "count_distances",
     "directional_cost",
     "directional_distance",
     "greedy_many_to_one",

@@ -47,25 +47,29 @@ class Track:
     A record only: a ``TrackSet`` reads it once, when built, and keeps its
     points as arrays.  A scan is an integer, Python or numpy; any other key
     is a ValidationError.  A bare number, Python or numpy, or any
-    other value with no axes, is a 1-D state.  An integer beyond float range
-    reads as an infinite coordinate, which ``TrackSet`` rejects.  ``label``
-    is carried for reporting only; it plays no role in any distance.
+    other value with no axes, is a 1-D state.  A string, bytes, a bool or
+    anything ``float`` refuses is no coordinate but a ValidationError.  An
+    integer beyond float range reads as an infinite coordinate, which
+    ``TrackSet`` rejects.  ``label`` is carried for reporting only; it
+    plays no role in any distance.
     """
 
     points: Mapping[int, StateVector | float]
     label: str | None = None
 
     def __post_init__(self) -> None:
-        def states(to_float) -> dict[int, StateVector]:
+        pts: dict[int, StateVector] = {}
+        for t, x in self.points.items():
+            t = _scan_index(t)
             # lists and tuples, the common states, skip the cost of np.ndim
-            return {_scan_index(t): tuple(map(to_float, x))
-                    if isinstance(x, (list, tuple)) or np.ndim(x) else (to_float(x),)
-                    for t, x in self.points.items()}
-
-        try:
-            pts = states(float)
-        except OverflowError:
-            pts = states(_float_or_inf)
+            x = tuple(x) if isinstance(x, (list, tuple)) or np.ndim(x) else (x,)
+            try:
+                # float() would read a string, bytes or a bool as a number
+                if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in x):
+                    raise TypeError
+                pts[t] = tuple(map(_float_or_inf, x))
+            except (TypeError, ValueError):
+                raise ValidationError(f"a coordinate at scan {t} is not a number") from None
         object.__setattr__(self, "points", pts)
 
 
@@ -118,10 +122,11 @@ class TrackSet:
         return out
 
     def _build(self, scans: int, dim: int, records) -> None:
-        if scans < 1:
-            raise BadParametersError(f"scans must be >= 1, got {scans}")
-        if dim < 1:
-            raise BadParametersError(f"state_dim must be >= 1, got {dim}")
+        for name, value in (("scans", scans), ("state_dim", dim)):
+            if not _is_a(value, numbers.Integral):
+                raise BadParametersError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise BadParametersError(f"{name} must be >= 1, got {value}")
         # records[:n] break no label or empty-track rule; ts and xs are their
         # points' scans and states in point order
         n = len(records)
@@ -213,6 +218,12 @@ class TrackSet:
         return self.labels[index - 1]
 
 
+def _is_a(value, kind: type) -> bool:
+    """Whether ``value`` is a number of ``kind``, such as ``numbers.Real``,
+    Python or numpy, and not a bool, which would read as 0 or 1."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 class Direction(Enum):
     """Which way the many-to-one assignment maps."""
 
@@ -240,7 +251,7 @@ class Assignment:
 
 @dataclass(frozen=True)
 class MetricParams:
-    """Parameters shared by the OSPAMT, OSPA and OSPAT computations.
+    """Real parameters, never bools, shared by OSPAMT, OSPA and OSPAT.
 
     p        order parameter, 1 <= p < inf
     c        cutoff, > 0
@@ -260,6 +271,10 @@ class MetricParams:
     scale: tuple[float, ...] | None = field(default=None)
 
     def __post_init__(self) -> None:
+        for name in ("p", "c", "delta", "alpha", "p_prime"):
+            value = getattr(self, name)
+            if not _is_a(value, numbers.Real) and not (name == "p_prime" and value is None):
+                raise BadParametersError(f"{name} must be a real number, got {value!r}")
         if not (1.0 <= self.p < math.inf):
             raise BadParametersError(f"order p must satisfy 1 <= p < inf, got {self.p}")
         if not (self.c > 0.0 and math.isfinite(self.c)):
@@ -285,7 +300,7 @@ class MetricParams:
             # a string is never read as its characters, nor a factor as its digits
             scale = (tuple(self.scale) if isinstance(self.scale, Iterable)
                      and not isinstance(self.scale, (str, bytes)) else None)
-            if scale is None or not all(isinstance(s, numbers.Real) for s in scale):
+            if scale is None or not all(_is_a(s, numbers.Real) for s in scale):
                 raise BadParametersError(f"scale must be a sequence of numbers, got {self.scale!r}")
             scale = tuple(map(float, scale))
             if any(not (s > 0.0 and math.isfinite(s)) for s in scale):
@@ -409,16 +424,16 @@ class ScanDistances:
     The entries run by scan, then by row, then by column, so scan t's
     entries are one block.  The layer has three readers: per scan,
     ``blocks`` reshapes each block to the matrix of the tracks existing
-    then; per pair over scans, ``pair_sums`` counts each pair's shared
-    scans and adds any per-entry values over them in scan order; per pair
-    per scan, ``entries`` finds the entries of given pairs.  None builds a
-    dense tensor.
-    ``transpose()`` is the same layer with the roles of the two sets
-    swapped, sharing every array.  ``at_order(q)`` gives the distances at
-    base norm order q, computed once from the gathered states.
+    then; per pair over scans, ``pair_sums`` counts each pair's shared and
+    lone scans and adds any per-entry values over the shared ones in scan
+    order; per pair per scan, ``entries`` finds the entries of given pairs.
+    None builds a dense tensor.  Every metric normalises by ``slots``, each
+    scan's larger count of existing tracks of one set.  ``transpose()``
+    swaps the two sets' roles and shares every array; ``at_order(order)``
+    gives the distances at that norm order, computed once from the states.
     """
 
-    __slots__ = ("sets", "rows", "cols", "values", "_by_order", "_states",
+    __slots__ = ("sets", "rows", "cols", "values", "slots", "_by_order", "_states",
                  "_params", "_tracks_at", "_ends", "_ranks", "_first", "_width", "_swapped")
 
     def __init__(self, a: TrackSet, b: TrackSet, params: MetricParams) -> None:
@@ -429,6 +444,8 @@ class ScanDistances:
         tb, ib = np.nonzero(b.exists.T)
         m_t = np.bincount(ta, minlength=scans)
         n_t = np.bincount(tb, minlength=scans)
+        # Python ints, as every report carries them in its n_t
+        self.slots = tuple(np.maximum(m_t, n_t).tolist())
         # each existing (scan, track of a) meets the tracks of b at its scan
         # in order: its scan and row repeat, and its columns run through that
         # scan's block of ib, which ends where the a-track's entries end
@@ -488,15 +505,17 @@ class ScanDistances:
         rank_a, rank_b = self._ranks
         return self._first + rank_a[ia] * self._width + rank_b[ib]
 
-    def pair_sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Two (rows, columns) arrays: each pair's count of shared scans, and
-        its sum of the per-entry ``values`` over them, added one scan after
-        another in scan order; both are zero for a pair that never coexists.
-        The transposed layer's are exactly the transposes."""
-        nrows, ncols = map(len, self.sets)
-        pair = self.rows * ncols + self.cols
-        return tuple(np.bincount(pair, weights, nrows * ncols).reshape(nrows, ncols)
-                     for weights in (None, values))
+    def pair_sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, columns) arrays of each pair's shared scans, its lone scans,
+        where one of its two tracks exists, and its sum of the per-entry
+        ``values`` over the shared scans, added one after another in scan
+        order.  The transposed layer's are exactly the transposes."""
+        a, b = self.sets
+        pair = self.rows * len(b) + self.cols
+        shared, summed = (np.bincount(pair, weights, len(a) * len(b)).reshape(len(a), len(b))
+                          for weights in (None, values))
+        lone = a.exists.sum(axis=1)[:, None] + b.exists.sum(axis=1) - 2 * shared
+        return shared, lone, summed
 
 
 def scan_distances(a: TrackSet, b: TrackSet, params: MetricParams) -> ScanDistances:
@@ -526,18 +545,6 @@ def layer_for(a: TrackSet, b: TrackSet, params: MetricParams,
         raise BadParametersError("the distance layer was built from other track sets "
                                  "or under another scale")
     return dist
-
-
-def count_distances(a: TrackSet, b: TrackSet) -> tuple[tuple[int, ...], int]:
-    """Per-scan and total distance counts between two track sets.
-
-    n_t is the larger of the two existing-target counts at scan t and n is
-    the sum over all scans; both normalize the metrics.
-    """
-    if a.scans != b.scans:
-        raise ScanMismatchError(f"scan counts differ: {a.scans} vs {b.scans}")
-    n_t = tuple(np.maximum(a.exists.sum(axis=0), b.exists.sum(axis=0)).tolist())
-    return n_t, sum(n_t)
 
 
 def check_comparable(a: TrackSet, b: TrackSet) -> None:

@@ -83,14 +83,13 @@ def per_scan_report(dist: ScanDistances, capped: np.ndarray, params: MetricParam
     larger by one ``optimal_matching`` solve of that scan's block, whose
     optimum is the scan's loc sum; each unmatched state of the larger side
     adds ``c ** p`` to its card sum.  The report's ``assignment`` is the
-    ``Matchings`` of those solves.
+    ``Matchings`` of those solves, and its slots are the layer's ``slots``.
     """
     cp = params.c**params.p
-    loc_sums, card_sums, n_t, solves = [], [], [], []
+    loc_sums, card_sums, solves = [], [], []
     for ia, ib, cost in dist.blocks(capped**params.p):
         m, n = len(ia), len(ib)
         card_sums.append(cp * abs(m - n))
-        n_t.append(max(m, n))
         if m == 0 or n == 0:
             loc_sums.append(0.0)
             solves.append(None)
@@ -98,7 +97,7 @@ def per_scan_report(dist: ScanDistances, capped: np.ndarray, params: MetricParam
         solve = optimal_matching(cost if m <= n else cost.T)
         loc_sums.append(solve[2])
         solves.append((solve, ia, ib, m > n))
-    return MetricReport.from_sums(loc_sums, card_sums, n_t, params, Matchings(solves))
+    return MetricReport.from_sums(loc_sums, card_sums, dist.slots, params, Matchings(solves))
 
 
 def ospa(

@@ -6,8 +6,8 @@ assigned track pays the extra-assignment penalty whenever it stands in for
 the first, every further coexisting assignee pays penalty plus cutoff, and
 every remaining distance slot pays the cutoff.  The quasi distance minimizes
 over assignments one way; the metric is the smaller of the two directions,
-which share one distance layer, one resolved search mode and one count of
-the distance slots.
+which share one distance layer, and with it the slots it counts, and one
+resolved search mode.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .core import (
     ScanDistances,
     TrackSet,
     check_comparable,
-    count_distances,
     layer_for,
     root_mean,
     scan_distances,
@@ -67,19 +66,24 @@ def cost_matrix(
     the layer of ``tgt`` against ``src`` (``layer_for``).  Its entries are
     capped and powered, then each pair's are added over its shared scans in
     scan order, with no dense tensor (``ScanDistances.pair_sums``, which
-    counts those scans too).  The matrix of the swapped roles is exactly
-    the transpose of this one.
+    counts the shared and lone scans too).  The matrix of the swapped roles
+    is exactly the transpose of this one.
     """
     dist = layer_for(tgt, src, params, dist)
     cp = params.c**params.p
     capped = np.minimum(dist.at_order(params.base_order), params.c) ** params.p
-    shared, summed = dist.pair_sums(capped)
-    either = tgt.exists.sum(axis=1)[:, None] + src.exists.sum(axis=1) - shared
-    mean = (summed + cp * (either - shared)) / either
+    shared, lone, summed = dist.pair_sums(capped)
+    mean = (summed + cp * lone) / (shared + lone)
     return np.where(shared > 0, mean, INFEASIBLE)
 
 
-def _check_feasible(src: TrackSet, tgt: TrackSet, lam: Sequence[int]) -> None:
+def _fixed_layer(
+    src: TrackSet, tgt: TrackSet, lam: Sequence[int], params: MetricParams
+) -> ScanDistances:
+    """The layer of ``tgt`` against ``src``, which a fixed assignment is
+    scored on; it raises unless the sets are comparable, then unless
+    ``lam`` is feasible."""
+    dist = scan_distances(tgt, src, params)
     if len(lam) != len(src):
         raise InfeasibleAssignmentError(
             f"lambda has {len(lam)} entries for {len(src)} source tracks"
@@ -94,17 +98,7 @@ def _check_feasible(src: TrackSet, tgt: TrackSet, lam: Sequence[int]) -> None:
         raise InfeasibleAssignmentError(
             f"source {j + 1} and target {lam[j]} share no existing scan" if known[j] else
             f"source {j + 1} maps to unknown target {lam[j]}")
-
-
-def _fixed_layer(
-    src: TrackSet, tgt: TrackSet, lam: Sequence[int], params: MetricParams
-) -> tuple[ScanDistances, tuple[int, ...], int]:
-    """The layer of ``tgt`` against ``src``, which raises unless the sets
-    are comparable, then, once ``lam`` is checked feasible, the per-scan
-    and total distance counts: what a fixed assignment is scored on."""
-    dist = scan_distances(tgt, src, params)
-    _check_feasible(src, tgt, lam)
-    return dist, *count_distances(src, tgt)
+    return dist
 
 
 def _orders_from_lambda(
@@ -122,18 +116,16 @@ def directional_terms(
     dist: ScanDistances,
     orders: Sequence[Sequence[int]],
     params: MetricParams,
-    n_t: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw per-scan loc and card sums, as (T,) arrays, for a fixed
     assignment and fixed track orders; each scan's two sum to at most
-    ``n_t * (c**p + delta**p)``.
+    ``dist.slots[t] * (c**p + delta**p)``.
 
     At every scan a target's order, minus its absent sources, keeps its
     relative order; the first source left is charged the capped distance,
-    plus ``delta**p`` when it is not the first of the full order.  ``dist``
-    is ``scan_distances(tgt, src, params)`` and ``n_t`` the per-scan counts
-    of ``count_distances(src, tgt)``; only the entries of assigned pairs
-    are read.
+    plus ``delta**p`` when it is not the first of the full order, and each
+    slot left unassigned the cutoff.  ``dist`` is ``scan_distances(tgt,
+    src, params)``; only the entries of assigned pairs are read.
     """
     tgt, src = dist.sets
     p = params.p
@@ -168,7 +160,7 @@ def directional_terms(
     count -= 1
     np.maximum(count, 0, out=count)
     np.multiply(count, weights[:, 1:], out=terms[:size, 0, 1])
-    terms[size, 0, 1] = cp * (np.array(n_t) - seen[size])
+    terms[size, 0, 1] = cp * (np.array(dist.slots) - seen[size])
     # added in sequence, as a loop over targets adds them at every scan: a
     # zero term changes no sum, and numpy's pairwise sum would change some
     loc, card = np.add.accumulate(terms.reshape(-1, 2, scans), axis=0)[-1]
@@ -186,7 +178,7 @@ def directional_cost(
 
     Each target's order must be a permutation of its preimage under ``lam``.
     """
-    dist, n_t, n = _fixed_layer(src, tgt, lam, params)
+    dist = _fixed_layer(src, tgt, lam, params)
     preimages = _orders_from_lambda(lam, len(tgt))
     if len(orders) != len(preimages) or any(
         tuple(sorted(order)) != pre for order, pre in zip(orders, preimages)
@@ -194,8 +186,8 @@ def directional_cost(
         raise InfeasibleAssignmentError(
             f"orders {tuple(orders)} do not order the preimages {preimages} of lambda"
         )
-    loc, card = directional_terms(dist, orders, params, n_t)
-    return root_mean(sum((loc + card).tolist()), n, params)
+    loc, card = directional_terms(dist, orders, params)
+    return root_mean(sum((loc + card).tolist()), sum(dist.slots), params)
 
 
 @lru_cache(maxsize=16)
@@ -265,18 +257,18 @@ class _DirectionalEngine:
     ``-(delta**p + c**p)`` per newly covered scan, so the cost of a placement
     depends only on P and j.  An adjustment ties with the best when it is
     at most ``TIE * base`` above it, ``base`` being ``c**p`` for each of
-    the ``n`` distance slots.
+    the layer's distance slots.
 
     ``gain`` is a dense ``(K, M, T)`` array over at most ``ENUMERATION_CAP``
     tracks, gathered from every pair's ``entries`` in the layer.
     """
 
-    def __init__(self, dist: ScanDistances, params: MetricParams, n: int) -> None:
+    def __init__(self, dist: ScanDistances, params: MetricParams) -> None:
         self.tgt, self.src = dist.sets
         p = params.p
         cp = params.c**p
         self.dp = params.delta**p
-        self.base = cp * n
+        self.base = cp * sum(dist.slots)
         # coexist[i-1, j-1, t-1]: target i and source j both exist at scan t
         self.coexist = self.tgt.exists[:, None, :] & self.src.exists[None, :, :]
         # gain[i-1, j-1, t-1]: capped distance ** p minus c ** p where coexisting,
@@ -365,10 +357,10 @@ def directional_distance(
     optimal orders.
     """
     lam = tuple(lam)
-    dist, n_t, n = _fixed_layer(src, tgt, lam, params)
-    orders = _DirectionalEngine(dist, params, n).best_orders(lam)
-    loc, card = directional_terms(dist, orders, params, n_t)
-    return root_mean(sum((loc + card).tolist()), n, params), orders
+    dist = _fixed_layer(src, tgt, lam, params)
+    orders = _DirectionalEngine(dist, params).best_orders(lam)
+    loc, card = directional_terms(dist, orders, params)
+    return root_mean(sum((loc + card).tolist()), sum(dist.slots), params), orders
 
 
 def quasi_ospamt(
@@ -387,7 +379,7 @@ def quasi_ospamt(
     all of it cardinality.
     """
     return _quasi(scan_distances(tgt, src, params), params, resolve_mode(mode, len(src) + len(tgt)),
-                  Direction.EST_TO_TRUTH, count_distances(src, tgt)[0], None)
+                  Direction.EST_TO_TRUTH, None)
 
 
 def _quasi(
@@ -395,26 +387,25 @@ def _quasi(
     params: MetricParams,
     mode: Mode,
     direction: Direction,
-    n_t: Sequence[int],
     costs: np.ndarray | None,
 ) -> MetricReport:
     """``quasi_ospamt`` of the sets of ``dist = scan_distances(tgt, src,
-    params)`` under the resolved ``mode`` and slot counts ``n_t``; ``costs``
-    is the greedy ``cost_matrix(src, tgt, params)`` when priced.  Greedy
-    pairs only finite entries, never tracks that share no scan."""
+    params)`` under the resolved ``mode``, over the layer's slots;
+    ``costs`` is the greedy ``cost_matrix(src, tgt, params)`` when priced.
+    Greedy pairs only finite entries, never tracks that share no scan."""
     tgt, src = dist.sets
     if not len(src) or not len(tgt):
         lam, orders = (0,) * len(src), ((),) * len(tgt)
     elif mode is Mode.EXACT:
-        lam, orders = _DirectionalEngine(dist, params, sum(n_t)).search_exact()
+        lam, orders = _DirectionalEngine(dist, params).search_exact()
     else:
         if costs is None:
             costs = cost_matrix(src, tgt, params, dist)
         greedy = greedy_many_to_one(costs, cutoff_row_col_value=params.c**params.p)
         lam, orders = greedy.lam, greedy.orders
-    loc, card = directional_terms(dist, orders, params, n_t)
+    loc, card = directional_terms(dist, orders, params)
     assignment = Assignment(direction, lam, orders)
-    return MetricReport.from_sums(loc.tolist(), card.tolist(), n_t, params, assignment)
+    return MetricReport.from_sums(loc.tolist(), card.tolist(), dist.slots, params, assignment)
 
 
 def ospamt_metric(
@@ -429,19 +420,19 @@ def ospamt_metric(
     The smaller of the two directional reports of ``quasi_ospamt`` wins;
     when the estimate-to-truth total is at most ``TIE * c`` above the other,
     that direction is reported.  ``dist``, if given, is the layer of this
-    pair (``layer_for``).  Both directions read it, the truth-to-estimate
-    one through its transpose, with one resolved mode and one count of the
-    slots.  The greedy search prices the estimate-to-truth ``cost_matrix``
-    once and reads the other direction's matrix as its transpose.
+    pair (``layer_for``).  Both directions read it, and the slots it
+    counts, the truth-to-estimate one through its transpose, with one
+    resolved mode.  The greedy search prices the estimate-to-truth
+    ``cost_matrix`` once and reads the other direction's matrix as its
+    transpose.
     """
     dist = layer_for(a, b, params, dist)
     mode = resolve_mode(mode, len(a) + len(b))
-    n_t = count_distances(a, b)[0]
     costs = None
     if len(a) and len(b) and mode is Mode.GREEDY:
         costs = cost_matrix(b, a, params, dist)
-    est = _quasi(dist, params, mode, Direction.EST_TO_TRUTH, n_t, costs)
-    tru = _quasi(dist.transpose(), params, mode, Direction.TRUTH_TO_EST, n_t,
+    est = _quasi(dist, params, mode, Direction.EST_TO_TRUTH, costs)
+    tru = _quasi(dist.transpose(), params, mode, Direction.TRUTH_TO_EST,
                  None if costs is None else costs.T)
     return est if est.total <= tru.total + TIE * params.c else tru
 

@@ -55,21 +55,21 @@ def ospat_reorder(
     Ties resolve to the lexicographically smallest assignment vector.  The
     pairing keeps the per-scan costs of its pairs as ``costs_t``.  ``dist``,
     if given, is the layer of this pair (``layer_for``), and its Euclidean
-    distances are read (``at_order(2.0)``).  A scan where one track of a
-    pair exists costs the cutoff without a distance.  A pair's summed cost,
-    which chooses the pairing, is its capped distances added in scan order
-    (``ScanDistances.pair_sums``) plus the cutoff times its count of lone
-    scans; ``costs_t`` sums the chosen pairs' per-scan costs pair by pair.
+    distances are read (``at_order(2.0)``).  A pair's summed cost, which
+    chooses the pairing, is its capped distances added in scan order plus
+    the cutoff per lone scan, where one of its tracks exists, both from
+    ``ScanDistances.pair_sums``; ``costs_t`` sums the chosen pairs'
+    per-scan costs pair by pair, and with one set empty is the cutoff per
+    slot of the layer, each a state of the other set.
     """
     dist = layer_for(a, b, params, dist)
     smaller = "b" if len(b) <= len(a) else "a"
-    if not len(a) or not len(b):
-        other = b if not len(a) else a
-        return OspatAssignment((), smaller, tuple((params.c * other.exists.sum(axis=0)).tolist()))
     c = params.c
+    if not len(a) or not len(b):
+        return OspatAssignment((), smaller, tuple(c * k for k in dist.slots))
     capped = np.minimum(dist.at_order(2.0), c)
-    shared, summed = dist.pair_sums(capped)
-    d = summed + c * (a.exists.sum(axis=1)[:, None] + b.exists.sum(axis=1) - 2 * shared)
+    shared, lone, summed = dist.pair_sums(capped)
+    d = summed + c * lone
     pi = lexicographic_matching(*optimal_matching(d.T if smaller == "b" else d))
     pairs = tuple((j + 1, i + 1) if smaller == "b" else (i + 1, j + 1) for i, j in enumerate(pi))
     # the chosen pairs' (pairs, T) costs: 0 where neither track exists, the

@@ -120,6 +120,10 @@ def build(spec: ScenarioSpec) -> Scenario:
         for tracks in sets))
 
 
+#: The state dimension of every ``random_scenario``.
+RANDOM_DIM = 2
+
+
 def random_scenario(
     seed: int,
     n_truth: int = 3,
@@ -128,9 +132,8 @@ def random_scenario(
     false_rate: float = 0.0,
     break_rate: float = 0.0,
     noise: float = 0.0,
-    state_dim: int = 2,
 ) -> tuple[TrackSet, TrackSet]:
-    """Seeded truth set plus a degraded estimate of it.
+    """Seeded 2-D (``RANDOM_DIM``) truth set plus a degraded estimate of it.
 
     The estimate starts as a copy of the truth, then per-scan states are
     dropped with probability ``miss_rate``, tracks are cut in two with
@@ -151,14 +154,14 @@ def random_scenario(
     for k in range(n_truth):
         start = rng.randint(1, max(1, scans - 1))
         end = rng.randint(start, scans)
-        pos = [rng.uniform(-100.0, 100.0) for _ in range(state_dim)]
-        vel = [rng.uniform(-2.0, 2.0) for _ in range(state_dim)]
+        pos = [rng.uniform(-100.0, 100.0) for _ in range(RANDOM_DIM)]
+        vel = [rng.uniform(-2.0, 2.0) for _ in range(RANDOM_DIM)]
         points = {
             t: tuple(p + v * (t - start) for p, v in zip(pos, vel))
             for t in range(start, end + 1)
         }
         truth_records.append((f"t{k + 1}", points))
-    truth = TrackSet.from_records(scans, state_dim, truth_records)
+    truth = TrackSet.from_records(scans, RANDOM_DIM, truth_records)
 
     est_records: list[tuple[str, dict[int, tuple[float, ...]]]] = []
     for k, (_, truth_points) in enumerate(truth_records):
@@ -183,10 +186,10 @@ def random_scenario(
     for f in range(n_false):
         start = rng.randint(1, max(1, scans - 1))
         end = rng.randint(start, scans)
-        pos = [rng.uniform(-100.0, 100.0) for _ in range(state_dim)]
+        pos = [rng.uniform(-100.0, 100.0) for _ in range(RANDOM_DIM)]
         est_records.append((f"f{f + 1}", {t: tuple(pos) for t in range(start, end + 1)}))
     try:
-        est = TrackSet.from_records(scans, state_dim, est_records)
+        est = TrackSet.from_records(scans, RANDOM_DIM, est_records)
     except NonFiniteCoordinateError as exc:
         raise BadParametersError(f"noise {noise} makes an estimated coordinate non-finite") from exc
     return truth, est

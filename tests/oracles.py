@@ -31,7 +31,7 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import tracks_of
 from trackmetric.assign import ENUMERATION_CAP, INFEASIBLE, TIE
-from trackmetric.core import MetricParams, Track, TrackSet, base_distance, count_distances
+from trackmetric.core import MetricParams, Track, TrackSet, base_distance
 from trackmetric.errors import (
     BadParametersError,
     DimensionMismatchError,
@@ -441,7 +441,7 @@ def legacy_directional_terms(src: TrackSet, tgt: TrackSet, orders, params: Metri
     p = params.p
     cp = params.c**p
     dp = params.delta**p
-    n_t, _ = count_distances(src, tgt)
+    n_t, _ = oracle_counts(src, tgt)
     # one row per assigned pair, target by target in order
     ii = np.array([i for i, order in enumerate(orders) for _ in order], dtype=int)
     jj = np.array([j - 1 for order in orders for j in order], dtype=int)

@@ -27,13 +27,14 @@ from oracles import (
     dense_reorder_costs,
     dense_scan_distances,
     entry_scans,
+    oracle_counts,
 )
 from trackmetric import ospat
 from trackmetric.assign import INFEASIBLE, greedy_many_to_one, optimal_matching
 from trackmetric.core import MetricParams, ScanDistances, Track, TrackSet, scan_distances
 from trackmetric.errors import BadParametersError, DimensionMismatchError
 from trackmetric.ospa import ospa_per_scan
-from trackmetric.ospamt import Mode, _DirectionalEngine, cost_matrix, ospamt_metric
+from trackmetric.ospamt import Mode, _DirectionalEngine, cost_matrix, ospamt_metric, quasi_ospamt
 from trackmetric.ospat import (
     _labeled_distances,
     ospat_labeled,
@@ -197,12 +198,13 @@ def test_pair_sums_of_a_layer_with_no_coexisting_entry():
     a, b = apart_pair(2)
     params = MetricParams(c=3.0, delta=1.0, alpha=1.0)
     dist = scan_distances(a, b, params)
-    for layer, shape in ((dist, (2, 1)), (dist.transpose(), (1, 2))):
-        counts, sums = layer.pair_sums(layer.values)
-        assert counts.shape == sums.shape == shape
-        assert not counts.any() and not sums.any()
     # every scan of either track is a lone one
     lone = a.exists.sum(axis=1)[:, None] + b.exists.sum(axis=1)
+    for layer, shape, want in ((dist, (2, 1), lone), (dist.transpose(), (1, 2), lone.T)):
+        counts, lones, sums = layer.pair_sums(layer.values)
+        assert counts.shape == lones.shape == sums.shape == shape
+        assert not counts.any() and not sums.any()
+        np.testing.assert_array_equal(lones, want)
     np.testing.assert_array_equal(pairing_costs(a, b, params, dist)[1], 3.0 * lone)
 
 
@@ -214,12 +216,29 @@ def test_pair_sums_of_the_transposed_layer_are_the_transpose():
     for a, b in pairs(rng, 2) + drawn:
         dist = scan_distances(a, b, params)
         values = np.array([rng.uniform(0, 9) for _ in dist.values])
-        counts, sums = dist.pair_sums(values)
-        for got, want in zip(dist.transpose().pair_sums(values), (counts.T, sums.T)):
+        counts, lone, sums = dist.pair_sums(values)
+        for got, want in zip(dist.transpose().pair_sums(values), (counts.T, lone.T, sums.T)):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(counts, (a.exists[:, None] & b.exists[None]).sum(axis=2))
+        np.testing.assert_array_equal(lone, (a.exists[:, None] ^ b.exists[None]).sum(axis=2))
         np.testing.assert_array_equal(sums, dense_pair_sums(np.nan_to_num(dense_layer(dist,
                                                                                       values))))
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.GREEDY])
+def test_every_report_counts_the_slots_of_its_layer(mode):
+    # OSPA, OSPAT and both OSPAMT directions normalise by the layer's slots,
+    # also where a set is empty or the sets never coexist
+    rng = random.Random(33)
+    params = MetricParams(c=6.0, delta=2.0, alpha=3.0)
+    for a, b in pairs(rng, 2):
+        slots = scan_distances(a, b, params).slots
+        assert list(slots) == oracle_counts(a, b)[0]
+        reports = [ospa_per_scan(a, b, params), ospat_per_scan(a, b, params)[0],
+                   ospamt_metric(a, b, params, mode),
+                   quasi_ospamt(b, a, params, mode), quasi_ospamt(a, b, params, mode)]
+        for report in reports:
+            assert report.n_t == slots and report.n == sum(slots)
 
 
 def test_cost_matrix_with_an_empty_set():
@@ -273,7 +292,7 @@ def test_exact_engine_gain_is_the_dense_formula(p):
                 tgt, src = layer.sets
                 coexist = tgt.exists[:, None] & src.exists[None]
                 want = np.where(coexist, np.minimum(dense, params.c) ** p - params.c**p, 0)
-                gain = _DirectionalEngine(layer, params, 1).gain
+                gain = _DirectionalEngine(layer, params).gain
                 assert gain.shape == want.shape and gain.tobytes() == want.tobytes()
 
 

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import distance_params, random_float_set, same_track_sets, tracks_of
-from oracles import dense_layer, oracle_check, oracle_norm
+from oracles import dense_layer, oracle_check, oracle_counts, oracle_norm
 from trackmetric.core import (
     MetricParams,
     Track,
     TrackSet,
     base_distance,
-    count_distances,
     scan_distances,
 )
 from trackmetric.errors import (
@@ -27,6 +26,7 @@ from trackmetric.errors import (
     ValidationError,
 )
 from trackmetric.io import load_track_set, save_track_set
+from trackmetric.ospa import ospa
 from trackmetric.scenarios import FigureId, ScenarioSpec, build
 
 
@@ -163,6 +163,16 @@ def test_a_scan_key_that_is_not_an_integer_is_rejected(points):
     with pytest.raises(ValidationError, match="is not an integer"):
         Track(points)
     assert Track({np.int64(2): 0.0}).points == {2: (0.0,)}
+
+
+@pytest.mark.parametrize("x", ["5", True, b"7", np.bool_(True), None, 1 + 0j, [1, "x"]])
+def test_a_coordinate_that_is_not_a_number_is_rejected(x):
+    # a string or a bool is never read as a number, and a value float()
+    # refuses is a ValidationError rather than a bare TypeError or ValueError
+    with pytest.raises(ValidationError, match="at scan 3"):
+        Track({1: 0.0, 3: x})
+    with pytest.raises(ValidationError, match="at scan 1"):
+        ospa([(1.0,)], [(x,)], MetricParams())
 
 
 def test_track_label_outside_the_set_raises():
@@ -302,31 +312,35 @@ def test_scan_distances_reject_incomparable_sets():
         scan_distances(three, flat, MetricParams())
 
 
-def test_count_distances_fig1b():
+def test_slots_fig1b():
     sc = build(ScenarioSpec(FigureId.FIG1B))
-    n_t, n = count_distances(sc.truth, sc.est)
-    assert n_t == (1, 1, 1, 2, 2)
-    assert n == 7
+    slots = scan_distances(sc.truth, sc.est, MetricParams()).slots
+    assert slots == (1, 1, 1, 2, 2) == tuple(oracle_counts(sc.truth, sc.est)[0])
+    assert sum(slots) == 7
 
 
-def test_count_distances_fig1a_and_friends():
+def test_slots_fig1a_and_friends():
     for fig in (FigureId.FIG1A, FigureId.FIG1C, FigureId.FIG1D):
         sc = build(ScenarioSpec(fig))
-        _, n = count_distances(sc.truth, sc.est)
-        assert n == 5
+        slots = scan_distances(sc.truth, sc.est, MetricParams()).slots
+        assert list(slots) == oracle_counts(sc.truth, sc.est)[0]
+        assert sum(slots) == 5
 
 
-def test_count_distances_empty_sets():
+def test_slots_empty_sets():
     a = TrackSet(5, 1, ())
     b = TrackSet(5, 1, ())
-    n_t, n = count_distances(a, b)
-    assert n_t == (0, 0, 0, 0, 0)
-    assert n == 0
+    slots = scan_distances(a, b, MetricParams()).slots
+    assert slots == (0, 0, 0, 0, 0)
+    assert sum(slots) == 0
+    one = TrackSet(5, 1, (Track({2: 0.0, 3: 1.0}), Track({3: 2.0})))
+    assert scan_distances(one, b, MetricParams()).slots == (0, 1, 2, 0, 0)
+    assert scan_distances(b, one, MetricParams()).slots == (0, 1, 2, 0, 0)
 
 
-def test_count_distances_scan_mismatch():
+def test_slots_scan_mismatch():
     with pytest.raises(ScanMismatchError):
-        count_distances(TrackSet(5, 1, ()), TrackSet(4, 1, ()))
+        scan_distances(TrackSet(5, 1, ()), TrackSet(4, 1, ()), MetricParams())
 
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -343,13 +357,16 @@ def test_cutoff_distance_symmetric_and_bounded(x, y, p_prime):
 
 
 @given(seed=st.integers(0, 10_000))
-def test_count_distances_symmetric(seed):
+def test_slots_symmetric(seed):
     rng = random.Random(seed)
     from conftest import random_small_set
 
     a = random_small_set(rng)
     b = random_small_set(rng)
-    assert count_distances(a, b) == count_distances(b, a)
+    dist = scan_distances(a, b, MetricParams())
+    assert list(dist.slots) == oracle_counts(a, b)[0]
+    assert all(type(k) is int for k in dist.slots)
+    assert dist.slots == scan_distances(b, a, MetricParams()).slots == dist.transpose().slots
 
 
 # power-of-two scaling is only lossless away from the subnormal range
@@ -396,6 +413,24 @@ def test_params_validation():
 def test_scale_that_is_not_numbers_is_a_parameter_error(scale):
     with pytest.raises(BadParametersError, match="scale must be a sequence of numbers"):
         MetricParams(scale=scale)
+
+
+@pytest.mark.parametrize("make, args, kwargs", [
+    (TrackSet, (2.5, 1, []), {}),
+    (TrackSet, (3, 1.0, [Track({1: 0.0})]), {}),
+    (TrackSet, ("3", 1, []), {}),
+    (TrackSet, (True, 1, [Track({1: 0.0})]), {}),
+    (MetricParams, (), {"c": "80"}),
+    (MetricParams, (), {"delta": None}),
+    (MetricParams, (), {"p": True}),
+    (MetricParams, (), {"alpha": True}),
+    (MetricParams, (), {"p_prime": True}),
+    (MetricParams, (), {"scale": (True,)}),
+], ids=lambda v: repr(v) if not isinstance(v, type) else v.__name__)
+def test_counts_and_parameters_of_the_wrong_type_are_parameter_errors(make, args, kwargs):
+    # a bool is never read as 0 or 1, nor a string as its number
+    with pytest.raises(BadParametersError):
+        make(*args, **kwargs)
 
 
 def test_params_warns_at_delta_equal_c():

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import golden, solve_one_to_one
-from oracles import dense_labeled_distances, dense_layer, oracle_ospa
+from oracles import dense_labeled_distances, dense_layer, oracle_counts, oracle_ospa
 from trackmetric.core import (
     MetricParams,
     MetricReport,
     Track,
     TrackSet,
-    count_distances,
     scan_distances,
 )
 from trackmetric.errors import DimensionMismatchError, NonFiniteCoordinateError
@@ -162,7 +161,7 @@ def eager_report(a, b, capped, params):
             pairs = [(ia[j], ib[i]) for i, j in enumerate(pi)]
         loc_sums.append(loc)
         matchings.append(tuple(sorted((i + 1, j + 1) for i, j in pairs)))
-    n_t, _ = count_distances(a, b)
+    n_t, _ = oracle_counts(a, b)
     return MetricReport.from_sums(loc_sums, card_sums, n_t, params, tuple(matchings))
 
 

@@ -30,14 +30,13 @@ from oracles import (
     oracle_quasi,
     oracle_tilde_d_t,
 )
-from trackmetric import ospamt
+from trackmetric import ospamt, scenarios
 from trackmetric.assign import INFEASIBLE
 from trackmetric.core import (
     Direction,
     MetricParams,
     Track,
     TrackSet,
-    count_distances,
     scan_distances,
 )
 from trackmetric.errors import (
@@ -98,11 +97,13 @@ def test_pairwise_cost_merged_track_against_short_truth():
 
 @pytest.mark.parametrize("p_prime", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("scale", [None, (0.5, 2.0, 1.25)])
-def test_cost_matrix_of_swapped_roles_is_the_transpose(p_prime, scale):
+def test_cost_matrix_of_swapped_roles_is_the_transpose(p_prime, scale, monkeypatch):
+    # 3-D random sets, drawn as the 2-D ones are
+    monkeypatch.setattr(scenarios, "RANDOM_DIM", 3)
     params = MetricParams(p=2.0, c=40.0, p_prime=p_prime, scale=scale)
     for seed in range(6):
         a, b = random_scenario(seed, n_truth=5, scans=12, miss_rate=0.3, false_rate=0.4,
-                               break_rate=0.3, noise=8.0, state_dim=3)
+                               break_rate=0.3, noise=8.0)
         np.testing.assert_array_equal(cost_matrix(a, b, params), cost_matrix(b, a, params).T)
 
 
@@ -124,8 +125,7 @@ def test_example1_fig1a_per_scan_terms():
     p, c, d = params.p, params.c, params.delta
     sc = fig(FigureId.FIG1A)
     eps = 1.0
-    loc, card = directional_terms(scan_distances(sc.truth, sc.est, params), ((1, 2),), params,
-                                  count_distances(sc.est, sc.truth)[0])
+    loc, card = directional_terms(scan_distances(sc.truth, sc.est, params), ((1, 2),), params)
     want = [eps**p] * 3 + [eps**p + d**p] * 2
     assert list(loc + card) == pytest.approx(want, rel=1e-9)
 
@@ -135,8 +135,7 @@ def test_example1_fig1b_per_scan_terms():
     p, c, d = params.p, params.c, params.delta
     sc = fig(FigureId.FIG1B)
     eps = 1.0
-    loc, card = directional_terms(scan_distances(sc.truth, sc.est, params), ((1, 2), ()), params,
-                                  count_distances(sc.est, sc.truth)[0])
+    loc, card = directional_terms(scan_distances(sc.truth, sc.est, params), ((1, 2), ()), params)
     want = [eps**p] * 3 + [eps**p + d**p + c**p] * 2
     assert list(loc + card) == pytest.approx(want, rel=1e-9)
 
@@ -144,8 +143,7 @@ def test_example1_fig1b_per_scan_terms():
 def test_example1_fig1c_false_track():
     params = MetricParams()
     sc = fig(FigureId.FIG1C)
-    loc, card = directional_terms(scan_distances(sc.truth, sc.est, params), ((),), params,
-                                  count_distances(sc.est, sc.truth)[0])
+    loc, card = directional_terms(scan_distances(sc.truth, sc.est, params), ((),), params)
     assert list(loc + card) == pytest.approx([params.c**params.p] * 5, rel=1e-9)
 
 
@@ -208,10 +206,9 @@ def test_directional_breakdown_bound():
         src = random_small_set(rng, min_tracks=1)
         tgt = random_small_set(rng, min_tracks=1)
         assignment = quasi_ospamt(src, tgt, params, Mode.EXACT).assignment
-        n_t, _ = count_distances(src, tgt)
-        loc, card = directional_terms(scan_distances(tgt, src, params), assignment.orders,
-                                      params, n_t)
-        for raw, nt in zip(loc + card, n_t):
+        dist = scan_distances(tgt, src, params)
+        loc, card = directional_terms(dist, assignment.orders, params)
+        for raw, nt in zip(loc + card, dist.slots):
             assert raw <= nt * cap + 1e-9
             assert raw >= -1e-12
 
@@ -236,7 +233,7 @@ def test_directional_terms_match_oracle_per_scan(params):
         dist = scan_distances(tgt, src, params)
         src_tracks, tgt_tracks = tracks_of(src), tracks_of(tgt)
         for _, orders in pairs:
-            loc, card = directional_terms(dist, orders, params, n_t)
+            loc, card = directional_terms(dist, orders, params)
             for t in range(1, src.scans + 1):
                 want = oracle_tilde_d_t(src_tracks, tgt_tracks, orders, params, t, n_t[t - 1])
                 assert loc[t - 1] + card[t - 1] == pytest.approx(want, rel=1e-12)
@@ -270,7 +267,7 @@ def test_directional_terms_match_the_target_by_target_loop(p):
             rng.shuffle(order)
         orders = tuple(map(tuple, orders))
         dist = scan_distances(tgt, src, params)
-        loc, card = directional_terms(dist, orders, params, count_distances(src, tgt)[0])
+        loc, card = directional_terms(dist, orders, params)
         want_loc, want_card = legacy_directional_terms(src, tgt, orders, params, dist)
         assert np.array_equal(loc, want_loc) and np.array_equal(card, want_card)
         cases["empty preimage"] += () in orders
@@ -707,20 +704,32 @@ def test_greedy_never_assigns_tracks_that_share_no_scan():
 
 
 def test_metric_resolves_the_mode_and_counts_the_slots_once(monkeypatch):
-    from trackmetric import ospamt
+    # the slots are counted where the one distance layer is built, and a
+    # metric given a layer builds none
+    from trackmetric import core
 
     calls = Counter()
-    for name in ("resolve_mode", "count_distances"):
-        def counting(*args, _name=name, _fn=getattr(ospamt, name)):
-            calls[_name] += 1
-            return _fn(*args)
 
-        monkeypatch.setattr(ospamt, name, counting)
+    def counting(*args, _fn=ospamt.resolve_mode):
+        calls["resolve_mode"] += 1
+        return _fn(*args)
+
+    def building(self, *args, _fn=core.ScanDistances.__init__):
+        calls["layer"] += 1
+        _fn(self, *args)
+
+    monkeypatch.setattr(ospamt, "resolve_mode", counting)
+    monkeypatch.setattr(core.ScanDistances, "__init__", building)
     sc = fig(FigureId.FIG5)
+    params = MetricParams()
     for mode in (Mode.EXACT, Mode.GREEDY, Mode.AUTO):
         calls.clear()
-        ospamt_metric(sc.truth, sc.est, MetricParams(), mode)
-        assert calls == {"resolve_mode": 1, "count_distances": 1}
+        ospamt_metric(sc.truth, sc.est, params, mode)
+        assert calls == {"resolve_mode": 1, "layer": 1}
+        dist = scan_distances(sc.truth, sc.est, params)
+        calls.clear()
+        ospamt_metric(sc.truth, sc.est, params, mode, dist)
+        assert calls == {"resolve_mode": 1}
 
 
 def test_t1_reduction_to_ospa_spot():

@@ -1,9 +1,8 @@
 import pytest
 
 from conftest import same_track_sets, tracks_of
-from trackmetric.core import count_distances
+from trackmetric.core import MetricParams, scan_distances
 from trackmetric.errors import BadParametersError
-from trackmetric.core import MetricParams
 from trackmetric.ospamt import Mode, ospamt_metric
 from trackmetric.scenarios import (
     FigureId,
@@ -46,8 +45,7 @@ def test_distance_counts_match_study_values():
     n_by_fig = {FigureId.FIG1A: 5, FigureId.FIG1B: 7, FigureId.FIG1C: 5, FigureId.FIG1D: 5}
     for fig, want in n_by_fig.items():
         sc = build(ScenarioSpec(fig))
-        _, n = count_distances(sc.truth, sc.est)
-        assert n == want
+        assert sum(scan_distances(sc.truth, sc.est, MetricParams()).slots) == want
 
 
 def test_bad_parameter_orderings():

@@ -6,6 +6,7 @@ it must exit 0 and print its header line first.
 """
 
 import importlib
+import inspect
 import json
 import pkgutil
 import re
@@ -190,6 +191,7 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
 def test_readme_documents_the_public_api():
     # every exported name is shown in the Library section's code, and every
     # call in its list of lower-level pieces names something the package has
+    # and, where its arguments are bare names, binds to its signature
     readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
     library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     code = " ".join(re.findall(r"```.*?```|`[^`]+`", library, re.S))
@@ -200,3 +202,18 @@ def test_readme_documents_the_public_api():
     pieces = library.split("Lower-level pieces", 1)[1].split("\n\n", 2)[1]
     calls = re.findall(r"`(?:\w+\.)*(\w+)\(", pieces)
     assert calls and [c for c in calls if not any(hasattr(o, c) for o in owners)] == []
+    unbound, bound = [], 0
+    for name, args in re.findall(r"`(?:\w+\.)*(\w+)\(([^`(]*)\)`", pieces):
+        args = [a.rstrip(",") for a in args.split()]  # a call may wrap across lines
+        if not all(a.isidentifier() for a in args):
+            continue  # a call with `*` or a nested call
+        sig = inspect.signature(next(getattr(o, name) for o in owners if hasattr(o, name)))
+        first = next(iter(sig.parameters), None)
+        if first == "self":
+            sig = sig.replace(parameters=list(sig.parameters.values())[1:])
+        try:
+            sig.bind(*args)
+            bound += 1
+        except TypeError:
+            unbound.append(f"{name}({', '.join(args)})")
+    assert bound and unbound == []
