@@ -5,7 +5,9 @@
 Every file of ``ERROR_DOCS``, one per kind of parse or validation error,
 is scored by ``trackmetric compute BAD VALID --metric all``, once more with
 the options of ``ERROR_OPTIONS`` where it has some, and a split of VALID is
-written into a missing directory.  Every figure
+written into a missing directory.  A valid pair whose track labels hold
+the characters of ``LABELS`` is scored in json and as a table with the
+assignment, so that the writers' string escaping is compared.  Every figure
 is written by ``trackmetric scenario FIG`` under each spec of
 ``FIGURE_SPECS``, and a random scenario at each seed under each option set
 of ``RANDOM_OPTIONS``; these files come from each tree itself, so a changed
@@ -160,6 +162,29 @@ def build_error_runs(workdir: Path) -> list[dict]:
     return runs
 
 
+#: Track labels json writes with ASCII escapes (a BMP and an astral
+#: character), or that hold a quote, a backslash or a comma.
+LABELS = ("caf\u00e9", "\u2603 \U0001d11e", 'say "hi"', "back\\slash", "a,b")
+
+
+def build_label_runs(workdir: Path) -> list[dict]:
+    """Write a valid pair, three tracks a side over 3 scans, whose labels
+    are ``LABELS[:3]`` and ``LABELS[2:]``; list its ``compute`` runs in
+    json and as a table, each with every metric's assignment."""
+    paths = []
+    for side, (labels, shift) in enumerate(((LABELS[:3], 0.0), (LABELS[2:], 0.5))):
+        tracks = [{"id": label, "points": [{"t": t, "x": [3.0 * i + shift, float(t)]}
+                                           for t in (1, 2, 3) if (side, i, t) != (1, 2, 2)]}
+                  for i, label in enumerate(labels)]
+        paths.append(workdir / f"labels{side}.json")
+        paths[-1].write_text(json.dumps({"scans": 3, "state_dim": 2, "tracks": tracks}),
+                             encoding="utf-8")
+    return [{"id": f"labels {fmt}",
+             "argv": ["compute", *map(str, paths), "--metric", "all", "--per-time",
+                      "--report-assignment", "--output", fmt]}
+            for fmt in ("json", "table")]
+
+
 def build_scenario_runs(seeds: list[int]) -> list[dict]:
     """One ``scenario`` run per figure and spec of ``FIGURE_SPECS``, then
     per seed and option set of ``RANDOM_OPTIONS``; each writes its sets to
@@ -176,9 +201,10 @@ def build_scenario_runs(seeds: list[int]) -> list[dict]:
 def build_runs(names: list[str], seeds: list[int], limit: int | None,
                workdir: Path) -> list[dict]:
     """Write every instance's files and list the runs made on them, after
-    the one selftest run, the runs on ``ERROR_DOCS`` and the scenario runs."""
+    the one selftest run, the runs on ``ERROR_DOCS``, the runs on the
+    ``LABELS`` pair and the scenario runs."""
     runs = [{"id": "selftest", "argv": ["selftest"]}, *build_error_runs(workdir),
-            *build_scenario_runs(seeds)]
+            *build_label_runs(workdir), *build_scenario_runs(seeds)]
     for workload in names:
         for seed in seeds:
             for inst in workloads.build_instances(workload, seed)[:limit]:

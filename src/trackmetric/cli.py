@@ -7,13 +7,14 @@ replays the golden table.  Exit codes: 0 ok, 2 parse error, 3 validation
 error, 4 configuration error, 5 split non-convergence.
 
 ``compute`` prints each metric's library ``MetricReport``: every summary
-and per-scan value is ``core.root_mean`` of raw per-scan sums.
+and per-scan value is ``core.root_mean`` of raw per-scan sums.  Its JSON is
+the bytes of ``json.dumps(doc, indent=2)`` and its CSV those of
+``csv.writer`` in the excel dialect, each written in one pass per metric.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -48,7 +49,14 @@ EXIT_VALIDATION = 3
 EXIT_CONFIG = 4
 EXIT_NO_CONVERGENCE = 5
 
-CSV_HEADER = ["t", "metric", "total", "loc", "card", "n_t"]
+#: A scalar's JSON text as ``json.dumps`` spells it (ASCII escapes, float
+#: repr, NaN and Infinity bare), from the C encoder, which json skips when
+#: ``indent`` is set.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+#: One per-scan row of the JSON document, as ``json.dumps(doc, indent=2)``
+#: indents it under ``metrics``, ``<name>``, ``per_time``.
+_JSON_ROW = ('\n        {\n          "t": %s,\n          "total": %s,\n          "loc": %s,'
+             '\n          "card": %s,\n          "n_t": %s\n        },')
 
 
 @dataclass
@@ -146,12 +154,71 @@ def _params_from_args(args: argparse.Namespace) -> MetricParams:
     )
 
 
+class _Json(str):
+    """JSON text already written, which ``_indented`` places as it stands."""
+
+
+def _indented(value, pad: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it after the line
+    break and indentation ``pad``: a non-empty dict or list one item per
+    line, anything else through ``_encode``."""
+    if isinstance(value, _Json):
+        return value
+    if not isinstance(value, (dict, list)) or not value:
+        return _encode(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_encode(key)}: {_indented(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return "[" + inner + ("," + inner).join([_indented(item, inner) for item in value]) + pad + "]"
+
+
+def _json_rows(res: MetricRows, at_time: int | None) -> _Json:
+    """The ``per_time`` list of one metric: its numbers in one encode, split
+    on the commas that only separate them, filled into ``_JSON_ROW``.  A
+    report has at least one scan, so the list is never empty."""
+    rows = res.rows(at_time)
+    numbers = _encode([v for row in rows for v in row])[1:-1].split(",")
+    return _Json("[" + (_JSON_ROW * len(rows))[:-1] % tuple(numbers) + "\n      ]")
+
+
+def _emit_json(
+    params: MetricParams, mode: Mode, results: list[MetricRows], at_time: int | None, out
+) -> None:
+    doc = {
+        "params": {
+            "p": params.p,
+            "c": params.c,
+            "delta": params.delta,
+            "alpha": params.alpha,
+            "p_prime": params.base_order,
+            "scale": list(params.scale) if params.scale else None,
+            "mode": mode.value,
+        },
+        "metrics": {
+            res.name: {
+                "total": res.report.total,
+                "loc": res.report.loc,
+                "card": res.report.card,
+                "per_time": _json_rows(res, at_time),
+                "assignment": res.assignment_text(),
+                **res.extra,
+            }
+            for res in results
+        },
+    }
+    out.write(_indented(doc) + "\n")
+
+
 def _emit_csv(results: list[MetricRows], at_time: int | None, out) -> None:
-    writer = csv.writer(out)
-    writer.writerow(CSV_HEADER)
+    """``csv.writer``'s excel dialect, one ``%`` format per metric: no field
+    holds a comma, quote or line break, so none is quoted."""
+    text = ["t,metric,total,loc,card,n_t\r\n"]
     for res in results:
-        for t, total, loc, card, n_t in res.rows(at_time):
-            writer.writerow([t, res.name, f"{total!r}", f"{loc!r}", f"{card!r}", n_t])
+        rows = res.rows(at_time)
+        text.append((f"%d,{res.name},%r,%r,%r,%d\r\n" * len(rows))
+                    % tuple([v for row in rows for v in row]))
+    out.write("".join(text))
 
 
 def _emit_table(
@@ -217,32 +284,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     dist = scan_distances(truth, est, params)
     results = [_EVALUATORS[name](truth, est, params, mode, dist) for name in names]
     if args.output == "json":
-        doc = {
-            "params": {
-                "p": params.p,
-                "c": params.c,
-                "delta": params.delta,
-                "alpha": params.alpha,
-                "p_prime": params.base_order,
-                "scale": list(params.scale) if params.scale else None,
-                "mode": mode.value,
-            },
-            "metrics": {
-                res.name: {
-                    "total": res.report.total,
-                    "loc": res.report.loc,
-                    "card": res.report.card,
-                    "per_time": [
-                        {"t": t, "total": tt, "loc": ll, "card": cc, "n_t": nn}
-                        for t, tt, ll, cc, nn in res.rows(args.at_time)
-                    ],
-                    "assignment": res.assignment_text(),
-                    **res.extra,
-                }
-                for res in results
-            },
-        }
-        print(json.dumps(doc, indent=2))
+        _emit_json(params, mode, results, args.at_time, sys.stdout)
     elif args.output == "csv":
         _emit_csv(results, args.at_time, sys.stdout)
     else:

@@ -47,7 +47,8 @@ class Track:
     A record only: a ``TrackSet`` reads it once, when built, and keeps its
     points as arrays.  A scan is an integer, Python or numpy; any other key
     is a ValidationError.  A bare number, Python or numpy, or any
-    other value with no axes, is a 1-D state.  A string, bytes, a bool or
+    other value with no axes, is a 1-D state; a 0-d array, bare or as a
+    coordinate, is read as the scalar it holds.  A string, bytes, a bool or
     anything ``float`` refuses is no coordinate but a ValidationError.  An
     integer beyond float range reads as an infinite coordinate, which
     ``TrackSet`` rejects.  ``label`` is carried for reporting only; it
@@ -62,7 +63,9 @@ class Track:
         for t, x in self.points.items():
             t = _scan_index(t)
             # lists and tuples, the common states, skip the cost of np.ndim
-            x = tuple(x) if isinstance(x, (list, tuple)) or np.ndim(x) else (x,)
+            x = x if isinstance(x, (list, tuple)) or np.ndim(x) else (x,)
+            # a 0-d array is checked as the scalar it holds, which v[()] reads
+            x = [v[()] if isinstance(v, np.ndarray) else v for v in x]
             try:
                 # float() would read a string, bytes or a bool as a number
                 if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in x):
@@ -273,8 +276,15 @@ class MetricParams:
     def __post_init__(self) -> None:
         for name in ("p", "c", "delta", "alpha", "p_prime"):
             value = getattr(self, name)
-            if not _is_a(value, numbers.Real) and not (name == "p_prime" and value is None):
+            if name == "p_prime" and value is None:
+                continue
+            if not _is_a(value, numbers.Real):
                 raise BadParametersError(f"{name} must be a real number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                # no repr: an int past 4300 digits refuses one
+                raise BadParametersError(f"{name} is beyond float range") from None
         if not (1.0 <= self.p < math.inf):
             raise BadParametersError(f"order p must satisfy 1 <= p < inf, got {self.p}")
         if not (self.c > 0.0 and math.isfinite(self.c)):

@@ -8,9 +8,10 @@ The exceptions are the ``legacy_*`` copies and the ``dense_*`` formulas at
 the end.  The ``legacy_*`` copies are the library's earlier code: the
 greedy sweep entry by entry and its order matrix read row by row, the
 OSPAMT scoring target by target, the decoder that made one ``Track``
-per track and checked every point twice, and the loader that parsed every
-file with the stdlib ``json`` module; the library must give the same
-results and raise the same errors.  The ``dense_*`` formulas are the
+per track and checked every point twice, the loader that parsed every
+file with the stdlib ``json`` module, and ``compute``'s JSON and CSV
+writers through the stdlib ``json`` and ``csv`` modules; the library must
+give the same results and bytes and raise the same errors.  The ``dense_*`` formulas are the
 library's earlier whole-tensor arithmetic, which computed every
 (N_a, N_b, T) entry, NaN included.  The library now gathers the coexisting
 entries only, scan by scan, and must match these to the last bit.  Its
@@ -21,6 +22,8 @@ pairwise order stay as the earlier choices the library's must agree with.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -585,6 +588,49 @@ def legacy_load_track_set(path) -> TrackSet:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     return track_set_from_obj(obj)
+
+
+def legacy_json_text(params: MetricParams, mode, results, at_time) -> str:
+    """``compute``'s JSON output as it was written before: the document of
+    the metrics' ``MetricRows`` through ``json.dumps(doc, indent=2)``."""
+    doc = {
+        "params": {
+            "p": params.p,
+            "c": params.c,
+            "delta": params.delta,
+            "alpha": params.alpha,
+            "p_prime": params.base_order,
+            "scale": list(params.scale) if params.scale else None,
+            "mode": mode.value,
+        },
+        "metrics": {
+            res.name: {
+                "total": res.report.total,
+                "loc": res.report.loc,
+                "card": res.report.card,
+                "per_time": [
+                    {"t": t, "total": tt, "loc": ll, "card": cc, "n_t": nn}
+                    for t, tt, ll, cc, nn in res.rows(at_time)
+                ],
+                "assignment": res.assignment_text(),
+                **res.extra,
+            }
+            for res in results
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def legacy_csv_text(results, at_time) -> str:
+    """``compute``'s CSV output as it was written before: one
+    ``csv.writer`` row per scan and metric."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["t", "metric", "total", "loc", "card", "n_t"])
+    for res in results:
+        for t, total, loc, card, n_t in res.rows(at_time):
+            writer.writerow([t, res.name, f"{total!r}", f"{loc!r}", f"{card!r}", n_t])
+    return out.getvalue()
 
 
 def dense_scan_distances(a: TrackSet, b: TrackSet, params: MetricParams, order=None):

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 
 from conftest import golden, library_reports, same_track_sets, tracks_of
-from oracles import legacy_load_track_set, legacy_track_set_from_obj
+from oracles import (legacy_csv_text, legacy_json_text, legacy_load_track_set,
+                     legacy_track_set_from_obj)
 import trackmetric
 import trackmetric.assign as assign
+import trackmetric.cli as cli
 from trackmetric.cli import main
 from trackmetric.core import MetricParams, Track, TrackSet
 from trackmetric.errors import BadParametersError, ParseError, TrackMetricError, ValidationError
@@ -634,6 +637,57 @@ def test_json_values_are_the_library_reports(tmp_path, capsys, argv, params):
             assert [(r["total"], r["loc"], r["card"], r["n_t"]) for r in got["per_time"]] == list(
                 zip(report.per_time, report.loc_t, report.card_t, report.n_t)
             )
+
+
+#: Labels json writes with ASCII escapes (a BMP and an astral character),
+#: and with a quote, a backslash or a comma, which the assignment texts hold.
+AWKWARD_LABELS = ("caf\u00e9", "\u2603 \U0001d11e", 'say "hi"', "back\\slash", "a,b")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--metric", "ospa"),
+    ("--metric", "ospat"),
+    ("--metric", "ospamt", "--mode", "exact"),
+    ("--metric", "ospamt", "--mode", "greedy", "--p", "2.5"),
+    ("--metric", "all", "--at-time", "3"),
+    ("--metric", "all", "--scale", "0.5,3", "--p-prime", "1.5", "--c", "12", "--delta", "5"),
+], ids=lambda argv: " ".join(argv))
+def test_json_and_csv_are_the_bytes_of_the_stdlib_writers(tmp_path, capsys, monkeypatch, argv):
+    truth, est = tmp_path / "truth.json", tmp_path / "est.json"
+    labels = iter(AWKWARD_LABELS * 2)
+    for path, ts in zip((truth, est), random_scenario(
+        3, n_truth=3, scans=6, miss_rate=0.2, false_rate=0.4, break_rate=0.4, noise=4.0
+    )):
+        records = [(next(labels, f"{label} x"), points) for label, points in
+                   ((trk.label, trk.points) for trk in tracks_of(ts))]
+        save_track_set(TrackSet.from_records(ts.scans, ts.state_dim, records), path)
+    calls = []
+    for name in ("_emit_json", "_emit_csv"):
+        def spy(*args, _emit=getattr(cli, name)):
+            calls.append(args)
+            _emit(*args)
+        monkeypatch.setattr(cli, name, spy)
+    code, out, _ = run(capsys, "compute", str(truth), str(est), *argv, "--output", "json")
+    assert code == 0 and "\\u00e9" in out and "\\ud834\\udd1e" in out
+    assert out == legacy_json_text(*calls.pop()[:4])
+    code, out, _ = run(capsys, "compute", str(truth), str(est), *argv, "--output", "csv")
+    assert code == 0
+    assert out == legacy_csv_text(*calls.pop()[:2])
+
+
+def test_a_json_compute_leaves_no_reference_cycle(tmp_path, capsys):
+    # json.dumps(..., indent=2) ran the pure-Python encoder, whose closures
+    # refer to each other: 33 objects were left to the cyclic collector
+    truth, est = write_scenario(tmp_path, FigureId.FIG13)
+    argv = ("compute", str(truth), str(est), "--metric", "all", "--output", "json")
+    assert run(capsys, *argv)[0] == 0  # warm: parser, caches, lazy imports
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(capsys, *argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unknown_figure_exit_4(tmp_path, capsys):

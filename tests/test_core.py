@@ -165,10 +165,12 @@ def test_a_scan_key_that_is_not_an_integer_is_rejected(points):
     assert Track({np.int64(2): 0.0}).points == {2: (0.0,)}
 
 
-@pytest.mark.parametrize("x", ["5", True, b"7", np.bool_(True), None, 1 + 0j, [1, "x"]])
+@pytest.mark.parametrize("x", ["5", True, b"7", np.bool_(True), None, 1 + 0j, [1, "x"],
+                               np.array(True), np.array("5"), [1.0, np.array(b"7")]])
 def test_a_coordinate_that_is_not_a_number_is_rejected(x):
-    # a string or a bool is never read as a number, and a value float()
-    # refuses is a ValidationError rather than a bare TypeError or ValueError
+    # a string or a bool is never read as a number, nor is a 0-d array of
+    # one (they read as 1.0, 5.0 and 7.0), and a value float() refuses is a
+    # ValidationError rather than a bare TypeError or ValueError
     with pytest.raises(ValidationError, match="at scan 3"):
         Track({1: 0.0, 3: x})
     with pytest.raises(ValidationError, match="at scan 1"):
@@ -407,6 +409,13 @@ def test_params_validation():
         MetricParams(p_prime=0.9)
     with pytest.raises(BadParametersError):
         MetricParams(scale=(1.0, -1.0))
+
+
+@pytest.mark.parametrize("name", ["p", "c", "delta", "alpha", "p_prime"])
+def test_a_parameter_beyond_float_range_is_a_parameter_error(name):
+    # float() of such an integer raised a bare OverflowError for p and c
+    with pytest.raises(BadParametersError, match=f"^{name} is beyond float range$"):
+        MetricParams(**{name: 10**400})
 
 
 @pytest.mark.parametrize("scale", ["12", "1,2", [1, "x"], 5.0])
