@@ -54,12 +54,15 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/, put on the path above)
 
 #: Parameter sets every instance is scored under: the CLI defaults, p = 2,
-#: and two with p' not in {1, 2}, the second with a per-dimension scale.
+#: two with p' not in {1, 2}, the second with a per-dimension scale, and a
+#: cutoff below most distances, where nearly every entry of the distance
+#: layer sits at the cutoff at p' = 1 and at OSPAT's order 2.
 PARAM_SETS = {
     "defaults": [],
     "p2": ["--p", "2", "--c", "30", "--delta", "5", "--alpha", "5"],
     "p3_q1.5": ["--p", "3", "--p-prime", "1.5", "--c", "20", "--delta", "4", "--alpha", "2"],
     "p1.5_q3_scale": ["--p", "1.5", "--p-prime", "3", "--c", "40", "--scale", "{scale}"],
+    "far": ["--c", "0.5", "--delta", "0.5", "--alpha", "0.5"],
 }
 #: The parameter sets every instance is split under.
 SPLIT_SETS = ("defaults", "p2")

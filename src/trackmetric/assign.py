@@ -175,14 +175,17 @@ def _exchange_closes(near: list[list[int]], owner: list[int], i: int, j: int) ->
     return False
 
 
-def optimal_matching(d: np.ndarray) -> tuple[np.ndarray, list[int], float, float]:
+def optimal_matching(
+    d: np.ndarray, largest: float | None = None
+) -> tuple[np.ndarray, list[int], float, float]:
     """One Hungarian solve of a finite, non-negative matrix with m <= n.
 
     Returns the matrix, a witness optimal matching (0-based column of each
     row), the optimum and the tie tolerance, ``TIE`` times m times the
     largest entry, which is what :func:`lexicographic_matching` takes.  A
-    single row needs no solve, and its witness already is the lexicographic
-    matching.
+    caller that knows the largest entry already passes it as ``largest``.
+    A single row needs no solve, and its witness already is the
+    lexicographic matching.
     """
     d = np.asarray(d, dtype=float)
     m, n = d.shape
@@ -190,7 +193,7 @@ def optimal_matching(d: np.ndarray) -> tuple[np.ndarray, list[int], float, float
         return d, [], 0.0, 0.0
     if m > n:
         raise ValueError(f"optimal_matching needs m <= n, got {m}x{n}")
-    tol = TIE * (max(float(d.max()), 0.0) or 1.0) * m
+    tol = TIE * (max(float(d.max()) if largest is None else largest, 0.0) or 1.0) * m
     if m == 1:
         best = float(d[0].min())
         return d, [int(np.argmax(d[0] <= best + tol))], best, tol

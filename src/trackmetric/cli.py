@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ from .errors import (
     TrackMetricError,
     ValidationError,
 )
-from .io import load_track_set, save_track_set
+from .io import _encode, _indented, _Json, load_track_set, save_track_set
 from .ospa import ospa_per_scan
 from .ospamt import Mode, ospamt_metric, split_tracks
 from .ospat import ospat_per_scan
@@ -49,10 +48,6 @@ EXIT_VALIDATION = 3
 EXIT_CONFIG = 4
 EXIT_NO_CONVERGENCE = 5
 
-#: A scalar's JSON text as ``json.dumps`` spells it (ASCII escapes, float
-#: repr, NaN and Infinity bare), from the C encoder, which json skips when
-#: ``indent`` is set.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
 #: One per-scan row of the JSON document, as ``json.dumps(doc, indent=2)``
 #: indents it under ``metrics``, ``<name>``, ``per_time``.
 _JSON_ROW = ('\n        {\n          "t": %s,\n          "total": %s,\n          "loc": %s,'
@@ -152,25 +147,6 @@ def _params_from_args(args: argparse.Namespace) -> MetricParams:
         p_prime=args.p_prime,
         scale=scale,
     )
-
-
-class _Json(str):
-    """JSON text already written, which ``_indented`` places as it stands."""
-
-
-def _indented(value, pad: str = "\n") -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it after the line
-    break and indentation ``pad``: a non-empty dict or list one item per
-    line, anything else through ``_encode``."""
-    if isinstance(value, _Json):
-        return value
-    if not isinstance(value, (dict, list)) or not value:
-        return _encode(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = [f"{_encode(key)}: {_indented(item, inner)}" for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return "[" + inner + ("," + inner).join([_indented(item, inner) for item in value]) + pad + "]"
 
 
 def _json_rows(res: MetricRows, at_time: int | None) -> _Json:

@@ -368,11 +368,14 @@ class MetricReport:
     def from_sums(cls, loc_sums: Sequence[float], card_sums: Sequence[float],
                   n_t: Sequence[int], params: MetricParams, assignment: object) -> MetricReport:
         """Report of raw per-scan loc and card sums of p-th powers over ``n_t``
-        slots each, all through ``root_mean``: how every metric reports."""
+        slots each, all through ``root_mean``: how every metric reports.  The
+        per-scan values are ``root_mean``'s expression in one comprehension,
+        with its factors computed once."""
         n = sum(n_t)
+        c, cp, root = params.c, params.c**params.p, 1.0 / params.p
         (total, per_time), (loc, loc_t), (card, card_t) = (
             (root_mean(sum(sums), n, params),
-             tuple(root_mean(x, k, params) for x, k in zip(sums, n_t)))
+             tuple([c * (x / (k * cp)) ** root if k > 0 else 0.0 for x, k in zip(sums, n_t)]))
             for sums in ([x + y for x, y in zip(loc_sums, card_sums)], loc_sums, card_sums)
         )
         return cls(total, per_time, loc, card, loc_t, card_t, assignment, tuple(n_t), n)
@@ -422,29 +425,39 @@ def base_distance(
     return out[..., 0][()]  # [()] makes a single pair's distance a scalar
 
 
+#: Relative margin of the norm-equivalence bound that ``at_order`` tests an
+#: entry against the cutoff with, far above the few ulps of its rounding.
+_NEAR_MARGIN = 1e-9
+
+
 class ScanDistances:
-    """Base distances of every pair of tracks, one from each of two sets, at
-    every scan where both exist, gathered once in scan-major order from two
-    comparable track sets; ``scan_distances`` builds it.  ``sets`` is the
-    pair ``(a, b)`` it was built from, and a metric scores a layer only
-    with those very sets (``layer_for``).
+    """Cut-off base distances min(d, c) of every pair of tracks, one from
+    each of two sets, at every scan where both exist, gathered once in
+    scan-major order from two comparable track sets; ``scan_distances``
+    builds it under one ``MetricParams``.  ``sets`` is the pair ``(a, b)``
+    it was built from, and a metric scores a layer only with those very
+    sets and under its cutoff and scale (``layer_for``).
 
     Entry k is the pair (``rows[k]``, ``cols[k]``) of 0-based track indices
-    at one scan, and ``values[k]`` is its distance at base norm order p'.
-    The entries run by scan, then by row, then by column, so scan t's
-    entries are one block.  The layer has three readers: per scan,
+    at one scan, and ``values[k]`` is its distance at base norm order p',
+    uncapped.  Every metric reads only the capped distances of
+    ``at_order``.  The entries run by scan, then by row, then by column, so
+    scan t's entries are one block.  The layer has three readers: per scan,
     ``blocks`` reshapes each block to the matrix of the tracks existing
-    then; per pair over scans, ``pair_sums`` counts each pair's shared and
-    lone scans and adds any per-entry values over the shared ones in scan
-    order; per pair per scan, ``entries`` finds the entries of given pairs.
-    None builds a dense tensor.  Every metric normalises by ``slots``, each
-    scan's larger count of existing tracks of one set.  ``transpose()``
-    swaps the two sets' roles and shares every array; ``at_order(order)``
-    gives the distances at that norm order, computed once from the states.
+    then, and ``block_maxima`` gives each block's largest value; per pair
+    over scans, ``pair_sums`` adds any per-entry values over each pair's
+    shared scans in scan order, beside the pair's shared and lone scans,
+    which the layer counts once; per pair per scan, ``entries`` finds the
+    entries of given pairs, and ``per_entry`` reads each entry's element
+    of a per-pair matrix.  None builds a dense tensor.  Every metric
+    normalises by ``slots``, each scan's larger count of existing tracks of
+    one set.  The layer keeps no copy of the gathered states; ``at_order``
+    gathers again only the entries it computes.  ``transpose()`` swaps the
+    two sets' roles and shares every array, the capped orders included.
     """
 
-    __slots__ = ("sets", "rows", "cols", "values", "slots", "_by_order", "_states",
-                 "_params", "_tracks_at", "_ends", "_ranks", "_first", "_width", "_swapped")
+    __slots__ = ("sets", "rows", "cols", "values", "slots", "_pair", "_counts", "_by_order",
+                 "_params", "_tracks_at", "_bounds", "_ranks", "_first", "_width", "_swapped")
 
     def __init__(self, a: TrackSet, b: TrackSet, params: MetricParams) -> None:
         self.sets = (a, b)
@@ -457,36 +470,63 @@ class ScanDistances:
         # Python ints, as every report carries them in its n_t
         self.slots = tuple(np.maximum(m_t, n_t).tolist())
         # each existing (scan, track of a) meets the tracks of b at its scan
-        # in order: its scan and row repeat, and its columns run through that
-        # scan's block of ib, which ends where the a-track's entries end
+        # in order: its row and state repeat, and its columns run through
+        # that scan's block of ib, which ends where the a-track's entries end
         reps = n_t[ta]
-        scan, self.rows = np.repeat(ta, reps), np.repeat(ia, reps)
-        shift = np.cumsum(n_t)[ta] - np.cumsum(reps)
-        self.cols = ib[np.arange(len(self.rows)) + np.repeat(shift, reps)]
-        dim = a.state_dim
-        self._states = (
-            np.take(a.states.reshape(-1, dim), self.rows * scans + scan, axis=0),
-            np.take(b.states.reshape(-1, dim), self.cols * scans + scan, axis=0),
-        )
+        self.rows = np.repeat(ia, reps)
+        at_b = np.arange(len(self.rows))  # each entry's place in ib
+        at_b += np.repeat(np.cumsum(n_t)[ta] - np.cumsum(reps), reps)
+        self.cols = ib[at_b]
         self._params = params
-        self.values = base_distance(*self._states, params)
-        self._by_order = {params.base_order: self.values}
+        self.values = base_distance(np.repeat(a.states[ia, ta], reps, axis=0),
+                                    np.take(b.states[ib, tb], at_b, 0), params)
+        self._by_order = {params.base_order: np.minimum(self.values, params.c)}
+        # each entry's pair, row-major in (a, b); each pair's shared scans,
+        # and its lone scans, where exactly one of its two tracks exists
+        self._pair = self.rows * len(b)
+        self._pair += self.cols
+        shared = np.bincount(self._pair, minlength=len(a) * len(b)).reshape(len(a), len(b))
+        lives = np.bincount(ia, minlength=len(a)), np.bincount(ib, minlength=len(b))
+        self._counts = shared, np.add.outer(*lives) - 2 * shared
         ia, ib = ia.tolist(), ib.tolist()
         ends_a, ends_b = np.cumsum(m_t).tolist(), np.cumsum(n_t).tolist()
         self._tracks_at = [(ia[sa:ea], ib[sb:eb]) for sa, ea, sb, eb
                            in zip([0] + ends_a, ends_a, [0] + ends_b, ends_b)]
         ends = np.cumsum(m_t * n_t)
-        self._ends = ends.tolist()
+        # scan t's entries are values[bounds[t]:bounds[t + 1]]
+        self._bounds = [0, *ends.tolist()]
         # a track's place among the tracks of its set existing at each scan
         self._ranks = np.cumsum(a.exists, axis=0) - 1, np.cumsum(b.exists, axis=0) - 1
         self._first, self._width = ends - m_t * n_t, n_t
         self._swapped = False
 
     def at_order(self, order: float) -> np.ndarray:
-        """The entries' distances at base norm order ``order``."""
-        if order not in self._by_order:
-            self._by_order[order] = base_distance(*self._states, self._params, order)
-        return self._by_order[order]
+        """The entries' distances at base norm order ``order``, capped at c,
+        computed once.  Away from p' only the entries that may lie below c
+        are computed from the states: for order q above p',
+        ``||v||_q >= D ** (1/q - 1/p') * ||v||_p'`` in D dimensions, and
+        ``||v||_q >= ||v||_p'`` otherwise, so an entry whose bound is at
+        least c, by a relative margin far above rounding, is c."""
+        capped = self._by_order.get(order)
+        if capped is None:
+            a, b = self.sets[::-1] if self._swapped else self.sets
+            rows, cols = (self.cols, self.rows) if self._swapped else (self.rows, self.cols)
+            p1, c, dim = self._params.base_order, self._params.c, a.state_dim
+            # the p' distance at which the bound reaches c, with the margin
+            limit = c * (1.0 + _NEAR_MARGIN) / (dim ** (1.0 / order - 1.0 / p1)
+                                                 if order > p1 else 1.0)
+            near = self.values < limit
+            near |= self.values == np.inf  # an overflowed p'-norm bounds nothing
+            near = np.flatnonzero(near)
+            # the near entries of scan t lie between its block's bounds
+            cuts = near.searchsorted(self._bounds)
+            scan = np.repeat(np.arange(a.scans), cuts[1:] - cuts[:-1])
+            states = (np.take(s.states.reshape(-1, dim), idx[near] * a.scans + scan, 0)
+                      for s, idx in ((a, rows), (b, cols)))
+            capped = np.full(len(self.values), c)
+            capped[near] = np.minimum(base_distance(*states, self._params, order), c)
+            self._by_order[order] = capped
+        return capped
 
     def transpose(self) -> ScanDistances:
         """This layer with the two sets' roles swapped."""
@@ -500,11 +540,17 @@ class ScanDistances:
     def blocks(self, values: np.ndarray) -> Iterator[tuple[list[int], list[int], np.ndarray]]:
         """Per scan: the 0-based row and column tracks existing then, and
         that scan's slice of the per-entry ``values`` as their matrix."""
-        start = 0
-        for (ia, ib), end in zip(self._tracks_at, self._ends):
+        for (ia, ib), start, end in zip(self._tracks_at, self._bounds, self._bounds[1:]):
             block = values[start:end].reshape(len(ia), len(ib))
             yield (ib, ia, block.T) if self._swapped else (ia, ib, block)
-            start = end
+
+    def block_maxima(self, values: np.ndarray) -> list[float | None]:
+        """Per scan: the largest of that scan's per-entry ``values``, from
+        one ``reduceat``, or None where its block is empty."""
+        spans = list(zip(self._bounds, self._bounds[1:]))
+        full = [start for start, end in spans if start < end]
+        tops = iter(np.maximum.reduceat(values, full).tolist() if full else ())
+        return [next(tops) if start < end else None for start, end in spans]
 
     def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Indices of the entries of the pairs (``rows[k]``, ``cols[k]``) at
@@ -515,22 +561,27 @@ class ScanDistances:
         rank_a, rank_b = self._ranks
         return self._first + rank_a[ia] * self._width + rank_b[ib]
 
+    def per_entry(self, matrix: np.ndarray) -> np.ndarray:
+        """Each entry's element of a (rows, columns) ``matrix`` over the
+        pairs, read through the entries' one flat pair index."""
+        return (matrix.T if self._swapped else matrix).reshape(-1)[self._pair]
+
     def pair_sums(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, columns) arrays of each pair's shared scans, its lone scans,
         where one of its two tracks exists, and its sum of the per-entry
         ``values`` over the shared scans, added one after another in scan
-        order.  The transposed layer's are exactly the transposes."""
-        a, b = self.sets
-        pair = self.rows * len(b) + self.cols
-        shared, summed = (np.bincount(pair, weights, len(a) * len(b)).reshape(len(a), len(b))
-                          for weights in (None, values))
-        lone = a.exists.sum(axis=1)[:, None] + b.exists.sum(axis=1) - 2 * shared
-        return shared, lone, summed
+        order.  The counts are the layer's own, and the transposed layer's
+        three arrays are exactly the transposes."""
+        a, b = self.sets[::-1] if self._swapped else self.sets
+        summed = np.bincount(self._pair, values, len(a) * len(b)).reshape(len(a), len(b))
+        shared, lone = self._counts
+        return (shared.T, lone.T, summed.T) if self._swapped else (shared, lone, summed)
 
 
 def scan_distances(a: TrackSet, b: TrackSet, params: MetricParams) -> ScanDistances:
     """Base distances of every pair of tracks of ``a`` and ``b`` at every
-    scan where both exist, as a ``ScanDistances`` layer at order p'.
+    scan where both exist, as a ``ScanDistances`` layer at order p', capped
+    at c.
 
     Only the coexisting entries are computed, and each equals
     ``base_distance`` of its own pair of states to the last bit.  The layer
@@ -547,13 +598,15 @@ def layer_for(a: TrackSet, b: TrackSet, params: MetricParams,
     """The layer of ``a`` against ``b`` that a metric given ``dist`` scores:
     ``scan_distances(a, b, params)`` when ``dist`` is None, else ``dist``
     itself, which must have been built from these very sets under the same
-    ``scale``, the one parameter its distances depend on (``at_order``
-    serves any p').  Raises BadParametersError for any other layer."""
+    cutoff and ``scale``, the two parameters its capped distances depend on
+    (``at_order`` serves any p').  Raises BadParametersError for any other
+    layer."""
     if dist is None:
         return scan_distances(a, b, params)
-    if dist.sets[0] is not a or dist.sets[1] is not b or dist._params.scale != params.scale:
+    if (dist.sets[0] is not a or dist.sets[1] is not b
+            or (dist._params.c, dist._params.scale) != (params.c, params.scale)):
         raise BadParametersError("the distance layer was built from other track sets "
-                                 "or under another scale")
+                                 "or under another cutoff or scale")
     return dist
 
 

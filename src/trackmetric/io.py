@@ -27,7 +27,10 @@ lone surrogate or an integer beyond 64 bits is read as before, and every
 rejected file gets the stdlib's error.  A file that is not UTF-8 or nests
 too deeply for the stdlib parser is a parse error.
 Coordinates are serialized with repr precision (up to 17 significant
-digits), so a write/read round trip is bit-exact.
+digits), so a write/read round trip is bit-exact.  A file holds the bytes
+of ``json.dumps(doc, indent=2)``, written by ``_indented``, which sends
+every scalar through json's C encoder; ``compute``'s JSON output is
+written the same way.
 """
 
 from __future__ import annotations
@@ -55,6 +58,31 @@ _T_X = itemgetter("t", "x")
 #: bytes nests at most this deep, under 3 MB of stack; a larger one goes
 #: to the stdlib parser alone.
 _ORJSON_MAX_OPENERS = 2**14
+
+
+#: A scalar's JSON text as ``json.dumps`` spells it (ASCII escapes, float
+#: repr, NaN and Infinity bare), from the C encoder, which json skips when
+#: ``indent`` is set.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+class _Json(str):
+    """JSON text already written, which ``_indented`` places as it stands."""
+
+
+def _indented(value, pad: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it after the line
+    break and indentation ``pad``: a non-empty dict or list one item per
+    line, anything else through ``_encode``."""
+    if isinstance(value, _Json):
+        return value
+    if not isinstance(value, (dict, list)) or not value:
+        return _encode(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_encode(key)}: {_indented(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return "[" + inner + ("," + inner).join([_indented(item, inner) for item in value]) + pad + "]"
 
 
 def _state_error(label: str, t: int) -> ParseError:
@@ -182,11 +210,12 @@ def load_track_set(path: str | Path) -> TrackSet:
 
 
 def save_track_set(track_set: TrackSet, path: str | Path) -> None:
-    """Write a set's document; a path that cannot be written, such as one
-    in a missing directory or a directory itself, is a ``TrackMetricError``."""
+    """Write a set's document, the bytes of ``json.dumps(doc, indent=2)``
+    and a line break, through ``_indented``; a path that cannot be written,
+    such as one in a missing directory or a directory itself, is a
+    ``TrackMetricError``."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(track_set_to_obj(track_set), fh, indent=2)
-            fh.write("\n")
+            fh.write(_indented(track_set_to_obj(track_set)) + "\n")
     except OSError as exc:
         raise TrackMetricError(f"cannot write {path}: {exc}") from exc

@@ -81,20 +81,23 @@ def per_scan_report(dist: ScanDistances, capped: np.ndarray, params: MetricParam
 
     At each scan the smaller side (``a`` on equal sizes) is matched into the
     larger by one ``optimal_matching`` solve of that scan's block, whose
-    optimum is the scan's loc sum; each unmatched state of the larger side
-    adds ``c ** p`` to its card sum.  The report's ``assignment`` is the
-    ``Matchings`` of those solves, and its slots are the layer's ``slots``.
+    optimum is the scan's loc sum and whose largest entry, one
+    ``block_maxima`` for all scans, sets its tie tolerance; each unmatched
+    state of the larger side adds ``c ** p`` to its card sum.  The report's
+    ``assignment`` is the ``Matchings`` of those solves, and its slots are
+    the layer's ``slots``.
     """
     cp = params.c**params.p
+    costs = capped**params.p
     loc_sums, card_sums, solves = [], [], []
-    for ia, ib, cost in dist.blocks(capped**params.p):
+    for (ia, ib, cost), top in zip(dist.blocks(costs), dist.block_maxima(costs)):
         m, n = len(ia), len(ib)
         card_sums.append(cp * abs(m - n))
         if m == 0 or n == 0:
             loc_sums.append(0.0)
             solves.append(None)
             continue
-        solve = optimal_matching(cost if m <= n else cost.T)
+        solve = optimal_matching(cost if m <= n else cost.T, top)
         loc_sums.append(solve[2])
         solves.append((solve, ia, ib, m > n))
     return MetricReport.from_sums(loc_sums, card_sums, dist.slots, params, Matchings(solves))
@@ -122,8 +125,8 @@ def ospa_per_scan(
     """OSPA of the existing states of ``a`` and ``b`` at every scan, and over
     time, as one report.
 
-    ``dist``, if given, is the layer of this pair (``layer_for``).  Its
-    distances are capped entry by entry; a scan's matrix is its block.
+    ``dist``, if given, is the layer of this pair (``layer_for``).  A
+    scan's matrix is its block of the layer's capped distances.
     """
     dist = layer_for(a, b, params, dist)
-    return per_scan_report(dist, np.minimum(dist.at_order(params.base_order), params.c), params)
+    return per_scan_report(dist, dist.at_order(params.base_order), params)

@@ -63,16 +63,15 @@ def cost_matrix(
     the mean over those scans, which keeps entries comparable to ``c ** p``
     whatever the lifetimes.  Pairs that never coexist are marked INFEASIBLE
     so the assignment search can never join them.  ``dist``, if given, is
-    the layer of ``tgt`` against ``src`` (``layer_for``).  Its entries are
-    capped and powered, then each pair's are added over its shared scans in
-    scan order, with no dense tensor (``ScanDistances.pair_sums``, which
-    counts the shared and lone scans too).  The matrix of the swapped roles
-    is exactly the transpose of this one.
+    the layer of ``tgt`` against ``src`` (``layer_for``).  Its capped
+    entries are powered, then each pair's are added over its shared scans
+    in scan order, with no dense tensor (``ScanDistances.pair_sums``,
+    beside the layer's counts of shared and lone scans).  The matrix of
+    the swapped roles is exactly the transpose of this one.
     """
     dist = layer_for(tgt, src, params, dist)
     cp = params.c**params.p
-    capped = np.minimum(dist.at_order(params.base_order), params.c) ** params.p
-    shared, lone, summed = dist.pair_sums(capped)
+    shared, lone, summed = dist.pair_sums(dist.at_order(params.base_order) ** params.p)
     mean = (summed + cp * lone) / (shared + lone)
     return np.where(shared > 0, mean, INFEASIBLE)
 
@@ -125,25 +124,25 @@ def directional_terms(
     relative order; the first source left is charged the capped distance,
     plus ``delta**p`` when it is not the first of the full order, and each
     slot left unassigned the cutoff.  ``dist`` is ``scan_distances(tgt,
-    src, params)``; only the entries of assigned pairs are read.
+    src, params)``; only the capped distances of assigned pairs are read.
+    The rows, one per assigned pair, and the rows that pay ``delta**p`` or
+    the extra-source charge are found with numpy, and the terms are added
+    by one ``sum(axis=0)``, which runs down the rows one after another, as
+    a loop over the targets adds them.
     """
     tgt, src = dist.sets
     p = params.p
     cp = params.c**p
     dp = params.delta**p
     # one row per assigned pair, target by target in order, with the row of
-    # its target's first source; its weights are delta**p unless it is that
-    # first source, and delta**p + c**p per extra coexisting source of its
-    # target if it is the target's last
-    rows, weights = [], []
-    for i, order in enumerate(orders):
-        lead = len(rows)
-        rows += [(i, j - 1, lead) for j in order]
-        weights += [(dp if r else 0.0, dp + cp if r == len(order) - 1 else 0.0)
-                    for r in range(len(order))]
-    size, scans = len(rows), tgt.scans
-    ii, jj, lead = np.array(rows, dtype=int).reshape(size, 3).T
-    weights = np.array(weights).reshape(size, 2)
+    # its target's first source
+    sizes = np.fromiter(map(len, orders), np.intp, len(orders))
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    size, scans = int(ends[-1]) if len(ends) else 0, tgt.scans
+    jj = np.fromiter(itertools.chain.from_iterable(orders), np.intp, size) - 1
+    ii = np.arange(len(orders)).repeat(sizes)
+    lead = starts.repeat(sizes)
     live = src.exists[jj] & tgt.exists[ii]
     # seen[r + 1]: live rows up to r; minus seen at the row's lead, the
     # target's live sources so far, so 1 at its first live one
@@ -155,15 +154,18 @@ def directional_terms(
     # sum; the last row adds the unassigned slots to card
     terms = np.zeros((size + 1, 2, 2, scans))
     at = dist.entries(ii, jj)[first]
-    terms[:size, 0, 0][first] = np.minimum(dist.at_order(params.base_order)[at], params.c) ** p
-    np.multiply(first, weights[:, :1], out=terms[:size, 1, 0])
-    count -= 1
-    np.maximum(count, 0, out=count)
-    np.multiply(count, weights[:, 1:], out=terms[:size, 0, 1])
+    terms[:size, 0, 0][first] = dist.at_order(params.base_order)[at] ** p
+    # delta**p where a target's first live source is not its first source
+    full = sizes > 0
+    first[starts[full]] = False
+    terms[:size, 1, 0] = first * dp
+    # delta**p + c**p per extra live source, at its target's last row
+    last = ends[full] - 1
+    terms[last, 0, 1] = np.maximum(count[last] - 1, 0) * (dp + cp)
     terms[size, 0, 1] = cp * (np.array(dist.slots) - seen[size])
-    # added in sequence, as a loop over targets adds them at every scan: a
-    # zero term changes no sum, and numpy's pairwise sum would change some
-    loc, card = np.add.accumulate(terms.reshape(-1, 2, scans), axis=0)[-1]
+    # a zero term changes no sum, and numpy's pairwise sum along a row
+    # would change some; summed over the rows' axis, the terms add in order
+    loc, card = terms.reshape(-1, 2, scans).sum(axis=0)
     return loc, card
 
 
@@ -277,7 +279,7 @@ class _DirectionalEngine:
         self.coexist = self.tgt.exists[:, None, :] & self.src.exists[None, :, :]
         # gain[i-1, j-1, t-1]: capped distance ** p minus c ** p where coexisting,
         # else 0, gathered from every pair's entries
-        capped = np.minimum(dist.at_order(params.base_order), params.c)
+        capped = dist.at_order(params.base_order)
         at = dist.entries(np.arange(len(self.tgt))[:, None], np.arange(len(self.src)))
         self.gain = np.zeros(self.coexist.shape)
         self.gain[self.coexist] = (capped**p - cp)[at[self.coexist]]

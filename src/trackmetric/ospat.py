@@ -54,20 +54,20 @@ def ospat_reorder(
     leftover tracks of the larger set contribute nothing to the choice.
     Ties resolve to the lexicographically smallest assignment vector.  The
     pairing keeps the per-scan costs of its pairs as ``costs_t``.  ``dist``,
-    if given, is the layer of this pair (``layer_for``), and its Euclidean
-    distances are read (``at_order(2.0)``).  A pair's summed cost, which
-    chooses the pairing, is its capped distances added in scan order plus
-    the cutoff per lone scan, where one of its tracks exists, both from
-    ``ScanDistances.pair_sums``; ``costs_t`` sums the chosen pairs'
-    per-scan costs pair by pair, and with one set empty is the cutoff per
-    slot of the layer, each a state of the other set.
+    if given, is the layer of this pair (``layer_for``), and its capped
+    Euclidean distances are read (``at_order(2.0)``).  A pair's summed
+    cost, which chooses the pairing, is its capped distances added in scan
+    order plus the cutoff per lone scan, where one of its tracks exists,
+    both from ``ScanDistances.pair_sums``; ``costs_t`` sums the chosen
+    pairs' per-scan costs pair by pair, and with one set empty is the
+    cutoff per slot of the layer, each a state of the other set.
     """
     dist = layer_for(a, b, params, dist)
     smaller = "b" if len(b) <= len(a) else "a"
     c = params.c
     if not len(a) or not len(b):
         return OspatAssignment((), smaller, tuple(c * k for k in dist.slots))
-    capped = np.minimum(dist.at_order(2.0), c)
+    capped = dist.at_order(2.0)
     shared, lone, summed = dist.pair_sums(capped)
     d = summed + c * lone
     pi = lexicographic_matching(*optimal_matching(d.T if smaller == "b" else d))
@@ -103,12 +103,13 @@ def _labeled_distances(
     params: MetricParams,
 ) -> np.ndarray:
     """Capped labeled distances of the entries of ``dist``:
-    min{c, (d(x, y)^p' + (alpha when labels differ)^p')^(1/p')}."""
-    q = params.base_order
+    min{c, (d(x, y)^p' + (alpha when labels differ)^p')^(1/p')}, from the
+    layer's capped d: a d at the cutoff stays there, alpha or not, so only
+    the entries below it whose labels differ are labeled."""
+    q, c = params.base_order, params.c
     x = dist.at_order(q)
-    differ = np.not_equal.outer(labels_a, labels_b)
-    x = np.where(differ[dist.rows, dist.cols], (x**q + params.alpha**q) ** (1.0 / q), x)
-    return np.minimum(x, params.c)
+    differ = dist.per_entry(np.not_equal.outer(labels_a, labels_b)) & (x < c)
+    return np.where(differ, np.minimum((x**q + params.alpha**q) ** (1.0 / q), c), x)
 
 
 def ospat_labeled(

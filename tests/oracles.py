@@ -469,6 +469,32 @@ def legacy_directional_terms(src: TrackSet, tgt: TrackSet, orders, params: Metri
     return loc, card
 
 
+def loop_directional_terms(dist, orders, params: MetricParams):
+    """``ospamt.directional_terms`` as a Python loop, scan by scan, target
+    by target and source by source: each term is added to its scan's sum
+    as the defining sum lists it, with the capped distances taken from the
+    dense tensor.  The library's one sum down its rows must give the same
+    arrays to the last bit."""
+    tgt, src = dist.sets
+    p = params.p
+    cp = params.c**p
+    dp = params.delta**p
+    capped = np.minimum(dense_scan_distances(tgt, src, params), params.c) ** p
+    loc, card = np.zeros(tgt.scans), np.zeros(tgt.scans)
+    for t in range(tgt.scans):
+        for i, order in enumerate(orders):
+            live = [j for j in order if tgt.exists[i, t] and src.exists[j - 1, t]]
+            if live:
+                loc[t] += capped[i, live[0] - 1, t]
+                if live[0] != order[0]:
+                    loc[t] += dp
+                card[t] += (len(live) - 1) * (dp + cp)
+        live = sum(tgt.exists[i, t] and src.exists[j - 1, t]
+                   for i, order in enumerate(orders) for j in order)
+        card[t] += cp * (dist.slots[t] - live)
+    return loc, card
+
+
 def _legacy_is_number(value) -> bool:
     return type(value) is float or type(value) is int
 

@@ -23,7 +23,7 @@ import trackmetric.cli as cli
 from trackmetric.cli import main
 from trackmetric.core import MetricParams, Track, TrackSet
 from trackmetric.errors import BadParametersError, ParseError, TrackMetricError, ValidationError
-from trackmetric.io import load_track_set, save_track_set
+from trackmetric.io import load_track_set, save_track_set, track_set_to_obj
 from trackmetric.ospa import ospa_per_scan
 from trackmetric.scenarios import FigureId, ScenarioSpec, build, random_scenario
 
@@ -680,6 +680,36 @@ def test_a_json_compute_leaves_no_reference_cycle(tmp_path, capsys):
     # refer to each other: 33 objects were left to the cyclic collector
     truth, est = write_scenario(tmp_path, FigureId.FIG13)
     argv = ("compute", str(truth), str(est), "--metric", "all", "--output", "json")
+    assert run(capsys, *argv)[0] == 0  # warm: parser, caches, lazy imports
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(capsys, *argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_saved_set_is_the_bytes_of_json_dumps(tmp_path):
+    # every figure's sets, and a set whose labels json escapes or that hold
+    # a quote, a backslash or a comma, are written as json.dumps(indent=2)
+    sets = [ts for figure in FigureId for ts in vars(build(ScenarioSpec(figure))).values()
+            if ts is not None]
+    ts = random_scenario(5, n_truth=3, scans=6, break_rate=0.4, noise=4.0)[1]
+    sets.append(TrackSet.from_records(ts.scans, ts.state_dim, [
+        (label, {t: x for t, x in zip(np.flatnonzero(row) + 1, states[row].tolist())})
+        for label, states, row in zip(AWKWARD_LABELS, ts.states, ts.exists)]))
+    path = tmp_path / "set.json"
+    for ts in sets:
+        save_track_set(ts, path)
+        assert path.read_bytes() == (json.dumps(track_set_to_obj(ts), indent=2) + "\n").encode()
+    assert len(ts) >= 3 and b"\\u2603 \\ud834\\udd1e" in path.read_bytes()
+
+
+def test_a_scenario_run_leaves_no_reference_cycle(tmp_path, capsys):
+    # json.dump(..., indent=2) left 33 cyclic objects per written file
+    argv = ("scenario", "fig5", "--truth", str(tmp_path / "t.json"),
+            "--est", str(tmp_path / "e.json"))
     assert run(capsys, *argv)[0] == 0  # warm: parser, caches, lazy imports
     gc.collect()
     gc.disable()

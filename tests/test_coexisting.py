@@ -31,7 +31,14 @@ from oracles import (
 )
 from trackmetric import ospat
 from trackmetric.assign import INFEASIBLE, greedy_many_to_one, optimal_matching
-from trackmetric.core import MetricParams, ScanDistances, Track, TrackSet, scan_distances
+from trackmetric.core import (
+    MetricParams,
+    ScanDistances,
+    Track,
+    TrackSet,
+    base_distance,
+    scan_distances,
+)
 from trackmetric.errors import BadParametersError, DimensionMismatchError
 from trackmetric.ospa import ospa_per_scan
 from trackmetric.ospamt import Mode, _DirectionalEngine, cost_matrix, ospamt_metric, quasi_ospamt
@@ -116,9 +123,74 @@ def test_gathered_layer_matches_the_dense_tensor(dim):
             both = a.exists[ii] & b.exists[jj]
             for at in (dist.entries(ii, jj), dist.transpose().entries(jj, ii)):
                 np.testing.assert_array_equal(dist.values[at[both]], dense[ii, jj][both])
-            for q in (1.0, 1.5, 2.0, 3.0):  # every order from the one gather
-                np.testing.assert_array_equal(
-                    dist.at_order(q), dense_scan_distances(a, b, params, q)[rows, cols, scan])
+            for q in (1.0, 1.5, 2.0, 3.0):  # every order, capped at the cutoff
+                np.testing.assert_array_equal(dist.at_order(q), np.minimum(
+                    dense_scan_distances(a, b, params, q)[rows, cols, scan], params.c))
+
+
+#: The norm orders ``at_order`` is pinned at, as p' and as the order read.
+ORDERS = (1.0, 1.5, 2.0, 3.0, 7.0)
+
+
+def placed_pair(rng, dim, c, scale):
+    """Two sets over 3 scans in ``dim`` dimensions.  ``a`` holds a track at
+    the origin at every scan and a randomly drawn one.  ``b`` holds one
+    track at one drawn scan per difference vector, in the scaled space, on
+    the cutoff along an axis and on the norm-equivalence bound of every
+    order (equal coordinates of norm c at that order), each times a factor
+    just inside or just outside the bound's margin, and random tracks."""
+    scale = np.ones(dim) if scale is None else np.array(scale)
+    axis = np.eye(dim)[0]
+    placed = [c * axis] + [c * dim ** (-1.0 / q) * np.ones(dim) for q in ORDERS]
+    diffs = [w * f for w in placed for f in (1 - 2e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 2e-9)]
+    diffs += [np.array([rng.uniform(-2 * c, 2 * c) for _ in range(dim)]) for _ in range(20)]
+    a = TrackSet(3, dim, (Track({t: (0.0,) * dim for t in (1, 2, 3)}), Track({
+        t: tuple(rng.uniform(-9, 9) for _ in range(dim)) for t in rng.sample((1, 2, 3), 2)})))
+    b = TrackSet(3, dim, tuple(Track({rng.randint(1, 3): tuple((w / scale).tolist())})
+                               for w in diffs))
+    return a, b
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_capped_orders_are_the_capped_base_distances(dim):
+    # away from p' only entries whose bound lies below c are computed; every
+    # order still equals min(base_distance(x, y, params, q), c) bit for bit,
+    # read first from the layer or from its transpose, on the cutoff and on
+    # the bound too
+    rng = random.Random(200 + dim)
+    c = 5.0
+    at_c = 0
+    for p_prime in ORDERS:
+        for scale in (None, tuple(0.5 + 0.75 * k for k in range(dim))):
+            params = MetricParams(c=c, delta=1.0, alpha=1.0, p_prime=p_prime, scale=scale)
+            a, b = placed_pair(rng, dim, c, scale)
+            for first in (lambda d: d, ScanDistances.transpose):
+                dist = scan_distances(a, b, params)
+                scan = entry_scans(dist)
+                x, y = a.states[dist.rows, scan], b.states[dist.cols, scan]
+                for q in ORDERS:
+                    want = np.minimum(base_distance(x, y, params, q), c)
+                    np.testing.assert_array_equal(first(dist).at_order(q), want)
+                    np.testing.assert_array_equal(dist.at_order(q), want)
+                    np.testing.assert_array_equal(dist.transpose().at_order(q), want)
+                    at_c += int(np.sum(np.abs(base_distance(x, y, params, q) / c - 1) < 1e-11))
+    assert at_c >= 100
+
+
+def test_an_overflowed_distance_bounds_no_other_order():
+    # a p'-norm whose powers overflow reads infinite, which bounds nothing:
+    # the entry is computed at every other order
+    params = MetricParams(c=1e300, delta=1.0, alpha=1.0, p_prime=3.0)
+    a = TrackSet(1, 2, (Track({1: (0.0, 0.0)}),))
+    b = TrackSet(1, 2, (Track({1: (1e103, 0.0)}), Track({1: (1e200, 1e200)})))
+    with np.errstate(over="ignore"):
+        dist = scan_distances(a, b, params)
+        assert np.isinf(dist.values).all()
+        for q in ORDERS:
+            want = np.minimum(base_distance(a.states[[0, 0], 0], b.states[:, 0], params, q),
+                              params.c)
+            np.testing.assert_array_equal(dist.at_order(q), want)
+    assert dist.at_order(1.0)[0] == 1e103
 
 
 @pytest.mark.parametrize("dim", [1, 3, 8])
@@ -155,6 +227,21 @@ def test_coexisting_entries_match_the_dense_formulas(dim):
                 np.testing.assert_array_equal(_labeled_distances(dist, la, lb, params),
                                               penalized[dist.rows, dist.cols,
                                                         entry_scans(dist)])
+
+
+@pytest.mark.parametrize("p_prime", [1.5, 3.0, 7.0])
+def test_a_labeled_distance_at_the_cutoff_is_the_cutoff(p_prime):
+    # with alpha = 0 a penalized (d^q + 0)^(1/q) can read below d; at a d
+    # exactly on the cutoff that read below c, and min{c, ...} is c itself
+    c = float(base_distance([0.0], [80.0], MetricParams(), p_prime))
+    params = MetricParams(c=c, delta=1.0, alpha=0.0, p_prime=p_prime)
+    a = TrackSet(1, 1, (Track({1: 0.0}),))
+    b = TrackSet(1, 1, (Track({1: 80.0}), Track({1: 95.0}), Track({1: 12.5})))
+    dist = scan_distances(a, b, params)
+    near = dist.at_order(p_prime)[2]
+    got = _labeled_distances(dist, (1,), (2, 3, 4), params)
+    assert got.tolist() == [c, c, (near**p_prime) ** (1.0 / p_prime)]
+    assert (c**p_prime) ** (1.0 / p_prime) < c
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -403,9 +490,9 @@ def test_a_layer_scores_only_the_sets_and_scale_it_was_built_from(name):
     c = TrackSet(3, 1, (Track({1: 0.0}, "x"), Track({2: 5.0, 3: 5.0}, "z")))
     params = MetricParams()
     layer = scan_distances(a, b, params)
-    # another set, the sets swapped, an equal copy, another scale
+    # another set, the sets swapped, an equal copy, another scale, another cutoff
     for x, y, given in ((c, b, params), (b, a, params), (a, TrackSet(3, 1, tracks_of(b)), params),
-                        (a, b, MetricParams(scale=(2.0,)))):
+                        (a, b, MetricParams(scale=(2.0,))), (a, b, MetricParams(c=90.0))):
         with pytest.raises(BadParametersError, match="distance layer"):
             score(x, y, given, layer)
     fresh = score(b, a, params, None)
@@ -415,14 +502,20 @@ def test_a_layer_scores_only_the_sets_and_scale_it_was_built_from(name):
 
 @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.GREEDY])
 def test_a_layer_serves_every_parameter_but_the_scale(mode):
-    # the distances depend on the scale alone, and at_order serves any p'
+    # the capped distances depend on the scale and the cutoff alone, and
+    # at_order serves any p'; a layer capped at another cutoff is refused
     rng = random.Random(61)
     built = MetricParams(p=1.0, c=6.0, delta=2.0, alpha=3.0, scale=(1.0, 2.0))
-    variants = [replace(built, p=2.0), replace(built, c=9.0), replace(built, delta=1.0),
+    variants = [replace(built, p=2.0), replace(built, delta=1.0),
                 replace(built, alpha=0.5), replace(built, p_prime=1.5),
                 replace(built, p=2.5, p_prime=2.0)]
     for a, b in pairs(rng, 2):
         dist = scan_distances(a, b, built)
+        for score in LAYER_READERS.values():
+            with pytest.raises(BadParametersError, match="another cutoff"):
+                score(a, b, replace(built, c=9.0), dist)
+        with pytest.raises(BadParametersError, match="another cutoff"):
+            ospamt_metric(a, b, replace(built, c=9.0), mode, dist)
         for params in variants:
             for score in LAYER_READERS.values():
                 assert score(a, b, params, dist) == score(a, b, params, None)

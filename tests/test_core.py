@@ -11,9 +11,11 @@ from conftest import distance_params, random_float_set, same_track_sets, tracks_
 from oracles import dense_layer, oracle_check, oracle_counts, oracle_norm
 from trackmetric.core import (
     MetricParams,
+    MetricReport,
     Track,
     TrackSet,
     base_distance,
+    root_mean,
     scan_distances,
 )
 from trackmetric.errors import (
@@ -461,3 +463,22 @@ def test_same_track_sets_ignores_order_and_labels():
     assert same_track_sets(s1, s2)
     s3 = TrackSet(3, 1, (t1,))
     assert not same_track_sets(s1, s3)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_from_sums_reports_every_scan_through_root_mean(p):
+    # the per-scan values of one comprehension are root_mean's, element by
+    # element, also at scans with no slot and at scans all at the cutoff
+    params = MetricParams(p=p, c=7.0, delta=2.0, alpha=1.0)
+    rng = random.Random(int(10 * p))
+    cp = params.c**p
+    n_t = [rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(300)]
+    loc = [rng.choice((0.0, 1.0, rng.random())) * k * cp for k in n_t]
+    card = [rng.choice((0.0, 1.0, rng.random())) * k * cp for k in n_t]
+    report = MetricReport.from_sums(loc, card, n_t, params, None)
+    for got, sums in ((report.per_time, [x + y for x, y in zip(loc, card)]),
+                      (report.loc_t, loc), (report.card_t, card)):
+        want = tuple(root_mean(x, k, params) for x, k in zip(sums, n_t))
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert all(type(x) is float for x in got)
+    assert 0 in n_t and params.c in report.loc_t

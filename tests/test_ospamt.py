@@ -24,6 +24,7 @@ from oracles import (
     _feasible,
     enumerate_assignments,
     legacy_directional_terms,
+    loop_directional_terms,
     oracle_counts,
     oracle_exact_quasi,
     oracle_ospamt,
@@ -276,6 +277,37 @@ def test_directional_terms_match_the_target_by_target_loop(p):
             for order in orders)
         cases["all on one"] += len(src) > 1 and len(set(lam)) == 1 and lam[0] > 0
     assert min(cases.values()) >= 10, cases
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_directional_terms_match_the_row_by_row_loop(p):
+    # the orders the exact and greedy searches choose, scored by one numpy
+    # sum down the rows, give the Python loop's arrays to the last bit; a
+    # cutoff inside the spread of the states caps some distances
+    params = MetricParams(p=p, c=6.0, delta=2.5, alpha=0.0)
+    rng = random.Random(23)
+    seen = Counter()
+    for k in range(60):
+        tgt = random_float_set(rng, 2, scans=6, max_tracks=3)
+        src = random_float_set(rng, 2, scans=6, max_tracks=6)
+        if k % 2 and len(tgt):  # each target broken in two near fragments
+            fragments = []
+            for i in range(len(tgt)):
+                scans = np.flatnonzero(tgt.exists[i]) + 1
+                cut = rng.randint(1, len(scans))
+                fragments += [Track({t: tuple(x + rng.gauss(0, 0.1) for x in tgt.states[i, t - 1])
+                                     for t in part})
+                              for part in (scans[:cut], scans[cut:]) if len(part)]
+            src = TrackSet(6, 2, tuple(fragments))
+        dist = scan_distances(tgt, src, params)
+        for mode in (Mode.EXACT, Mode.GREEDY):
+            orders = quasi_ospamt(src, tgt, params, mode).assignment.orders
+            loc, card = directional_terms(dist, orders, params)
+            want_loc, want_card = loop_directional_terms(dist, orders, params)
+            assert np.array_equal(loc, want_loc) and np.array_equal(card, want_card)
+            seen[mode] += any(len(order) > 1 for order in orders)
+        seen["capped"] += bool((dist.values > params.c).any())
+    assert min(seen.values()) >= 5, seen
 
 
 # ------------------------------------------------------------------- quasi

@@ -129,7 +129,7 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
     shutil.copytree(src / "trackmetric", changed / "trackmetric",
                     ignore=shutil.ignore_patterns("__pycache__"))
     for name, old, new in (("cli.py", '          "t": %s', '         "t": %s'),
-                           ("io.py", "indent=2", "indent=1")):
+                           ("io.py", 'inner = pad + "  "', 'inner = pad + " "')):
         module = changed / "trackmetric" / name
         text = module.read_text(encoding="utf-8")
         assert old in text
@@ -163,13 +163,13 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
     # one selftest, 28 runs on rejected files and a split into a missing
     # directory, the labels pair in json and table, 16 figures under 2
     # specs and a random scenario under 3 option sets (the last refused),
-    # then 2 instances, each scored under 4 parameter sets in 3 formats,
+    # then 2 instances, each scored under 5 parameter sets in 3 formats,
     # once more as a table without the assignment, and split under 2
     # json, and the files every split and every written scenario write, differ
-    for new, code, counts in ((src, 0, (0, 0, 0)), (changed, 1, (9, 4, 34))):
+    for new, code, counts in ((src, 0, (0, 0, 0)), (changed, 1, (11, 4, 34))):
         got, lines = compare(new)
         assert got == code
-        assert lines[-1] == f"{sum(counts)} of 97 runs differ"
+        assert lines[-1] == f"{sum(counts)} of 103 runs differ"
         assert lines[-3:-1] == ["split small_batch: 2 no cut", "split exact_dense: 2 no cut"]
         differing = lines[1:-3]
         assert all(" json " in line and line.endswith(" stdout")
@@ -180,7 +180,7 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
     # every run of the crashed tree exits 1, so every one differs
     code, lines = compare(crashed)
     assert code == 1
-    assert lines[-1] == "97 of 97 runs differ"
+    assert lines[-1] == "103 of 103 runs differ"
     assert lines[-3:-1] == ["split small_batch: 2 exit 1", "split exact_dense: 2 exit 1"]
     assert all(" exit code, " in line for line in lines[1:-3])
     # a changed figure shows in its files alone
@@ -188,7 +188,7 @@ def test_same_outputs_compares_two_trees(monkeypatch, capsys, tmp_path):
     assert code == 1
     assert [line.split() for line in lines[1:-3]] == [
         ["scenario", "fig10a", spec, "file"] for spec in ("defaults", "fractional")]
-    assert lines[-1] == "2 of 97 runs differ"
+    assert lines[-1] == "2 of 103 runs differ"
 
 
 def test_readme_documents_the_public_api():
